@@ -18,6 +18,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import sparse
 
+from .partitions import double_factorial_odd
 from .profiles import SparsePairLaw, SparseScalarLaw
 
 KINDS = ("elliptic", "iid", "block2", "centrosymmetric", "circulant")
@@ -37,12 +38,7 @@ class GaussianLaw:
     """
 
     def moment(self, k: int) -> Fraction:
-        if k % 2 == 1:
-            return Fraction(0)
-        out = 1
-        for m in range(k - 1, 0, -2):
-            out *= m
-        return Fraction(out)
+        return Fraction(double_factorial_odd(k))
 
 
 EntryLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]

@@ -8,70 +8,51 @@ this graph:
 * thick tree  - no loops, every adjacent pair joined by >= 2 edges in total,
   reduced simple graph a tree (dependent-pair models);
 * fat tree    - thick tree whose every adjacent pair carries edges in one
-  direction only (independent-entry models);
-* colored fat tree - fat-tree shape with blue/red edge colors (two-block
-  models); colors are free, the direction rule is the same.
+  direction only (independent-entry models).
 
-Edges may carry a color tag: BLUE edges take weights from the first block
-matrix, RED from the second.
+No closed walk, and no union of two closed walks, is a fat tree: a walk on a
+tree crosses each edge as often in one direction as in the other.  The
+limits layer therefore returns the independent-entry limits as 0 without
+enumerating; the fat-tree rule stays here as the reference for that fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .partitions import CrossPartition, SetPartition
-
-BLUE = 1
-RED = 2
 
 ADMISSIBLE_TREE = "admissible_tree"
 ZERO_SINGLE_EDGE_OR_LOOP = "zero_by_single_edge_or_loop"
 ZERO_CYCLE = "zero_by_cycle"
-ZERO_DIRECTION_OR_COLOR = "zero_by_direction_or_color_rule"
+ZERO_DIRECTION = "zero_by_direction_rule"
 
-GRAPH_MODELS = ("elliptic", "iid", "colored_block")
+GRAPH_MODELS = ("elliptic", "iid")
 
 
 @dataclass(frozen=True)
 class TraceGraph:
-    """Directed multigraph with optional per-edge colors, canonically encoded
-    as a sorted edge tuple (used as cache key downstream)."""
+    """Directed multigraph, canonically encoded as a sorted edge tuple (used
+    as cache key downstream)."""
 
     vertex_count: int
-    edges: tuple[tuple[int, int, Optional[int]], ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for u, v, c in self.edges:
+        for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
-            if c not in (None, BLUE, RED):
-                raise ValueError(f"unknown edge color {c!r}")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_key)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def recolored(self, color: Optional[int]) -> "TraceGraph":
-        return TraceGraph(self.vertex_count, tuple((u, v, color) for u, v, _ in self.edges))
 
-
-def _edge_key(edge):
-    u, v, c = edge
-    return (u, v, -1 if c is None else c)
-
-
-def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]],
-               colors: Optional[Iterable[Optional[int]]] = None) -> TraceGraph:
-    edges = list(edges)
-    if colors is None:
-        tagged = [(u, v, None) for u, v in edges]
-    else:
-        tagged = [(u, v, c) for (u, v), c in zip(edges, colors, strict=True)]
-    return TraceGraph(vertex_count, tuple(tagged))
+def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> TraceGraph:
+    return TraceGraph(vertex_count, tuple((u, v) for u, v in edges))
 
 
 def graph_of_partition(pi: SetPartition) -> TraceGraph:
@@ -85,7 +66,7 @@ def graph_of_partition(pi: SetPartition) -> TraceGraph:
     edges = []
     for m in range(1, k + 1):
         nxt = 1 if m == k else m + 1
-        edges.append((vertex_of[m], vertex_of[nxt], None))
+        edges.append((vertex_of[m], vertex_of[nxt]))
     return TraceGraph(pi.num_blocks, tuple(edges))
 
 
@@ -96,7 +77,6 @@ class GraphStats:
     loop_counts[k]           - number of vertices carrying exactly k loops
     ordered_pair_counts[(k,l)] - vertex pairs u < v with k edges u->v and l edges v->u
     unordered_counts[k]      - vertex pairs with exactly k edges in total
-    colored_pair_counts[(b,r)] - pairs whose edges all point one way, b blue + r red
     reduced_edge_count       - edges after forgetting multiplicity and orientation
                                (each loop vertex and each adjacent pair counts once)
     """
@@ -105,7 +85,6 @@ class GraphStats:
     loop_counts: tuple[tuple[int, int], ...]
     ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
     unordered_counts: tuple[tuple[int, int], ...]
-    colored_pair_counts: Optional[tuple[tuple[tuple[int, int], int], ...]]
     reduced_edge_count: int
     component_count: int
 
@@ -151,22 +130,13 @@ def stats(g: TraceGraph) -> GraphStats:
     """All multiplicity counters of a graph; deterministic and cached."""
     loops: dict[int, int] = {}
     updown: dict[tuple[int, int], list[int]] = {}
-    colored: dict[tuple[int, int], list[int]] = {}
-    colored_ok = True
-    for u, v, c in g.edges:
+    for u, v in g.edges:
         if u == v:
             loops[u] = loops.get(u, 0) + 1
             continue
         a, b = (u, v) if u < v else (v, u)
         rec = updown.setdefault((a, b), [0, 0])
         rec[0 if u == a else 1] += 1
-        crec = colored.setdefault((a, b), [0, 0])
-        if c == BLUE:
-            crec[0] += 1
-        elif c == RED:
-            crec[1] += 1
-        else:
-            colored_ok = False
     loop_counts: dict[int, int] = {}
     for _v, n in loops.items():
         loop_counts[n] = loop_counts.get(n, 0) + 1
@@ -175,22 +145,13 @@ def stats(g: TraceGraph) -> GraphStats:
     for (a, b), (k, l) in updown.items():
         ordered[(k, l)] = ordered.get((k, l), 0) + 1
         unordered[k + l] = unordered.get(k + l, 0) + 1
-    colored_counts: Optional[dict[tuple[int, int], int]] = None
-    if colored_ok:
-        colored_counts = {}
-        for key, (k, l) in updown.items():
-            if k > 0 and l > 0:
-                continue  # bidirectional pairs never reach a colored product
-            br = tuple(colored[key])
-            colored_counts[br] = colored_counts.get(br, 0) + 1
     reduced = len(loops) + len(updown)
-    comps = _components(g.vertex_count, ((min(u, v), max(u, v)) for u, v, _ in g.edges if u != v))
+    comps = _components(g.vertex_count, ((min(u, v), max(u, v)) for u, v in g.edges if u != v))
     return GraphStats(
         vertex_count=g.vertex_count,
         loop_counts=tuple(sorted(loop_counts.items())),
         ordered_pair_counts=tuple(sorted(ordered.items())),
         unordered_counts=tuple(sorted(unordered.items())),
-        colored_pair_counts=tuple(sorted(colored_counts.items())) if colored_counts is not None else None,
         reduced_edge_count=reduced,
         component_count=comps,
     )
@@ -202,9 +163,9 @@ def classify(g: TraceGraph, model: str) -> str:
 
     Loops and single-multiplicity pairs zero out under every model; a cycle
     in the reduced simple graph loses an order of N; the independent-entry
-    and colored models additionally require every adjacent pair to point one
-    way (a pair with >= 2 edges in each direction costs two moment factors
-    against one reduced edge and vanishes).
+    model additionally requires every adjacent pair to point one way (a pair
+    with >= 2 edges in each direction costs two moment factors against one
+    reduced edge and vanishes).
     """
     if model not in GRAPH_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {GRAPH_MODELS}")
@@ -213,8 +174,8 @@ def classify(g: TraceGraph, model: str) -> str:
         return ZERO_SINGLE_EDGE_OR_LOOP
     if s.cycle_excess > 0 or s.component_count > 1:
         return ZERO_CYCLE
-    if model in ("iid", "colored_block") and not s.all_pairs_unidirectional:
-        return ZERO_DIRECTION_OR_COLOR
+    if model == "iid" and not s.all_pairs_unidirectional:
+        return ZERO_DIRECTION
     return ADMISSIBLE_TREE
 
 
@@ -224,7 +185,7 @@ def merge_under_cross_partition(
     """Union of the graphs with vertices re-addressed to sigma's blocks.
 
     The flag is true iff some edge of one graph coincides with an edge of
-    another graph on the same ordered endpoint blocks (colors ignored).
+    another graph on the same ordered endpoint blocks.
     """
     if tuple(g.vertex_count for g in graphs) != sigma.parts:
         raise ValueError("cross partition parts do not match graph vertex counts")
@@ -235,29 +196,10 @@ def merge_under_cross_partition(
     edges = []
     seen_by: dict[tuple[int, int], set[int]] = {}
     for gi, g in enumerate(graphs):
-        for u, v, c in g.edges:
+        for u, v in g.edges:
             a, b = block_of[(gi, u)], block_of[(gi, v)]
-            edges.append((a, b, c))
+            edges.append((a, b))
             seen_by.setdefault((a, b), set()).add(gi)
     shared = any(len(owners) > 1 for owners in seen_by.values())
     return TraceGraph(sigma.num_blocks, tuple(edges)), shared
 
-
-def to_dot(g: TraceGraph) -> str:
-    """DOT text for visual inspection: multiplicity as labels, colors as
-    edge attributes."""
-    groups: dict[tuple[int, int, Optional[int]], int] = {}
-    for u, v, c in g.edges:
-        groups[(u, v, c)] = groups.get((u, v, c), 0) + 1
-    lines = ["digraph tracegraph {"]
-    for i in range(g.vertex_count):
-        lines.append(f"  v{i};")
-    for (u, v, c), mult in sorted(groups.items(), key=lambda kv: _edge_key(kv[0])):
-        attrs = [f'label="{mult}"']
-        if c == BLUE:
-            attrs.append("color=blue")
-        elif c == RED:
-            attrs.append("color=red")
-        lines.append(f"  v{u} -> v{v} [{', '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines)

@@ -8,6 +8,10 @@ sum the same product over gluings of two trace graphs that share an edge and
 merge into an admissible tree.  For alpha != 1 only the asymptotic order
 |V| - 1 - alpha * p survives (p = reduced edge count).
 
+Of the graph-summed models only the elliptic one has surviving terms: the
+iid, two-block and centrosymmetric mean and covariance limits are exactly 0
+(see :func:`limit_trace_moment`) and are returned without enumeration.
+
 All arithmetic here is exact rational; profile constants enter symbolically
 and are substituted at the end.
 """
@@ -22,8 +26,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import (
     ADMISSIBLE_TREE,
-    BLUE,
-    RED,
     TraceGraph,
     classify,
     graph_of_partition,
@@ -36,12 +38,7 @@ from .partitions import (
     enumerate_pair_partitions,
     enumerate_set_partitions,
 )
-from .profiles import (
-    MomentProfile,
-    centrosymmetric_profile,
-    pair_table_from_scalar,
-    tilde_transform,
-)
+from .profiles import MomentProfile
 
 # 10 covers the tenth Wigner moment in the acceptance suite; Bell(10) ~ 1.2e5
 KMAX_TRACE = 10
@@ -49,12 +46,8 @@ KMAX_COV = 6
 
 TRACE_MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 
-_GRAPH_MODEL = {
-    "elliptic": "elliptic",
-    "iid": "iid",
-    "block": "colored_block",
-    "centrosymmetric": "colored_block",
-}
+# models whose admissible trees would need a unidirectional adjacent pair
+_ZERO_MODELS = ("iid", "block", "centrosymmetric")
 
 
 @dataclass(frozen=True)
@@ -73,30 +66,24 @@ def _require_alpha_one(profile: MomentProfile):
 
 
 @lru_cache(maxsize=65536)
-def _tau_factor_keys(g: TraceGraph, graph_model: str):
+def _tau_factor_keys(g: TraceGraph, model: str):
     """Table lookups an admissible graph's tau product needs: tuples of
     (table, key, count)."""
     s = stats(g)
-    if graph_model == "elliptic":
+    if model == "elliptic":
         return tuple(("pair", key, count) for key, count in s.ordered_pair_counts)
-    if graph_model == "iid":
-        return tuple(("scalar", m, count) for m, count in s.unordered_counts)
-    if graph_model == "colored_block":
-        if s.colored_pair_counts is None:
-            raise ValueError("colored model requires a fully colored graph")
-        return tuple(("pair", key, count) for key, count in s.colored_pair_counts)
-    raise ValueError(f"unknown graph model {graph_model!r}")
+    return tuple(("scalar", m, count) for m, count in s.unordered_counts)
 
 
 def tau(g: TraceGraph, model: str, profile: MomentProfile) -> Fraction:
     """Limiting trace contribution of one graph: the pair-constant product if
-    the graph is an admissible tree for the model, else 0."""
+    the graph is an admissible tree for the model ("elliptic" or "iid"),
+    else 0."""
     _require_alpha_one(profile)
-    graph_model = _GRAPH_MODEL[model] if model in _GRAPH_MODEL else model
-    if classify(g, graph_model) != ADMISSIBLE_TREE:
+    if classify(g, model) != ADMISSIBLE_TREE:
         return Fraction(0)
     out = Fraction(1)
-    for table, key, count in _tau_factor_keys(g, graph_model):
+    for table, key, count in _tau_factor_keys(g, model):
         base = profile.pair(*key) if table == "pair" else profile.scalar(key)
         out *= base**count
     return out
@@ -121,7 +108,17 @@ def asymptotic_order(g: TraceGraph, alpha) -> LimitValue:
 
 def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
     """Limit of the normalized trace E[Tr(A^k)] / N, summed over all
-    partitions of {1..k} (for the circulant model: limit of E[Tr(C^k)])."""
+    partitions of {1..k} (for the circulant model: limit of E[Tr(C^k)]).
+
+    The iid, two-block and centrosymmetric limits are exactly 0, for the mean
+    here and for the covariance in :func:`covariance_trace`.  Each of these
+    models reduces to blocks of independent entries, whose terms survive
+    only on fat trees: admissible trees whose every adjacent pair carries
+    edges in one direction only.  A closed walk on a tree crosses each edge
+    as often in one direction as in the other, and so does a union of two
+    closed walks, so every adjacent pair of such a graph carries edges both
+    ways and no term is ever admitted.
+    """
     if model not in TRACE_MODELS:
         raise ValueError(f"unknown model {model!r}")
     if not 1 <= k <= KMAX_TRACE:
@@ -129,24 +126,8 @@ def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
     _require_alpha_one(profile)
     if model == "circulant":
         return circulant_limit_moment(k, profile)
-    if model == "block":
-        # two independent-entry blocks, trace normalized by the block size
-        base = _partition_sum(k, "iid", profile)
-        return 2 * base
-    if model == "centrosymmetric":
-        # full-size normalization: average of the two reduction blocks, each
-        # an independent-entry model with the tilde scalar constants
-        tilde1, tilde2, _ = tilde_transform(
-            profile.scalar_table, pair_table_from_scalar(profile.scalar_table, profile.kmax),
-            profile.kmax,
-        )
-        p1 = MomentProfile(alpha=Fraction(1), kmax=profile.kmax, scalar_table=tilde1)
-        p2 = MomentProfile(alpha=Fraction(1), kmax=profile.kmax, scalar_table=tilde2)
-        return (_partition_sum(k, "iid", p1) + _partition_sum(k, "iid", p2)) / 2
-    return _partition_sum(k, model, profile)
-
-
-def _partition_sum(k: int, model: str, profile: MomentProfile) -> Fraction:
+    if model in _ZERO_MODELS:
+        return Fraction(0)
     total = Fraction(0)
     for pi in enumerate_set_partitions(k):
         total += tau(graph_of_partition(pi), model, profile)
@@ -171,7 +152,8 @@ def covariance_graphs(
 
 def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Fraction:
     """Limiting Cov(z(k), z(l)) of the centered sqrt(N)-scaled trace
-    fluctuations."""
+    fluctuations; exactly 0 for the iid, two-block and centrosymmetric
+    models (see :func:`limit_trace_moment`)."""
     if model not in TRACE_MODELS:
         raise ValueError(f"unknown model {model!r}")
     if not (1 <= k <= KMAX_COV and 1 <= l <= KMAX_COV):
@@ -179,21 +161,11 @@ def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Frac
     if model == "circulant":
         return circulant_covariance(k, l)
     _require_alpha_one(profile)
-    if model == "centrosymmetric":
-        profile = centrosymmetric_profile(profile.scalar_table, profile.kmax)
-        model = "block"
+    if model in _ZERO_MODELS:
+        return Fraction(0)
     graphs1 = [graph_of_partition(pi) for pi in enumerate_set_partitions(k)]
     graphs2 = [graph_of_partition(pi) for pi in enumerate_set_partitions(l)]
     total = Fraction(0)
-    if model == "block":
-        for r1 in (BLUE, RED):
-            for r2 in (BLUE, RED):
-                for g1 in graphs1:
-                    for g2 in graphs2:
-                        total += covariance_graphs(
-                            g1.recolored(r1), g2.recolored(r2), "block", profile
-                        )
-        return total
     for g1 in graphs1:
         for g2 in graphs2:
             total += covariance_graphs(g1, g2, model, profile)

@@ -188,9 +188,6 @@ class CrossPartition:
                 return i
         raise ValueError(f"vertex ({origin},{vertex}) not found")
 
-    def merges_across(self) -> bool:
-        return any(len(b) > 1 for b in self.blocks)
-
 
 def enumerate_cross_partitions(sizes: Sequence[int]) -> list[CrossPartition]:
     """All partitions of V_1 + ... + V_r with at most one vertex per origin

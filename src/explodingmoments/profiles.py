@@ -428,19 +428,6 @@ def pair_table_from_scalar(
     return out
 
 
-def centrosymmetric_profile(
-    scalar_table: Mapping[int, Fraction], kmax: int = DEFAULT_KMAX
-) -> MomentProfile:
-    """Profile whose pair table is tilde_{k,l}: the covariance weights of the
-    two centrosymmetric reduction blocks."""
-    tilde1, _tilde2, tilde_pair = tilde_transform(
-        scalar_table, pair_table_from_scalar(scalar_table, kmax), kmax
-    )
-    return MomentProfile(
-        alpha=Fraction(1), kmax=kmax, pair_table=tilde_pair, scalar_table=tilde1
-    )
-
-
 # --- serialization ---------------------------------------------------------
 # Profiles and laws round-trip through plain JSON documents; rationals are
 # stored as [numerator, denominator] pairs.

@@ -1,8 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from explodingmoments.cli import ExperimentConfig, dispatch, main
+from explodingmoments.cli import (
+    ExperimentConfig,
+    _build_parser,
+    _config_from_args,
+    dispatch,
+    main,
+)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +74,14 @@ class TestConfigPrecedence:
         assert doc["config"]["kmax"] == 3
         assert doc["config"]["model"] == "circulant"
         assert doc["config"]["seed"] == 9
+
+    def test_circulant_light_script_config(self):
+        path = SCRIPTS / "verify_circulant_light.json"
+        args = _build_parser().parse_args(["verify", "--config", str(path)])
+        assert _config_from_args(args) == ExperimentConfig(
+            command="verify", model="circulant", n=(512,), kmax=3, reps=20000,
+            seed=20240801, profile="light",
+        )
 
 
 class TestVerifyCommand:

@@ -2,17 +2,14 @@ import pytest
 
 from explodingmoments.graphs import (
     ADMISSIBLE_TREE,
-    BLUE,
-    RED,
     ZERO_CYCLE,
-    ZERO_DIRECTION_OR_COLOR,
+    ZERO_DIRECTION,
     ZERO_SINGLE_EDGE_OR_LOOP,
     classify,
     graph_of_partition,
     make_graph,
     merge_under_cross_partition,
     stats,
-    to_dot,
 )
 from explodingmoments.partitions import (
     enumerate_cross_partitions,
@@ -39,7 +36,7 @@ class TestGraphOfPartition:
     def test_k2_merged(self):
         g = graph_of_partition(make_partition(2, [[1, 2]]))
         assert g.vertex_count == 1
-        assert g.edges == ((0, 0, None), (0, 0, None))
+        assert g.edges == ((0, 0), (0, 0))
 
     def test_k4_pairing(self):
         g = graph_of_partition(make_partition(4, [[1, 3], [2, 4]]))
@@ -85,7 +82,7 @@ class TestStats:
         # (a reduced loop is itself a cycle)
         def is_forest(g):
             adj = {}
-            for u, v, _c in g.edges:
+            for u, v in g.edges:
                 if u == v:
                     return False
                 adj.setdefault(u, set()).add(v)
@@ -117,11 +114,11 @@ class TestClassify:
     def test_two_cycle_by_model(self):
         g = two_cycle()
         assert classify(g, "elliptic") == ADMISSIBLE_TREE
-        assert classify(g, "iid") == ZERO_DIRECTION_OR_COLOR
+        assert classify(g, "iid") == ZERO_DIRECTION
 
     def test_loops_forbidden_everywhere(self):
         g = make_graph(1, [(0, 0), (0, 0)])
-        for model in ("elliptic", "iid", "colored_block"):
+        for model in ("elliptic", "iid"):
             assert classify(g, model) == ZERO_SINGLE_EDGE_OR_LOOP
 
     def test_single_edge_pair(self):
@@ -132,17 +129,18 @@ class TestClassify:
         g = make_graph(3, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
         assert classify(g, "elliptic") == ZERO_CYCLE
 
-    def test_colored_fat_tree_accepts_mixed_colors(self):
-        g = make_graph(2, [(0, 1), (0, 1), (0, 1)], colors=[BLUE, BLUE, RED])
-        assert classify(g, "colored_block") == ADMISSIBLE_TREE
+    def test_fat_tree_accepts_unidirectional_triple_edge(self):
+        g = make_graph(2, [(0, 1), (0, 1), (0, 1)])
+        assert classify(g, "iid") == ADMISSIBLE_TREE
 
-    def test_colored_rejects_reverse_edge(self):
-        g = make_graph(2, [(0, 1), (0, 1), (1, 0)], colors=[BLUE, BLUE, RED])
-        assert classify(g, "colored_block") == ZERO_DIRECTION_OR_COLOR
+    def test_fat_tree_rejects_reverse_edge(self):
+        g = make_graph(2, [(0, 1), (0, 1), (0, 1), (1, 0)])
+        assert classify(g, "iid") == ZERO_DIRECTION
 
     def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            classify(two_cycle(), "toeplitz")
+        for model in ("toeplitz", "block", "centrosymmetric"):
+            with pytest.raises(ValueError):
+                classify(two_cycle(), model)
 
     def test_iid_admissible_implies_elliptic_admissible(self):
         for k in range(1, 8):
@@ -157,6 +155,35 @@ class TestClassify:
         for k in range(1, 8):
             for pi in enumerate_set_partitions(k):
                 assert classify(graph_of_partition(pi), "iid") != ADMISSIBLE_TREE
+
+    def test_closed_walk_trees_are_balanced(self):
+        # the lemma behind the zero iid, block and centrosymmetric limits: on
+        # every loop-free connected graph whose reduced graph is a tree, built
+        # from one closed walk (k <= 8) or two glued ones sharing an edge
+        # (k, l <= 4), each adjacent pair carries as many edges one way as the
+        # other, so the fat-tree rule admits none of them
+        graphs = [graph_of_partition(pi) for k in range(1, 9) for pi in enumerate_set_partitions(k)]
+        walks = {k: [graph_of_partition(pi) for pi in enumerate_set_partitions(k)] for k in range(1, 5)}
+        gluings = 0
+        for k in range(1, 5):
+            for l in range(1, 5):
+                for g1 in walks[k]:
+                    for g2 in walks[l]:
+                        sizes = (g1.vertex_count, g2.vertex_count)
+                        for sigma in enumerate_cross_partitions(sizes):
+                            merged, shared = merge_under_cross_partition([g1, g2], sigma)
+                            if shared:
+                                graphs.append(merged)
+                                gluings += 1
+        assert (len(graphs) - gluings, gluings) == (5295, 2863)
+        trees = 0
+        for g in graphs:
+            s = stats(g)
+            if not s.has_loop and s.component_count == 1 and s.cycle_excess == 0:
+                trees += 1
+                assert all(a == b for (a, b), _count in s.ordered_pair_counts)
+            assert classify(g, "iid") != ADMISSIBLE_TREE
+        assert trees > 0
 
 
 class TestMerge:
@@ -190,20 +217,3 @@ class TestMerge:
         sigma = enumerate_cross_partitions((2, 2))[0]
         with pytest.raises(ValueError):
             merge_under_cross_partition([two_cycle(), make_graph(3, [(0, 1)])], sigma)
-
-    def test_colors_survive_merging(self):
-        g1 = two_cycle().recolored(BLUE)
-        g2 = two_cycle().recolored(RED)
-        sigmas = {s.blocks: s for s in enumerate_cross_partitions((2, 2))}
-        aligned = sigmas[(((0, 0), (1, 0)), ((0, 1), (1, 1)))]
-        merged, _ = merge_under_cross_partition([g1, g2], aligned)
-        colors = sorted(c for *_uv, c in merged.edges)
-        assert colors == [BLUE, BLUE, RED, RED]
-
-
-class TestDot:
-    def test_multiplicity_and_color_rendered(self):
-        g = make_graph(2, [(0, 1), (0, 1), (1, 0)], colors=[BLUE, BLUE, RED])
-        text = to_dot(g)
-        assert 'label="2"' in text and "color=blue" in text and "color=red" in text
-        assert text.startswith("digraph")

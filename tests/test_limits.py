@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from explodingmoments.graphs import BLUE, RED, graph_of_partition, make_graph
+from explodingmoments.graphs import graph_of_partition, make_graph
 from explodingmoments.limits import (
     LimitValue,
     asymptotic_order,
@@ -47,9 +47,18 @@ class TestTau:
         g = graph_of_partition(make_partition(4, [[1, 3], [2, 4]]))
         assert tau(g, "elliptic", sign_pair_profile) == sign_pair_profile.pair(2, 2)
 
-    def test_colored_fat_tree(self, sign_pair_profile):
-        g = make_graph(2, [(0, 1), (0, 1), (0, 1)], colors=[BLUE, BLUE, RED])
-        assert tau(g, "block", sign_pair_profile) == sign_pair_profile.pair(2, 1)
+    def test_fat_tree_triple_edge(self):
+        # C_3 != 0, so the product is told apart from a rejected graph's 0
+        prof = MomentProfile(alpha=1, kmax=3, scalar_table={2: Fraction(1), 3: Fraction(5, 7)})
+        g = make_graph(2, [(0, 1), (0, 1), (0, 1)])
+        assert tau(g, "iid", prof) == prof.scalar(3)
+
+    def test_only_graph_models(self, sign_profile):
+        for model in ("block", "centrosymmetric"):
+            with pytest.raises(ValueError):
+                tau(two_cycle(), model, sign_profile)
+            with pytest.raises(ValueError):
+                covariance_graphs(two_cycle(), two_cycle(), model, sign_profile)
 
     def test_table_too_short(self):
         small = MomentProfile(alpha=1, kmax=2, pair_table={(1, 1): Fraction(1),

@@ -10,7 +10,6 @@ from explodingmoments.profiles import (
     MomentTableError,
     SparsePairLaw,
     SparseScalarLaw,
-    centrosymmetric_profile,
     degenerate_profile_of,
     design_correlated_sign_law,
     light_profile,
@@ -165,11 +164,6 @@ class TestTildeTransform:
         assert t1[3] == 0 and t2[3] == 0
         assert t1[4] == 2 * 1 + 6 * 1  # 2 C_4 + binom(4,2) C_2^2
         assert tp[(1, 1)] == 0
-
-    def test_centrosymmetric_profile_wraps_tilde(self, sign_profile):
-        prof = centrosymmetric_profile(sign_profile.scalar_table, 8)
-        assert prof.pair(1, 1) == 0
-        assert prof.scalar(2) == 2
 
 
 class TestWignerAndLightProfiles:
