@@ -12,12 +12,11 @@ from .ensembles import (
     weaver_reduce,
 )
 from .estimator import SampleStats, compare_report, run_experiment, trace_powers
-from .graphs import TraceGraph, classify, graph_of_partition, merge_under_cross_partition, stats
+from .graphs import TraceGraph, classify, graph_of_partition, stats
 from .limits import (
     asymptotic_order,
     circulant_covariance,
     circulant_limit_moment,
-    covariance_graphs,
     covariance_trace,
     limit_trace_moment,
     tau,
@@ -30,12 +29,11 @@ from .oracle import (
     exact_trace_mean,
 )
 from .partitions import (
-    CrossPartition,
     SetPartition,
-    enumerate_cross_partitions,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
     enumerate_set_partitions,
+    walk_partitions,
 )
 from .profiles import (
     MomentProfile,

@@ -37,12 +37,17 @@ from .ensembles import (
 )
 from .estimator import ReportRow, compare_report, rows_to_csv, run_experiment
 from .limits import (
+    KMAX_COV,
+    KMAX_TRACE,
     circulant_covariance,
     circulant_limit_moment,
     covariance_trace,
     limit_trace_moment,
 )
 from .oracle import (
+    MAX_K_CIRC,
+    MAX_K_FLUCT,
+    MAX_K_MEAN,
     MAX_N_CIRC,
     MAX_N_FLUCT,
     exact_circulant_trace_mean,
@@ -174,10 +179,9 @@ def _cmd_limits(cfg: ExperimentConfig) -> tuple[int, dict]:
 def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
     _law, profile = _resolve_setup(cfg)
     _validated_profile(cfg, profile)
-    kcov = min(cfg.kmax, 6)
     values = []
-    for k in range(1, kcov + 1):
-        for l in range(k, kcov + 1):
+    for k in range(1, cfg.kmax + 1):
+        for l in range(k, cfg.kmax + 1):
             val = covariance_trace(k, l, cfg.model, profile)
             values.append({"k": k, "l": l, "value": _frac_str(val)})
     doc = {
@@ -275,7 +279,7 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
         raise UsageError("oracle runs need an entry law")
     values = []
     for n in cfg.n:
-        for k in range(1, min(cfg.kmax, 6) + 1):
+        for k in range(1, cfg.kmax + 1):
             if cfg.model == "circulant":
                 if n > MAX_N_CIRC:
                     raise UsageError(f"circulant oracle needs N <= {MAX_N_CIRC}, got {n}")
@@ -286,8 +290,8 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
                 raise UsageError(f"no exact oracle for model {cfg.model}")
             values.append({"model": cfg.model, "N": n, "k": k, "value": _frac_str(val)})
         if n <= MAX_N_FLUCT and cfg.model in ("elliptic", "iid", "circulant"):
-            for k in range(1, min(cfg.kmax, 3) + 1):
-                for l in range(k, min(cfg.kmax, 3) + 1):
+            for k in range(1, min(cfg.kmax, MAX_K_FLUCT) + 1):
+                for l in range(k, min(cfg.kmax, MAX_K_FLUCT) + 1):
                     val = exact_fluct_covariance_small(cfg.model, law, n, k, l)
                     values.append(
                         {"model": cfg.model, "N": n, "k": k, "l": l, "value": _frac_str(val)}
@@ -338,6 +342,13 @@ def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
     return (0 if ok else 1), doc
 
 
+# the largest --kmax each exact command evaluates
+_KMAX_CAP = {
+    "limits": KMAX_TRACE,
+    "covariance": KMAX_COV,
+    "oracle": min(MAX_K_MEAN, MAX_K_CIRC),
+}
+
 _COMMANDS = {
     "limits": _cmd_limits,
     "covariance": _cmd_covariance,
@@ -354,6 +365,9 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
         raise UsageError(f"unknown command {cfg.command!r}")
     if cfg.model not in MODELS:
         raise UsageError(f"unknown model {cfg.model!r}")
+    cap = _KMAX_CAP.get(cfg.command)
+    if cap is not None and cfg.kmax > cap:
+        raise UsageError(f"{cfg.command} supports --kmax up to {cap}, got {cfg.kmax}")
     return _COMMANDS[cfg.command](cfg)
 
 

@@ -14,15 +14,22 @@ No closed walk, and no union of two closed walks, is a fat tree: a walk on a
 tree crosses each edge as often in one direction as in the other.  The
 limits layer therefore returns the independent-entry limits as 0 without
 enumerating; the fat-tree rule stays here as the reference for that fact.
+
+The partition sums of the limits and oracle layers build no graphs:
+``partitions.walk_partitions`` grows the same counters edge by edge.
+:func:`moment_product` turns either kind of counters into the product of
+entry moments that weighs a term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
-from .partitions import CrossPartition, SetPartition
+from .partitions import SetPartition
 
 ADMISSIBLE_TREE = "admissible_tree"
 ZERO_SINGLE_EDGE_OR_LOOP = "zero_by_single_edge_or_loop"
@@ -179,27 +186,25 @@ def classify(g: TraceGraph, model: str) -> str:
     return ADMISSIBLE_TREE
 
 
-def merge_under_cross_partition(
-    graphs: list[TraceGraph], sigma: CrossPartition
-) -> tuple[TraceGraph, bool]:
-    """Union of the graphs with vertices re-addressed to sigma's blocks.
+def moment_product(counts, pair: Callable, diagonal: Optional[Callable] = None) -> tuple:
+    """Product of moment factors over the loop vertices and adjacent pairs
+    of a graph, read from ``counts.loop_counts`` and
+    ``counts.ordered_pair_counts`` (a :class:`GraphStats` or a
+    ``partitions.WalkPartition``).
 
-    The flag is true iff some edge of one graph coincides with an edge of
-    another graph on the same ordered endpoint blocks.
+    ``diagonal(m)`` is the factor of a vertex with m loops, ``pair(a, b)``
+    that of a pair u < v with a edges u -> v and b edges v -> u; each returns
+    (coefficient, half-power of N), and so does the product.  It is (0, 0) as
+    soon as one factor vanishes.
     """
-    if tuple(g.vertex_count for g in graphs) != sigma.parts:
-        raise ValueError("cross partition parts do not match graph vertex counts")
-    block_of = {}
-    for i, block in enumerate(sigma.blocks):
-        for tag in block:
-            block_of[tag] = i
-    edges = []
-    seen_by: dict[tuple[int, int], set[int]] = {}
-    for gi, g in enumerate(graphs):
-        for u, v in g.edges:
-            a, b = block_of[(gi, u)], block_of[(gi, v)]
-            edges.append((a, b))
-            seen_by.setdefault((a, b), set()).add(gi)
-    shared = any(len(owners) > 1 for owners in seen_by.values())
-    return TraceGraph(sigma.num_blocks, tuple(edges)), shared
-
+    coeff, half = Fraction(1), 0
+    factors = chain(
+        ((diagonal(m), count) for m, count in counts.loop_counts),
+        ((pair(a, b), count) for (a, b), count in counts.ordered_pair_counts),
+    )
+    for (c, h), count in factors:
+        if c == 0:
+            return (Fraction(0), 0)
+        coeff *= c**count
+        half += h * count
+    return (coeff, half)

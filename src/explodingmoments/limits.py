@@ -20,27 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Mapping, Optional, Sequence, Union
 
-from .graphs import (
-    ADMISSIBLE_TREE,
-    TraceGraph,
-    classify,
-    graph_of_partition,
-    merge_under_cross_partition,
-    stats,
-)
+from .graphs import ADMISSIBLE_TREE, TraceGraph, classify, moment_product, stats
 from .partitions import (
-    enumerate_cross_partitions,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
-    enumerate_set_partitions,
+    walk_partitions,
 )
 from .profiles import MomentProfile
 
-# 10 covers the tenth Wigner moment in the acceptance suite; Bell(10) ~ 1.2e5
+# 10 covers the tenth Wigner moment in the acceptance suite
 KMAX_TRACE = 10
 KMAX_COV = 6
 
@@ -65,14 +56,12 @@ def _require_alpha_one(profile: MomentProfile):
         raise ValueError(f"limit evaluation requires alpha = 1, got alpha = {profile.alpha}")
 
 
-@lru_cache(maxsize=65536)
-def _tau_factor_keys(g: TraceGraph, model: str):
-    """Table lookups an admissible graph's tau product needs: tuples of
-    (table, key, count)."""
-    s = stats(g)
+def _tree_product(counts, model: str, profile: MomentProfile) -> Fraction:
+    """Pair-constant product of an admissible tree: C_{a,b} for each adjacent
+    pair with a edges one way and b the other (elliptic), C_{a+b} for iid."""
     if model == "elliptic":
-        return tuple(("pair", key, count) for key, count in s.ordered_pair_counts)
-    return tuple(("scalar", m, count) for m, count in s.unordered_counts)
+        return moment_product(counts, lambda a, b: (profile.pair(a, b), 0))[0]
+    return moment_product(counts, lambda a, b: (profile.scalar(a + b), 0))[0]
 
 
 def tau(g: TraceGraph, model: str, profile: MomentProfile) -> Fraction:
@@ -82,11 +71,7 @@ def tau(g: TraceGraph, model: str, profile: MomentProfile) -> Fraction:
     _require_alpha_one(profile)
     if classify(g, model) != ADMISSIBLE_TREE:
         return Fraction(0)
-    out = Fraction(1)
-    for table, key, count in _tau_factor_keys(g, model):
-        base = profile.pair(*key) if table == "pair" else profile.scalar(key)
-        out *= base**count
-    return out
+    return _tree_product(stats(g), model, profile)
 
 
 def asymptotic_order(g: TraceGraph, alpha) -> LimitValue:
@@ -107,8 +92,10 @@ def asymptotic_order(g: TraceGraph, alpha) -> LimitValue:
 
 
 def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
-    """Limit of the normalized trace E[Tr(A^k)] / N, summed over all
-    partitions of {1..k} (for the circulant model: limit of E[Tr(C^k)]).
+    """Limit of the normalized trace E[Tr(A^k)] / N: the sum of
+    :func:`tau` over the partitions of {1..k} whose graph is a thick tree,
+    the only ones the pruned :func:`partitions.walk_partitions` visits
+    (for the circulant model: limit of E[Tr(C^k)]).
 
     The iid, two-block and centrosymmetric limits are exactly 0, for the mean
     here and for the covariance in :func:`covariance_trace`.  Each of these
@@ -128,32 +115,19 @@ def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
         return circulant_limit_moment(k, profile)
     if model in _ZERO_MODELS:
         return Fraction(0)
-    total = Fraction(0)
-    for pi in enumerate_set_partitions(k):
-        total += tau(graph_of_partition(pi), model, profile)
-    return total
-
-
-def covariance_graphs(
-    g1: TraceGraph, g2: TraceGraph, model: str, profile: MomentProfile
-) -> Fraction:
-    """Sum over gluings of two trace graphs sharing at least one edge of the
-    tau product of the merged graph (0 unless the merge is an admissible
-    tree for the model)."""
-    _require_alpha_one(profile)
-    total = Fraction(0)
-    for sigma in enumerate_cross_partitions((g1.vertex_count, g2.vertex_count)):
-        merged, shared = merge_under_cross_partition([g1, g2], sigma)
-        if not shared:
-            continue
-        total += tau(merged, model, profile)
-    return total
+    leaves = walk_partitions((k,), prune=True)
+    return sum((_tree_product(leaf, model, profile) for leaf in leaves), Fraction(0))
 
 
 def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Fraction:
     """Limiting Cov(z(k), z(l)) of the centered sqrt(N)-scaled trace
     fluctuations; exactly 0 for the iid, two-block and centrosymmetric
-    models (see :func:`limit_trace_moment`)."""
+    models (see :func:`limit_trace_moment`).
+
+    A gluing of a k-walk graph and an l-walk graph is one set partition of
+    the k + l positions of the two walks; the kernel sums the tree product
+    over the gluings that merge into a thick tree and share a directed edge.
+    """
     if model not in TRACE_MODELS:
         raise ValueError(f"unknown model {model!r}")
     if not (1 <= k <= KMAX_COV and 1 <= l <= KMAX_COV):
@@ -163,13 +137,8 @@ def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Frac
     _require_alpha_one(profile)
     if model in _ZERO_MODELS:
         return Fraction(0)
-    graphs1 = [graph_of_partition(pi) for pi in enumerate_set_partitions(k)]
-    graphs2 = [graph_of_partition(pi) for pi in enumerate_set_partitions(l)]
-    total = Fraction(0)
-    for g1 in graphs1:
-        for g2 in graphs2:
-            total += covariance_graphs(g1, g2, model, profile)
-    return total
+    leaves = walk_partitions((k, l), prune=True)
+    return sum((_tree_product(leaf, model, profile) for leaf in leaves if leaf.shared), Fraction(0))
 
 
 def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fraction:

@@ -1,11 +1,13 @@
 """Exact finite-N expectations that validate every limit formula.
 
-The trace mean at finite N is a polynomial in N: summing over partitions,
+The trace mean at finite N is a polynomial in N: summing over the set
+partitions of the walk positions (``partitions.walk_partitions``, unpruned),
 each graph contributes a falling factorial (the injective labelings) times a
-product of exact entry moments.  Fluctuation covariances extend this to
-cross partitions of two graphs' vertex sets with true-expectation centering.
-Circulant expectations are enumerated directly over index tuples satisfying
-the modular constraint.
+product of exact entry moments.  Fluctuation covariances run the same sum
+over the positions of two walks and subtract the product of the means.
+The circulant mean sums over the same partitions, weighting each by its
+number of injective residue labelings with zero weighted sum mod N; the
+circulant joint moment is enumerated over index tuples.
 
 Everything here is big-integer rational arithmetic; no floats.  Moments of a
 sparse law carry explicit powers of sqrt(N) (E[x^k] = q E[xi^k] N^(k/2-1));
@@ -21,15 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Union
+from typing import Sequence, Union
 
 from .ensembles import GaussianLaw
-from .graphs import TraceGraph, graph_of_partition, merge_under_cross_partition, stats
-from .partitions import (
-    enumerate_cross_partitions,
-    enumerate_set_partitions,
-    falling_factorial,
-)
+from .graphs import make_graph, moment_product, stats
+from .partitions import enumerate_set_partitions, falling_factorial, walk_partitions
 from .profiles import SparsePairLaw, SparseScalarLaw
 
 ORACLE_MODELS = ("elliptic", "iid")
@@ -112,27 +110,22 @@ class ExactMomentTable:
         return (c, h - k)
 
 
-def _delta0(table: ExactMomentTable, g: TraceGraph, model: str) -> _Scaled:
-    """E[prod over edges of a_(phi u, phi v)] for one injective labeling."""
-    s = stats(g)
-    coeff = Fraction(1)
-    half = 0
-    for loops_k, count in s.loop_counts:
-        c, h = table.a_diagonal(loops_k)
-        if c == 0:
-            return (Fraction(0), 0)
-        coeff *= c**count
-        half += h * count
-    for (k, l), count in s.ordered_pair_counts:
-        if model == "elliptic":
-            c, h = table.a_pair(k, l)
-        else:
-            c, h = table.a_entry_product(k, l)
-        if c == 0:
-            return (Fraction(0), 0)
-        coeff *= c**count
-        half += h * count
-    return (coeff, half)
+def _delta0(table: ExactMomentTable, counts, model: str) -> _Scaled:
+    """E[prod over edges of a_(phi u, phi v)] for one injective labeling of
+    a graph with these loop and pair counters."""
+    pair = table.a_pair if model == "elliptic" else table.a_entry_product
+    return moment_product(counts, pair, table.a_diagonal)
+
+
+def _walk_sum(table: ExactMomentTable, model: str, n: int, lengths: Sequence[int]) -> Fraction:
+    """E[prod_w Tr(A^(lengths[w]))]: over the set partitions of the walk
+    positions, N (N-1) ... (N-|V|+1) injective labelings times the moment
+    product of the partition graph."""
+    total = Fraction(0)
+    for leaf in walk_partitions(lengths):
+        coeff, half = _delta0(table, leaf, model)
+        total += falling_factorial(n, leaf.vertex_count) * _eval_scaled(coeff, half, n)
+    return total
 
 
 def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
@@ -144,15 +137,7 @@ def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
         raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
     if not 1 <= n <= MAX_N_POLY:
         raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
-    table = ExactMomentTable(law)
-    total = Fraction(0)
-    for pi in enumerate_set_partitions(k):
-        g = graph_of_partition(pi)
-        coeff, half = _delta0(table, g, model)
-        if coeff == 0:
-            continue
-        total += falling_factorial(n - 1, g.vertex_count - 1) * _eval_scaled(coeff, half, n)
-    return total
+    return _walk_sum(ExactMomentTable(law), model, n, (k,)) / n
 
 
 def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
@@ -165,37 +150,8 @@ def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> F
     table = ExactMomentTable(law)
     total = Fraction(0)
     for tup in product(range(n), repeat=k):
-        pairs: dict[tuple[int, int], list[int]] = {}
-        diags: dict[int, int] = {}
-        for m in range(k):
-            u, v = tup[m], tup[(m + 1) % k]
-            if u == v:
-                diags[u] = diags.get(u, 0) + 1
-            else:
-                a, b = (u, v) if u < v else (v, u)
-                rec = pairs.setdefault((a, b), [0, 0])
-                rec[0 if u == a else 1] += 1
-        coeff = Fraction(1)
-        half = 0
-        for cnt in diags.values():
-            c, h = table.a_diagonal(cnt)
-            coeff *= c
-            half += h
-            if coeff == 0:
-                break
-        if coeff != 0:
-            for up, down in pairs.values():
-                c, h = (
-                    table.a_pair(up, down)
-                    if model == "elliptic"
-                    else table.a_entry_product(up, down)
-                )
-                coeff *= c
-                half += h
-                if coeff == 0:
-                    break
-        if coeff != 0:
-            total += _eval_scaled(coeff, half, n)
+        g = make_graph(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
+        total += _eval_scaled(*_delta0(table, stats(g), model), n)
     return total / n
 
 
@@ -211,29 +167,42 @@ def _pattern_value(table: ExactMomentTable, counts: tuple[int, ...]) -> _Scaled:
     return (coeff, half)
 
 
+@lru_cache(maxsize=None)
+def _injective_residue_count(sizes: tuple[int, ...], n: int) -> int:
+    """Labelings of blocks of these sizes m_b by distinct residues v_b mod N
+    with sum m_b v_b = 0 mod N.
+
+    Without distinctness, blocks merged into groups with sizes s_1..s_t have
+    N^(t-1) gcd(s_1, ..., s_t, N) solutions (the kernel of v -> sum s_j v_j
+    on Z_N^t).  Moebius inversion over the coarsenings of the blocks keeps
+    the injective ones; a group of j blocks has Moebius factor
+    (-1)^(j-1) (j-1)!.
+    """
+    total = 0
+    for sigma in enumerate_set_partitions(len(sizes)):
+        term = n ** (sigma.num_blocks - 1)
+        for group in sigma.blocks:
+            term *= (-1) ** (len(group) - 1) * math.factorial(len(group) - 1)
+        total += term * math.gcd(n, *(sum(sizes[i - 1] for i in g) for g in sigma.blocks))
+    return total
+
+
 def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
-    """E[Tr(C^k)] at finite N: enumerate index tuples with sum = 0 mod N
-    (last index solved from the congruence), factorizing by independence."""
+    """E[Tr(C^k)] at finite N: over the set partitions of the k positions
+    (the coincidence patterns of the generator indices), the moment product
+    of the block sizes times the number of injective residue labelings with
+    zero weighted sum mod N.  Its cost does not grow with N."""
     if not 1 <= n <= MAX_N_CIRC:
         raise ValueError(f"N={n} outside 1..{MAX_N_CIRC}")
     if not 1 <= k <= MAX_K_CIRC:
         raise ValueError(f"k={k} outside 1..{MAX_K_CIRC}")
     table = ExactMomentTable(law)
-
-    @lru_cache(maxsize=None)
-    def pattern(counts: tuple[int, ...]) -> _Scaled:
-        return _pattern_value(table, counts)
-
     total_coeff: dict[int, Fraction] = {}
-    for head in product(range(n), repeat=k - 1):
-        last = (-sum(head)) % n
-        counts: dict[int, int] = {}
-        for j in head:
-            counts[j] = counts.get(j, 0) + 1
-        counts[last] = counts.get(last, 0) + 1
-        c, h = pattern(tuple(sorted(counts.values())))
+    for leaf in walk_partitions((k,)):
+        c, h = _pattern_value(table, leaf.block_sizes)
         if c != 0:
-            total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
+            count = _injective_residue_count(leaf.block_sizes, n)
+            total_coeff[h] = total_coeff.get(h, Fraction(0)) + c * count
     total = Fraction(0)
     for h, c in total_coeff.items():
         total += _eval_scaled(c, h - (k - 2), n)
@@ -269,10 +238,10 @@ def exact_fluct_covariance_small(
 ) -> Fraction:
     """Exact E[Z_N(k) Z_N(l)] with true-expectation centering.
 
-    Circulant: full tuple enumeration.  Elliptic/iid: cross-partition sum
-    with exact falling factorials; a gluing contributes the difference
-    between the merged moment product and the product of the two separate
-    ones, which vanishes identically when the gluing shares no dependence.
+    Circulant: full tuple enumeration.  Elliptic/iid: the joint moment
+    E[Tr(A^k) Tr(A^l)], summed over the set partitions of the k + l
+    positions of two walks with exact falling factorials, minus the product
+    of the two means.
     """
     if not (1 <= k <= MAX_K_FLUCT and 1 <= l <= MAX_K_FLUCT):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{MAX_K_FLUCT}")
@@ -286,19 +255,5 @@ def exact_fluct_covariance_small(
         return (joint - ek * el) / n
     if model not in ORACLE_MODELS:
         raise ValueError(f"unsupported model {model!r}")
-    total = Fraction(0)
-    for pi1 in enumerate_set_partitions(k):
-        g1 = graph_of_partition(pi1)
-        c1, h1 = _delta0(table, g1, model)
-        for pi2 in enumerate_set_partitions(l):
-            g2 = graph_of_partition(pi2)
-            c2, h2 = _delta0(table, g2, model)
-            for sigma in enumerate_cross_partitions((g1.vertex_count, g2.vertex_count)):
-                merged, _shared = merge_under_cross_partition([g1, g2], sigma)
-                cm, hm = _delta0(table, merged, model)
-                omega = _eval_scaled(cm, hm, n) - _eval_scaled(c1, h1, n) * _eval_scaled(
-                    c2, h2, n
-                )
-                if omega != 0:
-                    total += falling_factorial(n, sigma.num_blocks) * omega
-    return total / n
+    means = _walk_sum(table, model, n, (k,)) * _walk_sum(table, model, n, (l,))
+    return (_walk_sum(table, model, n, (k, l)) - means) / n

@@ -1,9 +1,12 @@
-"""Set partitions, pair partitions, and cross partitions.
+"""Set partitions, pair partitions, and partitions of walk positions.
 
 These index every sum in the trace-moment calculus: a normalized trace
 expands over partitions of {1..k} (which index tuples by their coincidence
-pattern), and covariance kernels expand over partitions of a disjoint union
-of vertex sets with at most one vertex per origin in each block.
+pattern), and a covariance kernel over partitions of the k + l positions of
+two walks (restricted to each walk they give the two trace graphs, and the
+blocks they merge glue them).  :func:`walk_partitions` enumerates both,
+growing the trace graph as it goes, and can prune every branch on which no
+limit term survives.
 
 Enumeration is guarded at small sizes (Bell(13) > 27M); index sets S_pi are
 exposed as a count formula and a membership predicate, never materialized.
@@ -11,10 +14,11 @@ exposed as a count formula and a membership predicate, never materialized.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_GROUND = 12
 
@@ -155,67 +159,107 @@ def enumerate_pair_partitions(r: int) -> list[SetPartition]:
     return results
 
 
-@dataclass(frozen=True)
-class CrossPartition:
-    """Partition of the disjoint union of vertex sets V_1..V_r where each
-    block holds at most one vertex per origin.
+class WalkPartition(NamedTuple):
+    """Trace graph of one set partition of the positions of closed walks.
 
-    Vertices are tagged pairs (origin, index) with origin in 0..r-1 and
-    index in 0..|V_origin|-1.
+    Blocks are the vertices, numbered in order of first position; each walk
+    step m -> m+1 (cyclically within its walk) is one directed edge.  The
+    counters have the formats of ``graphs.GraphStats``.
     """
 
-    parts: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            origins = [o for o, _ in block]
-            if len(origins) != len(set(origins)):
-                raise ValueError("a block holds two vertices from one origin")
-            seen.update(block)
-        expected = {(o, v) for o, size in enumerate(self.parts) for v in range(size)}
-        if seen != expected or sum(len(b) for b in self.blocks) != len(expected):
-            raise ValueError("blocks must cover the disjoint union exactly once")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_index_of(self, origin: int, vertex: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if (origin, vertex) in block:
-                return i
-        raise ValueError(f"vertex ({origin},{vertex}) not found")
+    vertex_count: int
+    block_sizes: tuple[int, ...]  # ascending
+    loop_counts: tuple[tuple[int, int], ...]
+    ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
+    shared: bool  # some directed edge is a step of both walks
 
 
-def enumerate_cross_partitions(sizes: Sequence[int]) -> list[CrossPartition]:
-    """All partitions of V_1 + ... + V_r with at most one vertex per origin
-    in each block."""
-    sizes = tuple(int(s) for s in sizes)
-    if sum(sizes) > MAX_GROUND:
-        raise ValueError(f"total size {sum(sizes)} exceeds {MAX_GROUND}")
-    vertices = [(o, v) for o, size in enumerate(sizes) for v in range(size)]
-    results: list[CrossPartition] = []
-    blocks: list[list[tuple[int, int]]] = []
+def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[WalkPartition]:
+    """Set partitions of the positions of one or two closed walks of the
+    given lengths, depth first in restricted-growth order (Knuth, TAOCP 4A,
+    7.2.1.5), each yielded as the trace graph it induces.
 
-    def place(idx: int):
-        if idx == len(vertices):
-            canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            results.append(CrossPartition(parts=sizes, blocks=canon))
+    Positions of the first walk come first.  The graph grows by the steps
+    that end at each newly placed position.  With ``prune`` only thick trees
+    are yielded: a branch is dropped on its first loop, on a step that closes
+    a cycle in the reduced graph, or when the vertex count passes (total
+    length)/2 + 1 (each of a tree's |V| - 1 adjacent pairs takes two steps);
+    a leaf is kept if it is connected and no adjacent pair carries a single
+    edge.  Without ``prune`` every set partition is yielded, Bell(total) in
+    all.
+    """
+    lengths = tuple(int(x) for x in lengths)
+    total = sum(lengths)
+    if not 1 <= len(lengths) <= 2 or min(lengths) < 1 or total > MAX_GROUND:
+        raise ValueError(f"walk lengths {lengths}: need one or two walks, total 1..{MAX_GROUND}")
+    max_vertices = total // 2 + 1 if prune else total
+    label = [0] * total
+    sizes: list[int] = []
+    loops: dict[int, int] = {}
+    pairs: dict[tuple[int, int], list[int]] = {}  # u < v -> [steps u->v, steps v->u]
+
+    def step(u: int, v: int, delta: int):
+        """Add (delta = 1) or take back (delta = -1) the step u -> v."""
+        if u == v:
+            loops[u] = loops.get(u, 0) + delta
+            if not loops[u]:
+                del loops[u]
             return
-        tag = vertices[idx]
-        for b in blocks:
-            if all(o != tag[0] for o, _ in b):
-                b.append(tag)
-                place(idx + 1)
-                b.pop()
-        blocks.append([tag])
-        place(idx + 1)
-        blocks.pop()
+        key = (u, v) if u < v else (v, u)
+        rec = pairs.setdefault(key, [0, 0])
+        rec[u > v] += delta
+        if rec == [0, 0]:
+            del pairs[key]
 
-    place(0)
-    return results
+    def components(p: int) -> int:
+        """Components of the graph of positions 0..p: each walk's placed
+        steps form a path or a closed walk, so the second walk is a component
+        of its own until one of its positions lands on a block of the first."""
+        second = label[lengths[0] : p + 1]
+        return 1 + (bool(second) and min(second) > max(label[: lengths[0]]))
+
+    def leaf() -> Optional[WalkPartition]:
+        if prune and (len(pairs) != len(sizes) - 1 or any(a + b == 1 for a, b in pairs.values())):
+            return None  # a forest of two trees, or a pair with a single edge
+        steps = [
+            {(label[s + i], label[s + (i + 1) % size]) for i in range(size)}
+            for s, size in zip((0, lengths[0]), lengths)
+        ]
+        return WalkPartition(
+            vertex_count=len(sizes),
+            block_sizes=tuple(sorted(sizes)),
+            loop_counts=tuple(sorted(Counter(loops.values()).items())),
+            ordered_pair_counts=tuple(sorted(Counter(tuple(r) for r in pairs.values()).items())),
+            shared=len(steps) == 2 and not steps[0].isdisjoint(steps[1]),
+        )
+
+    def place(p: int) -> Iterator[WalkPartition]:
+        if p == total:
+            out = leaf()
+            if out is not None:
+                yield out
+            return
+        first, last = (0, lengths[0] - 1) if p < lengths[0] else (lengths[0], total - 1)
+        for b in range(min(len(sizes) + 1, max_vertices)):
+            if b == len(sizes):
+                sizes.append(0)
+            sizes[b] += 1
+            label[p] = b
+            steps = [(label[p - 1], b)] if p != first else []
+            if p == last:
+                steps.append((b, label[first]))
+            for u, v in steps:
+                step(u, v, 1)
+            # a loop-free graph is a forest iff it has |V| - components pairs
+            if not prune or (not loops and len(pairs) == len(sizes) - components(p)):
+                yield from place(p + 1)
+            for u, v in steps:
+                step(u, v, -1)
+            sizes[b] -= 1
+            if not sizes[b]:
+                sizes.pop()
+
+    yield from place(0)
 
 
 def enumerate_integer_partitions_min2(k: int) -> list[tuple[int, ...]]:

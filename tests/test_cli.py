@@ -65,6 +65,17 @@ class TestUsageErrors:
         assert "bogus" in err
 
 
+    @pytest.mark.parametrize("command,cap", [("limits", 10), ("covariance", 6), ("oracle", 6)])
+    def test_kmax_above_cap_exits_2(self, capsys, command, cap):
+        argv = [command, "--model", "elliptic", "--n", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--kmax", str(cap))
+        assert code == 0
+        assert max(row["k"] for row in json.loads(out)["values"]) == cap
+        code, out, err = run_cli(capsys, *argv, "--kmax", str(cap + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} supports --kmax up to {cap}, got {cap + 1}\n"
+
+
 class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

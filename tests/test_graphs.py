@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from explodingmoments.graphs import (
@@ -8,14 +10,11 @@ from explodingmoments.graphs import (
     classify,
     graph_of_partition,
     make_graph,
-    merge_under_cross_partition,
+    moment_product,
     stats,
 )
-from explodingmoments.partitions import (
-    enumerate_cross_partitions,
-    enumerate_set_partitions,
-    make_partition,
-)
+from explodingmoments.partitions import enumerate_set_partitions, make_partition
+from reference_sums import enumerate_cross_partitions, merge_under_cross_partition
 
 
 def two_cycle():
@@ -108,6 +107,26 @@ class TestStats:
             for pi in enumerate_set_partitions(k):
                 g = graph_of_partition(pi)
                 assert (stats(g).cycle_excess == 0) == is_forest(g)
+
+
+class TestMomentProduct:
+    def test_factors_and_half_powers_multiply(self):
+        s = stats(make_graph(2, [(0, 0), (0, 0), (0, 1), (1, 0), (1, 0), (1, 1)]))
+        out = moment_product(
+            s,
+            pair=lambda a, b: (Fraction(a + 10 * b), -a - b),
+            diagonal=lambda m: (Fraction(m + 1), -m),
+        )
+        # loops {2: 1, 1: 1}, pair (1, 2) once
+        assert out == (Fraction(3 * 2 * 21), -2 - 1 - 3)
+
+    def test_vanishing_factor_stops_early(self):
+        s = stats(make_graph(2, [(0, 0), (0, 1), (1, 0)]))
+
+        def pair(a, b):
+            raise AssertionError("not reached after a zero loop factor")
+
+        assert moment_product(s, pair, diagonal=lambda m: (Fraction(0), 0)) == (0, 0)
 
 
 class TestClassify:

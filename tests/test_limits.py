@@ -8,7 +8,6 @@ from explodingmoments.limits import (
     asymptotic_order,
     circulant_covariance,
     circulant_limit_moment,
-    covariance_graphs,
     covariance_trace,
     limit_trace_moment,
     tau,
@@ -20,12 +19,15 @@ from explodingmoments.profiles import (
     MomentProfile,
     MomentTableError,
     degenerate_profile_of,
+    design_correlated_sign_law,
     profile_of_scalar_law,
     profile_of_sparse_law,
     sign_scalar_law,
     wigner_profile,
 )
 from explodingmoments.graphs import stats
+import reference_sums
+from reference_sums import covariance_graphs
 
 
 def two_cycle():
@@ -225,6 +227,31 @@ class TestCirculant:
         assert circulant_covariance(1, 2) == 0
         assert circulant_covariance(1, 1) == 1
         assert circulant_covariance(3, 3) == 6
+
+
+class TestAgainstBellEnumeration:
+    """The pruned walk-partition sums equal the Bell-number enumeration."""
+
+    @pytest.fixture(scope="class", params=["1/2", "1"])
+    def prof(self, request):
+        return profile_of_sparse_law(design_correlated_sign_law(Fraction(request.param)), kmax=12)
+
+    def test_means(self, prof):
+        for k in range(1, 9):
+            assert limit_trace_moment("elliptic", k, prof) == reference_sums.limit_trace_moment(
+                "elliptic", k, prof
+            )
+
+    def test_covariances(self, prof):
+        for k in range(1, 5):
+            for l in range(1, 5):
+                assert covariance_trace(k, l, "elliptic", prof) == (
+                    reference_sums.covariance_trace(k, l, "elliptic", prof)
+                )
+
+    def test_pinned_values(self, sign_pair_profile):
+        assert limit_trace_moment("elliptic", 10, sign_pair_profile) == Fraction(1119, 16)
+        assert covariance_trace(6, 6, "elliptic", sign_pair_profile) == Fraction(4357, 8)
 
 
 class TestModelReductionThroughLimits:

@@ -12,6 +12,7 @@ from explodingmoments.oracle import (
     exact_trace_mean,
     exact_trace_mean_enumerated,
 )
+import reference_sums
 from explodingmoments.profiles import (
     SparsePairLaw,
     SparseScalarLaw,
@@ -221,6 +222,41 @@ class TestExactFluctuations:
             exact_fluct_covariance_small("circulant", sign_law, 9, 2, 2)
         with pytest.raises(ValueError):
             exact_fluct_covariance_small("circulant", sign_law, 5, 4, 2)
+
+
+class TestAgainstBellEnumeration:
+    """The walk-partition oracle equals the Bell-number and cross-partition
+    enumeration."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, sign_pair_law, sign_law):
+        return [("elliptic", sign_pair_law), ("iid", sign_law), ("iid", GaussianLaw())]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_means(self, cases, n):
+        for model, law in cases:
+            for k in range(1, 7):
+                assert exact_trace_mean(model, law, n, k) == reference_sums.exact_trace_mean(
+                    model, law, n, k
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_fluctuations(self, cases, n):
+        for model, law in cases:
+            for k in range(1, 4):
+                for l in range(1, 4):
+                    assert exact_fluct_covariance_small(model, law, n, k, l) == (
+                        reference_sums.exact_fluct_covariance(model, law, n, k, l)
+                    )
+
+    @pytest.mark.parametrize("law", ["sign", "gaussian"])
+    def test_circulant_matches_tuple_enumeration(self, law, sign_law):
+        law = sign_law if law == "sign" else GaussianLaw()
+        for n in range(1, 12):
+            for k in range(1, 7):
+                assert exact_circulant_trace_mean(law, n, k) == (
+                    reference_sums.exact_circulant_trace_mean(law, n, k)
+                )
 
 
 class TestConvergenceToLimits:

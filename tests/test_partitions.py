@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explodingmoments.graphs import graph_of_partition, stats
 from explodingmoments.partitions import (
-    CrossPartition,
     SetPartition,
     bell_number,
     double_factorial_odd,
-    enumerate_cross_partitions,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
     enumerate_set_partitions,
     falling_factorial,
     make_partition,
+    walk_partitions,
 )
+from reference_sums import CrossPartition, enumerate_cross_partitions
 
 
 def brute_force_partitions(k):
@@ -148,6 +149,48 @@ class TestCrossPartitions:
             for block in sigma.blocks:
                 origins = [o for o, _v in block]
                 assert len(origins) == len(set(origins))
+
+
+class TestWalkPartitions:
+    @pytest.mark.parametrize("lengths", [(1,), (4,), (7,), (1, 1), (2, 3), (3, 3), (4, 4)])
+    def test_unpruned_counts_are_bell(self, lengths):
+        assert sum(1 for _ in walk_partitions(lengths)) == bell_number(sum(lengths))
+
+    def test_one_walk_leaves_are_partition_graphs(self):
+        # same restricted-growth order as enumerate_set_partitions, same counters
+        for k in range(1, 8):
+            leaves = list(walk_partitions((k,)))
+            parts = enumerate_set_partitions(k)
+            assert len(leaves) == len(parts)
+            for leaf, pi in zip(leaves, parts):
+                s = stats(graph_of_partition(pi))
+                assert leaf.vertex_count == pi.num_blocks
+                assert leaf.block_sizes == tuple(sorted(len(b) for b in pi.blocks))
+                assert leaf.loop_counts == s.loop_counts
+                assert leaf.ordered_pair_counts == s.ordered_pair_counts
+                assert not leaf.shared
+
+    @pytest.mark.parametrize("k,leaves", [(2, 1), (4, 3), (6, 12), (8, 57), (10, 303)])
+    def test_pruned_leaves(self, k, leaves):
+        # only thick trees survive: 303 of Bell(10) = 115,975 at k = 10
+        assert sum(1 for _ in walk_partitions((k,), prune=True)) == leaves
+
+    @pytest.mark.parametrize("k,shared", [(2, 2), (4, 58), (6, 2258)])
+    def test_pruned_shared_gluings(self, k, shared):
+        leaves = list(walk_partitions((k, k), prune=True))
+        assert sum(leaf.shared for leaf in leaves) == shared
+
+    def test_pruned_leaves_are_thick_trees(self):
+        for lengths in [(8,), (3, 5), (4, 4)]:
+            for leaf in walk_partitions(lengths, prune=True):
+                assert not leaf.loop_counts
+                assert all(a + b >= 2 for (a, b), _count in leaf.ordered_pair_counts)
+                assert sum(c for _key, c in leaf.ordered_pair_counts) == leaf.vertex_count - 1
+
+    def test_guard(self):
+        for bad in [(), (0,), (7, 6), (2, 2, 2)]:
+            with pytest.raises(ValueError):
+                list(walk_partitions(bad))
 
 
 class TestIntegerPartitionsMin2:
