@@ -35,7 +35,13 @@ from .ensembles import (
     sample,
     weaver_reduce,
 )
-from .estimator import ReportRow, compare_report, rows_to_csv, run_experiment
+from .estimator import (
+    KMAX_TRACE_POWERS,
+    ReportRow,
+    compare_report,
+    rows_to_csv,
+    run_experiment,
+)
 from .limits import (
     KMAX_COV,
     KMAX_TRACE,
@@ -236,11 +242,11 @@ def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
         if cfg.model == "circulant":
             # the estimator reports Tr(C^k)/N; scale the Tr(C^k) limit down
             pred = circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula) / n
-            if n <= MAX_N_CIRC:
+            if n <= MAX_N_CIRC and k <= MAX_K_CIRC:
                 oracle_values[(k, None)] = exact_circulant_trace_mean(law, n, k) / n
         else:
             pred = limit_trace_moment(cfg.model, k, profile)
-            if cfg.model in ("elliptic", "iid"):
+            if cfg.model in ("elliptic", "iid") and k <= MAX_K_MEAN:
                 oracle_values[(k, None)] = exact_trace_mean(cfg.model, law, n, k)
         predictions.append((k, None, pred))
     kcov = min(cfg.kmax, 3)
@@ -342,12 +348,15 @@ def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
     return (0 if ok else 1), doc
 
 
-# the largest --kmax each exact command evaluates
+# the largest --kmax each command evaluates
 _KMAX_CAP = {
     "limits": KMAX_TRACE,
     "covariance": KMAX_COV,
     "oracle": min(MAX_K_MEAN, MAX_K_CIRC),
+    "simulate": KMAX_TRACE_POWERS,
+    "verify": KMAX_TRACE_POWERS,
 }
+_MONTE_CARLO = ("simulate", "verify")
 
 _COMMANDS = {
     "limits": _cmd_limits,
@@ -368,6 +377,8 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
     cap = _KMAX_CAP.get(cfg.command)
     if cap is not None and cfg.kmax > cap:
         raise UsageError(f"{cfg.command} supports --kmax up to {cap}, got {cfg.kmax}")
+    if cfg.command in _MONTE_CARLO and cfg.reps < 2:
+        raise UsageError(f"{cfg.command} needs --reps of at least 2, got {cfg.reps}")
     return _COMMANDS[cfg.command](cfg)
 
 

@@ -6,6 +6,13 @@ Replica r uses the derived seed ``spec.seed + r`` (r = 1..M), so runs are
 deterministic end to end and replicas can be generated in any order or in
 parallel.  Z_N(k) is centered at the empirical replica mean; the O(1/M)
 centering bias is covered by the bootstrap standard errors.
+
+The bootstrap never gathers a resampled copy of the traces.  Each resample
+is one ``rng.integers`` draw of M indices from its own seeded stream, turned
+into per-replica counts; a block of count rows times the per-replica power
+features (z, z_i z_j, z^3, z^4 of the fully centred Z) gives every
+resample's power sums in one matrix product, and the centred power-sum
+identities turn those into the resample's covariance and fourth moment.
 """
 
 from __future__ import annotations
@@ -152,28 +159,45 @@ def run_experiment(
     return aggregate_stats(spec, traces, bootstrap_resamples)
 
 
-def _stats_from_traces(traces: np.ndarray, scale: float):
-    m = traces.shape[0]
-    mean = traces.mean(axis=0)
-    z = scale * (traces - mean)
-    cov = z.T @ z / m
-    m4 = (z**4).mean(axis=0)
-    return mean, cov, m4
-
-
 def aggregate_stats(
     spec: EnsembleSpec, traces: np.ndarray, bootstrap_resamples: int = BOOTSTRAP_DEFAULT
 ) -> SampleStats:
+    """Means, the plug-in covariance and fourth moments of Z_N(k), and their
+    bootstrap standard errors.
+
+    Resample b draws M replica indices with one ``rng.integers(0, M, size=M)``
+    call, in order, from ``SeedSequence((|seed|, 0xB007))``, and keeps only
+    their counts.  With z = sqrt(N) (traces - mean) centred once at the full
+    mean, a count row w gives the resample's power sums S_p = w . z^p / M,
+    and from them, with mu = S_1, the recentred statistics
+    ``cov = S_2 - mu mu^T`` and ``m4 = S_4 - 4 mu S_3 + 6 mu^2 S_2 - 3 mu^4``.
+    Centring first keeps the expansion stable (mu is O(1/sqrt(M))); the SEs
+    equal those of recomputing each resample from its gathered copy up to
+    rounding.  A non-finite trace makes every SE that involves its column NaN.
+    """
     m, k_max = traces.shape
-    scale = np.sqrt(spec.n)
-    mean, cov, m4 = _stats_from_traces(traces, scale)
+    mean = traces.mean(axis=0)
+    z = np.sqrt(spec.n) * (traces - mean)
+    cov = z.T @ z / m
+    m4 = (z**4).mean(axis=0)
     se_mean = traces.std(axis=0, ddof=1) / np.sqrt(m)
+    # per-replica features: z, z_i z_j for i <= j, z^3, z^4
+    iu, ju = np.triu_indices(k_max)
+    features = np.hstack([z, z[:, iu] * z[:, ju], z**3, z**4])
+    sums = np.empty((bootstrap_resamples, features.shape[1]))
     rng = np.random.default_rng(np.random.SeedSequence((abs(spec.seed), 0xB007)))
-    covs = np.empty((bootstrap_resamples,) + cov.shape)
-    m4s = np.empty((bootstrap_resamples, k_max))
-    for b in range(bootstrap_resamples):
-        idx = rng.integers(0, m, size=m)
-        _, covs[b], m4s[b] = _stats_from_traces(traces[idx], scale)
+    chunk = max(1, min(bootstrap_resamples, 5 * 10**5 // m))  # 4 MB of counts
+    counts = np.empty((chunk, m))
+    for lo in range(0, bootstrap_resamples, chunk):
+        hi = min(lo + chunk, bootstrap_resamples)
+        for b in range(hi - lo):
+            counts[b] = np.bincount(rng.integers(0, m, size=m), minlength=m)
+        sums[lo:hi] = counts[: hi - lo] @ features / m
+    mu, s2, s3, s4 = np.split(sums, np.cumsum([k_max, len(iu), k_max]), axis=1)
+    covs = s2 - mu[:, iu] * mu[:, ju]
+    m4s = s4 - 4 * mu * s3 + 6 * mu**2 * s2[:, iu == ju] - 3 * mu**4
+    se_cov = np.empty((k_max, k_max))
+    se_cov[iu, ju] = se_cov[ju, iu] = covs.std(axis=0, ddof=1)
     return SampleStats(
         spec=spec,
         k_max=k_max,
@@ -182,7 +206,7 @@ def aggregate_stats(
         mean_traces=mean,
         se_mean=se_mean,
         cov_z=cov,
-        se_cov=covs.std(axis=0, ddof=1),
+        se_cov=se_cov,
         zmoment4=m4,
         se_zmoment4=m4s.std(axis=0, ddof=1),
     )

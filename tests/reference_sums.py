@@ -6,6 +6,10 @@ filtered by graph classification, gluings of two trace graphs over cross
 partitions of their vertex sets, and the circulant mean by tuple
 enumeration.  They are slow and independent of the pruned enumerator, which
 the tests require to give the same ``Fraction`` values.
+
+``reference_aggregate_stats`` is the bootstrap as it was before the weighted
+pass: each resample gathers its copy of the traces and recomputes the
+statistics from it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
+
+import numpy as np
+
+from explodingmoments.ensembles import EnsembleSpec
+from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
 
 from explodingmoments.graphs import TraceGraph, graph_of_partition, stats
 from explodingmoments.limits import _require_alpha_one, tau
@@ -226,3 +235,39 @@ def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
     for h, c in total_coeff.items():
         total += _eval_scaled(c, h - (k - 2), n)
     return total
+
+
+def _stats_from_traces(traces: np.ndarray, scale: float):
+    m = traces.shape[0]
+    mean = traces.mean(axis=0)
+    z = scale * (traces - mean)
+    cov = z.T @ z / m
+    m4 = (z**4).mean(axis=0)
+    return mean, cov, m4
+
+
+def reference_aggregate_stats(
+    spec: EnsembleSpec, traces: np.ndarray, bootstrap_resamples: int = BOOTSTRAP_DEFAULT
+) -> SampleStats:
+    m, k_max = traces.shape
+    scale = np.sqrt(spec.n)
+    mean, cov, m4 = _stats_from_traces(traces, scale)
+    se_mean = traces.std(axis=0, ddof=1) / np.sqrt(m)
+    rng = np.random.default_rng(np.random.SeedSequence((abs(spec.seed), 0xB007)))
+    covs = np.empty((bootstrap_resamples,) + cov.shape)
+    m4s = np.empty((bootstrap_resamples, k_max))
+    for b in range(bootstrap_resamples):
+        idx = rng.integers(0, m, size=m)
+        _, covs[b], m4s[b] = _stats_from_traces(traces[idx], scale)
+    return SampleStats(
+        spec=spec,
+        k_max=k_max,
+        replicates=m,
+        traces=traces,
+        mean_traces=mean,
+        se_mean=se_mean,
+        cov_z=cov,
+        se_cov=covs.std(axis=0, ddof=1),
+        zmoment4=m4,
+        se_zmoment4=m4s.std(axis=0, ddof=1),
+    )

@@ -65,15 +65,28 @@ class TestUsageErrors:
         assert "bogus" in err
 
 
-    @pytest.mark.parametrize("command,cap", [("limits", 10), ("covariance", 6), ("oracle", 6)])
+    @pytest.mark.parametrize(
+        "command,cap",
+        [("limits", 10), ("covariance", 6), ("oracle", 6), ("simulate", 8), ("verify", 8)],
+    )
     def test_kmax_above_cap_exits_2(self, capsys, command, cap):
-        argv = [command, "--model", "elliptic", "--n", "5"]
+        argv = [command, "--model", "elliptic", "--n", "5", "--reps", "20"]
         code, out, _ = run_cli(capsys, *argv, "--kmax", str(cap))
-        assert code == 0
-        assert max(row["k"] for row in json.loads(out)["values"]) == cap
+        doc = json.loads(out)
+        assert code == (0 if doc.get("all_passed", True) else 1)
+        listed = doc.get("values") or doc.get("means") or doc["rows"]
+        assert max(row["k"] for row in listed) == cap
         code, out, err = run_cli(capsys, *argv, "--kmax", str(cap + 1))
         assert (code, out) == (2, "")
         assert err == f"error: {command} supports --kmax up to {cap}, got {cap + 1}\n"
+
+    @pytest.mark.parametrize("reps", [1, -5])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_reps_below_two_exits_2(self, capsys, command, reps):
+        code, out, err = run_cli(capsys, command, "--model", "circulant", "--n", "8",
+                                 "--reps", str(reps))
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} needs --reps of at least 2, got {reps}\n"
 
 
 class TestConfigPrecedence:
@@ -137,6 +150,15 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert out.splitlines()[0] == "k,l,predicted,oracle,empirical,stderr,zscore,pass,note"
+
+
+    @pytest.mark.parametrize("model", ["elliptic", "circulant"])
+    def test_oracle_column_stops_at_oracle_kmax(self, capsys, model):
+        # the exact mean goes up to k = 6; rows above it compare with the limit only
+        _, out, _ = run_cli(capsys, "verify", "--model", model, "--n", "6", "--kmax", "8",
+                            "--reps", "20")
+        oracle = {r["k"]: r["oracle"] for r in json.loads(out)["rows"] if r["l"] is None}
+        assert [k for k, value in oracle.items() if value == ""] == [7, 8]
 
 
 class TestOracleCommand:

@@ -5,12 +5,15 @@ import pytest
 
 from explodingmoments.ensembles import EnsembleSpec, GaussianLaw, MatrixSample, sample
 from explodingmoments.estimator import (
+    _replica_traces,
+    aggregate_stats,
     compare_report,
     rows_to_csv,
     run_experiment,
     trace_powers,
 )
 from explodingmoments.oracle import exact_trace_mean
+from reference_sums import reference_aggregate_stats
 
 
 class TestTracePowers:
@@ -106,6 +109,76 @@ class TestRunExperiment:
         monkeypatch.setenv("EXPLODINGMOMENTS_THREADS", "4")
         threaded = run_experiment(spec, 3, 40)
         assert np.array_equal(base.traces, threaded.traces)
+
+
+class TestBootstrapAgainstLoop:
+    """The weighted bootstrap pass against the per-resample gather loop of
+    ``reference_sums.reference_aggregate_stats``."""
+
+    MODELS = {
+        "circulant-sign": ("circulant", 24),
+        "circulant-light": ("circulant", 24),
+        "elliptic": ("elliptic", 12),
+        "block": ("block2", 6),
+    }
+
+    @staticmethod
+    def assert_same(spec, traces, resamples):
+        got = aggregate_stats(spec, traces, resamples)
+        ref = reference_aggregate_stats(spec, traces, resamples)
+        for field in ("mean_traces", "se_mean", "cov_z", "zmoment4"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field), equal_nan=True)
+        # the summation order changed, so the SEs agree to rounding: relative
+        # to the SE, and relative to the statistic itself, which an SE of two
+        # nearly equal resamples (B = 2) can sit far below
+        diag = np.diag(ref.cov_z)
+        for field, scale in (
+            ("se_cov", np.sqrt(np.outer(diag, diag))),
+            ("se_zmoment4", ref.zmoment4),
+        ):
+            g, r = getattr(got, field), getattr(ref, field)
+            close = np.abs(g - r) <= 1e-12 * (np.abs(r) + scale)
+            assert (close | np.isnan(g) & np.isnan(r)).all(), (field, g, r)
+        return got, ref
+
+    @pytest.mark.parametrize("m", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_matches_loop(self, model, m, sign_law, sign_pair_law):
+        kind, n = self.MODELS[model]
+        law = {"circulant-sign": sign_law, "circulant-light": GaussianLaw()}.get(
+            model, sign_pair_law
+        )
+        spec = EnsembleSpec(kind=kind, n=n, law=law, seed=7)
+        traces = _replica_traces(spec, 6, m)
+        for k in (1, 3, 6):
+            for resamples in (2, 200):
+                self.assert_same(spec, traces[:, :k], resamples)
+
+    def test_constant_column(self):
+        # 0.1 has no exact mean in floating point, so both SEs are rounding
+        # residues, not zero
+        spec = EnsembleSpec(kind="circulant", n=24, law=GaussianLaw(), seed=3)
+        traces = np.random.default_rng(3).standard_normal((20000, 3))
+        traces[:, 1] = 0.1
+        got, ref = self.assert_same(spec, traces, 200)
+        for g, r in ((got.se_cov[1], ref.se_cov[1]), (got.se_zmoment4[1], ref.se_zmoment4[1])):
+            assert np.isfinite(g).all()
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    def test_count_chunks(self):
+        # M = 7000 splits the 200 resamples into count chunks of 71, 71 and 58
+        spec = EnsembleSpec(kind="circulant", n=24, law=GaussianLaw(), seed=5)
+        self.assert_same(spec, np.random.default_rng(5).standard_t(5, (7000, 2)), 200)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_row(self, sign_law):
+        spec = EnsembleSpec(kind="circulant", n=24, law=sign_law, seed=3)
+        traces = _replica_traces(spec, 3, 50)
+        traces[17, 2] = np.inf
+        got, ref = self.assert_same(spec, traces, 200)
+        for stats in (got, ref):
+            assert np.isnan(stats.se_cov[2]).all() and np.isnan(stats.se_zmoment4[2])
+            assert np.isfinite(stats.se_cov[:2, :2]).all()
 
 
 class TestCompareReport:
