@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .ensembles import (
 )
 from .estimator import (
     KMAX_TRACE_POWERS,
-    ReportRow,
     compare_report,
     rows_to_csv,
     run_experiment,
@@ -54,8 +54,8 @@ from .oracle import (
     MAX_K_CIRC,
     MAX_K_FLUCT,
     MAX_K_MEAN,
-    MAX_N_CIRC,
-    MAX_N_FLUCT,
+    MAX_N_POLY,
+    ORACLE_MODELS,
     exact_circulant_trace_mean,
     exact_fluct_covariance_small,
     exact_trace_mean,
@@ -84,6 +84,7 @@ _ENSEMBLE_KIND = {
     "circulant": "circulant",
 }
 _PAIR_LAW_MODELS = ("elliptic", "block")
+_EXACT_MODELS = ORACLE_MODELS + ("circulant",)
 
 
 @dataclass
@@ -142,14 +143,23 @@ def _resolve_setup(cfg: ExperimentConfig):
         raise UsageError(
             f"profile file {cfg.profile!r}: invalid JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
-    if "pair_law" in doc:
-        law = pair_law_from_dict(doc["pair_law"])
-        return law, profile_of_sparse_law(law, kmax=kmax_profile)
-    if "scalar_law" in doc:
-        law = scalar_law_from_dict(doc["scalar_law"])
-        return law, profile_of_scalar_law(law, kmax=kmax_profile)
-    if "profile" in doc:
-        return None, profile_from_dict(doc["profile"])
+    readers = (
+        ("pair_law", pair_law_from_dict, profile_of_sparse_law),
+        ("scalar_law", scalar_law_from_dict, profile_of_scalar_law),
+        ("profile", profile_from_dict, None),
+    )
+    for key, read, constants in readers:
+        if key not in doc:
+            continue
+        try:
+            value = read(doc[key])
+        except KeyError as exc:
+            raise UsageError(f"profile file {cfg.profile!r}: {key} lacks field {exc}") from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"profile file {cfg.profile!r}: malformed {key}: {exc}") from exc
+        if constants is None:
+            return None, value
+        return value, constants(value, kmax=kmax_profile)
     raise UsageError(
         f"profile file {cfg.profile!r} must contain 'pair_law', 'scalar_law', or 'profile'"
     )
@@ -236,17 +246,18 @@ def _cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
 def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
     """(mean predictions, covariance predictions, oracle values) for verify."""
     n = cfg.n[0]
+    exact = n <= MAX_N_POLY  # above it the oracle column stays empty
     predictions = []
     oracle_values = {}
     for k in range(1, cfg.kmax + 1):
         if cfg.model == "circulant":
             # the estimator reports Tr(C^k)/N; scale the Tr(C^k) limit down
             pred = circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula) / n
-            if n <= MAX_N_CIRC and k <= MAX_K_CIRC:
+            if exact and k <= MAX_K_CIRC:
                 oracle_values[(k, None)] = exact_circulant_trace_mean(law, n, k) / n
         else:
             pred = limit_trace_moment(cfg.model, k, profile)
-            if cfg.model in ("elliptic", "iid") and k <= MAX_K_MEAN:
+            if exact and cfg.model in ORACLE_MODELS and k <= MAX_K_MEAN:
                 oracle_values[(k, None)] = exact_trace_mean(cfg.model, law, n, k)
         predictions.append((k, None, pred))
     kcov = min(cfg.kmax, 3)
@@ -256,7 +267,7 @@ def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
                 pred = circulant_covariance(k, l)
             else:
                 pred = covariance_trace(k, l, cfg.model, profile)
-            if n <= MAX_N_FLUCT and cfg.model in ("elliptic", "iid", "circulant"):
+            if exact and cfg.model in _EXACT_MODELS:
                 oracle_values[(k, l)] = exact_fluct_covariance_small(cfg.model, law, n, k, l)
             predictions.append((k, l, pred))
     return predictions, oracle_values
@@ -287,15 +298,13 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
     for n in cfg.n:
         for k in range(1, cfg.kmax + 1):
             if cfg.model == "circulant":
-                if n > MAX_N_CIRC:
-                    raise UsageError(f"circulant oracle needs N <= {MAX_N_CIRC}, got {n}")
                 val = exact_circulant_trace_mean(law, n, k)
-            elif cfg.model in ("elliptic", "iid"):
+            elif cfg.model in ORACLE_MODELS:
                 val = exact_trace_mean(cfg.model, law, n, k)
             else:
                 raise UsageError(f"no exact oracle for model {cfg.model}")
             values.append({"model": cfg.model, "N": n, "k": k, "value": _frac_str(val)})
-        if n <= MAX_N_FLUCT and cfg.model in ("elliptic", "iid", "circulant"):
+        if cfg.model in _EXACT_MODELS:
             for k in range(1, min(cfg.kmax, MAX_K_FLUCT) + 1):
                 for l in range(k, min(cfg.kmax, MAX_K_FLUCT) + 1):
                     val = exact_fluct_covariance_small(cfg.model, law, n, k, l)
@@ -357,6 +366,9 @@ _KMAX_CAP = {
     "verify": KMAX_TRACE_POWERS,
 }
 _MONTE_CARLO = ("simulate", "verify")
+# commands that read --n, and the offset of the first seed each hands numpy
+_READS_N = ("simulate", "verify", "oracle", "weaver")
+_FIRST_SEED = {"simulate": 1, "verify": 1, "weaver": 0}
 
 _COMMANDS = {
     "limits": _cmd_limits,
@@ -379,6 +391,22 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
         raise UsageError(f"{cfg.command} supports --kmax up to {cap}, got {cfg.kmax}")
     if cfg.command in _MONTE_CARLO and cfg.reps < 2:
         raise UsageError(f"{cfg.command} needs --reps of at least 2, got {cfg.reps}")
+    if cfg.command in _READS_N and min(cfg.n, default=0) < 1:
+        raise UsageError(f"{cfg.command} needs --n of at least 1, got {min(cfg.n, default=0)}")
+    if cfg.command == "oracle" and max(cfg.n) > MAX_N_POLY:
+        raise UsageError(f"oracle supports --n up to {MAX_N_POLY}, got {max(cfg.n)}")
+    offset = _FIRST_SEED.get(cfg.command)
+    if offset is not None and cfg.seed + offset < 0:
+        raise UsageError(f"{cfg.command} needs --seed of at least {-offset}, got {cfg.seed}")
+    if cfg.command != "weaver" and cfg.profile == "sign" and cfg.model in _PAIR_LAW_MODELS:
+        try:
+            rho = Fraction(cfg.rho)
+        except (TypeError, ValueError, ZeroDivisionError):
+            rho = None
+        if rho is None or not -1 <= rho <= 1:
+            raise UsageError(f"--rho must be a rational in [-1, 1], got {cfg.rho!r}")
+    if cfg.command == "verify" and not math.isfinite(cfg.z_threshold):
+        raise UsageError(f"verify needs a finite --z-threshold, got {cfg.z_threshold}")
     return _COMMANDS[cfg.command](cfg)
 
 
@@ -439,14 +467,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _emit(doc: dict, cfg: ExperimentConfig):
     if cfg.fmt == "csv" and "rows" in doc:
-        rows = [ReportRow(
-            k=r["k"], l=r["l"] if r["l"] != "" else None, predicted=r["predicted"],
-            oracle=r["oracle"] or None, empirical=float(r["empirical"]),
-            stderr=float(r["stderr"]),
-            zscore=float(r["zscore"]) if r["zscore"] != "" else None,
-            passed=r["pass"], note=r["note"],
-        ) for r in doc["rows"]]
-        text = rows_to_csv(rows)
+        text = rows_to_csv(doc["rows"])
     else:
         text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     if cfg.out:

@@ -321,12 +321,12 @@ def compare_report(
 CSV_COLUMNS = ["k", "l", "predicted", "oracle", "empirical", "stderr", "zscore", "pass", "note"]
 
 
-def rows_to_csv(rows: Sequence[ReportRow]) -> str:
+def rows_to_csv(records: Sequence[dict]) -> str:
+    """CSV of report records (``ReportRow.as_record``); an empty ``l`` marks
+    a trace-mean row."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        rec = row.as_record()
-        rec["l"] = "" if rec["l"] is None else rec["l"]
-        writer.writerow(rec)
+    for rec in records:
+        writer.writerow({**rec, "l": "" if rec["l"] is None else rec["l"]})
     return buf.getvalue()

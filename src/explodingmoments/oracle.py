@@ -5,9 +5,9 @@ partitions of the walk positions (``partitions.walk_partitions``, unpruned),
 each graph contributes a falling factorial (the injective labelings) times a
 product of exact entry moments.  Fluctuation covariances run the same sum
 over the positions of two walks and subtract the product of the means.
-The circulant mean sums over the same partitions, weighting each by its
-number of injective residue labelings with zero weighted sum mod N; the
-circulant joint moment is enumerated over index tuples.
+The circulant mean and joint moment sum over the same partitions,
+weighting each by its number of injective residue labelings with zero
+weighted sum mod N on every walk (two congruences for the joint moment).
 
 Everything here is big-integer rational arithmetic; no floats.  Moments of a
 sparse law carry explicit powers of sqrt(N) (E[x^k] = q E[xi^k] N^(k/2-1));
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import combinations, product
 from typing import Sequence, Union
 
 from .ensembles import GaussianLaw
@@ -34,9 +34,7 @@ ORACLE_MODELS = ("elliptic", "iid")
 
 MAX_N_POLY = 10**6
 MAX_K_MEAN = 6
-MAX_N_CIRC = 15
 MAX_K_CIRC = 6
-MAX_N_FLUCT = 8
 MAX_K_FLUCT = 3
 
 OracleLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]
@@ -155,6 +153,7 @@ def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> F
     return total / n
 
 
+@lru_cache(maxsize=None)
 def _pattern_value(table: ExactMomentTable, counts: tuple[int, ...]) -> _Scaled:
     coeff = Fraction(1)
     half = 0
@@ -168,92 +167,73 @@ def _pattern_value(table: ExactMomentTable, counts: tuple[int, ...]) -> _Scaled:
 
 
 @lru_cache(maxsize=None)
-def _injective_residue_count(sizes: tuple[int, ...], n: int) -> int:
-    """Labelings of blocks of these sizes m_b by distinct residues v_b mod N
-    with sum m_b v_b = 0 mod N.
+def _injective_residue_count(blocks: tuple[tuple[int, int], ...], n: int) -> int:
+    """Labelings of blocks with per-walk sizes (m_b, m'_b) by distinct
+    residues v_b mod N with sum m_b v_b = sum m'_b v_b = 0 mod N.
 
-    Without distinctness, blocks merged into groups with sizes s_1..s_t have
-    N^(t-1) gcd(s_1, ..., s_t, N) solutions (the kernel of v -> sum s_j v_j
-    on Z_N^t).  Moebius inversion over the coarsenings of the blocks keeps
-    the injective ones; a group of j blocks has Moebius factor
-    (-1)^(j-1) (j-1)!.
+    Without distinctness, blocks merged into t groups with summed vectors
+    (s_j, s'_j) have as solutions the kernel of Z_N^t -> Z_N^2, which by the
+    Smith normal form has N^(t-2) gcd(d1, N) gcd(d2, N) elements: d1 is the
+    gcd of all entries and d1 d2 the gcd of all 2x2 minors (d2 = 0 at rank
+    <= 1, so one walk gives N^(t-1) gcd(d1, N)).  Moebius inversion over the
+    coarsenings of the blocks keeps the injective ones; a group of j blocks
+    has Moebius factor (-1)^(j-1) (j-1)!.
     """
     total = 0
-    for sigma in enumerate_set_partitions(len(sizes)):
-        term = n ** (sigma.num_blocks - 1)
+    for sigma in enumerate_set_partitions(len(blocks)):
+        vectors = [[sum(blocks[i - 1][w] for i in g) for w in (0, 1)] for g in sigma.blocks]
+        d1 = math.gcd(*(x for v in vectors for x in v))
+        minors = math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(vectors, 2)))
+        # integer form of N^(t-2) gcd(d1, N) gcd(d2, N): at t = 1, gcd(0, N) = N
+        term = n ** (len(vectors) - 1) * math.gcd(d1, n) * math.gcd(minors // d1, n) // n
         for group in sigma.blocks:
             term *= (-1) ** (len(group) - 1) * math.factorial(len(group) - 1)
-        total += term * math.gcd(n, *(sum(sizes[i - 1] for i in g) for g in sigma.blocks))
+        total += term
     return total
 
 
-def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
-    """E[Tr(C^k)] at finite N: over the set partitions of the k positions
-    (the coincidence patterns of the generator indices), the moment product
-    of the block sizes times the number of injective residue labelings with
-    zero weighted sum mod N.  Its cost does not grow with N."""
-    if not 1 <= n <= MAX_N_CIRC:
-        raise ValueError(f"N={n} outside 1..{MAX_N_CIRC}")
-    if not 1 <= k <= MAX_K_CIRC:
-        raise ValueError(f"k={k} outside 1..{MAX_K_CIRC}")
-    table = ExactMomentTable(law)
+def _circulant_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fraction:
+    """E[prod_w Tr(C^(lengths[w]))]: over the set partitions of the walk
+    positions (the coincidence patterns of the generator indices), the
+    moment product of the block sizes times the number of injective residue
+    labelings with zero weighted sum mod N on each walk."""
     total_coeff: dict[int, Fraction] = {}
-    for leaf in walk_partitions((k,)):
-        c, h = _pattern_value(table, leaf.block_sizes)
+    for leaf in walk_partitions(lengths):
+        c, h = _pattern_value(table, tuple(a + b for a, b in leaf.block_sizes))
         if c != 0:
             count = _injective_residue_count(leaf.block_sizes, n)
             total_coeff[h] = total_coeff.get(h, Fraction(0)) + c * count
-    total = Fraction(0)
-    for h, c in total_coeff.items():
-        total += _eval_scaled(c, h - (k - 2), n)
-    return total
+    shift = sum(k - 2 for k in lengths)
+    return sum((_eval_scaled(c, h - shift, n) for h, c in total_coeff.items()), Fraction(0))
 
 
-def _circulant_joint(table, n: int, k: int, l: int) -> Fraction:
-    """E[Tr(C^k) Tr(C^l)] by double tuple enumeration."""
-    total_coeff: dict[int, Fraction] = {}
-    heads_k = list(product(range(n), repeat=k - 1))
-    heads_l = list(product(range(n), repeat=l - 1))
-    for hk in heads_k:
-        tup1 = hk + ((-sum(hk)) % n,)
-        base: dict[int, int] = {}
-        for j in tup1:
-            base[j] = base.get(j, 0) + 1
-        for hl in heads_l:
-            tup2 = hl + ((-sum(hl)) % n,)
-            counts = dict(base)
-            for j in tup2:
-                counts[j] = counts.get(j, 0) + 1
-            c, h = _pattern_value(table, tuple(sorted(counts.values())))
-            if c != 0:
-                total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
-    total = Fraction(0)
-    for h, c in total_coeff.items():
-        total += _eval_scaled(c, h - (k - 2) - (l - 2), n)
-    return total
+def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
+    """E[Tr(C^k)] at finite N, by the residue-counted partition sum.  Its
+    cost does not grow with N."""
+    if not 1 <= n <= MAX_N_POLY:
+        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
+    if not 1 <= k <= MAX_K_CIRC:
+        raise ValueError(f"k={k} outside 1..{MAX_K_CIRC}")
+    return _circulant_sum(ExactMomentTable(law), n, (k,))
 
 
 def exact_fluct_covariance_small(
     model: str, law: OracleLaw, n: int, k: int, l: int
 ) -> Fraction:
-    """Exact E[Z_N(k) Z_N(l)] with true-expectation centering.
-
-    Circulant: full tuple enumeration.  Elliptic/iid: the joint moment
-    E[Tr(A^k) Tr(A^l)], summed over the set partitions of the k + l
-    positions of two walks with exact falling factorials, minus the product
-    of the two means.
+    """Exact E[Z_N(k) Z_N(l)] with true-expectation centering: the joint
+    moment E[Tr(A^k) Tr(A^l)], summed over the set partitions of the k + l
+    positions of two walks (falling factorials for elliptic/iid, residue
+    counts for circulant), minus the product of the two means.
     """
     if not (1 <= k <= MAX_K_FLUCT and 1 <= l <= MAX_K_FLUCT):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{MAX_K_FLUCT}")
-    if not 1 <= n <= MAX_N_FLUCT:
-        raise ValueError(f"N={n} outside 1..{MAX_N_FLUCT}")
+    if not 1 <= n <= MAX_N_POLY:
+        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
     table = ExactMomentTable(law)
     if model == "circulant":
-        joint = _circulant_joint(table, n, k, l)
-        ek = exact_circulant_trace_mean(law, n, k)
-        el = exact_circulant_trace_mean(law, n, l)
-        return (joint - ek * el) / n
-    if model not in ORACLE_MODELS:
+        moment = partial(_circulant_sum, table, n)
+    elif model in ORACLE_MODELS:
+        moment = partial(_walk_sum, table, model, n)
+    else:
         raise ValueError(f"unsupported model {model!r}")
-    means = _walk_sum(table, model, n, (k,)) * _walk_sum(table, model, n, (l,))
-    return (_walk_sum(table, model, n, (k, l)) - means) / n
+    return (moment((k, l)) - moment((k,)) * moment((l,))) / n

@@ -168,7 +168,7 @@ class WalkPartition(NamedTuple):
     """
 
     vertex_count: int
-    block_sizes: tuple[int, ...]  # ascending
+    block_sizes: tuple[tuple[int, int], ...]  # ascending (positions in walk 1, in walk 2)
     loop_counts: tuple[tuple[int, int], ...]
     ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
     shared: bool  # some directed edge is a step of both walks
@@ -194,7 +194,7 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
         raise ValueError(f"walk lengths {lengths}: need one or two walks, total 1..{MAX_GROUND}")
     max_vertices = total // 2 + 1 if prune else total
     label = [0] * total
-    sizes: list[int] = []
+    sizes: list[list[int]] = []  # per block: [positions in walk 1, in walk 2]
     loops: dict[int, int] = {}
     pairs: dict[tuple[int, int], list[int]] = {}  # u < v -> [steps u->v, steps v->u]
 
@@ -227,7 +227,7 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
         ]
         return WalkPartition(
             vertex_count=len(sizes),
-            block_sizes=tuple(sorted(sizes)),
+            block_sizes=tuple(sorted(map(tuple, sizes))),
             loop_counts=tuple(sorted(Counter(loops.values()).items())),
             ordered_pair_counts=tuple(sorted(Counter(tuple(r) for r in pairs.values()).items())),
             shared=len(steps) == 2 and not steps[0].isdisjoint(steps[1]),
@@ -239,11 +239,12 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
             if out is not None:
                 yield out
             return
-        first, last = (0, lengths[0] - 1) if p < lengths[0] else (lengths[0], total - 1)
+        walk = p >= lengths[0]
+        first, last = (lengths[0], total - 1) if walk else (0, lengths[0] - 1)
         for b in range(min(len(sizes) + 1, max_vertices)):
             if b == len(sizes):
-                sizes.append(0)
-            sizes[b] += 1
+                sizes.append([0, 0])
+            sizes[b][walk] += 1
             label[p] = b
             steps = [(label[p - 1], b)] if p != first else []
             if p == last:
@@ -255,8 +256,8 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
                 yield from place(p + 1)
             for u, v in steps:
                 step(u, v, -1)
-            sizes[b] -= 1
-            if not sizes[b]:
+            sizes[b][walk] -= 1
+            if sizes[b] == [0, 0]:
                 sizes.pop()
 
     yield from place(0)

@@ -369,34 +369,18 @@ def tilde_transform(
     block constants for k >= 3 are 2 C_k for tilde1 and (1 + (-1)^k) C_k
     for tilde2.
     """
-
-    def c_scalar(k: int) -> Fraction:
-        if k == 0:
-            return Fraction(1)
-        if k == 1:
-            return Fraction(0)
-        try:
-            return _frac(scalar_table[k])
-        except KeyError:
-            raise MomentTableError(f"scalar table has no entry C_{k}") from None
-
-    def c_pair(k: int, l: int) -> Fraction:
-        if (k, l) == (0, 0):
-            return Fraction(1)
-        if (k, l) in ((1, 0), (0, 1)):
-            return Fraction(0)
-        try:
-            return _frac(pair_table[(k, l)])
-        except KeyError:
-            raise MomentTableError(f"pair table has no entry C_({k},{l})") from None
-
+    # longer tables than kmax are accepted; their extra entries go unread
+    top = max([2, kmax, *scalar_table, *(k + l for k, l in pair_table)])
+    consts = MomentProfile(
+        alpha=Fraction(1), kmax=top, pair_table=pair_table, scalar_table=scalar_table
+    )
     tilde1: dict[int, Fraction] = {}
     tilde2: dict[int, Fraction] = {}
     for k in range(2, kmax + 1):
         s1 = Fraction(0)
         s2 = Fraction(0)
         for r in range(k + 1):
-            term = comb(k, r) * c_scalar(r) * c_scalar(k - r)
+            term = comb(k, r) * consts.scalar(r) * consts.scalar(k - r)
             s1 += term
             s2 += (-1) ** (k - r) * term
         tilde1[k] = s1
@@ -413,8 +397,8 @@ def tilde_transform(
                         comb(k, r)
                         * comb(l, s)
                         * (-1) ** (l - s)
-                        * c_pair(r, s)
-                        * c_pair(k - r, l - s)
+                        * consts.pair(r, s)
+                        * consts.pair(k - r, l - s)
                     )
             tilde_pair[(k, l)] = acc
     return tilde1, tilde2, tilde_pair

@@ -3,9 +3,9 @@
 These are the sums the limits and oracle layers computed before
 ``partitions.walk_partitions``: Bell-number enumeration of set partitions
 filtered by graph classification, gluings of two trace graphs over cross
-partitions of their vertex sets, and the circulant mean by tuple
-enumeration.  They are slow and independent of the pruned enumerator, which
-the tests require to give the same ``Fraction`` values.
+partitions of their vertex sets, and the circulant mean and joint moment by
+tuple enumeration.  They are slow and independent of the pruned enumerator,
+which the tests require to give the same ``Fraction`` values.
 
 ``reference_aggregate_stats`` is the bootstrap as it was before the weighted
 pass: each resample gathers its copy of the traces and recomputes the
@@ -234,6 +234,30 @@ def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
     total = Fraction(0)
     for h, c in total_coeff.items():
         total += _eval_scaled(c, h - (k - 2), n)
+    return total
+
+
+def _circulant_joint(table, n: int, k: int, l: int) -> Fraction:
+    """E[Tr(C^k) Tr(C^l)] by double tuple enumeration."""
+    total_coeff: dict[int, Fraction] = {}
+    heads_k = list(product(range(n), repeat=k - 1))
+    heads_l = list(product(range(n), repeat=l - 1))
+    for hk in heads_k:
+        tup1 = hk + ((-sum(hk)) % n,)
+        base: dict[int, int] = {}
+        for j in tup1:
+            base[j] = base.get(j, 0) + 1
+        for hl in heads_l:
+            tup2 = hl + ((-sum(hl)) % n,)
+            counts = dict(base)
+            for j in tup2:
+                counts[j] = counts.get(j, 0) + 1
+            c, h = _pattern_value(table, tuple(sorted(counts.values())))
+            if c != 0:
+                total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
+    total = Fraction(0)
+    for h, c in total_coeff.items():
+        total += _eval_scaled(c, h - (k - 2) - (l - 2), n)
     return total
 
 

@@ -1,4 +1,6 @@
+import csv
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,9 +9,12 @@ from explodingmoments.cli import (
     ExperimentConfig,
     _build_parser,
     _config_from_args,
+    _resolve_setup,
+    _verify_targets,
     dispatch,
     main,
 )
+from explodingmoments.oracle import MAX_N_POLY
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -80,6 +85,34 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {command} supports --kmax up to {cap}, got {cap + 1}\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--n", "0"], "simulate needs --n of at least 1, got 0"),
+            (["oracle", "--n", "5", "--n", "-2"], "oracle needs --n of at least 1, got -2"),
+            (["limits", "--rho", "abc"], "--rho must be a rational in [-1, 1], got 'abc'"),
+            (["verify", "--rho", "3/2"], "--rho must be a rational in [-1, 1], got '3/2'"),
+            (["oracle", "--model", "block", "--rho", "1/0"],
+             "--rho must be a rational in [-1, 1], got '1/0'"),
+            (["simulate", "--model", "circulant", "--seed", "-3"],
+             "simulate needs --seed of at least -1, got -3"),
+            (["weaver", "--seed", "-1"], "weaver needs --seed of at least 0, got -1"),
+            (["verify", "--z-threshold", "nan"], "verify needs a finite --z-threshold, got nan"),
+            (["verify", "--z-threshold", "inf"], "verify needs a finite --z-threshold, got inf"),
+        ],
+    )
+    def test_bad_numeric_input_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--reps", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    def test_lowest_seed_still_runs(self, capsys):
+        # replica r draws from seed + r, so --seed -1 hands numpy 0, 1, ...
+        code, out, _ = run_cli(capsys, "simulate", "--model", "circulant", "--n", "8",
+                               "--kmax", "2", "--reps", "5", "--seed", "-1")
+        assert code == 0 and len(json.loads(out)["means"]) == 2
+
     @pytest.mark.parametrize("reps", [1, -5])
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_reps_below_two_exits_2(self, capsys, command, reps):
@@ -143,13 +176,17 @@ class TestVerifyCommand:
         assert json.loads(out)["all_passed"] is False
 
     def test_csv_output(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--model", "circulant", "--profile", "light",
-            "--n", "16", "--kmax", "1", "--reps", "100", "--seed", "8",
-            "--format", "csv",
-        )
+        argv = ["verify", "--model", "circulant", "--profile", "light",
+                "--n", "16", "--kmax", "1", "--reps", "100", "--seed", "8"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "k,l,predicted,oracle,empirical,stderr,zscore,pass,note"
+        _, json_out, _ = run_cli(capsys, *argv)
+        want = json.loads(json_out)["rows"][0]
+        row = next(csv.DictReader(out.splitlines()))
+        for column in ("predicted", "oracle"):
+            assert Fraction(row[column]) == Fraction(want[column])
+        assert row["l"] == "" and float(row["empirical"]) == float(want["empirical"])
 
 
     @pytest.mark.parametrize("model", ["elliptic", "circulant"])
@@ -159,6 +196,17 @@ class TestVerifyCommand:
                             "--reps", "20")
         oracle = {r["k"]: r["oracle"] for r in json.loads(out)["rows"] if r["l"] is None}
         assert [k for k, value in oracle.items() if value == ""] == [7, 8]
+
+
+    @pytest.mark.parametrize("model", ["elliptic", "circulant"])
+    def test_oracle_column_at_every_n(self, model):
+        # every row carries an exact value up to the oracle's N guard, none above it
+        for n, filled in ((512, True), (MAX_N_POLY, True), (MAX_N_POLY + 1, False)):
+            cfg = ExperimentConfig(command="verify", model=model, n=(n,), kmax=6)
+            law, profile = _resolve_setup(cfg)
+            predictions, oracle = _verify_targets(cfg, law, profile)
+            assert len(predictions) == 6 + 6
+            assert set(oracle) == ({(k, l) for k, l, _ in predictions} if filled else set())
 
 
 class TestOracleCommand:
@@ -173,9 +221,19 @@ class TestOracleCommand:
 
     def test_oracle_guard(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--model", "circulant",
-                               "--n", "99", "--kmax", "2")
+                               "--n", str(MAX_N_POLY + 1), "--kmax", "2")
         assert code == 2
-        assert "N <= 15" in err
+        assert f"up to {MAX_N_POLY}" in err
+
+    def test_circulant_rows_at_large_n(self, capsys):
+        # the residue-counted oracle has no small-N guard: means and covariances at N = 512
+        code, out, _ = run_cli(capsys, "oracle", "--model", "circulant",
+                               "--n", "512", "--kmax", "3")
+        assert code == 0
+        vals = {(r["k"], r.get("l")): r["value"] for r in json.loads(out)["values"]}
+        assert vals[(2, None)] == "2/1"
+        assert vals[(1, 3)] == "515/512"
+        assert len(vals) == 3 + 6
 
 
 class TestWeaverCommand:
@@ -199,6 +257,27 @@ class TestSimulateCommand:
 
 
 class TestProfileFile:
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"scalar_law": {"activation": [1, 1], "atoms": [[1, 1, 1, 2], [-1, 1, 1, 2]]}},
+             "scalar_law lacks field 'diagonal_atoms'"),
+            ({"pair_law": {"activation": [1, 1], "atoms": [[1, 1]], "diagonal_atoms": []}},
+             "malformed pair_law"),
+            ({"scalar_law": {"activation": [1, 0], "atoms": [], "diagonal_atoms": []}},
+             "malformed scalar_law"),
+            ({"profile": {"alpha": [1, 1], "kmax": "x"}}, "malformed profile"),
+            ({"profile": {"kmax": 4}}, "profile lacks field 'alpha'"),
+        ],
+    )
+    def test_malformed_law_exits_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "limits", "--model", "iid", "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_law_from_file(self, tmp_path, capsys):
         from explodingmoments.profiles import pair_law_to_dict, design_correlated_sign_law
 

@@ -213,7 +213,7 @@ class TestCompareReport:
     def test_csv_columns(self, sign_law):
         stats = self._stats(sign_law)
         rows = compare_report(stats, [(1, None, Fraction(0)), (2, 2, Fraction(2))])
-        text = rows_to_csv(rows)
+        text = rows_to_csv([row.as_record() for row in rows])
         header = text.splitlines()[0]
         assert header == "k,l,predicted,oracle,empirical,stderr,zscore,pass,note"
         assert len(text.splitlines()) == 3

@@ -6,6 +6,7 @@ import pytest
 from explodingmoments.ensembles import GaussianLaw
 from explodingmoments.limits import circulant_limit_moment, covariance_trace
 from explodingmoments.oracle import (
+    MAX_N_POLY,
     ExactMomentTable,
     exact_circulant_trace_mean,
     exact_fluct_covariance_small,
@@ -193,7 +194,7 @@ class TestExactCirculant:
 
     def test_guards(self, sign_law):
         with pytest.raises(ValueError):
-            exact_circulant_trace_mean(sign_law, 16, 2)
+            exact_circulant_trace_mean(sign_law, MAX_N_POLY + 1, 2)
         with pytest.raises(ValueError):
             exact_circulant_trace_mean(sign_law, 5, 7)
 
@@ -219,7 +220,7 @@ class TestExactFluctuations:
 
     def test_guards(self, sign_law):
         with pytest.raises(ValueError):
-            exact_fluct_covariance_small("circulant", sign_law, 9, 2, 2)
+            exact_fluct_covariance_small("circulant", sign_law, MAX_N_POLY + 1, 2, 2)
         with pytest.raises(ValueError):
             exact_fluct_covariance_small("circulant", sign_law, 5, 4, 2)
 
@@ -257,6 +258,23 @@ class TestAgainstBellEnumeration:
                 assert exact_circulant_trace_mean(law, n, k) == (
                     reference_sums.exact_circulant_trace_mean(law, n, k)
                 )
+
+    @pytest.mark.parametrize("law", ["sign", "gaussian"])
+    def test_circulant_fluctuation_matches_tuple_enumeration(self, law, sign_law):
+        law = sign_law if law == "sign" else GaussianLaw()
+        table = ExactMomentTable(law)
+        for n in range(1, 9):
+            means = {k: reference_sums.exact_circulant_trace_mean(law, n, k) for k in (1, 2, 3)}
+            for k in range(1, 4):
+                for l in range(k, 4):
+                    joint = reference_sums._circulant_joint(table, n, k, l)
+                    assert exact_fluct_covariance_small("circulant", law, n, k, l) == (
+                        (joint - means[k] * means[l]) / n
+                    )
+
+    def test_circulant_fluctuation_at_verify_size(self, sign_law):
+        # the README circulant sign run: row (1,3) at N = 512
+        assert exact_fluct_covariance_small("circulant", sign_law, 512, 1, 3) == Fraction(515, 512)
 
 
 class TestConvergenceToLimits:

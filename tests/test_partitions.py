@@ -165,10 +165,20 @@ class TestWalkPartitions:
             for leaf, pi in zip(leaves, parts):
                 s = stats(graph_of_partition(pi))
                 assert leaf.vertex_count == pi.num_blocks
-                assert leaf.block_sizes == tuple(sorted(len(b) for b in pi.blocks))
+                assert sorted(a + b for a, b in leaf.block_sizes) == sorted(
+                    len(b) for b in pi.blocks
+                )
+                assert all(b == 0 for _, b in leaf.block_sizes)
                 assert leaf.loop_counts == s.loop_counts
                 assert leaf.ordered_pair_counts == s.ordered_pair_counts
                 assert not leaf.shared
+
+    @pytest.mark.parametrize("lengths", [(1, 1), (2, 3), (3, 3)])
+    def test_two_walk_block_split(self, lengths):
+        # each block counts its positions in walk 1 and in walk 2
+        for leaf in walk_partitions(lengths):
+            assert tuple(map(sum, zip(*leaf.block_sizes))) == lengths
+            assert all(a + b >= 1 for a, b in leaf.block_sizes)
 
     @pytest.mark.parametrize("k,leaves", [(2, 1), (4, 3), (6, 12), (8, 57), (10, 303)])
     def test_pruned_leaves(self, k, leaves):
