@@ -45,21 +45,11 @@ from .estimator import (
 from .limits import (
     KMAX_COV,
     KMAX_TRACE,
-    circulant_covariance,
     circulant_limit_moment,
     covariance_trace,
     limit_trace_moment,
 )
-from .oracle import (
-    MAX_K_CIRC,
-    MAX_K_FLUCT,
-    MAX_K_MEAN,
-    MAX_N_POLY,
-    ORACLE_MODELS,
-    exact_circulant_trace_mean,
-    exact_fluct_covariance_small,
-    exact_trace_mean,
-)
+from .oracle import EXACT_MODELS, MAX_K_FLUCT, MAX_K_MEAN, MAX_N_POLY, exact_table
 from .profiles import (
     MomentProfile,
     design_correlated_sign_law,
@@ -84,7 +74,29 @@ _ENSEMBLE_KIND = {
     "circulant": "circulant",
 }
 _PAIR_LAW_MODELS = ("elliptic", "block")
-_EXACT_MODELS = ORACLE_MODELS + ("circulant",)
+_FORMATS = ("json", "csv")
+
+
+class UsageError(Exception):
+    pass
+
+
+# the JSON types each config field takes (a bool is not an int), and how an
+# error names them
+_FIELD_TYPES = {
+    "command": ((str,), "a string"),
+    "model": ((str,), "a string"),
+    "n": ((list, tuple), "a list of integers"),
+    "kmax": ((int,), "an integer"),
+    "reps": ((int,), "an integer"),
+    "seed": ((int,), "an integer"),
+    "rho": ((str, int, float), "a string or a number"),
+    "profile": ((str,), "a string"),
+    "z_threshold": ((int, float), "a number"),
+    "paper_formula": ((bool,), "true or false"),
+    "fmt": ((str,), "a string"),
+    "out": ((str, type(None)), "a string or null"),
+}
 
 
 @dataclass
@@ -111,14 +123,20 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        """Build a config from a document of field values, checking each
+        field's type; raises UsageError for the first that does not fit."""
         doc = dict(doc)
+        for name, value in doc.items():
+            if name not in _FIELD_TYPES:
+                continue  # ExperimentConfig(**doc) rejects it
+            kinds, wanted = _FIELD_TYPES[name]
+            if type(value) not in kinds or (name == "n" and any(type(x) is not int for x in value)):
+                raise UsageError(f"config field {name!r} must be {wanted}, got {value!r}")
+        if doc.get("fmt", "json") not in _FORMATS:
+            raise UsageError(f"config field 'fmt' must be one of {_FORMATS}, got {doc['fmt']!r}")
         if "n" in doc:
-            doc["n"] = tuple(int(x) for x in doc["n"])
+            doc["n"] = tuple(doc["n"])
         return ExperimentConfig(**doc)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _resolve_setup(cfg: ExperimentConfig):
@@ -178,18 +196,22 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fraction:
+    """Limit of the model's trace mean: of Tr(C^k) for circulant, where
+    --paper-formula picks the uncorrected display, of Tr(A^k)/N otherwise."""
+    if cfg.model == "circulant":
+        return circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula)
+    return limit_trace_moment(cfg.model, k, profile)
+
+
 def _cmd_limits(cfg: ExperimentConfig) -> tuple[int, dict]:
     _law, profile = _resolve_setup(cfg)
     _validated_profile(cfg, profile)
-    values = []
-    for k in range(1, cfg.kmax + 1):
-        if cfg.model == "circulant":
-            val = circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula)
-        else:
-            val = limit_trace_moment(cfg.model, k, profile)
-        values.append({"k": k, "value": _frac_str(val)})
-    doc = {"schema": SCHEMA_VERSION, "command": "limits", "config": cfg.as_dict(), "values": values}
-    return 0, doc
+    values = [
+        {"k": k, "value": _frac_str(_limit_mean(cfg, profile, k))}
+        for k in range(1, cfg.kmax + 1)
+    ]
+    return 0, {"values": values}
 
 
 def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
@@ -200,13 +222,7 @@ def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
         for l in range(k, cfg.kmax + 1):
             val = covariance_trace(k, l, cfg.model, profile)
             values.append({"k": k, "l": l, "value": _frac_str(val)})
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "covariance",
-        "config": cfg.as_dict(),
-        "values": values,
-    }
-    return 0, doc
+    return 0, {"values": values}
 
 
 def _make_spec(cfg: ExperimentConfig, law) -> EnsembleSpec:
@@ -222,9 +238,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
     spec = _make_spec(cfg, law)
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": cfg.as_dict(),
         "means": [
             {"k": k + 1, "empirical": stats.mean_traces[k], "stderr": stats.se_mean[k]}
             for k in range(cfg.kmax)
@@ -244,33 +257,21 @@ def _cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
-    """(mean predictions, covariance predictions, oracle values) for verify."""
+    """(mean and covariance predictions, oracle values) for verify."""
     n = cfg.n[0]
-    exact = n <= MAX_N_POLY  # above it the oracle column stays empty
-    predictions = []
-    oracle_values = {}
-    for k in range(1, cfg.kmax + 1):
-        if cfg.model == "circulant":
-            # the estimator reports Tr(C^k)/N; scale the Tr(C^k) limit down
-            pred = circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula) / n
-            if exact and k <= MAX_K_CIRC:
-                oracle_values[(k, None)] = exact_circulant_trace_mean(law, n, k) / n
-        else:
-            pred = limit_trace_moment(cfg.model, k, profile)
-            if exact and cfg.model in ORACLE_MODELS and k <= MAX_K_MEAN:
-                oracle_values[(k, None)] = exact_trace_mean(cfg.model, law, n, k)
-        predictions.append((k, None, pred))
-    kcov = min(cfg.kmax, 3)
-    for k in range(1, kcov + 1):
-        for l in range(k, kcov + 1):
-            if cfg.model == "circulant":
-                pred = circulant_covariance(k, l)
-            else:
-                pred = covariance_trace(k, l, cfg.model, profile)
-            if exact and cfg.model in _EXACT_MODELS:
-                oracle_values[(k, l)] = exact_fluct_covariance_small(cfg.model, law, n, k, l)
-            predictions.append((k, l, pred))
-    return predictions, oracle_values
+    # the estimator reports Tr(C^k)/N, so circulant means scale down by N
+    scale = n if cfg.model == "circulant" else 1
+    kcov = min(cfg.kmax, MAX_K_FLUCT)
+    predictions = [(k, None, _limit_mean(cfg, profile, k) / scale) for k in range(1, cfg.kmax + 1)]
+    predictions += [
+        (k, l, covariance_trace(k, l, cfg.model, profile))
+        for k in range(1, kcov + 1)
+        for l in range(k, kcov + 1)
+    ]
+    if n > MAX_N_POLY or cfg.model not in EXACT_MODELS:
+        return predictions, {}  # the oracle column stays empty
+    table = exact_table(cfg.model, law, n, cfg.kmax)
+    return predictions, {(k, l): v / scale if l is None else v for (k, l), v in table.items()}
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> tuple[int, dict]:
@@ -280,45 +281,26 @@ def _cmd_verify(cfg: ExperimentConfig) -> tuple[int, dict]:
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     predictions, oracle_values = _verify_targets(cfg, law, profile)
     rows = compare_report(stats, predictions, oracle_values, z_threshold=cfg.z_threshold)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "config": cfg.as_dict(),
-        "rows": [row.as_record() for row in rows],
-        "all_passed": all(row.passed for row in rows),
-    }
-    return (0 if doc["all_passed"] else 1), doc
+    passed = all(row.passed for row in rows)
+    return (0 if passed else 1), {"rows": [row.as_record() for row in rows], "all_passed": passed}
 
 
 def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
     law, _profile = _resolve_setup(cfg)
     if law is None:
         raise UsageError("oracle runs need an entry law")
+    if cfg.model not in EXACT_MODELS:
+        raise UsageError(f"no exact oracle for model {cfg.model}")
     values = []
     for n in cfg.n:
-        for k in range(1, cfg.kmax + 1):
-            if cfg.model == "circulant":
-                val = exact_circulant_trace_mean(law, n, k)
-            elif cfg.model in ORACLE_MODELS:
-                val = exact_trace_mean(cfg.model, law, n, k)
-            else:
-                raise UsageError(f"no exact oracle for model {cfg.model}")
-            values.append({"model": cfg.model, "N": n, "k": k, "value": _frac_str(val)})
-        if cfg.model in _EXACT_MODELS:
-            for k in range(1, min(cfg.kmax, MAX_K_FLUCT) + 1):
-                for l in range(k, min(cfg.kmax, MAX_K_FLUCT) + 1):
-                    val = exact_fluct_covariance_small(cfg.model, law, n, k, l)
-                    values.append(
-                        {"model": cfg.model, "N": n, "k": k, "l": l, "value": _frac_str(val)}
-                    )
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "oracle",
-        "config": cfg.as_dict(),
-        "provenance": {"package": "explodingmoments", "version": __version__},
-        "values": values,
-    }
-    return 0, doc
+        for (k, l), val in exact_table(cfg.model, law, n, cfg.kmax).items():
+            row = {"model": cfg.model, "N": n, "k": k}
+            if l is not None:
+                row["l"] = l
+            row["value"] = _frac_str(val)
+            values.append(row)
+    provenance = {"package": "explodingmoments", "version": __version__}
+    return 0, {"provenance": provenance, "values": values}
 
 
 def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
@@ -326,29 +308,20 @@ def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
     spec = EnsembleSpec(kind="centrosymmetric", n=n, law=GaussianLaw(), seed=cfg.seed)
     m = sample(spec).dense()
     red = weaver_reduce(m)
+    reduced = red.reduced()
     q = red.q_matrix
     resid_orth = float(np.abs(q.T @ q - np.eye(n)).max())
     transformed = q.T @ m @ q
-    resid_block = float(np.abs(transformed - red.reduced()).max())
+    resid_block = float(np.abs(transformed - reduced).max())
     coeff_full = np.poly(m)
-    eigs = list(np.linalg.eigvals(red.block_plus)) + list(np.linalg.eigvals(red.block_minus))
-    if red.center is not None:
-        cx, cy, cq = red.center
-        s = red.block_plus.shape[0]
-        arrow = np.zeros((s + 1, s + 1))
-        arrow[:s, :s] = red.block_plus
-        arrow[:s, s] = cx
-        arrow[s, :s] = cy
-        arrow[s, s] = cq
-        eigs = list(np.linalg.eigvals(arrow)) + list(np.linalg.eigvals(red.block_minus))
+    # the first diagonal block holds A + JC and, at odd n, the center row and column
+    t = n - red.block_minus.shape[0]
+    eigs = list(np.linalg.eigvals(reduced[:t, :t])) + list(np.linalg.eigvals(reduced[t:, t:]))
     coeff_blocks = np.poly(np.array(eigs))
     scale = np.maximum(np.abs(coeff_full), 1e-3)
     resid_charpoly = float(np.abs(np.real(coeff_blocks) - coeff_full).max() / scale.max())
     ok = resid_orth < 1e-10 and resid_block < 1e-10 and resid_charpoly < 1e-6
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "weaver",
-        "config": cfg.as_dict(),
         "orthogonality_residual": resid_orth,
         "block_residual": resid_block,
         "charpoly_residual": resid_charpoly,
@@ -361,7 +334,7 @@ def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
 _KMAX_CAP = {
     "limits": KMAX_TRACE,
     "covariance": KMAX_COV,
-    "oracle": min(MAX_K_MEAN, MAX_K_CIRC),
+    "oracle": MAX_K_MEAN,
     "simulate": KMAX_TRACE_POWERS,
     "verify": KMAX_TRACE_POWERS,
 }
@@ -370,6 +343,8 @@ _MONTE_CARLO = ("simulate", "verify")
 _READS_N = ("simulate", "verify", "oracle", "weaver")
 _FIRST_SEED = {"simulate": 1, "verify": 1, "weaver": 0}
 
+# each returns (exit status, report fields); dispatch heads them with the
+# schema, command and config
 _COMMANDS = {
     "limits": _cmd_limits,
     "covariance": _cmd_covariance,
@@ -407,7 +382,9 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
             raise UsageError(f"--rho must be a rational in [-1, 1], got {cfg.rho!r}")
     if cfg.command == "verify" and not math.isfinite(cfg.z_threshold):
         raise UsageError(f"verify needs a finite --z-threshold, got {cfg.z_threshold}")
-    return _COMMANDS[cfg.command](cfg)
+    code, fields = _COMMANDS[cfg.command](cfg)
+    head = {"schema": SCHEMA_VERSION, "command": cfg.command, "config": cfg.as_dict()}
+    return code, {**head, **fields}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -430,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z-threshold", type=float, dest="z_threshold")
         p.add_argument("--paper-formula", action="store_true", default=None,
                        help="use the uncorrected circulant moment display")
-        p.add_argument("--format", choices=("json", "csv"), dest="fmt")
+        p.add_argument("--format", choices=_FORMATS, dest="fmt")
         p.add_argument("--out", help="write the report document to this path")
     return parser
 
@@ -459,10 +436,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         base["n"] = tuple(args.n)
     if args.paper_formula is not None:
         base["paper_formula"] = args.paper_formula
-    try:
-        return ExperimentConfig.from_dict(base)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    return ExperimentConfig.from_dict(base)
 
 
 def _emit(doc: dict, cfg: ExperimentConfig):

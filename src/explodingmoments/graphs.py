@@ -16,9 +16,10 @@ limits layer therefore returns the independent-entry limits as 0 without
 enumerating; the fat-tree rule stays here as the reference for that fact.
 
 The partition sums of the limits and oracle layers build no graphs:
-``partitions.walk_partitions`` grows the same counters edge by edge.
-:func:`moment_product` turns either kind of counters into the product of
-entry moments that weighs a term.
+``partitions.walk_partitions`` grows the same ``TraceCounts`` edge by edge,
+with the same :func:`partitions.tally_step` that :func:`stats` uses.
+:func:`moment_product` turns the counters into the product of entry moments
+that weighs a term.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .partitions import SetPartition
+from .partitions import SetPartition, TraceCounts, tally_step
 
 ADMISSIBLE_TREE = "admissible_tree"
 ZERO_SINGLE_EDGE_OR_LOOP = "zero_by_single_edge_or_loop"
@@ -77,45 +78,6 @@ def graph_of_partition(pi: SetPartition) -> TraceGraph:
     return TraceGraph(pi.num_blocks, tuple(edges))
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    """Loop and pair multiplicity counters of a trace graph.
-
-    loop_counts[k]           - number of vertices carrying exactly k loops
-    ordered_pair_counts[(k,l)] - vertex pairs u < v with k edges u->v and l edges v->u
-    unordered_counts[k]      - vertex pairs with exactly k edges in total
-    reduced_edge_count       - edges after forgetting multiplicity and orientation
-                               (each loop vertex and each adjacent pair counts once)
-    """
-
-    vertex_count: int
-    loop_counts: tuple[tuple[int, int], ...]
-    ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
-    unordered_counts: tuple[tuple[int, int], ...]
-    reduced_edge_count: int
-    component_count: int
-
-    @property
-    def cycle_excess(self) -> int:
-        return self.reduced_edge_count + self.component_count - self.vertex_count
-
-    @property
-    def has_loop(self) -> bool:
-        return bool(self.loop_counts)
-
-    @property
-    def has_single_loop_vertex(self) -> bool:
-        return any(k == 1 for k, _ in self.loop_counts)
-
-    @property
-    def has_single_multiplicity_pair(self) -> bool:
-        return any(k == 1 for k, _ in self.unordered_counts)
-
-    @property
-    def all_pairs_unidirectional(self) -> bool:
-        return all(k == 0 or l == 0 for (k, l), _ in self.ordered_pair_counts)
-
-
 def _components(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> int:
     parent = list(range(vertex_count))
 
@@ -133,35 +95,14 @@ def _components(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> int:
 
 
 @lru_cache(maxsize=65536)
-def stats(g: TraceGraph) -> GraphStats:
+def stats(g: TraceGraph) -> TraceCounts:
     """All multiplicity counters of a graph; deterministic and cached."""
     loops: dict[int, int] = {}
-    updown: dict[tuple[int, int], list[int]] = {}
+    pairs: dict[tuple[int, int], list[int]] = {}
     for u, v in g.edges:
-        if u == v:
-            loops[u] = loops.get(u, 0) + 1
-            continue
-        a, b = (u, v) if u < v else (v, u)
-        rec = updown.setdefault((a, b), [0, 0])
-        rec[0 if u == a else 1] += 1
-    loop_counts: dict[int, int] = {}
-    for _v, n in loops.items():
-        loop_counts[n] = loop_counts.get(n, 0) + 1
-    ordered: dict[tuple[int, int], int] = {}
-    unordered: dict[int, int] = {}
-    for (a, b), (k, l) in updown.items():
-        ordered[(k, l)] = ordered.get((k, l), 0) + 1
-        unordered[k + l] = unordered.get(k + l, 0) + 1
-    reduced = len(loops) + len(updown)
-    comps = _components(g.vertex_count, ((min(u, v), max(u, v)) for u, v in g.edges if u != v))
-    return GraphStats(
-        vertex_count=g.vertex_count,
-        loop_counts=tuple(sorted(loop_counts.items())),
-        ordered_pair_counts=tuple(sorted(ordered.items())),
-        unordered_counts=tuple(sorted(unordered.items())),
-        reduced_edge_count=reduced,
-        component_count=comps,
-    )
+        tally_step(loops, pairs, u, v)
+    comps = _components(g.vertex_count, pairs)
+    return TraceCounts.of(g.vertex_count, loops, pairs, component_count=comps)
 
 
 @lru_cache(maxsize=65536)
@@ -188,9 +129,8 @@ def classify(g: TraceGraph, model: str) -> str:
 
 def moment_product(counts, pair: Callable, diagonal: Optional[Callable] = None) -> tuple:
     """Product of moment factors over the loop vertices and adjacent pairs
-    of a graph, read from ``counts.loop_counts`` and
-    ``counts.ordered_pair_counts`` (a :class:`GraphStats` or a
-    ``partitions.WalkPartition``).
+    of a graph, read from the ``loop_counts`` and ``ordered_pair_counts`` of
+    its ``partitions.TraceCounts``.
 
     ``diagonal(m)`` is the factor of a vertex with m loops, ``pair(a, b)``
     that of a pair u < v with a edges u -> v and b edges v -> u; each returns

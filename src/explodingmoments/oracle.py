@@ -8,6 +8,8 @@ over the positions of two walks and subtract the product of the means.
 The circulant mean and joint moment sum over the same partitions,
 weighting each by its number of injective residue labelings with zero
 weighted sum mod N on every walk (two congruences for the joint moment).
+:func:`exact_table` gives every mean and covariance at one N, summing each
+mean once.
 
 Everything here is big-integer rational arithmetic; no floats.  Moments of a
 sparse law carry explicit powers of sqrt(N) (E[x^k] = q E[xi^k] N^(k/2-1));
@@ -19,11 +21,11 @@ moments vanish).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import combinations, product
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .ensembles import GaussianLaw
 from .graphs import make_graph, moment_product, stats
@@ -31,10 +33,10 @@ from .partitions import enumerate_set_partitions, falling_factorial, walk_partit
 from .profiles import SparsePairLaw, SparseScalarLaw
 
 ORACLE_MODELS = ("elliptic", "iid")
+EXACT_MODELS = ORACLE_MODELS + ("circulant",)
 
 MAX_N_POLY = 10**6
 MAX_K_MEAN = 6
-MAX_K_CIRC = 6
 MAX_K_FLUCT = 3
 
 OracleLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]
@@ -56,12 +58,29 @@ def _eval_scaled(coeff: Fraction, half: int, n: int) -> Fraction:
     return coeff * Fraction(r) ** half
 
 
+def _once(method):
+    """Memoize a moment method per table, keyed by its orders only, so a
+    lookup neither re-sums the law's atoms nor hashes them."""
+
+    @wraps(method)
+    def memo(self, *orders):
+        key = (method.__name__,) + orders
+        if key not in self._memo:
+            self._memo[key] = method(self, *orders)
+        return self._memo[key]
+
+    return memo
+
+
 @dataclass(frozen=True)
 class ExactMomentTable:
-    """Exact finite-N entry moments of a law, as coefficient * N^(half/2)."""
+    """Exact finite-N entry moments of a law, as coefficient * N^(half/2);
+    each is computed once per table."""
 
     law: OracleLaw
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @_once
     def entry(self, k: int) -> _Scaled:
         """E[x^k] of an off-diagonal (or circulant generator) entry."""
         if k == 0:
@@ -73,6 +92,7 @@ class ExactMomentTable:
             return (law.activation * law.atom_moment(k, 0), k - 2)
         return (law.activation * law.atom_moment(k), k - 2)
 
+    @_once
     def pair(self, k: int, l: int) -> _Scaled:
         """E[x_ij^k x_ji^l]; factorizes for independent-entry laws."""
         if k == 0 and l == 0:
@@ -84,6 +104,7 @@ class ExactMomentTable:
         cl, hl = self.entry(l)
         return (ck * cl, hk + hl)
 
+    @_once
     def diagonal(self, k: int) -> _Scaled:
         if k == 0:
             return (Fraction(1), 0)
@@ -91,6 +112,19 @@ class ExactMomentTable:
         if isinstance(law, GaussianLaw):
             return (law.moment(k), 0)
         return (law.diagonal_moment(k), 0)
+
+    @_once
+    def pattern(self, counts: tuple[int, ...]) -> _Scaled:
+        """E[prod_b x_b^(counts[b])] over distinct generator entries x_b."""
+        coeff = Fraction(1)
+        half = 0
+        for m in counts:
+            c, h = self.entry(m)
+            if c == 0:
+                return (Fraction(0), 0)
+            coeff *= c
+            half += h
+        return (coeff, half)
 
     # entries of A = X / sqrt(N): each power shifts the half-exponent down
 
@@ -126,6 +160,20 @@ def _walk_sum(table: ExactMomentTable, model: str, n: int, lengths: Sequence[int
     return total
 
 
+def _walk_sums(model: str, law: OracleLaw, n: int) -> Callable[[Sequence[int]], Fraction]:
+    """lengths -> E[prod_w Tr(X^(lengths[w]))] at size N, for X = A of the
+    elliptic and iid models (:func:`_walk_sum`) or the circulant C
+    (:func:`_circulant_sum`)."""
+    if not 1 <= n <= MAX_N_POLY:
+        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
+    table = ExactMomentTable(law)
+    if model == "circulant":
+        return partial(_circulant_sum, table, n)
+    if model in ORACLE_MODELS:
+        return partial(_walk_sum, table, model, n)
+    raise ValueError(f"unsupported model {model!r}")
+
+
 def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
     """E[Tr(A^k)] / N at finite N, exactly: sum over partitions of
     (N-1)! / (N-|V|)! times the moment product of the partition graph."""
@@ -133,9 +181,7 @@ def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
         raise ValueError(f"exact_trace_mean supports {ORACLE_MODELS}, not {model!r}")
     if not 1 <= k <= MAX_K_MEAN:
         raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
-    if not 1 <= n <= MAX_N_POLY:
-        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
-    return _walk_sum(ExactMomentTable(law), model, n, (k,)) / n
+    return _walk_sums(model, law, n)((k,)) / n
 
 
 def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
@@ -151,19 +197,6 @@ def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> F
         g = make_graph(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
         total += _eval_scaled(*_delta0(table, stats(g), model), n)
     return total / n
-
-
-@lru_cache(maxsize=None)
-def _pattern_value(table: ExactMomentTable, counts: tuple[int, ...]) -> _Scaled:
-    coeff = Fraction(1)
-    half = 0
-    for m in counts:
-        c, h = table.entry(m)
-        if c == 0:
-            return (Fraction(0), 0)
-        coeff *= c
-        half += h
-    return (coeff, half)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +232,7 @@ def _circulant_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> F
     labelings with zero weighted sum mod N on each walk."""
     total_coeff: dict[int, Fraction] = {}
     for leaf in walk_partitions(lengths):
-        c, h = _pattern_value(table, tuple(a + b for a, b in leaf.block_sizes))
+        c, h = table.pattern(tuple(a + b for a, b in leaf.block_sizes))
         if c != 0:
             count = _injective_residue_count(leaf.block_sizes, n)
             total_coeff[h] = total_coeff.get(h, Fraction(0)) + c * count
@@ -210,11 +243,14 @@ def _circulant_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> F
 def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
     """E[Tr(C^k)] at finite N, by the residue-counted partition sum.  Its
     cost does not grow with N."""
-    if not 1 <= n <= MAX_N_POLY:
-        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
-    if not 1 <= k <= MAX_K_CIRC:
-        raise ValueError(f"k={k} outside 1..{MAX_K_CIRC}")
-    return _circulant_sum(ExactMomentTable(law), n, (k,))
+    if not 1 <= k <= MAX_K_MEAN:
+        raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
+    return _walk_sums("circulant", law, n)((k,))
+
+
+def _fluct(moment, means: dict[int, Fraction], n: int, k: int, l: int) -> Fraction:
+    """E[Z_N(k) Z_N(l)] from the joint moment and the two trace means."""
+    return (moment((k, l)) - means[k] * means[l]) / n
 
 
 def exact_fluct_covariance_small(
@@ -227,13 +263,22 @@ def exact_fluct_covariance_small(
     """
     if not (1 <= k <= MAX_K_FLUCT and 1 <= l <= MAX_K_FLUCT):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{MAX_K_FLUCT}")
-    if not 1 <= n <= MAX_N_POLY:
-        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
-    table = ExactMomentTable(law)
-    if model == "circulant":
-        moment = partial(_circulant_sum, table, n)
-    elif model in ORACLE_MODELS:
-        moment = partial(_walk_sum, table, model, n)
-    else:
-        raise ValueError(f"unsupported model {model!r}")
-    return (moment((k, l)) - moment((k,)) * moment((l,))) / n
+    moment = _walk_sums(model, law, n)
+    return _fluct(moment, {j: moment((j,)) for j in {k, l}}, n, k, l)
+
+
+def exact_table(
+    model: str, law: OracleLaw, n: int, kmax: int
+) -> dict[tuple[int, Optional[int]], Fraction]:
+    """The means (k <= MAX_K_MEAN, keyed (k, None)) and covariances
+    (k <= l <= MAX_K_FLUCT) up to ``kmax`` at size N, as the one-value
+    functions return them, each trace mean summed once."""
+    moment = _walk_sums(model, law, n)
+    means = {k: moment((k,)) for k in range(1, min(kmax, MAX_K_MEAN) + 1)}
+    norm = 1 if model == "circulant" else n  # the circulant mean is of Tr(C^k)
+    table = {(k, None): mean / norm for k, mean in means.items()}
+    kfluct = min(kmax, MAX_K_FLUCT)
+    for k in range(1, kfluct + 1):
+        for l in range(k, kfluct + 1):
+            table[(k, l)] = _fluct(moment, means, n, k, l)
+    return table

@@ -6,7 +6,8 @@ pattern), and a covariance kernel over partitions of the k + l positions of
 two walks (restricted to each walk they give the two trace graphs, and the
 blocks they merge glue them).  :func:`walk_partitions` enumerates both,
 growing the trace graph as it goes, and can prune every branch on which no
-limit term survives.
+limit term survives.  :class:`TraceCounts` is the one record of a trace
+graph's counters, for these partitions and for ``graphs.stats``.
 
 Enumeration is guarded at small sizes (Bell(13) > 27M); index sets S_pi are
 exposed as a count formula and a membership predicate, never materialized.
@@ -78,14 +79,10 @@ class SetPartition:
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
 
-def _canonical(blocks: Iterator[Iterator[int]], k: int) -> SetPartition:
-    bs = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-    return SetPartition(ground_size=k, blocks=tuple(bs))
-
-
 def make_partition(k: int, blocks) -> SetPartition:
     """Build a canonical SetPartition from any iterable of blocks."""
-    return _canonical(blocks, k)
+    bs = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+    return SetPartition(ground_size=k, blocks=tuple(bs))
 
 
 def falling_factorial(n: int, m: int) -> int:
@@ -122,7 +119,7 @@ def enumerate_set_partitions(k: int) -> list[SetPartition]:
 
     def place(element: int):
         if element > k:
-            results.append(_canonical((list(b) for b in blocks), k))
+            results.append(make_partition(k, blocks))
             return
         for b in blocks:
             b.append(element)
@@ -146,7 +143,7 @@ def enumerate_pair_partitions(r: int) -> list[SetPartition]:
 
     def match(rest: tuple[int, ...], acc: list[tuple[int, int]]):
         if not rest:
-            results.append(_canonical(acc, r))
+            results.append(make_partition(r, acc))
             return
         a = rest[0]
         for i in range(1, len(rest)):
@@ -159,25 +156,89 @@ def enumerate_pair_partitions(r: int) -> list[SetPartition]:
     return results
 
 
-class WalkPartition(NamedTuple):
-    """Trace graph of one set partition of the positions of closed walks.
+class TraceCounts(NamedTuple):
+    """Loop and pair multiplicity counters of a trace graph: blocks are the
+    vertices, each walk step one directed edge.
 
-    Blocks are the vertices, numbered in order of first position; each walk
-    step m -> m+1 (cyclically within its walk) is one directed edge.  The
-    counters have the formats of ``graphs.GraphStats``.
+    loop_counts[k]             - number of vertices carrying exactly k loops
+    ordered_pair_counts[(k,l)] - vertex pairs u < v with k edges u->v and l edges v->u
+    unordered_counts[k]        - vertex pairs with exactly k edges in total
+    reduced_edge_count         - edges after forgetting multiplicity and orientation
+                                 (each loop vertex and each adjacent pair counts once)
+    block_sizes                - per vertex, ascending: (positions in walk 1, in walk 2);
+                                 empty for a graph given by its edges
+    shared                     - some directed edge is a step of both walks
     """
 
     vertex_count: int
-    block_sizes: tuple[tuple[int, int], ...]  # ascending (positions in walk 1, in walk 2)
     loop_counts: tuple[tuple[int, int], ...]
     ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
-    shared: bool  # some directed edge is a step of both walks
+    component_count: int
+    block_sizes: tuple[tuple[int, int], ...] = ()
+    shared: bool = False
+
+    @staticmethod
+    def of(vertex_count: int, loops: dict, pairs: dict, **rest) -> "TraceCounts":
+        """Counters of the tallies kept by :func:`tally_step`."""
+        return TraceCounts(
+            vertex_count,
+            tuple(sorted(Counter(loops.values()).items())),
+            tuple(sorted(Counter(tuple(r) for r in pairs.values()).items())),
+            **rest,
+        )
+
+    @property
+    def unordered_counts(self) -> tuple[tuple[int, int], ...]:
+        totals: Counter = Counter()
+        for (a, b), count in self.ordered_pair_counts:
+            totals[a + b] += count
+        return tuple(sorted(totals.items()))
+
+    @property
+    def reduced_edge_count(self) -> int:
+        return sum(c for _, c in self.loop_counts) + sum(c for _, c in self.ordered_pair_counts)
+
+    @property
+    def cycle_excess(self) -> int:
+        return self.reduced_edge_count + self.component_count - self.vertex_count
+
+    @property
+    def has_loop(self) -> bool:
+        return bool(self.loop_counts)
+
+    @property
+    def has_single_loop_vertex(self) -> bool:
+        return any(k == 1 for k, _ in self.loop_counts)
+
+    @property
+    def has_single_multiplicity_pair(self) -> bool:
+        return any(a + b == 1 for (a, b), _ in self.ordered_pair_counts)
+
+    @property
+    def all_pairs_unidirectional(self) -> bool:
+        return all(a == 0 or b == 0 for (a, b), _ in self.ordered_pair_counts)
 
 
-def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[WalkPartition]:
+def tally_step(loops: dict, pairs: dict, u: int, v: int, delta: int = 1):
+    """Add (delta = 1) or take back (delta = -1) the step u -> v:
+    ``loops[u]`` counts the loops at u, ``pairs[(a, b)]`` with a < b the
+    steps [a -> b, b -> a]."""
+    if u == v:
+        loops[u] = loops.get(u, 0) + delta
+        if not loops[u]:
+            del loops[u]
+        return
+    key = (u, v) if u < v else (v, u)
+    rec = pairs.setdefault(key, [0, 0])
+    rec[u > v] += delta
+    if rec == [0, 0]:
+        del pairs[key]
+
+
+def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[TraceCounts]:
     """Set partitions of the positions of one or two closed walks of the
     given lengths, depth first in restricted-growth order (Knuth, TAOCP 4A,
-    7.2.1.5), each yielded as the trace graph it induces.
+    7.2.1.5), each yielded as the counters of the trace graph it induces.
 
     Positions of the first walk come first.  The graph grows by the steps
     that end at each newly placed position.  With ``prune`` only thick trees
@@ -196,20 +257,7 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
     label = [0] * total
     sizes: list[list[int]] = []  # per block: [positions in walk 1, in walk 2]
     loops: dict[int, int] = {}
-    pairs: dict[tuple[int, int], list[int]] = {}  # u < v -> [steps u->v, steps v->u]
-
-    def step(u: int, v: int, delta: int):
-        """Add (delta = 1) or take back (delta = -1) the step u -> v."""
-        if u == v:
-            loops[u] = loops.get(u, 0) + delta
-            if not loops[u]:
-                del loops[u]
-            return
-        key = (u, v) if u < v else (v, u)
-        rec = pairs.setdefault(key, [0, 0])
-        rec[u > v] += delta
-        if rec == [0, 0]:
-            del pairs[key]
+    pairs: dict[tuple[int, int], list[int]] = {}
 
     def components(p: int) -> int:
         """Components of the graph of positions 0..p: each walk's placed
@@ -218,22 +266,23 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
         second = label[lengths[0] : p + 1]
         return 1 + (bool(second) and min(second) > max(label[: lengths[0]]))
 
-    def leaf() -> Optional[WalkPartition]:
+    def leaf() -> Optional[TraceCounts]:
         if prune and (len(pairs) != len(sizes) - 1 or any(a + b == 1 for a, b in pairs.values())):
             return None  # a forest of two trees, or a pair with a single edge
         steps = [
             {(label[s + i], label[s + (i + 1) % size]) for i in range(size)}
             for s, size in zip((0, lengths[0]), lengths)
         ]
-        return WalkPartition(
-            vertex_count=len(sizes),
+        return TraceCounts.of(
+            len(sizes),
+            loops,
+            pairs,
+            component_count=components(total - 1),
             block_sizes=tuple(sorted(map(tuple, sizes))),
-            loop_counts=tuple(sorted(Counter(loops.values()).items())),
-            ordered_pair_counts=tuple(sorted(Counter(tuple(r) for r in pairs.values()).items())),
             shared=len(steps) == 2 and not steps[0].isdisjoint(steps[1]),
         )
 
-    def place(p: int) -> Iterator[WalkPartition]:
+    def place(p: int) -> Iterator[TraceCounts]:
         if p == total:
             out = leaf()
             if out is not None:
@@ -250,12 +299,12 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Wal
             if p == last:
                 steps.append((b, label[first]))
             for u, v in steps:
-                step(u, v, 1)
+                tally_step(loops, pairs, u, v, 1)
             # a loop-free graph is a forest iff it has |V| - components pairs
             if not prune or (not loops and len(pairs) == len(sizes) - components(p)):
                 yield from place(p + 1)
             for u, v in steps:
-                step(u, v, -1)
+                tally_step(loops, pairs, u, v, -1)
             sizes[b][walk] -= 1
             if sizes[b] == [0, 0]:
                 sizes.pop()

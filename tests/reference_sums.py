@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
 
 from explodingmoments.graphs import TraceGraph, graph_of_partition, stats
 from explodingmoments.limits import _require_alpha_one, tau
-from explodingmoments.oracle import ExactMomentTable, _eval_scaled, _pattern_value, _Scaled
+from explodingmoments.oracle import ExactMomentTable, _eval_scaled, _Scaled
 from explodingmoments.partitions import MAX_GROUND, enumerate_set_partitions, falling_factorial
 
 
@@ -216,11 +215,6 @@ def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
     """E[Tr(C^k)] at finite N: enumerate index tuples with sum = 0 mod N
     (last index solved from the congruence), factorizing by independence."""
     table = ExactMomentTable(law)
-
-    @lru_cache(maxsize=None)
-    def pattern(counts: tuple[int, ...]) -> _Scaled:
-        return _pattern_value(table, counts)
-
     total_coeff: dict[int, Fraction] = {}
     for head in product(range(n), repeat=k - 1):
         last = (-sum(head)) % n
@@ -228,7 +222,7 @@ def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
         for j in head:
             counts[j] = counts.get(j, 0) + 1
         counts[last] = counts.get(last, 0) + 1
-        c, h = pattern(tuple(sorted(counts.values())))
+        c, h = table.pattern(tuple(sorted(counts.values())))
         if c != 0:
             total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
     total = Fraction(0)
@@ -252,7 +246,7 @@ def _circulant_joint(table, n: int, k: int, l: int) -> Fraction:
             counts = dict(base)
             for j in tup2:
                 counts[j] = counts.get(j, 0) + 1
-            c, h = _pattern_value(table, tuple(sorted(counts.values())))
+            c, h = table.pattern(tuple(sorted(counts.values())))
             if c != 0:
                 total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
     total = Fraction(0)

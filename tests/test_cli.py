@@ -14,6 +14,7 @@ from explodingmoments.cli import (
     dispatch,
     main,
 )
+from explodingmoments import oracle
 from explodingmoments.oracle import MAX_N_POLY
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -69,6 +70,28 @@ class TestUsageErrors:
         assert code == 2
         assert "bogus" in err
 
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"kmax": "3"}, "config field 'kmax' must be an integer, got '3'"),
+            ({"kmax": True}, "config field 'kmax' must be an integer, got True"),
+            ({"seed": 1.5}, "config field 'seed' must be an integer, got 1.5"),
+            ({"z_threshold": "x"}, "config field 'z_threshold' must be a number, got 'x'"),
+            ({"out": 5}, "config field 'out' must be a string or null, got 5"),
+            ({"profile": 3}, "config field 'profile' must be a string, got 3"),
+            ({"paper_formula": "no"},
+             "config field 'paper_formula' must be true or false, got 'no'"),
+            ({"n": [16.7]}, "config field 'n' must be a list of integers, got [16.7]"),
+            ({"fmt": "xml"}, "config field 'fmt' must be one of ('json', 'csv'), got 'xml'"),
+        ],
+    )
+    def test_config_field_type_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "oracle", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command,cap",
@@ -224,6 +247,16 @@ class TestOracleCommand:
                                "--n", str(MAX_N_POLY + 1), "--kmax", "2")
         assert code == 2
         assert f"up to {MAX_N_POLY}" in err
+
+    def test_each_walk_sum_runs_once(self, capsys, monkeypatch):
+        # 6 means and 6 joint moments per N; no mean is summed again for a covariance
+        calls = []
+        summed = oracle._circulant_sum
+        monkeypatch.setattr(oracle, "_circulant_sum", lambda *a: calls.append(a) or summed(*a))
+        code, out, _ = run_cli(capsys, "oracle", "--model", "circulant", "--n", "7", "--n", "11",
+                               "--n", "13", "--kmax", "6")
+        assert code == 0 and len(json.loads(out)["values"]) == 36
+        assert len(calls) == 36
 
     def test_circulant_rows_at_large_n(self, capsys):
         # the residue-counted oracle has no small-N guard: means and covariances at N = 512

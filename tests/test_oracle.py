@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from explodingmoments.oracle import (
     ExactMomentTable,
     exact_circulant_trace_mean,
     exact_fluct_covariance_small,
+    exact_table,
     exact_trace_mean,
     exact_trace_mean_enumerated,
 )
@@ -58,6 +60,49 @@ class TestMomentTable:
         assert table.entry(4) == (Fraction(3), 0)
         assert table.entry(6) == (Fraction(15), 0)
         assert table.entry(5) == (Fraction(0), 0)
+
+
+    @pytest.mark.parametrize("law_class", [SparsePairLaw, SparseScalarLaw])
+    def test_each_moment_summed_once(self, monkeypatch, law_class, sign_pair_law, sign_law):
+        # the table caches by moment order; no atom sum repeats within one table
+        calls = Counter()
+        summed = law_class.atom_moment
+
+        def counted(self, *orders):
+            calls[orders] += 1
+            return summed(self, *orders)
+
+        monkeypatch.setattr(law_class, "atom_moment", counted)
+        pair = law_class is SparsePairLaw
+        model, law = ("elliptic", sign_pair_law) if pair else ("circulant", sign_law)
+        exact_table(model, law, 8, 6)
+        assert calls and max(calls.values()) == 1
+
+
+class TestExactTable:
+    @pytest.mark.parametrize("model", ["elliptic", "iid", "circulant"])
+    @pytest.mark.parametrize("n", [5, 512])
+    def test_equals_the_one_value_functions(self, model, n, sign_pair_law, sign_law):
+        law = sign_pair_law if model == "elliptic" else sign_law
+        table = exact_table(model, law, n, 6)
+        means = [key for key in table if key[1] is None]
+        assert means == [(k, None) for k in range(1, 7)]
+        assert list(table)[6:] == [(k, l) for k in (1, 2, 3) for l in range(k, 4)]
+        for (k, l), value in table.items():
+            if l is not None:
+                assert value == exact_fluct_covariance_small(model, law, n, k, l)
+            elif model == "circulant":
+                assert value == exact_circulant_trace_mean(law, n, k)
+            else:
+                assert value == exact_trace_mean(model, law, n, k)
+
+    def test_caps_and_guards(self, sign_law):
+        keys = [(1, None), (2, None), (1, 1), (1, 2), (2, 2)]
+        assert list(exact_table("iid", sign_law, 5, 2)) == keys
+        with pytest.raises(ValueError):
+            exact_table("circulant", sign_law, MAX_N_POLY + 1, 2)
+        with pytest.raises(ValueError):
+            exact_table("block", sign_law, 5, 2)
 
 
 class TestExactTraceMean:

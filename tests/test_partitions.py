@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explodingmoments.graphs import graph_of_partition, stats
+from explodingmoments.graphs import graph_of_partition, make_graph, stats
 from explodingmoments.partitions import (
     SetPartition,
     bell_number,
@@ -172,6 +172,22 @@ class TestWalkPartitions:
                 assert leaf.loop_counts == s.loop_counts
                 assert leaf.ordered_pair_counts == s.ordered_pair_counts
                 assert not leaf.shared
+
+    @pytest.mark.parametrize("lengths", [(5,), (1, 1), (2, 3), (3, 3)])
+    def test_leaf_counters_equal_graph_stats(self, lengths):
+        # a leaf is the same record graphs.stats builds from the walks' edges
+        k = lengths[0]
+        leaves = list(walk_partitions(lengths))
+        for leaf, pi in zip(leaves, enumerate_set_partitions(sum(lengths))):
+            walks = [range(1, k + 1), range(k + 1, sum(lengths) + 1)][: len(lengths)]
+            edges = [
+                (pi.block_index_of(w[i]), pi.block_index_of(w[(i + 1) % len(w)]))
+                for w in walks
+                for i in range(len(w))
+            ]
+            g = make_graph(pi.num_blocks, edges)
+            assert leaf._replace(block_sizes=(), shared=False) == stats(g)
+        assert {leaf.component_count for leaf in leaves} == set(range(1, len(lengths) + 1))
 
     @pytest.mark.parametrize("lengths", [(1, 1), (2, 3), (3, 3)])
     def test_two_walk_block_split(self, lengths):
