@@ -225,12 +225,19 @@ def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
     return 0, {"values": values}
 
 
+def _usage_checked(build, *args):
+    """build(*args), whose ValueError (a law the sampler or oracle does not
+    take, a size past the dense limit) is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _make_spec(cfg: ExperimentConfig, law) -> EnsembleSpec:
     if law is None:
         raise UsageError("this command needs an entry law, not just a profile")
-    n = cfg.n[0]
-    kind = _ENSEMBLE_KIND[cfg.model]
-    return EnsembleSpec(kind=kind, n=n, law=law, seed=cfg.seed)
+    return _usage_checked(EnsembleSpec, _ENSEMBLE_KIND[cfg.model], cfg.n[0], law, cfg.seed)
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
@@ -270,7 +277,7 @@ def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
     ]
     if n > MAX_N_POLY or cfg.model not in EXACT_MODELS:
         return predictions, {}  # the oracle column stays empty
-    table = exact_table(cfg.model, law, n, cfg.kmax)
+    table = _usage_checked(exact_table, cfg.model, law, n, cfg.kmax)
     return predictions, {(k, l): v / scale if l is None else v for (k, l), v in table.items()}
 
 
@@ -293,7 +300,7 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
         raise UsageError(f"no exact oracle for model {cfg.model}")
     values = []
     for n in cfg.n:
-        for (k, l), val in exact_table(cfg.model, law, n, cfg.kmax).items():
+        for (k, l), val in _usage_checked(exact_table, cfg.model, law, n, cfg.kmax).items():
             row = {"model": cfg.model, "N": n, "k": k}
             if l is not None:
                 row["l"] = l
@@ -305,7 +312,7 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
     n = cfg.n[0]
-    spec = EnsembleSpec(kind="centrosymmetric", n=n, law=GaussianLaw(), seed=cfg.seed)
+    spec = _usage_checked(EnsembleSpec, "centrosymmetric", n, GaussianLaw(), cfg.seed)
     m = sample(spec).dense()
     red = weaver_reduce(m)
     reduced = red.reduced()

@@ -64,7 +64,9 @@ class EnsembleSpec:
             raise ValueError(f"{self.kind} requires a scalar or Gaussian law")
         if isinstance(self.law, GaussianLaw) and self.kind != "circulant":
             if self.n > DENSE_LIMIT:
-                raise ValueError("Gaussian sampling is dense; n exceeds the dense limit")
+                raise ValueError(
+                    f"Gaussian sampling is dense; n={self.n} exceeds the dense limit {DENSE_LIMIT}"
+                )
 
 
 @dataclass

@@ -81,11 +81,6 @@ class SampleStats:
     zmoment4: np.ndarray  # E[Z_N(k)^4] per k
     se_zmoment4: np.ndarray
 
-    @property
-    def z_values(self) -> np.ndarray:
-        # spec.n is the block size for block2, which is also the CLT scale
-        return np.sqrt(self.spec.n) * (self.traces - self.mean_traces)
-
     def seed_range(self) -> tuple[int, int]:
         return (self.spec.seed + 1, self.spec.seed + self.replicates)
 

@@ -43,11 +43,10 @@ _ZERO_MODELS = ("iid", "block", "centrosymmetric")
 
 @dataclass(frozen=True)
 class LimitValue:
-    """Either an exact limit, an exact zero, or a symbolic asymptotic order
-    N^exponent (the alpha != 1 regimes are classified, never evaluated)."""
+    """Either an exact zero or a symbolic asymptotic order N^exponent (the
+    alpha != 1 regimes are classified, never evaluated)."""
 
-    kind: str  # "exact" | "zero_exact" | "symbolic_order"
-    value: Optional[Fraction] = None
+    kind: str  # "zero_exact" | "symbolic_order"
     exponent: Optional[Fraction] = None
 
 

@@ -3,19 +3,23 @@
 The trace mean at finite N is a polynomial in N: summing over the set
 partitions of the walk positions (``partitions.walk_partitions``, unpruned),
 each graph contributes a falling factorial (the injective labelings) times a
-product of exact entry moments.  Fluctuation covariances run the same sum
-over the positions of two walks and subtract the product of the means.
-The circulant mean and joint moment sum over the same partitions,
-weighting each by its number of injective residue labelings with zero
+product of exact entry moments.  The law alone decides those moments: a
+dependent pair law gives the joint moments of x_ij and x_ji, an
+independent-entry law their products.  Fluctuation covariances run the same
+sum over the positions of two walks and subtract the product of the means.
+The circulant mean and joint moment are the moment-cumulant formula over the
+same partitions: each block contributes a cumulant of one generator entry,
+and each partition counts the residue labelings of its blocks with zero
 weighted sum mod N on every walk (two congruences for the joint moment).
 :func:`exact_table` gives every mean and covariance at one N, summing each
 mean once.
 
 Everything here is big-integer rational arithmetic; no floats.  Moments of a
 sparse law carry explicit powers of sqrt(N) (E[x^k] = q E[xi^k] N^(k/2-1));
-they are tracked in half-integer exponents and must cancel to integer powers
-by evaluation time (they always do for the laws shipped here, whose odd
-moments vanish).
+the walk sum tracks them in half-integer exponents, which must cancel to
+integer powers by evaluation time (they always do for the laws shipped here,
+whose odd diagonal moments vanish).  A circulant generator entry x / sqrt(N)
+has rational moments for every law here.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from .ensembles import GaussianLaw
-from .graphs import make_graph, moment_product, stats
-from .partitions import enumerate_set_partitions, falling_factorial, walk_partitions
+from .graphs import moment_product
+from .partitions import falling_factorial, walk_partitions
 from .profiles import SparsePairLaw, SparseScalarLaw
 
 ORACLE_MODELS = ("elliptic", "iid")
@@ -74,8 +78,9 @@ def _once(method):
 
 @dataclass(frozen=True)
 class ExactMomentTable:
-    """Exact finite-N entry moments of a law, as coefficient * N^(half/2);
-    each is computed once per table."""
+    """Exact finite-N entry moments of a law, as coefficient * N^(half/2),
+    and the cumulants of a circulant generator entry at a given N; each is
+    computed once per table."""
 
     law: OracleLaw
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -114,17 +119,16 @@ class ExactMomentTable:
         return (law.diagonal_moment(k), 0)
 
     @_once
-    def pattern(self, counts: tuple[int, ...]) -> _Scaled:
-        """E[prod_b x_b^(counts[b])] over distinct generator entries x_b."""
-        coeff = Fraction(1)
-        half = 0
-        for m in counts:
-            c, h = self.entry(m)
-            if c == 0:
-                return (Fraction(0), 0)
-            coeff *= c
-            half += h
-        return (coeff, half)
+    def cumulant(self, k: int, n: int) -> Fraction:
+        """kappa_k of y = x / sqrt(N), a generator entry of the circulant C,
+        from its moments m_j = E[y^j] by
+        kappa_k = m_k - sum_(i<k) C(k-1, i-1) kappa_i m_(k-i)."""
+        # E[y^j] = E[x_ij^j x_ji^0] / N^(j/2)
+        m = [_eval_scaled(*self.a_pair(j, 0), n) for j in range(k + 1)]
+        return m[k] - sum(
+            (math.comb(k - 1, i - 1) * self.cumulant(i, n) * m[k - i] for i in range(1, k)),
+            Fraction(0),
+        )
 
     # entries of A = X / sqrt(N): each power shifts the half-exponent down
 
@@ -132,30 +136,19 @@ class ExactMomentTable:
         c, h = self.pair(k, l)
         return (c, h - (k + l))
 
-    def a_entry_product(self, k: int, l: int) -> _Scaled:
-        ck, hk = self.entry(k)
-        cl, hl = self.entry(l)
-        return (ck * cl, hk + hl - (k + l))
-
     def a_diagonal(self, k: int) -> _Scaled:
         c, h = self.diagonal(k)
         return (c, h - k)
 
 
-def _delta0(table: ExactMomentTable, counts, model: str) -> _Scaled:
-    """E[prod over edges of a_(phi u, phi v)] for one injective labeling of
-    a graph with these loop and pair counters."""
-    pair = table.a_pair if model == "elliptic" else table.a_entry_product
-    return moment_product(counts, pair, table.a_diagonal)
-
-
-def _walk_sum(table: ExactMomentTable, model: str, n: int, lengths: Sequence[int]) -> Fraction:
+def _walk_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fraction:
     """E[prod_w Tr(A^(lengths[w]))]: over the set partitions of the walk
     positions, N (N-1) ... (N-|V|+1) injective labelings times the moment
-    product of the partition graph."""
+    product of the partition graph, E[prod over edges of a_(phi u, phi v)]
+    for one injective labeling phi."""
     total = Fraction(0)
     for leaf in walk_partitions(lengths):
-        coeff, half = _delta0(table, leaf, model)
+        coeff, half = moment_product(leaf, table.a_pair, table.a_diagonal)
         total += falling_factorial(n, leaf.vertex_count) * _eval_scaled(coeff, half, n)
     return total
 
@@ -163,14 +156,17 @@ def _walk_sum(table: ExactMomentTable, model: str, n: int, lengths: Sequence[int
 def _walk_sums(model: str, law: OracleLaw, n: int) -> Callable[[Sequence[int]], Fraction]:
     """lengths -> E[prod_w Tr(X^(lengths[w]))] at size N, for X = A of the
     elliptic and iid models (:func:`_walk_sum`) or the circulant C
-    (:func:`_circulant_sum`)."""
+    (:func:`_circulant_sum`).  The iid model has independent entries, so a
+    dependent pair law has no iid oracle."""
     if not 1 <= n <= MAX_N_POLY:
         raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
     table = ExactMomentTable(law)
     if model == "circulant":
         return partial(_circulant_sum, table, n)
+    if model == "iid" and isinstance(law, SparsePairLaw):
+        raise ValueError("the iid model needs a scalar or Gaussian law, not a pair law")
     if model in ORACLE_MODELS:
-        return partial(_walk_sum, table, model, n)
+        return partial(_walk_sum, table, n)
     raise ValueError(f"unsupported model {model!r}")
 
 
@@ -184,65 +180,43 @@ def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
     return _walk_sums(model, law, n)((k,)) / n
 
 
-def exact_trace_mean_enumerated(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
-    """Brute-force fallback: the same expectation summed tuple by tuple over
-    [N]^k.  Exponential in k; cross-checks the partition formula."""
-    if model not in ORACLE_MODELS:
-        raise ValueError(f"unsupported model {model!r}")
-    if n**k > 2 * 10**6:
-        raise ValueError("tuple enumeration too large")
-    table = ExactMomentTable(law)
-    total = Fraction(0)
-    for tup in product(range(n), repeat=k):
-        g = make_graph(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
-        total += _eval_scaled(*_delta0(table, stats(g), model), n)
-    return total / n
-
-
 @lru_cache(maxsize=None)
-def _injective_residue_count(blocks: tuple[tuple[int, int], ...], n: int) -> int:
-    """Labelings of blocks with per-walk sizes (m_b, m'_b) by distinct
-    residues v_b mod N with sum m_b v_b = sum m'_b v_b = 0 mod N.
-
-    Without distinctness, blocks merged into t groups with summed vectors
-    (s_j, s'_j) have as solutions the kernel of Z_N^t -> Z_N^2, which by the
-    Smith normal form has N^(t-2) gcd(d1, N) gcd(d2, N) elements: d1 is the
-    gcd of all entries and d1 d2 the gcd of all 2x2 minors (d2 = 0 at rank
-    <= 1, so one walk gives N^(t-1) gcd(d1, N)).  Moebius inversion over the
-    coarsenings of the blocks keeps the injective ones; a group of j blocks
-    has Moebius factor (-1)^(j-1) (j-1)!.
+def _residue_count(blocks: tuple[tuple[int, int], ...], n: int) -> int:
+    """Labelings of blocks with per-walk sizes (m_b, m'_b) by residues v_b
+    mod N, not necessarily distinct, with sum m_b v_b = sum m'_b v_b = 0
+    mod N: the kernel of Z_N^t -> Z_N^2 for t blocks, which by the Smith
+    normal form has N^(t-2) gcd(d1, N) gcd(d2, N) elements.  d1 is the gcd
+    of all entries and d1 d2 the gcd of all 2x2 minors (d2 = 0 at rank <= 1,
+    so one walk gives N^(t-1) gcd(d1, N)).
     """
-    total = 0
-    for sigma in enumerate_set_partitions(len(blocks)):
-        vectors = [[sum(blocks[i - 1][w] for i in g) for w in (0, 1)] for g in sigma.blocks]
-        d1 = math.gcd(*(x for v in vectors for x in v))
-        minors = math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(vectors, 2)))
-        # integer form of N^(t-2) gcd(d1, N) gcd(d2, N): at t = 1, gcd(0, N) = N
-        term = n ** (len(vectors) - 1) * math.gcd(d1, n) * math.gcd(minors // d1, n) // n
-        for group in sigma.blocks:
-            term *= (-1) ** (len(group) - 1) * math.factorial(len(group) - 1)
-        total += term
-    return total
+    d1 = math.gcd(*(m for block in blocks for m in block))
+    minors = math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(blocks, 2)))
+    # integer form of N^(t-2) gcd(d1, N) gcd(d2, N): at t = 1, gcd(0, N) = N
+    return n ** (len(blocks) - 1) * math.gcd(d1, n) * math.gcd(minors // d1, n) // n
 
 
 def _circulant_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fraction:
-    """E[prod_w Tr(C^(lengths[w]))]: over the set partitions of the walk
-    positions (the coincidence patterns of the generator indices), the
-    moment product of the block sizes times the number of injective residue
-    labelings with zero weighted sum mod N on each walk."""
-    total_coeff: dict[int, Fraction] = {}
+    """E[prod_w Tr(C^(lengths[w]))] by the moment-cumulant formula.
+
+    Tr(C^k) is N times the sum, over residue k-tuples with zero sum mod N,
+    of the product of the generator entries y_v.  Distinct entries are
+    independent, so a joint cumulant of them vanishes unless its indices
+    agree.  Each set partition of the walk positions then contributes the
+    product of its block cumulants kappa_|B|(y) times the residue labelings
+    of its blocks with zero weighted sum mod N on each walk.
+    """
+    kappa = [table.cumulant(j, n) for j in range(sum(lengths) + 1)]
+    total = Fraction(0)
     for leaf in walk_partitions(lengths):
-        c, h = table.pattern(tuple(a + b for a, b in leaf.block_sizes))
-        if c != 0:
-            count = _injective_residue_count(leaf.block_sizes, n)
-            total_coeff[h] = total_coeff.get(h, Fraction(0)) + c * count
-    shift = sum(k - 2 for k in lengths)
-    return sum((_eval_scaled(c, h - shift, n) for h, c in total_coeff.items()), Fraction(0))
+        kappas = [kappa[a + b] for a, b in leaf.block_sizes]
+        if all(kappas):
+            total += math.prod(kappas) * _residue_count(leaf.block_sizes, n)
+    return n ** len(lengths) * total
 
 
 def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
-    """E[Tr(C^k)] at finite N, by the residue-counted partition sum.  Its
-    cost does not grow with N."""
+    """E[Tr(C^k)] at finite N, by the moment-cumulant formula.  Its cost
+    does not grow with N."""
     if not 1 <= k <= MAX_K_MEAN:
         raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
     return _walk_sums("circulant", law, n)((k,))
@@ -258,8 +232,8 @@ def exact_fluct_covariance_small(
 ) -> Fraction:
     """Exact E[Z_N(k) Z_N(l)] with true-expectation centering: the joint
     moment E[Tr(A^k) Tr(A^l)], summed over the set partitions of the k + l
-    positions of two walks (falling factorials for elliptic/iid, residue
-    counts for circulant), minus the product of the two means.
+    positions of two walks (falling factorials for elliptic/iid, cumulants
+    and residue counts for circulant), minus the product of the two means.
     """
     if not (1 <= k <= MAX_K_FLUCT and 1 <= l <= MAX_K_FLUCT):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{MAX_K_FLUCT}")

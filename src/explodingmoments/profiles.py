@@ -43,7 +43,7 @@ def _frac(x) -> Fraction:
 class Violation:
     """One structured validation failure."""
 
-    code: str  # "missing-entry" | "variance-mismatch" | "non-finite-value"
+    code: str  # "missing-entry" | "variance-mismatch"
     message: str
 
     def __str__(self) -> str:
@@ -63,7 +63,6 @@ class MomentProfile:
     kmax: int = DEFAULT_KMAX
     pair_table: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
     scalar_table: Mapping[int, Fraction] = field(default_factory=dict)
-    diagonal_bounded: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _frac(self.alpha))
@@ -309,9 +308,6 @@ def validate_profile(profile: MomentProfile, model: str) -> list[Violation]:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     out: list[Violation] = []
-    for (key, v) in list(profile.pair_table.items()) + list(profile.scalar_table.items()):
-        if v.denominator == 0:  # unreachable with Fraction; guards foreign tables
-            out.append(Violation("non-finite-value", f"entry {key} is not finite"))
     if model in _PAIR_MODELS:
         for k in range(profile.kmax + 1):
             for l in range(profile.kmax + 1 - k):
@@ -441,17 +437,17 @@ def profile_to_dict(profile: MomentProfile) -> dict:
         "kmax": profile.kmax,
         "pair_table": [[k, l, v.numerator, v.denominator] for (k, l), v in sorted(profile.pair_table.items())],
         "scalar_table": [[k, v.numerator, v.denominator] for k, v in sorted(profile.scalar_table.items())],
-        "diagonal_bounded": profile.diagonal_bounded,
     }
 
 
 def profile_from_dict(doc: Mapping) -> MomentProfile:
+    """The profile of a document.  Other keys are ignored, so documents
+    that carry a ``diagonal_bounded`` flag still read."""
     return MomentProfile(
         alpha=_unrat(doc["alpha"]),
         kmax=int(doc["kmax"]),
         pair_table={(int(k), int(l)): Fraction(int(n), int(d)) for k, l, n, d in doc.get("pair_table", [])},
         scalar_table={int(k): Fraction(int(n), int(d)) for k, n, d in doc.get("scalar_table", [])},
-        diagonal_bounded=bool(doc.get("diagonal_bounded", True)),
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from explodingmoments.ensembles import EnsembleSpec
 from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
 
-from explodingmoments.graphs import TraceGraph, graph_of_partition, stats
+from explodingmoments.graphs import TraceGraph, graph_of_partition, make_graph, stats
 from explodingmoments.limits import _require_alpha_one, tau
 from explodingmoments.oracle import ExactMomentTable, _eval_scaled, _Scaled
 from explodingmoments.partitions import MAX_GROUND, enumerate_set_partitions, falling_factorial
@@ -167,11 +167,23 @@ def _delta0(table: ExactMomentTable, g: TraceGraph, model: str) -> _Scaled:
         if model == "elliptic":
             c, h = table.a_pair(k, l)
         else:
-            c, h = table.a_entry_product(k, l)
+            c, h = _entry_product(table, (k, l))
+            h -= k + l
         if c == 0:
             return (Fraction(0), 0)
         coeff *= c**count
         half += h * count
+    return (coeff, half)
+
+
+def _entry_product(table: ExactMomentTable, counts) -> _Scaled:
+    """E[prod_b x_b^(counts[b])] over independent entries x_b."""
+    coeff = Fraction(1)
+    half = 0
+    for m in counts:
+        c, h = table.entry(m)
+        coeff *= c
+        half += h
     return (coeff, half)
 
 
@@ -211,6 +223,18 @@ def exact_fluct_covariance(model: str, law, n: int, k: int, l: int) -> Fraction:
     return total / n
 
 
+def exact_trace_mean_enumerated(model: str, law, n: int, k: int) -> Fraction:
+    """E[Tr(A^k)] / N summed tuple by tuple over [N]^k.  Exponential in k."""
+    if n**k > 2 * 10**6:
+        raise ValueError("tuple enumeration too large")
+    table = ExactMomentTable(law)
+    total = Fraction(0)
+    for tup in product(range(n), repeat=k):
+        g = make_graph(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
+        total += _eval_scaled(*_delta0(table, g, model), n)
+    return total / n
+
+
 def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
     """E[Tr(C^k)] at finite N: enumerate index tuples with sum = 0 mod N
     (last index solved from the congruence), factorizing by independence."""
@@ -222,7 +246,7 @@ def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
         for j in head:
             counts[j] = counts.get(j, 0) + 1
         counts[last] = counts.get(last, 0) + 1
-        c, h = table.pattern(tuple(sorted(counts.values())))
+        c, h = _entry_product(table, counts.values())
         if c != 0:
             total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
     total = Fraction(0)
@@ -246,7 +270,7 @@ def _circulant_joint(table, n: int, k: int, l: int) -> Fraction:
             counts = dict(base)
             for j in tup2:
                 counts[j] = counts.get(j, 0) + 1
-            c, h = table.pattern(tuple(sorted(counts.values())))
+            c, h = _entry_product(table, counts.values())
             if c != 0:
                 total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
     total = Fraction(0)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from explodingmoments.cli import (
+    MODELS,
     ExperimentConfig,
     _build_parser,
     _config_from_args,
@@ -16,6 +17,14 @@ from explodingmoments.cli import (
 )
 from explodingmoments import oracle
 from explodingmoments.oracle import MAX_N_POLY
+from explodingmoments.profiles import (
+    design_correlated_sign_law,
+    light_profile,
+    pair_law_to_dict,
+    profile_to_dict,
+    scalar_law_to_dict,
+    sign_scalar_law,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -129,6 +138,25 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--model", "centrosymmetric", "--profile", "light", "--n", "9000"],
+             "Gaussian sampling is dense; n=9000 exceeds the dense limit 4096"),
+            (["weaver", "--n", "5000"],
+             "Gaussian sampling is dense; n=5000 exceeds the dense limit 4096"),
+            (["oracle", "--model", "iid", "--profile", "pair_law", "--n", "5"],
+             "the iid model needs a scalar or Gaussian law, not a pair law"),
+        ],
+    )
+    def test_law_or_size_the_model_cannot_take_exits_2(self, capsys, profile_files, argv,
+                                                       message):
+        # rejected before any matrix is drawn or exact sum is run
+        argv = [profile_files.get(arg, arg) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--reps", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_lowest_seed_still_runs(self, capsys):
         # replica r draws from seed + r, so --seed -1 hands numpy 0, 1, ...
@@ -287,6 +315,40 @@ class TestSimulateCommand:
         assert out1 == out2
         doc = json.loads(out1)
         assert len(doc["means"]) == 2
+
+
+GRID_COMMANDS = ("limits", "covariance", "simulate", "verify", "oracle", "weaver")
+GRID_PROFILES = ("sign", "light", "pair_law", "scalar_law", "profile")
+
+
+@pytest.fixture(scope="module")
+def profile_files(tmp_path_factory):
+    """One law or profile JSON file per document kind the CLI reads."""
+    docs = {
+        "pair_law": pair_law_to_dict(design_correlated_sign_law(Fraction(1, 2))),
+        "scalar_law": scalar_law_to_dict(sign_scalar_law()),
+        "profile": profile_to_dict(light_profile()),
+    }
+    root = tmp_path_factory.mktemp("profiles")
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = root / f"{key}.json"
+        paths[key].write_text(json.dumps({key: doc}))
+    return {key: str(path) for key, path in paths.items()}
+
+
+@pytest.mark.parametrize("profile", GRID_PROFILES)
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_command_model_profile_grid(capsys, profile_files, command, model, profile):
+    # every pairing of a law with a model either runs or is a usage error
+    code, out, err = run_cli(capsys, command, "--model", model,
+                             "--profile", profile_files.get(profile, profile),
+                             "--n", "6", "--kmax", "2", "--reps", "3")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestProfileFile:

@@ -13,7 +13,6 @@ from explodingmoments.oracle import (
     exact_fluct_covariance_small,
     exact_table,
     exact_trace_mean,
-    exact_trace_mean_enumerated,
 )
 import reference_sums
 from explodingmoments.profiles import (
@@ -25,6 +24,11 @@ from explodingmoments.profiles import (
 )
 
 ZERO_DIAG = ((Fraction(0), Fraction(1)),)
+
+# unit variance with nonzero odd moments: q = 1/2, xi = -1 w.p. 2/3, 2 w.p. 1/3
+SKEWED_LAW = SparseScalarLaw(
+    activation=Fraction(1, 2), atoms=((Fraction(-1), Fraction(2, 3)), (Fraction(2), Fraction(1, 3)))
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,16 @@ class TestMomentTable:
         assert table.entry(6) == (Fraction(15), 0)
         assert table.entry(5) == (Fraction(0), 0)
 
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 512])
+    def test_generator_cumulants(self, sign_law, n):
+        # y = x / sqrt(N): the sign law puts +-1 at rate 1/N, so m_2 = m_4 = 1/N
+        assert ExactMomentTable(sign_law).cumulant(4, n) == Fraction(1, n) - Fraction(3, n**2)
+        # the skewed law has E[y^3] = q E[xi^3] / N = 1 / N, and kappa_3 = m_3
+        assert ExactMomentTable(SKEWED_LAW).cumulant(3, n) == Fraction(1, n)
+        # a Gaussian entry has no cumulant beyond the variance 1/N
+        gauss = ExactMomentTable(GaussianLaw())
+        assert [gauss.cumulant(j, n) for j in range(1, 9)] == [0, Fraction(1, n)] + [0] * 6
 
     @pytest.mark.parametrize("law_class", [SparsePairLaw, SparseScalarLaw])
     def test_each_moment_summed_once(self, monkeypatch, law_class, sign_pair_law, sign_law):
@@ -104,6 +118,13 @@ class TestExactTable:
         with pytest.raises(ValueError):
             exact_table("block", sign_law, 5, 2)
 
+    def test_iid_rejects_a_pair_law(self, sign_pair_law):
+        # iid entries are independent; a pair law's joint moments do not apply
+        with pytest.raises(ValueError, match="pair law"):
+            exact_table("iid", sign_pair_law, 5, 2)
+        with pytest.raises(ValueError, match="pair law"):
+            exact_trace_mean("iid", sign_pair_law, 5, 2)
+
 
 class TestExactTraceMean:
     def test_k1_mean_zero(self, sign_pair_law):
@@ -127,7 +148,7 @@ class TestExactTraceMean:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agrees_with_tuple_enumeration(self, model, n, k, sign_pair_law, sign_law):
         law = sign_pair_law if model == "elliptic" else sign_law
-        assert exact_trace_mean(model, law, n, k) == exact_trace_mean_enumerated(
+        assert exact_trace_mean(model, law, n, k) == reference_sums.exact_trace_mean_enumerated(
             model, law, n, k
         )
 
@@ -295,18 +316,18 @@ class TestAgainstBellEnumeration:
                         reference_sums.exact_fluct_covariance(model, law, n, k, l)
                     )
 
-    @pytest.mark.parametrize("law", ["sign", "gaussian"])
+    @pytest.mark.parametrize("law", ["sign", "gaussian", "skewed"])
     def test_circulant_matches_tuple_enumeration(self, law, sign_law):
-        law = sign_law if law == "sign" else GaussianLaw()
+        law = {"sign": sign_law, "gaussian": GaussianLaw(), "skewed": SKEWED_LAW}[law]
         for n in range(1, 12):
             for k in range(1, 7):
                 assert exact_circulant_trace_mean(law, n, k) == (
                     reference_sums.exact_circulant_trace_mean(law, n, k)
                 )
 
-    @pytest.mark.parametrize("law", ["sign", "gaussian"])
+    @pytest.mark.parametrize("law", ["sign", "gaussian", "skewed"])
     def test_circulant_fluctuation_matches_tuple_enumeration(self, law, sign_law):
-        law = sign_law if law == "sign" else GaussianLaw()
+        law = {"sign": sign_law, "gaussian": GaussianLaw(), "skewed": SKEWED_LAW}[law]
         table = ExactMomentTable(law)
         for n in range(1, 9):
             means = {k: reference_sums.exact_circulant_trace_mean(law, n, k) for k in (1, 2, 3)}

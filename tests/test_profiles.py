@@ -183,6 +183,8 @@ class TestSerialization:
     def test_profile_round_trip(self, sign_pair_profile):
         doc = json.loads(json.dumps(profile_to_dict(sign_pair_profile)))
         assert profile_from_dict(doc) == sign_pair_profile
+        # documents written with the former diagonal_bounded flag still read
+        assert profile_from_dict({**doc, "diagonal_bounded": False}) == sign_pair_profile
 
     def test_pair_law_round_trip(self, sign_pair_law):
         doc = json.loads(json.dumps(pair_law_to_dict(sign_pair_law)))
