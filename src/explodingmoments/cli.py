@@ -285,8 +285,8 @@ def _cmd_verify(cfg: ExperimentConfig) -> tuple[int, dict]:
     law, profile = _resolve_setup(cfg)
     _validated_profile(cfg, profile)
     spec = _make_spec(cfg, law)
-    stats = run_experiment(spec, cfg.kmax, cfg.reps)
     predictions, oracle_values = _verify_targets(cfg, law, profile)
+    stats = run_experiment(spec, cfg.kmax, cfg.reps)
     rows = compare_report(stats, predictions, oracle_values, z_threshold=cfg.z_threshold)
     passed = all(row.passed for row in rows)
     return (0 if passed else 1), {"rows": [row.as_record() for row in rows], "all_passed": passed}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -93,22 +93,26 @@ class MatrixSample:
         raise ValueError("sample holds no matrix")
 
 
-def _atom_values_probs(atoms):
+def _cumulative(probs) -> np.ndarray:
+    cum = np.cumsum([float(p) for p in probs])
+    cum[-1] = 1.0
+    return cum
+
+
+def _draw_table(atoms):
+    """(atom values, cumulative probabilities) of a scalar law's atoms."""
     vals = np.array([float(v) for v, _p in atoms])
-    probs = np.array([float(p) for _v, p in atoms])
-    return vals, probs
+    return vals, _cumulative(p for _v, p in atoms)
 
 
-def _pair_atom_values_probs(atoms):
+def _pair_draw_table(atoms):
+    """(xi values, eta values, cumulative probabilities) of a pair law's atoms."""
     xi = np.array([float(a) for a, _b, _p in atoms])
     eta = np.array([float(b) for _a, b, _p in atoms])
-    probs = np.array([float(p) for *_ab, p in atoms])
-    return xi, eta, probs
+    return xi, eta, _cumulative(p for *_ab, p in atoms)
 
 
-def _draw_atoms(rng, probs, size):
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+def _draw_atoms(rng, cum, size):
     return np.searchsorted(cum, rng.random(size), side="right")
 
 
@@ -125,10 +129,10 @@ def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
             return idx
 
 
-def _binomial_active(rng, total: int, q: Fraction, n: int) -> np.ndarray:
-    p = float(q) / n
-    count = rng.binomial(total, p)
-    return _distinct_uniform(rng, total, count)
+def _binomial_active(rng, total: int, p: float) -> np.ndarray:
+    """Each of the total positions active with probability p (q/N for a law
+    of activation q at size N), as distinct uniform indices."""
+    return _distinct_uniform(rng, total, rng.binomial(total, p))
 
 
 def _decode_upper_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,18 +176,18 @@ def _finish(spec, rows, cols, data, size, trace_norm) -> MatrixSample:
 
 
 def _diag_draws(rng, law, n, scale):
-    vals, probs = _atom_values_probs(law.diagonal_atoms)
-    return vals[_draw_atoms(rng, probs, n)] * scale
+    vals, cum = _draw_table(law.diagonal_atoms)
+    return vals[_draw_atoms(rng, cum, n)] * scale
 
 
 def _sample_elliptic(spec: EnsembleSpec, rng) -> MatrixSample:
     n = spec.n
     law: SparsePairLaw = spec.law
     total = n * (n - 1) // 2
-    active = _binomial_active(rng, total, law.activation, n)
+    active = _binomial_active(rng, total, float(law.activation) / n)
     i, j = _decode_upper_pairs(active, n)
-    xi_vals, eta_vals, probs = _pair_atom_values_probs(law.atoms)
-    which = _draw_atoms(rng, probs, len(active))
+    xi_vals, eta_vals, cum = _pair_draw_table(law.atoms)
+    which = _draw_atoms(rng, cum, len(active))
     diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     rows = np.concatenate([i, j, np.arange(n)])
     cols = np.concatenate([j, i, np.arange(n)])
@@ -198,12 +202,12 @@ def _sample_iid(spec: EnsembleSpec, rng) -> MatrixSample:
         return MatrixSample(spec.kind, n, n, m, seed=spec.seed)
     law: SparseScalarLaw = spec.law
     total = n * (n - 1)  # ordered off-diagonal positions
-    active = _binomial_active(rng, total, law.activation, n)
+    active = _binomial_active(rng, total, float(law.activation) / n)
     r = active // (n - 1)
     c0 = active % (n - 1)
     c = c0 + (c0 >= r)
-    vals, probs = _atom_values_probs(law.atoms)
-    which = _draw_atoms(rng, probs, len(active))
+    vals, cum = _draw_table(law.atoms)
+    which = _draw_atoms(rng, cum, len(active))
     diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     rows = np.concatenate([r, np.arange(n)])
     cols = np.concatenate([c, np.arange(n)])
@@ -215,12 +219,12 @@ def _sample_block2(spec: EnsembleSpec, rng) -> MatrixSample:
     n = spec.n
     law: SparsePairLaw = spec.law
     total = n * (n - 1)
-    active = _binomial_active(rng, total, law.activation, n)
+    active = _binomial_active(rng, total, float(law.activation) / n)
     r = active // (n - 1)
     c0 = active % (n - 1)
     c = c0 + (c0 >= r)
-    xi_vals, eta_vals, probs = _pair_atom_values_probs(law.atoms)
-    which = _draw_atoms(rng, probs, len(active))
+    xi_vals, eta_vals, cum = _pair_draw_table(law.atoms)
+    which = _draw_atoms(rng, cum, len(active))
     diag1 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     diag2 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     rows = np.concatenate([r, np.arange(n), n + r, n + np.arange(n)])
@@ -244,9 +248,9 @@ def _sample_centrosymmetric(spec: EnsembleSpec, rng) -> MatrixSample:
     law: SparseScalarLaw = spec.law
     # orbits pair position t with n^2-1-t; for odd n the center is fixed
     n_orbits = (n * n + 1) // 2
-    active = _binomial_active(rng, n_orbits, law.activation, n)
-    vals, probs = _atom_values_probs(law.atoms)
-    v = vals[_draw_atoms(rng, probs, len(active))]
+    active = _binomial_active(rng, n_orbits, float(law.activation) / n)
+    vals, cum = _draw_table(law.atoms)
+    v = vals[_draw_atoms(rng, cum, len(active))]
     t1 = active
     t2 = _mirror_positions(active, n)
     keep = t2 != t1
@@ -257,20 +261,31 @@ def _sample_centrosymmetric(spec: EnsembleSpec, rng) -> MatrixSample:
 
 
 def _sample_circulant(spec: EnsembleSpec, rng) -> MatrixSample:
-    n = spec.n
-    x = sample_circulant_generator(spec.law, n, rng)
-    return MatrixSample(spec.kind, n, n, None, generator_values=x, seed=spec.seed)
+    x = sample_circulant_generator(spec.law, spec.n, [rng])[0]
+    return MatrixSample(spec.kind, spec.n, spec.n, None, generator_values=x, seed=spec.seed)
 
 
-def sample_circulant_generator(law, n: int, rng) -> np.ndarray:
-    """The unscaled generator vector (x_0..x_{N-1}) of a circulant draw."""
+def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Unscaled generator vectors (x_0..x_{N-1}) of circulant draws, one row
+    per generator in ``rngs``; row i is the draw of ``rngs[i]`` alone.
+
+    The law's draw table, scaled by sqrt(N), and its activation probability
+    q/N are built once per call.  Each row takes, in order: a binomial count
+    of active positions, that many distinct positions, and one uniform per
+    active position for its atom (a Gaussian row is one standard normal
+    vector)."""
+    out = np.zeros((len(rngs), n))
     if isinstance(law, GaussianLaw):
-        return rng.standard_normal(n)
-    vals, probs = _atom_values_probs(law.atoms)
-    x = np.zeros(n)
-    active = _binomial_active(rng, n, law.activation, n)
-    x[active] = vals[_draw_atoms(rng, probs, len(active))] * np.sqrt(n)
-    return x
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)
+        return out
+    vals, cum = _draw_table(law.atoms)
+    vals *= np.sqrt(n)
+    p = float(law.activation) / n
+    for row, rng in zip(out, rngs):
+        active = _binomial_active(rng, n, p)
+        row[active] = vals[_draw_atoms(rng, cum, len(active))]
+    return out
 
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,13 @@ deterministic end to end and replicas can be generated in any order or in
 parallel.  Z_N(k) is centered at the empirical replica mean; the O(1/M)
 centering bias is covered by the bootstrap standard errors.
 
+Circulant replicas never form a matrix.  Their generators are drawn in
+chunks, one row per replica seed, and one kernel gives Tr(C^k)/N for a
+sample or a chunk: the real FFT of the generator gives the half-spectrum
+lambda_0..lambda_(N//2), and since lambda_(N-j) = conj(lambda_j) for a real
+generator, the power sum over all N eigenvalues is a weighted real sum over
+that half.
+
 The bootstrap never gathers a resampled copy of the traces.  Each resample
 is one ``rng.integers`` draw of M indices from its own seeded stream, turned
 into per-replica counts; a block of count rows times the per-replica power
@@ -31,7 +38,6 @@ from scipy import sparse
 from .ensembles import (
     EnsembleSpec,
     MatrixSample,
-    circulant_eigenvalues,
     sample,
     sample_circulant_generator,
 )
@@ -44,15 +50,16 @@ THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
 def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     """[Tr(A^k) / N for k = 1..k_max]; N is the sample's trace normalizer.
 
-    Circulant samples go through eigenvalue powers, sparse samples through
-    sparse closed-walk products, dense samples through repeated
-    multiplication; the three paths agree on common inputs.
+    Circulant samples go through half-spectrum eigenvalue powers
+    (:func:`_circulant_power_sums`), sparse samples through sparse
+    closed-walk products, dense samples through repeated multiplication; the
+    three paths agree on common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
-    norm = m.trace_norm
     if m.kind == "circulant" and m.matrix is None:
-        return _eigenvalue_power_sums(circulant_eigenvalues(m.generator_values), k_max, norm)
+        return _circulant_power_sums(m.generator_values, k_max)
+    norm = m.trace_norm
     mat = m.matrix
     out = np.empty(k_max)
     power = mat.copy()
@@ -85,12 +92,25 @@ class SampleStats:
         return (self.spec.seed + 1, self.spec.seed + self.replicates)
 
 
-def _eigenvalue_power_sums(lam: np.ndarray, k_max: int, norm: int) -> np.ndarray:
-    """[Re sum(lam^k) / norm for k = 1..k_max], summed over the last axis."""
-    out = np.empty(lam.shape[:-1] + (k_max,))
+def _circulant_power_sums(x: np.ndarray, k_max: int) -> np.ndarray:
+    """[Tr(C^k) / N for k = 1..k_max] of the circulant C with generator x
+    (unscaled, along the last axis; leading axes are replicas).
+
+    A real generator has lambda_(N-j) = conj(lambda_j), so Tr(C^k) / N =
+    sum_j w_j Re(lambda_j^k) over the rfft half-spectrum j = 0..N//2, with
+    w_j = 1/N for j = 0 and, at even N, for j = N/2, and w_j = 2/N otherwise.
+    The rfft is the conjugate of the ``circulant_eigenvalues`` spectrum, which
+    leaves the real parts unchanged."""
+    n = x.shape[-1]
+    lam = np.fft.rfft(x, axis=-1) / np.sqrt(n)
+    w = np.full(lam.shape[-1], 2.0 / n)
+    w[0] = 1.0 / n
+    if n % 2 == 0:
+        w[-1] = 1.0 / n
+    out = np.empty(x.shape[:-1] + (k_max,))
     acc = lam.copy()
     for k in range(k_max):
-        out[..., k] = acc.sum(axis=-1).real / norm
+        out[..., k] = acc.real @ w
         if k + 1 < k_max:
             acc *= lam
     return out
@@ -115,20 +135,18 @@ def _replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
 
 
 def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
-    """Replica loop vectorized through one batched FFT per chunk; seeds and
-    results are identical to the per-replica path."""
+    """Replica i draws its generator from ``default_rng(spec.seed + 1 + i)``,
+    as ``sample`` does at that seed.  Each chunk of replicas is one
+    ``sample_circulant_generator`` call and one batched real FFT through the
+    half-spectrum kernel :func:`_circulant_power_sums`, the kernel of
+    ``trace_powers`` for a single circulant sample."""
     n = spec.n
     out = np.empty((m, k_max))
     chunk = max(1, min(m, 4 * 10**6 // max(n, 1)))
-    row = 0
-    while row < m:
-        hi = min(row + chunk, m)
-        gens = np.empty((hi - row, n))
-        for i in range(row, hi):
-            rng = np.random.default_rng(spec.seed + 1 + i)
-            gens[i - row] = sample_circulant_generator(spec.law, n, rng)
-        out[row:hi] = _eigenvalue_power_sums(circulant_eigenvalues(gens), k_max, n)
-        row = hi
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        rngs = [np.random.default_rng(spec.seed + 1 + i) for i in range(lo, hi)]
+        out[lo:hi] = _circulant_power_sums(sample_circulant_generator(spec.law, n, rngs), k_max)
     return out
 
 

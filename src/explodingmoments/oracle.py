@@ -156,15 +156,15 @@ def _walk_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fracti
 def _walk_sums(model: str, law: OracleLaw, n: int) -> Callable[[Sequence[int]], Fraction]:
     """lengths -> E[prod_w Tr(X^(lengths[w]))] at size N, for X = A of the
     elliptic and iid models (:func:`_walk_sum`) or the circulant C
-    (:func:`_circulant_sum`).  The iid model has independent entries, so a
-    dependent pair law has no iid oracle."""
+    (:func:`_circulant_sum`).  The iid and circulant models have independent
+    entries, so a dependent pair law has no oracle there."""
     if not 1 <= n <= MAX_N_POLY:
         raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
+    if model in ("iid", "circulant") and isinstance(law, SparsePairLaw):
+        raise ValueError(f"the {model} model needs a scalar or Gaussian law, not a pair law")
     table = ExactMomentTable(law)
     if model == "circulant":
         return partial(_circulant_sum, table, n)
-    if model == "iid" and isinstance(law, SparsePairLaw):
-        raise ValueError("the iid model needs a scalar or Gaussian law, not a pair law")
     if model in ORACLE_MODELS:
         return partial(_walk_sum, table, n)
     raise ValueError(f"unsupported model {model!r}")

@@ -9,11 +9,14 @@ which the tests require to give the same ``Fraction`` values.
 
 ``reference_aggregate_stats`` is the bootstrap as it was before the weighted
 pass: each resample gathers its copy of the traces and recomputes the
-statistics from it.
+statistics from it.  ``reference_circulant_generator`` is the circulant
+generator draw written out for one replica, which pins the random stream of
+the batched draw.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from explodingmoments.ensembles import EnsembleSpec
+from explodingmoments.ensembles import EnsembleSpec, GaussianLaw
 from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
 
 from explodingmoments.graphs import TraceGraph, graph_of_partition, make_graph, stats
@@ -313,3 +316,29 @@ def reference_aggregate_stats(
         zmoment4=m4,
         se_zmoment4=m4s.std(axis=0, ddof=1),
     )
+
+
+def reference_circulant_generator(law, n: int, rng, branches: Counter) -> np.ndarray:
+    """One circulant generator (x_0..x_{N-1}) drawn from rng: a standard normal
+    vector for the Gaussian law; otherwise a Binomial(N, q/N) count, that many
+    distinct positions (a permutation prefix when 3 count >= N, else whole
+    batches of uniform positions until one is distinct), and one uniform per
+    position for its atom, scaled by sqrt(N).  ``branches`` counts the
+    permutation draws and the redrawn batches."""
+    if isinstance(law, GaussianLaw):
+        return rng.standard_normal(n)
+    vals = np.array([float(v) for v, _p in law.atoms])
+    cum = np.cumsum([float(p) for _v, p in law.atoms])
+    cum[-1] = 1.0
+    count = rng.binomial(n, float(law.activation) / n)
+    if 3 * count >= n:
+        branches["permutation"] += 1
+        active = rng.permutation(n)[:count]
+    else:
+        active = rng.integers(0, n, size=count)
+        while len(np.unique(active)) < count:
+            branches["redraw"] += 1
+            active = rng.integers(0, n, size=count)
+    x = np.zeros(n)
+    x[active] = vals[np.searchsorted(cum, rng.random(count), side="right")] * np.sqrt(n)
+    return x

@@ -15,9 +15,10 @@ from explodingmoments.cli import (
     dispatch,
     main,
 )
-from explodingmoments import oracle
+from explodingmoments import cli, oracle
 from explodingmoments.oracle import MAX_N_POLY
 from explodingmoments.profiles import (
+    SparseScalarLaw,
     design_correlated_sign_law,
     light_profile,
     pair_law_to_dict,
@@ -148,6 +149,9 @@ class TestUsageErrors:
              "Gaussian sampling is dense; n=5000 exceeds the dense limit 4096"),
             (["oracle", "--model", "iid", "--profile", "pair_law", "--n", "5"],
              "the iid model needs a scalar or Gaussian law, not a pair law"),
+            (["oracle", "--model", "circulant", "--profile", "pair_law", "--n", "5",
+              "--n", "64", "--kmax", "6"],
+             "the circulant model needs a scalar or Gaussian law, not a pair law"),
         ],
     )
     def test_law_or_size_the_model_cannot_take_exits_2(self, capsys, profile_files, argv,
@@ -157,6 +161,22 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv, "--reps", "5")
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_verify_oracle_error_comes_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # odd diagonal moments put N^(3/2) into the iid oracle at non-square N
+        law = SparseScalarLaw(
+            activation=1,
+            atoms=((1, Fraction(1, 2)), (-1, Fraction(1, 2))),
+            diagonal_atoms=((Fraction(-1, 2), Fraction(2, 3)), (1, Fraction(1, 3))),
+        )
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"scalar_law": scalar_law_to_dict(law)}))
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a: calls.append(a) or 1 / 0)
+        code, out, err = run_cli(capsys, "verify", "--model", "iid", "--profile", str(path),
+                                 "--n", "5", "--kmax", "3", "--reps", "50")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: exact value involves N^(") and err.count("\n") == 1
 
     def test_lowest_seed_still_runs(self, capsys):
         # replica r draws from seed + r, so --seed -1 hands numpy 0, 1, ...

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,11 @@ from explodingmoments.ensembles import (
     dump_sample,
     is_centrosymmetric,
     sample,
+    sample_circulant_generator,
     weaver_reduce,
 )
-from explodingmoments.profiles import design_correlated_sign_law, sign_scalar_law
+from explodingmoments.profiles import SparseScalarLaw, design_correlated_sign_law, sign_scalar_law
+from reference_sums import reference_circulant_generator
 
 
 def dense_of(spec):
@@ -129,6 +132,34 @@ class TestCirculantEigenvalues:
             want = np.trace(power)
             got = np.sum(lam**k).real
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+class TestCirculantGenerator:
+    SKEWED = SparseScalarLaw(
+        activation=Fraction(1, 2), atoms=((-1, Fraction(2, 3)), (2, Fraction(1, 3)))
+    )
+
+    @pytest.mark.parametrize(
+        "law,n,branch",
+        [
+            (sign_scalar_law(), 64, None),
+            (GaussianLaw(), 64, None),
+            (SKEWED, 4, "permutation"),  # 3 count >= N: a permutation prefix
+            (sign_scalar_law(), 12, "redraw"),  # a batch with a collision is redrawn
+        ],
+    )
+    def test_batched_rows_are_the_per_sample_draws(self, law, n, branch):
+        seeds = range(400)
+        rows = sample_circulant_generator(law, n, [np.random.default_rng(s) for s in seeds])
+        assert rows.shape == (len(seeds), n)
+        branches = Counter()
+        for seed, row in zip(seeds, rows):
+            one = sample(EnsembleSpec("circulant", n, law, seed))
+            assert np.array_equal(row, one.generator_values)
+            want = reference_circulant_generator(law, n, np.random.default_rng(seed), branches)
+            assert np.array_equal(row, want)
+        if branch is not None:
+            assert branches[branch] > 0
 
 
 class TestWeaverReduce:

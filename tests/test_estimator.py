@@ -3,8 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from explodingmoments.ensembles import EnsembleSpec, GaussianLaw, MatrixSample, sample
+from explodingmoments.ensembles import (
+    EnsembleSpec,
+    GaussianLaw,
+    MatrixSample,
+    circulant_eigenvalues,
+    sample,
+)
 from explodingmoments.estimator import (
+    _circulant_power_sums,
     _replica_traces,
     aggregate_stats,
     compare_report,
@@ -49,6 +56,26 @@ class TestTracePowers:
         s = sample(EnsembleSpec(kind="circulant", n=n, law=sign_law, seed=seed))
         dense = MatrixSample(kind="circulant", size=n, trace_norm=n, matrix=s.dense())
         assert np.allclose(trace_powers(s, 6), trace_powers(dense, 6), rtol=1e-8, atol=1e-12)
+
+
+class TestCirculantPowerSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 511, 512])
+    def test_half_spectrum_equals_full_spectrum(self, n):
+        # rows: two Gaussian generators and one sparse generator of +-sqrt(N) spikes
+        spikes = np.zeros(n)
+        spikes[[0, n // 3, n - 1]] = np.sqrt(n) * np.array([1.0, -1.0, 1.0])
+        x = np.vstack([np.random.default_rng(n).standard_normal((2, n)), spikes])
+        lam = circulant_eigenvalues(x)
+        powers = lam[..., None] ** np.arange(1, 9)
+        want = powers.sum(axis=-2).real / n
+        # relative to sum |lambda|^k / N, the size of the summands of an odd k
+        scale = np.abs(powers).sum(axis=-2) / n
+        got = _circulant_power_sums(x, 8)
+        assert got.shape == (3, 8)
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+        for row in range(3):
+            one = _circulant_power_sums(x[row], 8)
+            assert (np.abs(one - want[row]) <= 1e-12 * scale[row]).all()
 
 
 class TestRunExperiment:

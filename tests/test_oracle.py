@@ -125,6 +125,13 @@ class TestExactTable:
         with pytest.raises(ValueError, match="pair law"):
             exact_trace_mean("iid", sign_pair_law, 5, 2)
 
+    def test_circulant_rejects_a_pair_law(self, sign_pair_law):
+        # the circulant generator entries are independent as well
+        with pytest.raises(ValueError, match="circulant model needs a scalar or Gaussian law"):
+            exact_table("circulant", sign_pair_law, 5, 2)
+        with pytest.raises(ValueError, match="pair law"):
+            exact_circulant_trace_mean(sign_pair_law, 64, 2)
+
 
 class TestExactTraceMean:
     def test_k1_mean_zero(self, sign_pair_law):
