@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -51,21 +52,23 @@ from .limits import (
 )
 from .oracle import EXACT_MODELS, MAX_K_FLUCT, MAX_K_MEAN, MAX_N_POLY, exact_table
 from .profiles import (
+    MODELS,
+    PAIR_MODELS,
     MomentProfile,
+    SparsePairLaw,
+    SparseScalarLaw,
     design_correlated_sign_law,
+    law_from_dict,
     light_profile,
-    pair_law_from_dict,
     profile_from_dict,
     profile_of_scalar_law,
     profile_of_sparse_law,
-    scalar_law_from_dict,
     sign_scalar_law,
     validate_profile,
 )
 
 SCHEMA_VERSION = 1
 
-MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 _ENSEMBLE_KIND = {
     "elliptic": "elliptic",
     "iid": "iid",
@@ -73,7 +76,6 @@ _ENSEMBLE_KIND = {
     "centrosymmetric": "centrosymmetric",
     "circulant": "circulant",
 }
-_PAIR_LAW_MODELS = ("elliptic", "block")
 _FORMATS = ("json", "csv")
 
 
@@ -143,13 +145,13 @@ def _resolve_setup(cfg: ExperimentConfig):
     """Return (law or None, prediction profile) for the configured model."""
     kmax_profile = max(8, 2 * min(cfg.kmax, 6))
     if cfg.profile == "sign":
-        if cfg.model in _PAIR_LAW_MODELS:
+        if cfg.model in PAIR_MODELS:
             law = design_correlated_sign_law(Fraction(cfg.rho))
             return law, profile_of_sparse_law(law, kmax=kmax_profile)
         law = sign_scalar_law()
         return law, profile_of_scalar_law(law, kmax=kmax_profile)
     if cfg.profile == "light":
-        if cfg.model in _PAIR_LAW_MODELS:
+        if cfg.model in PAIR_MODELS:
             raise UsageError(f"the light profile has no dependent-pair law for model {cfg.model}")
         return GaussianLaw(), light_profile(kmax=kmax_profile)
     try:
@@ -162,8 +164,8 @@ def _resolve_setup(cfg: ExperimentConfig):
             f"profile file {cfg.profile!r}: invalid JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
     readers = (
-        ("pair_law", pair_law_from_dict, profile_of_sparse_law),
-        ("scalar_law", scalar_law_from_dict, profile_of_scalar_law),
+        ("pair_law", partial(law_from_dict, SparsePairLaw), profile_of_sparse_law),
+        ("scalar_law", partial(law_from_dict, SparseScalarLaw), profile_of_scalar_law),
         ("profile", profile_from_dict, None),
     )
     for key, read, constants in readers:
@@ -192,10 +194,6 @@ def _validated_profile(cfg: ExperimentConfig, profile: MomentProfile) -> MomentP
     return profile
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fraction:
     """Limit of the model's trace mean: of Tr(C^k) for circulant, where
     --paper-formula picks the uncorrected display, of Tr(A^k)/N otherwise."""
@@ -208,8 +206,7 @@ def _cmd_limits(cfg: ExperimentConfig) -> tuple[int, dict]:
     _law, profile = _resolve_setup(cfg)
     _validated_profile(cfg, profile)
     values = [
-        {"k": k, "value": _frac_str(_limit_mean(cfg, profile, k))}
-        for k in range(1, cfg.kmax + 1)
+        {"k": k, "value": _limit_mean(cfg, profile, k)} for k in range(1, cfg.kmax + 1)
     ]
     return 0, {"values": values}
 
@@ -221,7 +218,7 @@ def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
     for k in range(1, cfg.kmax + 1):
         for l in range(k, cfg.kmax + 1):
             val = covariance_trace(k, l, cfg.model, profile)
-            values.append({"k": k, "l": l, "value": _frac_str(val)})
+            values.append({"k": k, "l": l, "value": val})
     return 0, {"values": values}
 
 
@@ -304,7 +301,7 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
             row = {"model": cfg.model, "N": n, "k": k}
             if l is not None:
                 row["l"] = l
-            row["value"] = _frac_str(val)
+            row["value"] = val
             values.append(row)
     provenance = {"package": "explodingmoments", "version": __version__}
     return 0, {"provenance": provenance, "values": values}
@@ -380,7 +377,7 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
     offset = _FIRST_SEED.get(cfg.command)
     if offset is not None and cfg.seed + offset < 0:
         raise UsageError(f"{cfg.command} needs --seed of at least {-offset}, got {cfg.seed}")
-    if cfg.command != "weaver" and cfg.profile == "sign" and cfg.model in _PAIR_LAW_MODELS:
+    if cfg.command != "weaver" and cfg.profile == "sign" and cfg.model in PAIR_MODELS:
         try:
             rho = Fraction(cfg.rho)
         except (TypeError, ValueError, ZeroDivisionError):

@@ -93,23 +93,13 @@ class MatrixSample:
         raise ValueError("sample holds no matrix")
 
 
-def _cumulative(probs) -> np.ndarray:
+def _draw_table(atoms):
+    """(value columns, cumulative probabilities) of a law's atom rows
+    (values..., prob): one float array per value column."""
+    *columns, probs = zip(*atoms)
     cum = np.cumsum([float(p) for p in probs])
     cum[-1] = 1.0
-    return cum
-
-
-def _draw_table(atoms):
-    """(atom values, cumulative probabilities) of a scalar law's atoms."""
-    vals = np.array([float(v) for v, _p in atoms])
-    return vals, _cumulative(p for _v, p in atoms)
-
-
-def _pair_draw_table(atoms):
-    """(xi values, eta values, cumulative probabilities) of a pair law's atoms."""
-    xi = np.array([float(a) for a, _b, _p in atoms])
-    eta = np.array([float(b) for _a, b, _p in atoms])
-    return xi, eta, _cumulative(p for *_ab, p in atoms)
+    return [np.array([float(v) for v in column]) for column in columns], cum
 
 
 def _draw_atoms(rng, cum, size):
@@ -125,7 +115,7 @@ def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
         return rng.permutation(total)[:count]
     while True:
         idx = rng.integers(0, total, size=count)
-        if len(np.unique(idx)) == count:
+        if len(set(idx.tolist())) == count:
             return idx
 
 
@@ -136,22 +126,12 @@ def _binomial_active(rng, total: int, p: float) -> np.ndarray:
 
 
 def _decode_upper_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the row-major enumeration of pairs (i < j) of {0..n-1}."""
-    tt = t.astype(np.float64)
-    i = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * tt)) / 2).astype(np.int64)
-    start = i * (2 * n - i - 1) // 2
-    while np.any(start > t):
-        bad = start > t
-        i[bad] -= 1
-        start = i * (2 * n - i - 1) // 2
-    nxt = (i + 1) * (2 * n - i - 2) // 2
-    while np.any(t >= nxt):
-        bad = t >= nxt
-        i[bad] += 1
-        nxt = (i + 1) * (2 * n - i - 2) // 2
-    start = i * (2 * n - i - 1) // 2
-    j = t - start + i + 1
-    return i, j
+    """Invert the row-major enumeration of pairs (i < j) of {0..n-1}: row i
+    starts at index i(2n - i - 1)/2."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, t, side="right") - 1
+    return i, t - starts[i] + i + 1
 
 
 def sample(spec: EnsembleSpec) -> MatrixSample:
@@ -176,7 +156,7 @@ def _finish(spec, rows, cols, data, size, trace_norm) -> MatrixSample:
 
 
 def _diag_draws(rng, law, n, scale):
-    vals, cum = _draw_table(law.diagonal_atoms)
+    (vals,), cum = _draw_table(law.diagonal_atoms)
     return vals[_draw_atoms(rng, cum, n)] * scale
 
 
@@ -186,7 +166,7 @@ def _sample_elliptic(spec: EnsembleSpec, rng) -> MatrixSample:
     total = n * (n - 1) // 2
     active = _binomial_active(rng, total, float(law.activation) / n)
     i, j = _decode_upper_pairs(active, n)
-    xi_vals, eta_vals, cum = _pair_draw_table(law.atoms)
+    (xi_vals, eta_vals), cum = _draw_table(law.atoms)
     which = _draw_atoms(rng, cum, len(active))
     diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     rows = np.concatenate([i, j, np.arange(n)])
@@ -206,7 +186,7 @@ def _sample_iid(spec: EnsembleSpec, rng) -> MatrixSample:
     r = active // (n - 1)
     c0 = active % (n - 1)
     c = c0 + (c0 >= r)
-    vals, cum = _draw_table(law.atoms)
+    (vals,), cum = _draw_table(law.atoms)
     which = _draw_atoms(rng, cum, len(active))
     diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     rows = np.concatenate([r, np.arange(n)])
@@ -223,7 +203,7 @@ def _sample_block2(spec: EnsembleSpec, rng) -> MatrixSample:
     r = active // (n - 1)
     c0 = active % (n - 1)
     c = c0 + (c0 >= r)
-    xi_vals, eta_vals, cum = _pair_draw_table(law.atoms)
+    (xi_vals, eta_vals), cum = _draw_table(law.atoms)
     which = _draw_atoms(rng, cum, len(active))
     diag1 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
     diag2 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
@@ -249,7 +229,7 @@ def _sample_centrosymmetric(spec: EnsembleSpec, rng) -> MatrixSample:
     # orbits pair position t with n^2-1-t; for odd n the center is fixed
     n_orbits = (n * n + 1) // 2
     active = _binomial_active(rng, n_orbits, float(law.activation) / n)
-    vals, cum = _draw_table(law.atoms)
+    (vals,), cum = _draw_table(law.atoms)
     v = vals[_draw_atoms(rng, cum, len(active))]
     t1 = active
     t2 = _mirror_positions(active, n)
@@ -279,7 +259,7 @@ def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator])
         for row, rng in zip(out, rngs):
             rng.standard_normal(out=row)
         return out
-    vals, cum = _draw_table(law.atoms)
+    (vals,), cum = _draw_table(law.atoms)
     vals *= np.sqrt(n)
     p = float(law.activation) / n
     for row, rng in zip(out, rngs):

@@ -29,13 +29,11 @@ from .partitions import (
     enumerate_pair_partitions,
     walk_partitions,
 )
-from .profiles import MomentProfile
+from .profiles import MODELS, MomentProfile
 
 # 10 covers the tenth Wigner moment in the acceptance suite
 KMAX_TRACE = 10
 KMAX_COV = 6
-
-TRACE_MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 
 # models whose admissible trees would need a unidirectional adjacent pair
 _ZERO_MODELS = ("iid", "block", "centrosymmetric")
@@ -105,7 +103,7 @@ def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
     closed walks, so every adjacent pair of such a graph carries edges both
     ways and no term is ever admitted.
     """
-    if model not in TRACE_MODELS:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if not 1 <= k <= KMAX_TRACE:
         raise ValueError(f"k={k} outside 1..{KMAX_TRACE}")
@@ -127,7 +125,7 @@ def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Frac
     the k + l positions of the two walks; the kernel sums the tree product
     over the gluings that merge into a thick tree and share a directed edge.
     """
-    if model not in TRACE_MODELS:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if not (1 <= k <= KMAX_COV and 1 <= l <= KMAX_COV):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{KMAX_COV}")

@@ -93,8 +93,6 @@ class ExactMomentTable:
         law = self.law
         if isinstance(law, GaussianLaw):
             return (law.moment(k), 0)
-        if isinstance(law, SparsePairLaw):
-            return (law.activation * law.atom_moment(k, 0), k - 2)
         return (law.activation * law.atom_moment(k), k - 2)
 
     @_once

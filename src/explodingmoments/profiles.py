@@ -7,7 +7,10 @@ A :class:`MomentProfile` stores the limit constants (``alpha``, the mixed
 pair table ``C_{k,l}`` and the scalar table ``C_k``), and the sparse laws
 below realize ``alpha = 1`` exactly: an entry is zero except with
 probability ``q/N``, where it takes the value ``sqrt(N) * xi`` for a
-finite-atom variable ``xi``.
+finite-atom variable ``xi``.  :class:`SparsePairLaw` (atom rows
+``(xi, eta, prob)`` for a dependent pair ``(x_ij, x_ji)``) and
+:class:`SparseScalarLaw` (rows ``(xi, prob)``) share one body, and
+:func:`law_to_dict` / :func:`law_from_dict` are the JSON codec of both.
 
 Everything in this module is exact rational arithmetic; no floats.
 """
@@ -16,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Mapping
+from math import comb, prod
+from typing import ClassVar, Mapping
 
 MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 
-# models whose limit formulas consume the mixed pair table C_{k,l}
-_PAIR_MODELS = ("elliptic", "block")
+# models whose limit formulas consume the mixed pair table C_{k,l}, and whose
+# samplers draw dependent pairs from a SparsePairLaw
+PAIR_MODELS = ("elliptic", "block")
 # models whose limit formulas consume the scalar table C_k
 _SCALAR_MODELS = ("iid", "block", "centrosymmetric", "circulant")
 
@@ -37,6 +41,11 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("moment tables are exact: got float %r" % x)
     return Fraction(x)
+
+
+def _pair_keys(kmax: int) -> list[tuple[int, int]]:
+    """The pair-table keys (k, l): k, l >= 0 and 2 <= k + l <= kmax, k-major."""
+    return [(k, l) for k in range(kmax + 1) for l in range(kmax + 1 - k) if k + l >= 2]
 
 
 @dataclass(frozen=True)
@@ -114,46 +123,58 @@ def _atom_checks(atoms, what) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class SparsePairLaw:
-    """Joint law of a dependent off-diagonal pair under alpha = 1 sparsity.
+def _atom_rows(rows, width: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
+    """Atom rows (values..., prob) as Fractions; each must hold width numbers."""
+    out = tuple(tuple(_frac(x) for x in row) for row in rows)
+    if any(len(row) != width for row in out):
+        raise ValueError(f"each row of {what} must hold {width} numbers")
+    return out
 
-    With probability ``activation / N`` the pair ``(x_ij, x_ji)`` takes the
-    value ``(sqrt(N) * xi, sqrt(N) * eta)`` for an atom ``(xi, eta)``;
-    otherwise both entries are zero.  Diagonal entries are drawn
+
+@dataclass(frozen=True)
+class _SparseLaw:
+    """An alpha = 1 sparse atomic law: with probability ``activation / N``
+    an entry (or dependent pair of entries) takes ``sqrt(N)`` times the
+    values of an atom row, and is zero otherwise.  Diagonal entries are drawn
     independently from ``diagonal_atoms`` without any sqrt(N) scale, so all
-    their moments stay O(1).
-    """
+    their moments stay O(1).  Subclasses fix the number of values per atom
+    row and the names their messages use."""
 
-    activation: Fraction  # q; the pair is active with probability q/N
-    atoms: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (xi, eta, prob)
+    activation: Fraction  # q; an entry is active with probability q/N
+    atoms: tuple[tuple[Fraction, ...], ...]  # (values..., prob)
     diagonal_atoms: tuple[tuple[Fraction, Fraction], ...] = (
         (Fraction(1), Fraction(1, 2)),
         (Fraction(-1), Fraction(1, 2)),
     )
 
+    _WIDTH: ClassVar[int]  # values per atom row
+    # the law, its atoms, and the mean and variance rules, as messages name them
+    _NAMES: ClassVar[tuple[str, str, str, str]]
+
     def __post_init__(self):
+        law, atoms, _mean, _variance = self._NAMES
         object.__setattr__(self, "activation", _frac(self.activation))
+        object.__setattr__(self, "atoms", _atom_rows(self.atoms, self._WIDTH + 1, atoms))
         object.__setattr__(
-            self, "atoms", tuple((_frac(a), _frac(b), _frac(p)) for a, b, p in self.atoms)
-        )
-        object.__setattr__(
-            self, "diagonal_atoms", tuple((_frac(v), _frac(p)) for v, p in self.diagonal_atoms)
+            self, "diagonal_atoms", _atom_rows(self.diagonal_atoms, 2, "diagonal atoms")
         )
         problems = self.check()
         if problems:
-            raise ValueError("invalid pair law: " + "; ".join(problems))
+            raise ValueError(f"invalid {law}: " + "; ".join(problems))
 
     def check(self) -> list[str]:
+        _law, atoms, mean, variance = self._NAMES
         problems = []
         q = self.activation
         if not 0 < q <= 1:
             problems.append(f"activation q={q} outside (0, 1]")
-        problems += _atom_checks(self.atoms, "pair atoms")
-        if self.atom_moment(1, 0) != 0 or self.atom_moment(0, 1) != 0:
-            problems.append("atom means E[xi], E[eta] must vanish")
-        if q * self.atom_moment(2, 0) != 1 or q * self.atom_moment(0, 2) != 1:
-            problems.append("unit variance requires q*E[xi^2] = q*E[eta^2] = 1")
+        problems += _atom_checks(self.atoms, atoms)
+        # E[v^k] of each value column v
+        moments = {k: [self.atom_moment(*[0] * i, k) for i in range(self._WIDTH)] for k in (1, 2)}
+        if any(moments[1]):
+            problems.append(mean)
+        if any(q * m != 1 for m in moments[2]):
+            problems.append(variance)
         problems += _atom_checks(self.diagonal_atoms, "diagonal atoms")
         if self.diagonal_moment(1) != 0:
             problems.append("diagonal mean must vanish")
@@ -161,57 +182,36 @@ class SparsePairLaw:
             problems.append("diagonal variance exceeds 1")
         return problems
 
-    def atom_moment(self, k: int, l: int) -> Fraction:
-        """E[xi^k * eta^l] over the atoms."""
-        return sum((p * a**k * b**l for a, b, p in self.atoms), Fraction(0))
+    def atom_moment(self, *powers: int) -> Fraction:
+        """E[xi^k] for powers (k,), E[xi^k * eta^l] for (k, l) on a pair law."""
+        if len(powers) > self._WIDTH:
+            raise ValueError(f"{len(powers)} powers for atoms of {self._WIDTH} value(s)")
+        # the powers run out before a row's closing probability
+        return sum((prod(map(pow, row, powers), start=row[-1]) for row in self.atoms), Fraction(0))
 
     def diagonal_moment(self, k: int) -> Fraction:
         return sum((p * v**k for v, p in self.diagonal_atoms), Fraction(0))
 
 
 @dataclass(frozen=True)
-class SparseScalarLaw:
-    """Independent-entry specialization: one sparse atomic variable per entry."""
+class SparsePairLaw(_SparseLaw):
+    """Joint law of a dependent off-diagonal pair: with probability
+    ``activation / N`` the pair ``(x_ij, x_ji)`` is ``(sqrt(N) * xi,
+    sqrt(N) * eta)`` for an atom row ``(xi, eta, prob)``."""
 
-    activation: Fraction
-    atoms: tuple[tuple[Fraction, Fraction], ...]  # (value, prob)
-    diagonal_atoms: tuple[tuple[Fraction, Fraction], ...] = (
-        (Fraction(1), Fraction(1, 2)),
-        (Fraction(-1), Fraction(1, 2)),
-    )
+    _WIDTH = 2
+    _NAMES = ("pair law", "pair atoms", "atom means E[xi], E[eta] must vanish",
+              "unit variance requires q*E[xi^2] = q*E[eta^2] = 1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "activation", _frac(self.activation))
-        object.__setattr__(self, "atoms", tuple((_frac(v), _frac(p)) for v, p in self.atoms))
-        object.__setattr__(
-            self, "diagonal_atoms", tuple((_frac(v), _frac(p)) for v, p in self.diagonal_atoms)
-        )
-        problems = self.check()
-        if problems:
-            raise ValueError("invalid scalar law: " + "; ".join(problems))
 
-    def check(self) -> list[str]:
-        problems = []
-        q = self.activation
-        if not 0 < q <= 1:
-            problems.append(f"activation q={q} outside (0, 1]")
-        problems += _atom_checks(self.atoms, "atoms")
-        if self.atom_moment(1) != 0:
-            problems.append("atom mean E[xi] must vanish")
-        if q * self.atom_moment(2) != 1:
-            problems.append("unit variance requires q*E[xi^2] = 1")
-        problems += _atom_checks(self.diagonal_atoms, "diagonal atoms")
-        if self.diagonal_moment(1) != 0:
-            problems.append("diagonal mean must vanish")
-        if self.diagonal_moment(2) > 1:
-            problems.append("diagonal variance exceeds 1")
-        return problems
+@dataclass(frozen=True)
+class SparseScalarLaw(_SparseLaw):
+    """Independent-entry specialization: one sparse atomic variable per
+    entry, atom rows ``(xi, prob)``."""
 
-    def atom_moment(self, k: int) -> Fraction:
-        return sum((p * v**k for v, p in self.atoms), Fraction(0))
-
-    def diagonal_moment(self, k: int) -> Fraction:
-        return sum((p * v**k for v, p in self.diagonal_atoms), Fraction(0))
+    _WIDTH = 1
+    _NAMES = ("scalar law", "atoms", "atom mean E[xi] must vanish",
+              "unit variance requires q*E[xi^2] = 1")
 
 
 def design_correlated_sign_law(rho) -> SparsePairLaw:
@@ -247,12 +247,8 @@ def sign_scalar_law() -> SparseScalarLaw:
 def profile_of_sparse_law(law: SparsePairLaw, kmax: int = DEFAULT_KMAX) -> MomentProfile:
     """Limit constants of a sparse pair law: C_{k,l} = q * E[xi^k eta^l], alpha = 1."""
     q = law.activation
-    pair = {}
-    for k in range(kmax + 1):
-        for l in range(kmax + 1 - k):
-            if 2 <= k + l <= kmax:
-                pair[(k, l)] = q * law.atom_moment(k, l)
-    scalar = {k: q * law.atom_moment(k, 0) for k in range(2, kmax + 1)}
+    pair = {(k, l): q * law.atom_moment(k, l) for k, l in _pair_keys(kmax)}
+    scalar = {k: q * law.atom_moment(k) for k in range(2, kmax + 1)}
     return MomentProfile(alpha=Fraction(1), kmax=kmax, pair_table=pair, scalar_table=scalar)
 
 
@@ -268,16 +264,10 @@ def degenerate_profile_of(scalar_table: Mapping[int, Fraction], kmax: int = DEFA
     """Pair table an independent-entry model induces: C_{k,0} = C_{0,k} = C_k,
     and C_{k,l} = 0 whenever k >= 1 and l >= 1."""
     scalar = {k: _frac(v) for k, v in scalar_table.items()}
-    pair = {}
-    for k in range(kmax + 1):
-        for l in range(kmax + 1 - k):
-            if not 2 <= k + l <= kmax:
-                continue
-            if k >= 1 and l >= 1:
-                pair[(k, l)] = Fraction(0)
-            else:
-                m = max(k, l)
-                pair[(k, l)] = scalar.get(m, Fraction(0))
+    pair = {
+        (k, l): Fraction(0) if k and l else scalar.get(k + l, Fraction(0))
+        for k, l in _pair_keys(kmax)
+    }
     full_scalar = {k: scalar.get(k, Fraction(0)) for k in range(2, kmax + 1)}
     return MomentProfile(alpha=alpha, kmax=kmax, pair_table=pair, scalar_table=full_scalar)
 
@@ -288,11 +278,7 @@ def wigner_profile(kmax: int = 10) -> MomentProfile:
     Used as a weight extracting the double-tree count; it is not a valid
     entry law (unit variance would force C_{2,0} = 1).
     """
-    pair = {}
-    for k in range(kmax + 1):
-        for l in range(kmax + 1 - k):
-            if 2 <= k + l <= kmax:
-                pair[(k, l)] = Fraction(1) if (k, l) == (1, 1) else Fraction(0)
+    pair = {key: Fraction(1) if key == (1, 1) else Fraction(0) for key in _pair_keys(kmax)}
     scalar = {k: Fraction(0) for k in range(2, kmax + 1)}
     return MomentProfile(alpha=Fraction(1), kmax=kmax, pair_table=pair, scalar_table=scalar)
 
@@ -308,11 +294,10 @@ def validate_profile(profile: MomentProfile, model: str) -> list[Violation]:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     out: list[Violation] = []
-    if model in _PAIR_MODELS:
-        for k in range(profile.kmax + 1):
-            for l in range(profile.kmax + 1 - k):
-                if 2 <= k + l <= profile.kmax and (k, l) not in profile.pair_table:
-                    out.append(Violation("missing-entry", f"pair table lacks C_({k},{l})"))
+    if model in PAIR_MODELS:
+        for k, l in _pair_keys(profile.kmax):
+            if (k, l) not in profile.pair_table:
+                out.append(Violation("missing-entry", f"pair table lacks C_({k},{l})"))
         if profile.alpha == 1:
             for key in ((2, 0), (0, 2)):
                 have = profile.pair_table.get(key)
@@ -382,21 +367,18 @@ def tilde_transform(
         tilde1[k] = s1
         tilde2[k] = s2
     tilde_pair: dict[tuple[int, int], Fraction] = {}
-    for k in range(kmax + 1):
-        for l in range(kmax + 1 - k):
-            if not 2 <= k + l <= kmax:
-                continue
-            acc = Fraction(0)
-            for r in range(k + 1):
-                for s in range(l + 1):
-                    acc += (
-                        comb(k, r)
-                        * comb(l, s)
-                        * (-1) ** (l - s)
-                        * consts.pair(r, s)
-                        * consts.pair(k - r, l - s)
-                    )
-            tilde_pair[(k, l)] = acc
+    for k, l in _pair_keys(kmax):
+        acc = Fraction(0)
+        for r in range(k + 1):
+            for s in range(l + 1):
+                acc += (
+                    comb(k, r)
+                    * comb(l, s)
+                    * (-1) ** (l - s)
+                    * consts.pair(r, s)
+                    * consts.pair(k - r, l - s)
+                )
+        tilde_pair[(k, l)] = acc
     return tilde1, tilde2, tilde_pair
 
 
@@ -409,12 +391,7 @@ def pair_table_from_scalar(
     reduction blocks are built from the same scalar base entries.
     """
     scalar = {k: _frac(v) for k, v in scalar_table.items()}
-    out = {}
-    for k in range(kmax + 1):
-        for l in range(kmax + 1 - k):
-            if 2 <= k + l <= kmax:
-                out[(k, l)] = scalar.get(k + l, Fraction(0))
-    return out
+    return {(k, l): scalar.get(k + l, Fraction(0)) for k, l in _pair_keys(kmax)}
 
 
 # --- serialization ---------------------------------------------------------
@@ -451,47 +428,27 @@ def profile_from_dict(doc: Mapping) -> MomentProfile:
     )
 
 
-def pair_law_to_dict(law: SparsePairLaw) -> dict:
+def law_to_dict(law: _SparseLaw) -> dict:
+    """A sparse law's document: each atom row is its rationals' [numerator,
+    denominator] pairs, flattened."""
     return {
         "activation": _rat(law.activation),
-        "atoms": [
-            [a.numerator, a.denominator, b.numerator, b.denominator, p.numerator, p.denominator]
-            for a, b, p in law.atoms
-        ],
-        "diagonal_atoms": [
-            [v.numerator, v.denominator, p.numerator, p.denominator] for v, p in law.diagonal_atoms
-        ],
+        "atoms": [[n for x in row for n in _rat(x)] for row in law.atoms],
+        "diagonal_atoms": [[n for x in row for n in _rat(x)] for row in law.diagonal_atoms],
     }
 
 
-def pair_law_from_dict(doc: Mapping) -> SparsePairLaw:
-    return SparsePairLaw(
+def _unrat_row(row) -> tuple[Fraction, ...]:
+    if len(row) % 2:
+        raise ValueError(f"atom row {row} has odd length; it holds numerator, denominator pairs")
+    numbers = iter(row)
+    return tuple(Fraction(num, den) for num, den in zip(numbers, numbers))
+
+
+def law_from_dict(cls: type[_SparseLaw], doc: Mapping) -> _SparseLaw:
+    """The ``cls`` law (SparsePairLaw or SparseScalarLaw) of a document."""
+    return cls(
         activation=_unrat(doc["activation"]),
-        atoms=tuple(
-            (Fraction(an, ad), Fraction(bn, bd), Fraction(pn, pd))
-            for an, ad, bn, bd, pn, pd in doc["atoms"]
-        ),
-        diagonal_atoms=tuple(
-            (Fraction(vn, vd), Fraction(pn, pd)) for vn, vd, pn, pd in doc["diagonal_atoms"]
-        ),
-    )
-
-
-def scalar_law_to_dict(law: SparseScalarLaw) -> dict:
-    return {
-        "activation": _rat(law.activation),
-        "atoms": [[v.numerator, v.denominator, p.numerator, p.denominator] for v, p in law.atoms],
-        "diagonal_atoms": [
-            [v.numerator, v.denominator, p.numerator, p.denominator] for v, p in law.diagonal_atoms
-        ],
-    }
-
-
-def scalar_law_from_dict(doc: Mapping) -> SparseScalarLaw:
-    return SparseScalarLaw(
-        activation=_unrat(doc["activation"]),
-        atoms=tuple((Fraction(vn, vd), Fraction(pn, pd)) for vn, vd, pn, pd in doc["atoms"]),
-        diagonal_atoms=tuple(
-            (Fraction(vn, vd), Fraction(pn, pd)) for vn, vd, pn, pd in doc["diagonal_atoms"]
-        ),
+        atoms=tuple(_unrat_row(row) for row in doc["atoms"]),
+        diagonal_atoms=tuple(_unrat_row(row) for row in doc["diagonal_atoms"]),
     )

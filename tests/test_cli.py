@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from explodingmoments.cli import (
-    MODELS,
     ExperimentConfig,
     _build_parser,
     _config_from_args,
@@ -18,12 +17,12 @@ from explodingmoments.cli import (
 from explodingmoments import cli, oracle
 from explodingmoments.oracle import MAX_N_POLY
 from explodingmoments.profiles import (
+    MODELS,
     SparseScalarLaw,
     design_correlated_sign_law,
+    law_to_dict,
     light_profile,
-    pair_law_to_dict,
     profile_to_dict,
-    scalar_law_to_dict,
     sign_scalar_law,
 )
 
@@ -170,7 +169,7 @@ class TestUsageErrors:
             diagonal_atoms=((Fraction(-1, 2), Fraction(2, 3)), (1, Fraction(1, 3))),
         )
         path = tmp_path / "law.json"
-        path.write_text(json.dumps({"scalar_law": scalar_law_to_dict(law)}))
+        path.write_text(json.dumps({"scalar_law": law_to_dict(law)}))
         calls = []
         monkeypatch.setattr(cli, "run_experiment", lambda *a: calls.append(a) or 1 / 0)
         code, out, err = run_cli(capsys, "verify", "--model", "iid", "--profile", str(path),
@@ -345,8 +344,8 @@ GRID_PROFILES = ("sign", "light", "pair_law", "scalar_law", "profile")
 def profile_files(tmp_path_factory):
     """One law or profile JSON file per document kind the CLI reads."""
     docs = {
-        "pair_law": pair_law_to_dict(design_correlated_sign_law(Fraction(1, 2))),
-        "scalar_law": scalar_law_to_dict(sign_scalar_law()),
+        "pair_law": law_to_dict(design_correlated_sign_law(Fraction(1, 2))),
+        "scalar_law": law_to_dict(sign_scalar_law()),
         "profile": profile_to_dict(light_profile()),
     }
     root = tmp_path_factory.mktemp("profiles")
@@ -383,6 +382,15 @@ class TestProfileFile:
              "malformed scalar_law"),
             ({"profile": {"alpha": [1, 1], "kmax": "x"}}, "malformed profile"),
             ({"profile": {"kmax": 4}}, "profile lacks field 'alpha'"),
+            # a pair atom row of two rationals, a scalar row of three
+            ({"pair_law": {"activation": [1, 1], "atoms": [[1, 1, 1, 2], [-1, 1, 1, 2]],
+                           "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed pair_law"),
+            ({"scalar_law": {"activation": [1, 1],
+                             "atoms": [[1, 1, 5, 1, 1, 2], [-1, 1, 5, 1, 1, 2]],
+                             "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed scalar_law"),
+            # the sign law once its trailing 7 is dropped
+            ({"scalar_law": {"activation": [1, 1], "atoms": [[1, 1, 1, 2, 7], [-1, 1, 1, 2]],
+                             "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed scalar_law"),
         ],
     )
     def test_malformed_law_exits_2(self, tmp_path, capsys, doc, message):
@@ -394,10 +402,8 @@ class TestProfileFile:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_law_from_file(self, tmp_path, capsys):
-        from explodingmoments.profiles import pair_law_to_dict, design_correlated_sign_law
-
         path = tmp_path / "law.json"
-        path.write_text(json.dumps({"pair_law": pair_law_to_dict(design_correlated_sign_law(1))}))
+        path.write_text(json.dumps({"pair_law": law_to_dict(design_correlated_sign_law(1))}))
         code, out, _ = run_cli(capsys, "limits", "--model", "elliptic", "--kmax", "4",
                                "--profile", str(path))
         assert code == 0

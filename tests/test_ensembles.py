@@ -10,6 +10,8 @@ from explodingmoments.ensembles import (
     EnsembleSpec,
     GaussianLaw,
     MatrixSample,
+    _decode_upper_pairs,
+    _distinct_uniform,
     circulant_eigenvalues,
     dump_sample,
     is_centrosymmetric,
@@ -160,6 +162,27 @@ class TestCirculantGenerator:
             assert np.array_equal(row, want)
         if branch is not None:
             assert branches[branch] > 0
+
+
+class TestIndexDraws:
+    def test_collision_redraws_the_batch(self):
+        # a generator whose first batch repeats index 4
+        class Stub:
+            batches = [np.array([4, 7, 4]), np.array([4, 7, 9])]
+
+            def integers(self, low, high, size):
+                assert (low, high, size) == (0, 100, 3)
+                return self.batches.pop(0)
+
+        stub = Stub()
+        assert _distinct_uniform(stub, 100, 3).tolist() == [4, 7, 9]
+        assert stub.batches == []
+
+    def test_upper_pair_decode_is_triu_order(self):
+        for n in [*range(1, 90), 2000]:
+            i, j = _decode_upper_pairs(np.arange(n * (n - 1) // 2), n)
+            ti, tj = np.triu_indices(n, 1)
+            assert np.array_equal(i, ti) and np.array_equal(j, tj), n
 
 
 class TestWeaverReduce:

@@ -12,9 +12,9 @@ from explodingmoments.profiles import (
     SparseScalarLaw,
     degenerate_profile_of,
     design_correlated_sign_law,
+    law_from_dict,
+    law_to_dict,
     light_profile,
-    pair_law_from_dict,
-    pair_law_to_dict,
     pair_table_from_scalar,
     profile_from_dict,
     profile_of_scalar_law,
@@ -27,6 +27,17 @@ from explodingmoments.profiles import (
 )
 
 rationals = st.fractions(min_value=-1, max_value=1, max_denominator=50)
+
+# unit variance with nonzero odd moments: q = 1/2, xi = -1 w.p. 2/3, 2 w.p. 1/3
+SKEWED_LAW = SparseScalarLaw(
+    activation=Fraction(1, 2), atoms=((Fraction(-1), Fraction(2, 3)), (Fraction(2), Fraction(1, 3)))
+)
+# xi and eta both of that law, E[xi*eta] = -1, and a zero diagonal
+SKEWED_PAIR_LAW = SparsePairLaw(
+    activation=Fraction(1, 2),
+    atoms=((-1, 2, Fraction(1, 3)), (-1, -1, Fraction(1, 3)), (2, -1, Fraction(1, 3))),
+    diagonal_atoms=((0, 1),),
+)
 
 
 def full_pair_table(kmax, overrides):
@@ -91,6 +102,32 @@ class TestSparseLaws:
             SparsePairLaw(activation=Fraction(1, 2), atoms=((one, one, one),))
         with pytest.raises(ValueError, match="mean"):
             SparseScalarLaw(activation=one, atoms=((one, one),))
+
+    def test_atom_rows_of_the_wrong_width_rejected(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        with pytest.raises(ValueError, match="each row of pair atoms must hold 3 numbers"):
+            SparsePairLaw(activation=one, atoms=((one, half), (-one, half)))
+        with pytest.raises(ValueError, match="each row of atoms must hold 2 numbers"):
+            SparseScalarLaw(activation=one, atoms=((one, one, half), (-one, one, half)))
+        with pytest.raises(ValueError, match="each row of diagonal atoms must hold 2 numbers"):
+            SparseScalarLaw(activation=one, atoms=((one, half), (-one, half)),
+                            diagonal_atoms=((0, 0, one),))
+
+    @pytest.mark.parametrize("law", [design_correlated_sign_law(Fraction(1, 3)), SKEWED_PAIR_LAW])
+    def test_pair_atom_moment_is_the_atom_sum(self, law):
+        for k in range(7):
+            assert law.atom_moment(k) == sum(p * a**k for a, _b, p in law.atoms)
+            for l in range(7):
+                assert law.atom_moment(k, l) == sum(p * a**k * b**l for a, b, p in law.atoms)
+        with pytest.raises(ValueError):
+            law.atom_moment(1, 1, 1)
+
+    @pytest.mark.parametrize("law", [sign_scalar_law(), SKEWED_LAW])
+    def test_scalar_atom_moment_is_the_atom_sum(self, law):
+        for k in range(9):
+            assert law.atom_moment(k) == sum(p * v**k for v, p in law.atoms)
+        with pytest.raises(ValueError):
+            law.atom_moment(1, 1)
 
     @given(rho=rationals)
     @settings(max_examples=30)
@@ -187,14 +224,41 @@ class TestSerialization:
         assert profile_from_dict({**doc, "diagonal_bounded": False}) == sign_pair_profile
 
     def test_pair_law_round_trip(self, sign_pair_law):
-        doc = json.loads(json.dumps(pair_law_to_dict(sign_pair_law)))
-        assert pair_law_from_dict(doc) == sign_pair_law
+        doc = json.loads(json.dumps(law_to_dict(sign_pair_law)))
+        assert law_from_dict(SparsePairLaw, doc) == sign_pair_law
+
+    @pytest.mark.parametrize("law", [
+        sign_scalar_law(),
+        SKEWED_LAW,
+        SparseScalarLaw(activation=1, atoms=((1, Fraction(1, 2)), (-1, Fraction(1, 2))),
+                        diagonal_atoms=((Fraction(-1, 2), Fraction(2, 3)), (1, Fraction(1, 3)))),
+    ])
+    def test_scalar_law_round_trip(self, law):
+        doc = json.loads(json.dumps(law_to_dict(law)))
+        assert law_from_dict(SparseScalarLaw, doc) == law
+
+    def test_law_documents(self):
+        # rationals as flattened [numerator, denominator] pairs
+        assert law_to_dict(SKEWED_LAW) == {
+            "activation": [1, 2],
+            "atoms": [[-1, 1, 2, 3], [2, 1, 1, 3]],
+            "diagonal_atoms": [[1, 1, 1, 2], [-1, 1, 1, 2]],
+        }
+        assert law_to_dict(design_correlated_sign_law(Fraction(1, 2)))["atoms"] == [
+            [1, 1, 1, 1, 3, 8], [-1, 1, -1, 1, 3, 8], [1, 1, -1, 1, 1, 8], [-1, 1, 1, 1, 1, 8],
+        ]
+
+    def test_odd_length_row_rejected(self):
+        doc = law_to_dict(sign_scalar_law())
+        doc["atoms"][0].append(7)
+        with pytest.raises(ValueError, match="odd length"):
+            law_from_dict(SparseScalarLaw, doc)
 
     @given(rho=rationals)
     @settings(max_examples=20)
     def test_law_round_trip_any_rho(self, rho):
         law = design_correlated_sign_law(rho)
-        assert pair_law_from_dict(pair_law_to_dict(law)) == law
+        assert law_from_dict(SparsePairLaw, law_to_dict(law)) == law
 
 
 class TestExactnessDiscipline:
