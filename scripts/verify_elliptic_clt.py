@@ -17,7 +17,7 @@ from fractions import Fraction
 from explodingmoments.ensembles import EnsembleSpec
 from explodingmoments.estimator import compare_report, run_experiment
 from explodingmoments.limits import covariance_trace
-from explodingmoments.oracle import exact_trace_mean
+from explodingmoments.oracle import exact_table
 from explodingmoments.profiles import design_correlated_sign_law, profile_of_sparse_law
 
 
@@ -26,7 +26,8 @@ def main():
     law = design_correlated_sign_law(Fraction(1, 2))
     profile = profile_of_sparse_law(law)
     stats = run_experiment(EnsembleSpec(kind="elliptic", n=n, law=law, seed=seed), 4, reps)
-    predictions = [(k, None, exact_trace_mean("elliptic", law, n, k)) for k in range(1, 5)]
+    means = exact_table("elliptic", law, (n,), 4)[n]
+    predictions = [(k, None, means[(k, None)]) for k in range(1, 5)]
     predictions += [
         (2, 2, covariance_trace(2, 2, "elliptic", profile)),
         (1, 2, covariance_trace(1, 2, "elliptic", profile)),

@@ -22,12 +22,7 @@ from .limits import (
     tau,
     wick_joint,
 )
-from .oracle import (
-    ExactMomentTable,
-    exact_circulant_trace_mean,
-    exact_fluct_covariance_small,
-    exact_trace_mean,
-)
+from .oracle import ExactMomentTable, exact_table
 from .partitions import (
     SetPartition,
     enumerate_integer_partitions_min2,

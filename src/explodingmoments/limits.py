@@ -197,8 +197,11 @@ def circulant_covariance(k: int, l: int) -> Fraction:
     """Stated circulant fluctuation kernel: k! on the diagonal, 0 off it.
 
     This is the prediction verbatim (unit entry variance); the verification
-    layer compares it against oracle and empirical values side by side, and
-    for heavy profiles the finite-N oracle exceeds it by an explicit
-    (E[x^4] - 1)/N type term.
+    layer compares it against oracle and empirical values side by side.  For
+    a heavy profile the gap is O(1), not O(1/N): at prime N = 999983 the
+    sign law's exact (1,3), (2,2) and (3,3) entries are 1, about 3 and
+    about 16, against 0, 2 and 6.  The N^0 terms depend on the profile and
+    on gcd(N, d) for small d; see ROADMAP.md, "Circulant limits depend on
+    how N factors".
     """
     return Fraction(factorial(k)) if k == l else Fraction(0)

@@ -1,43 +1,37 @@
 """Exact finite-N expectations that validate every limit formula.
 
-The trace mean at finite N is a polynomial in N: summing over the set
-partitions of the walk positions (``partitions.walk_partitions``, unpruned),
-each graph contributes a falling factorial (the injective labelings) times a
-product of exact entry moments.  The law alone decides those moments: a
-dependent pair law gives the joint moments of x_ij and x_ji, an
-independent-entry law their products.  Fluctuation covariances run the same
-sum over the positions of two walks and subtract the product of the means.
-The circulant mean and joint moment are the moment-cumulant formula over the
-same partitions: each block contributes a cumulant of one generator entry,
-and each partition counts the residue labelings of its blocks with zero
-weighted sum mod N on every walk (two congruences for the joint moment).
-:func:`exact_table` gives every mean and covariance at one N, summing each
-mean once.
+Every sum here is N-free, and each N is an evaluation of it.  An elliptic or
+iid trace moment is a Laurent polynomial in N^(1/2), summed over the set
+partitions of the walk positions (``partitions.walk_partitions``, unpruned):
+each graph contributes its injective labelings, a falling factorial in N,
+times a monomial c N^(h/2) of exact entry moments read from the law (the
+joint moments of x_ij and x_ji for a pair law, their products for an
+independent-entry law).  The N^0 coefficients of the means and covariances
+are the limits of ``limits``.  The circulant sums are the moment-cumulant
+formula over the same partitions, with generator cumulants that are
+polynomials in 1/N and residue counts that depend on gcds with N.
 
-Everything here is big-integer rational arithmetic; no floats.  Moments of a
-sparse law carry explicit powers of sqrt(N) (E[x^k] = q E[xi^k] N^(k/2-1));
-the walk sum tracks them in half-integer exponents, which must cancel to
-integer powers by evaluation time (they always do for the laws shipped here,
-whose odd diagonal moments vanish).  A circulant generator entry x / sqrt(N)
-has rational moments for every law here.
+All arithmetic is exact.  Sparse moments carry half-integer powers of N
+(E[x^k] = q E[xi^k] N^(k/2-1)); an odd one that survives (from odd diagonal
+moments) has no rational value at a non-square N.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .ensembles import GaussianLaw
 from .graphs import moment_product
-from .partitions import falling_factorial, walk_partitions
+from .partitions import walk_partitions
 from .profiles import SparsePairLaw, SparseScalarLaw
 
-ORACLE_MODELS = ("elliptic", "iid")
-EXACT_MODELS = ORACLE_MODELS + ("circulant",)
+EXACT_MODELS = ("elliptic", "iid", "circulant")
 
 MAX_N_POLY = 10**6
 MAX_K_MEAN = 6
@@ -62,6 +56,36 @@ def _eval_scaled(coeff: Fraction, half: int, n: int) -> Fraction:
     return coeff * Fraction(r) ** half
 
 
+class Laurent(dict):
+    """A Laurent polynomial in N^(1/2): {half-power h: coefficient of
+    N^(h/2)}, holding no zero coefficient."""
+
+    @classmethod
+    def of(cls, terms) -> "Laurent":
+        """The sum of (half-power, coefficient) terms."""
+        out = Counter()
+        for half, coeff in terms:
+            out[half] += coeff
+        return cls((half, coeff) for half, coeff in out.items() if coeff)
+
+    def __add__(self, other: "Laurent") -> "Laurent":
+        return Laurent.of([*self.items(), *other.items()])
+
+    def __sub__(self, other: "Laurent") -> "Laurent":
+        return self + other * _monomial(-1, 0)
+
+    def __mul__(self, other: "Laurent") -> "Laurent":
+        return Laurent.of((h + g, c * d) for h, c in self.items() for g, d in other.items())
+
+    def __call__(self, n: int) -> Fraction:
+        """The value at N = n."""
+        return sum((_eval_scaled(c, h, n) for h, c in self.items()), Fraction(0))
+
+
+def _monomial(coeff, half: int) -> Laurent:
+    return Laurent.of([(half, coeff)])
+
+
 def _once(method):
     """Memoize a moment method per table, keyed by its orders only, so a
     lookup neither re-sums the law's atoms nor hashes them."""
@@ -79,8 +103,8 @@ def _once(method):
 @dataclass(frozen=True)
 class ExactMomentTable:
     """Exact finite-N entry moments of a law, as coefficient * N^(half/2),
-    and the cumulants of a circulant generator entry at a given N; each is
-    computed once per table."""
+    and the cumulants of a circulant generator entry as Laurent polynomials;
+    each is computed once per table."""
 
     law: OracleLaw
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -117,16 +141,15 @@ class ExactMomentTable:
         return (law.diagonal_moment(k), 0)
 
     @_once
-    def cumulant(self, k: int, n: int) -> Fraction:
+    def cumulant(self, k: int) -> Laurent:
         """kappa_k of y = x / sqrt(N), a generator entry of the circulant C,
         from its moments m_j = E[y^j] by
         kappa_k = m_k - sum_(i<k) C(k-1, i-1) kappa_i m_(k-i)."""
         # E[y^j] = E[x_ij^j x_ji^0] / N^(j/2)
-        m = [_eval_scaled(*self.a_pair(j, 0), n) for j in range(k + 1)]
-        return m[k] - sum(
-            (math.comb(k - 1, i - 1) * self.cumulant(i, n) * m[k - i] for i in range(1, k)),
-            Fraction(0),
-        )
+        m = [_monomial(*self.a_pair(j, 0)) for j in range(k + 1)]
+        terms = (_monomial(math.comb(k - 1, i - 1), 0) * self.cumulant(i) * m[k - i]
+                 for i in range(1, k))
+        return m[k] - sum(terms, Laurent())
 
     # entries of A = X / sqrt(N): each power shifts the half-exponent down
 
@@ -139,43 +162,19 @@ class ExactMomentTable:
         return (c, h - k)
 
 
-def _walk_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fraction:
+def _walk_sum(table: ExactMomentTable, lengths: Sequence[int]) -> Laurent:
     """E[prod_w Tr(A^(lengths[w]))]: over the set partitions of the walk
-    positions, N (N-1) ... (N-|V|+1) injective labelings times the moment
-    product of the partition graph, E[prod over edges of a_(phi u, phi v)]
-    for one injective labeling phi."""
-    total = Fraction(0)
+    positions, tallied by (vertex count |V|, half-power), N (N-1) ...
+    (N-|V|+1) injective labelings times the moment product of the partition
+    graph, E[prod over edges of a_(phi u, phi v)] for one labeling phi."""
+    tally = Counter()
     for leaf in walk_partitions(lengths):
         coeff, half = moment_product(leaf, table.a_pair, table.a_diagonal)
-        total += falling_factorial(n, leaf.vertex_count) * _eval_scaled(coeff, half, n)
-    return total
-
-
-def _walk_sums(model: str, law: OracleLaw, n: int) -> Callable[[Sequence[int]], Fraction]:
-    """lengths -> E[prod_w Tr(X^(lengths[w]))] at size N, for X = A of the
-    elliptic and iid models (:func:`_walk_sum`) or the circulant C
-    (:func:`_circulant_sum`).  The iid and circulant models have independent
-    entries, so a dependent pair law has no oracle there."""
-    if not 1 <= n <= MAX_N_POLY:
-        raise ValueError(f"N={n} outside 1..{MAX_N_POLY}")
-    if model in ("iid", "circulant") and isinstance(law, SparsePairLaw):
-        raise ValueError(f"the {model} model needs a scalar or Gaussian law, not a pair law")
-    table = ExactMomentTable(law)
-    if model == "circulant":
-        return partial(_circulant_sum, table, n)
-    if model in ORACLE_MODELS:
-        return partial(_walk_sum, table, n)
-    raise ValueError(f"unsupported model {model!r}")
-
-
-def exact_trace_mean(model: str, law: OracleLaw, n: int, k: int) -> Fraction:
-    """E[Tr(A^k)] / N at finite N, exactly: sum over partitions of
-    (N-1)! / (N-|V|)! times the moment product of the partition graph."""
-    if model not in ORACLE_MODELS:
-        raise ValueError(f"exact_trace_mean supports {ORACLE_MODELS}, not {model!r}")
-    if not 1 <= k <= MAX_K_MEAN:
-        raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
-    return _walk_sums(model, law, n)((k,)) / n
+        tally[leaf.vertex_count, half] += coeff
+    falling = [_monomial(1, 0)]  # N (N-1) ... (N-v+1) at index v
+    for i in range(sum(lengths)):
+        falling.append(falling[i] * Laurent.of([(2, 1), (0, -i)]))
+    return sum((falling[v] * _monomial(c, h) for (v, h), c in tally.items()), Laurent())
 
 
 @lru_cache(maxsize=None)
@@ -193,64 +192,62 @@ def _residue_count(blocks: tuple[tuple[int, int], ...], n: int) -> int:
     return n ** (len(blocks) - 1) * math.gcd(d1, n) * math.gcd(minors // d1, n) // n
 
 
-def _circulant_sum(table: ExactMomentTable, n: int, lengths: Sequence[int]) -> Fraction:
-    """E[prod_w Tr(C^(lengths[w]))] by the moment-cumulant formula.
-
-    Tr(C^k) is N times the sum, over residue k-tuples with zero sum mod N,
-    of the product of the generator entries y_v.  Distinct entries are
-    independent, so a joint cumulant of them vanishes unless its indices
-    agree.  Each set partition of the walk positions then contributes the
-    product of its block cumulants kappa_|B|(y) times the residue labelings
-    of its blocks with zero weighted sum mod N on each walk.
-    """
-    kappa = [table.cumulant(j, n) for j in range(sum(lengths) + 1)]
-    total = Fraction(0)
-    for leaf in walk_partitions(lengths):
-        kappas = [kappa[a + b] for a, b in leaf.block_sizes]
-        if all(kappas):
-            total += math.prod(kappas) * _residue_count(leaf.block_sizes, n)
-    return n ** len(lengths) * total
-
-
-def exact_circulant_trace_mean(law: OracleLaw, n: int, k: int) -> Fraction:
-    """E[Tr(C^k)] at finite N, by the moment-cumulant formula.  Its cost
-    does not grow with N."""
-    if not 1 <= k <= MAX_K_MEAN:
-        raise ValueError(f"k={k} outside 1..{MAX_K_MEAN}")
-    return _walk_sums("circulant", law, n)((k,))
+def _circulant_sum(table: ExactMomentTable, lengths: Sequence[int], ns: Sequence[int]) -> dict:
+    """{N: E[prod_w Tr(C^(lengths[w]))]} over ``ns``, by the moment-cumulant
+    formula.  Tr(C^k) is N times the sum, over residue k-tuples with zero
+    sum mod N, of the product of the generator entries y_v, whose joint
+    cumulants vanish unless their indices agree.  Each set partition of the
+    walk positions, counted by block sizes once, contributes the product of
+    its block cumulants kappa_|B|(y) times the residue labelings of its
+    blocks with zero weighted sum mod N on each walk."""
+    kappa = [table.cumulant(j) for j in range(sum(lengths) + 1)]
+    classes = Counter(leaf.block_sizes for leaf in walk_partitions(lengths))
+    live = [(blocks, count) for blocks, count in classes.items()
+            if all(kappa[a + b] for a, b in blocks)]
+    sums = {}
+    for n in ns:
+        at_n = [poly(n) for poly in kappa]
+        terms = (count * math.prod(at_n[a + b] for a, b in blocks) * _residue_count(blocks, n)
+                 for blocks, count in live)
+        sums[n] = n ** len(lengths) * sum(terms, Fraction(0))
+    return sums
 
 
-def _fluct(moment, means: dict[int, Fraction], n: int, k: int, l: int) -> Fraction:
-    """E[Z_N(k) Z_N(l)] from the joint moment and the two trace means."""
-    return (moment((k, l)) - means[k] * means[l]) / n
+def _centred(moments: dict, inv_n, mean_scale) -> dict:
+    """Means (keyed (k, None), times ``mean_scale``) and covariances
+    E[Z_N(k) Z_N(l)] = (E[Tr A^k Tr A^l] - E[Tr A^k] E[Tr A^l]) / N of the
+    walk moments, as Fractions at one N or as Laurent polynomials."""
+    table = {(w[0], None): v * mean_scale for w, v in moments.items() if len(w) == 1}
+    pairs = ((w, v) for w, v in moments.items() if len(w) == 2)
+    return table | {w: (v - moments[w[:1]] * moments[w[1:]]) * inv_n for w, v in pairs}
 
 
-def exact_fluct_covariance_small(
-    model: str, law: OracleLaw, n: int, k: int, l: int
-) -> Fraction:
-    """Exact E[Z_N(k) Z_N(l)] with true-expectation centering: the joint
-    moment E[Tr(A^k) Tr(A^l)], summed over the set partitions of the k + l
-    positions of two walks (falling factorials for elliptic/iid, cumulants
-    and residue counts for circulant), minus the product of the two means.
-    """
-    if not (1 <= k <= MAX_K_FLUCT and 1 <= l <= MAX_K_FLUCT):
-        raise ValueError(f"(k,l)=({k},{l}) outside 1..{MAX_K_FLUCT}")
-    moment = _walk_sums(model, law, n)
-    return _fluct(moment, {j: moment((j,)) for j in {k, l}}, n, k, l)
+def _laurent_table(table: ExactMomentTable, walks) -> dict:
+    """The elliptic and iid means E[Tr(A^k)]/N and covariances of ``walks``
+    as Laurent polynomials; their N^0 coefficients are the limits."""
+    inv_n = _monomial(1, -2)
+    return _centred({walk: _walk_sum(table, walk) for walk in walks}, inv_n, inv_n)
 
 
-def exact_table(
-    model: str, law: OracleLaw, n: int, kmax: int
-) -> dict[tuple[int, Optional[int]], Fraction]:
-    """The means (k <= MAX_K_MEAN, keyed (k, None)) and covariances
-    (k <= l <= MAX_K_FLUCT) up to ``kmax`` at size N, as the one-value
-    functions return them, each trace mean summed once."""
-    moment = _walk_sums(model, law, n)
-    means = {k: moment((k,)) for k in range(1, min(kmax, MAX_K_MEAN) + 1)}
-    norm = 1 if model == "circulant" else n  # the circulant mean is of Tr(C^k)
-    table = {(k, None): mean / norm for k, mean in means.items()}
-    kfluct = min(kmax, MAX_K_FLUCT)
-    for k in range(1, kfluct + 1):
-        for l in range(k, kfluct + 1):
-            table[(k, l)] = _fluct(moment, means, n, k, l)
-    return table
+def exact_table(model: str, law: OracleLaw, ns: Sequence[int], kmax: int) -> dict:
+    """{N: table} for each N of ``ns``: the means (k <= MAX_K_MEAN, keyed
+    (k, None); E[Tr(A^k)]/N, or E[Tr(C^k)] for the circulant) and the
+    covariances (k <= l <= MAX_K_FLUCT) up to ``kmax``, each walk summed
+    once for all N.  The iid and circulant models have independent entries,
+    so a dependent pair law has no oracle there."""
+    if model not in EXACT_MODELS:
+        raise ValueError(f"no exact oracle for model {model}")
+    if model != "elliptic" and isinstance(law, SparsePairLaw):
+        raise ValueError(f"the {model} model needs a scalar or Gaussian law, not a pair law")
+    for n in ns:
+        if not 1 <= n <= MAX_N_POLY:
+            raise ValueError(f"the exact oracle supports N from 1 up to {MAX_N_POLY}, got {n}")
+    kmean, kfluct = min(kmax, MAX_K_MEAN), min(kmax, MAX_K_FLUCT)
+    walks = [(k,) for k in range(1, kmean + 1)]
+    walks += [(k, l) for k in range(1, kfluct + 1) for l in range(k, kfluct + 1)]
+    table = ExactMomentTable(law)
+    if model == "circulant":
+        sums = {walk: _circulant_sum(table, walk, ns) for walk in walks}
+        return {n: _centred({w: s[n] for w, s in sums.items()}, Fraction(1, n), 1) for n in ns}
+    polys = _laurent_table(table, walks)
+    return {n: {key: poly(n) for key, poly in polys.items()} for n in ns}

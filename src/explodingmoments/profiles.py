@@ -403,9 +403,15 @@ def _rat(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _unrat(pair) -> Fraction:
-    num, den = pair
-    return Fraction(int(num), int(den))
+def _int(x) -> int:
+    """A JSON integer; a float or a bool is not one."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _unrat(num, den) -> Fraction:
+    return Fraction(_int(num), _int(den))
 
 
 def profile_to_dict(profile: MomentProfile) -> dict:
@@ -421,10 +427,10 @@ def profile_from_dict(doc: Mapping) -> MomentProfile:
     """The profile of a document.  Other keys are ignored, so documents
     that carry a ``diagonal_bounded`` flag still read."""
     return MomentProfile(
-        alpha=_unrat(doc["alpha"]),
-        kmax=int(doc["kmax"]),
-        pair_table={(int(k), int(l)): Fraction(int(n), int(d)) for k, l, n, d in doc.get("pair_table", [])},
-        scalar_table={int(k): Fraction(int(n), int(d)) for k, n, d in doc.get("scalar_table", [])},
+        alpha=_unrat(*doc["alpha"]),
+        kmax=_int(doc["kmax"]),
+        pair_table={(_int(k), _int(l)): _unrat(n, d) for k, l, n, d in doc.get("pair_table", [])},
+        scalar_table={_int(k): _unrat(n, d) for k, n, d in doc.get("scalar_table", [])},
     )
 
 
@@ -442,13 +448,13 @@ def _unrat_row(row) -> tuple[Fraction, ...]:
     if len(row) % 2:
         raise ValueError(f"atom row {row} has odd length; it holds numerator, denominator pairs")
     numbers = iter(row)
-    return tuple(Fraction(num, den) for num, den in zip(numbers, numbers))
+    return tuple(_unrat(num, den) for num, den in zip(numbers, numbers))
 
 
 def law_from_dict(cls: type[_SparseLaw], doc: Mapping) -> _SparseLaw:
     """The ``cls`` law (SparsePairLaw or SparseScalarLaw) of a document."""
     return cls(
-        activation=_unrat(doc["activation"]),
+        activation=_unrat(*doc["activation"]),
         atoms=tuple(_unrat_row(row) for row in doc["atoms"]),
         diagonal_atoms=tuple(_unrat_row(row) for row in doc["diagonal_atoms"]),
     )

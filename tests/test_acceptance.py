@@ -31,12 +31,7 @@ from explodingmoments.limits import (
     limit_trace_moment,
     tau,
 )
-from explodingmoments.oracle import (
-    ExactMomentTable,
-    exact_circulant_trace_mean,
-    exact_fluct_covariance_small,
-    exact_trace_mean,
-)
+from explodingmoments.oracle import ExactMomentTable, exact_table
 from explodingmoments.partitions import enumerate_set_partitions
 from explodingmoments.profiles import (
     MomentProfile,
@@ -97,10 +92,9 @@ def test_criterion_04_oracle_limit_convergence():
     prof = profile_of_sparse_law(law)
     ok = True
     worst = Fraction(0)
-    for n in (10**3, 10**4):
+    for n, table in exact_table("elliptic", law, (10**3, 10**4), 4).items():
         for k in range(1, 5):
-            gap = abs(exact_trace_mean("elliptic", law, n, k)
-                      - limit_trace_moment("elliptic", k, prof))
+            gap = abs(table[(k, None)] - limit_trace_moment("elliptic", k, prof))
             worst = max(worst, gap * n)
             if gap > Fraction(5, n):
                 ok = False
@@ -113,8 +107,9 @@ def test_criterion_05_monte_carlo_mean_elliptic():
     st = run_experiment(spec, 4, 2000)
     ok = True
     details = []
+    table = exact_table("elliptic", law, (1000,), 4)[1000]
     for k in range(1, 5):
-        exact = float(exact_trace_mean("elliptic", law, 1000, k))
+        exact = float(table[(k, None)])
         z = (st.mean_traces[k - 1] - exact) / st.se_mean[k - 1]
         details.append(f"k={k} z={z:+.2f}")
         if abs(z) > 4:
@@ -181,10 +176,11 @@ def test_criterion_08_circulant_moment_formula_vs_oracle():
     uncorrected4 = circulant_limit_moment(4, prof, paper_formula=True)
     failures = []
     scaled_gaps = []
-    for n in (7, 11, 13):
+    tables = exact_table("circulant", law, (7, 11, 13), 6)
+    for n, table in tables.items():
         row = []
         for k in range(1, 7):
-            oracle = exact_circulant_trace_mean(law, n, k)
+            oracle = table[(k, None)]
             exact = _circulant_mean_by_partitions(prof, n, k)
             if oracle != exact:
                 failures.append(f"N={n} k={k} oracle={oracle} != {exact}")
@@ -200,7 +196,7 @@ def test_criterion_08_circulant_moment_formula_vs_oracle():
         if leading != circulant_limit_moment(k, prof):
             failures.append(f"k={k} leading={leading} != {circulant_limit_moment(k, prof)}")
     sep_ok = all(
-        abs(exact_circulant_trace_mean(law, n, 4) - uncorrected4) >= 2 for n in (7, 11, 13)
+        abs(table[(4, None)] - uncorrected4) >= 2 for table in tables.values()
     )
     distinct_ok = corrected4 != uncorrected4
     ok = not failures and sep_ok and distinct_ok
@@ -213,7 +209,7 @@ def test_criterion_08_circulant_moment_formula_vs_oracle():
 def test_criterion_09_circulant_degenerate_term_report():
     law = sign_scalar_law()
     n = 5
-    exact = exact_fluct_covariance_small("circulant", law, n, 2, 2)
+    exact = exact_table("circulant", law, (n,), 2)[n][(2, 2)]
     ex4 = Fraction(n)  # E[x^4] = q E[xi^4] N
     expected = 2 * Fraction(n - 1, n) + (ex4 - 1) / n
     structure_ok = exact == expected and exact > 2
@@ -224,7 +220,7 @@ def test_criterion_09_circulant_degenerate_term_report():
     st = run_experiment(spec, 2, 400)
     rows = compare_report(st, [(2, 2, circulant_covariance(2, 2))], oracle={(2, 2): exact})
     sign_row = rows[0]
-    light_exact = exact_fluct_covariance_small("circulant", GaussianLaw(), n, 2, 2)
+    light_exact = exact_table("circulant", GaussianLaw(), (n,), 2)[n][(2, 2)]
     light_ok = light_exact == circulant_covariance(2, 2)
     ok = (
         structure_ok

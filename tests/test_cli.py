@@ -296,14 +296,18 @@ class TestOracleCommand:
         assert f"up to {MAX_N_POLY}" in err
 
     def test_each_walk_sum_runs_once(self, capsys, monkeypatch):
-        # 6 means and 6 joint moments per N; no mean is summed again for a covariance
+        # 6 means and 6 joint moments, each summed once for all three N; no
+        # mean is summed again for a covariance
         calls = []
         summed = oracle._circulant_sum
         monkeypatch.setattr(oracle, "_circulant_sum", lambda *a: calls.append(a) or summed(*a))
         code, out, _ = run_cli(capsys, "oracle", "--model", "circulant", "--n", "7", "--n", "11",
                                "--n", "13", "--kmax", "6")
         assert code == 0 and len(json.loads(out)["values"]) == 36
-        assert len(calls) == 36
+        assert len(calls) == 12
+        assert sorted(lengths for _table, lengths, _ns in calls) == sorted(
+            [(k,) for k in range(1, 7)] + [(k, l) for k in (1, 2, 3) for l in range(k, 4)]
+        )
 
     def test_circulant_rows_at_large_n(self, capsys):
         # the residue-counted oracle has no small-N guard: means and covariances at N = 512
@@ -391,6 +395,17 @@ class TestProfileFile:
             # the sign law once its trailing 7 is dropped
             ({"scalar_law": {"activation": [1, 1], "atoms": [[1, 1, 1, 2, 7], [-1, 1, 1, 2]],
                              "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed scalar_law"),
+            # a float or a bool is not an integer, so nothing is truncated to one
+            ({"scalar_law": {"activation": [1.9, 1], "atoms": [[1, 1, 1, 2], [-1, 1, 1, 2]],
+                             "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed scalar_law"),
+            ({"scalar_law": {"activation": [1, 1], "atoms": [[True, 1, 1, 2], [-1, 1, 1, 2]],
+                             "diagonal_atoms": [[0, 1, 1, 1]]}}, "malformed scalar_law"),
+            ({"profile": {"alpha": [1, 1], "kmax": 4.9,
+                          "scalar_table": [[2, 1, 1], [3, 0, 1], [4, 1, 1]]}}, "malformed profile"),
+            ({"profile": {"alpha": [1, 1], "kmax": 4,
+                          "scalar_table": [[2, 1.7, 1], [3, 0, 1], [4, 1, 1]]}}, "malformed profile"),
+            ({"profile": {"alpha": [1, 1], "kmax": "4",
+                          "scalar_table": [[2, 1, 1], [3, 0, 1], [4, 1, 1]]}}, "malformed profile"),
         ],
     )
     def test_malformed_law_exits_2(self, tmp_path, capsys, doc, message):

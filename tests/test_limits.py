@@ -13,7 +13,7 @@ from explodingmoments.limits import (
     tau,
     wick_joint,
 )
-from explodingmoments.oracle import exact_circulant_trace_mean, exact_trace_mean
+from explodingmoments.oracle import exact_table
 from explodingmoments.partitions import enumerate_set_partitions, make_partition
 from explodingmoments.profiles import (
     MomentProfile,
@@ -216,8 +216,8 @@ class TestCirculant:
         limit = circulant_limit_moment(4, sign_profile)
         uncorrected = circulant_limit_moment(4, sign_profile, paper_formula=True)
         gaps = []
-        for n in (7, 11, 13):
-            val = exact_circulant_trace_mean(sign_law, n, 4)
+        for table in exact_table("circulant", sign_law, (7, 11, 13), 4).values():
+            val = table[(4, None)]
             gaps.append(abs(val - limit))
             assert abs(val - uncorrected) > abs(val - limit)
         assert gaps == sorted(gaps, reverse=True)
@@ -264,8 +264,8 @@ class TestModelReductionThroughLimits:
 
     def test_oracle_agrees_with_limit_direction(self, sign_pair_law, sign_pair_profile):
         # |exact(N) - limit| shrinks like 1/N
+        tables = exact_table("elliptic", sign_pair_law, (100, 1000), 4)
         for k in (2, 4):
             limit = limit_trace_moment("elliptic", k, sign_pair_profile)
-            g100 = abs(exact_trace_mean("elliptic", sign_pair_law, 100, k) - limit)
-            g1000 = abs(exact_trace_mean("elliptic", sign_pair_law, 1000, k) - limit)
+            g100, g1000 = (abs(tables[n][(k, None)] - limit) for n in (100, 1000))
             assert g1000 < g100 / 5

@@ -3,32 +3,77 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from explodingmoments import oracle
 from explodingmoments.ensembles import GaussianLaw
-from explodingmoments.limits import circulant_limit_moment, covariance_trace
-from explodingmoments.oracle import (
-    MAX_N_POLY,
-    ExactMomentTable,
-    exact_circulant_trace_mean,
-    exact_fluct_covariance_small,
-    exact_table,
-    exact_trace_mean,
-)
+from explodingmoments.limits import circulant_limit_moment, covariance_trace, limit_trace_moment
+from explodingmoments.oracle import MAX_N_POLY, ExactMomentTable, Laurent, exact_table
 import reference_sums
 from explodingmoments.profiles import (
     SparsePairLaw,
     SparseScalarLaw,
     design_correlated_sign_law,
+    profile_of_scalar_law,
     profile_of_sparse_law,
     sign_scalar_law,
 )
 
 ZERO_DIAG = ((Fraction(0), Fraction(1)),)
+# mean zero, variance 1/2, E[d^3] = 1/4: an N^(-1/2) term in the iid k = 3 mean
+SKEWED_DIAG = ((Fraction(-1, 2), Fraction(2, 3)), (Fraction(1), Fraction(1, 3)))
 
 # unit variance with nonzero odd moments: q = 1/2, xi = -1 w.p. 2/3, 2 w.p. 1/3
 SKEWED_LAW = SparseScalarLaw(
     activation=Fraction(1, 2), atoms=((Fraction(-1), Fraction(2, 3)), (Fraction(2), Fraction(1, 3)))
 )
+
+DIAGONAL_VALUES = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+@st.composite
+def diagonal_atoms(draw):
+    """Two atoms -c, d with mean zero and variance c d <= 1; skewed unless c = d."""
+    values = st.sampled_from(DIAGONAL_VALUES)
+    c, d = draw(st.tuples(values, values).filter(lambda cd: cd[0] * cd[1] <= 1))
+    return ((-c, d / (c + d)), (d, c / (c + d)))
+
+
+@st.composite
+def scalar_laws(draw):
+    """Atoms -a, 0, b with mean zero, and q = 1 / E[xi^2] for unit variance."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    zero = draw(st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2))))
+    rest = 1 - zero
+    assume(rest * a * b >= 1)  # q <= 1
+    atoms = ((-a, rest * Fraction(b, a + b)), (0, zero), (b, rest * Fraction(a, a + b)))
+    return SparseScalarLaw(activation=1 / (rest * a * b), atoms=atoms,
+                           diagonal_atoms=draw(diagonal_atoms()))
+
+
+@st.composite
+def pair_laws(draw):
+    """Rows (a, +-b) and their negations, b a permutation of the a's, so
+    that E[xi^2] = E[eta^2]; q = 1 / E[xi^2] for unit variance."""
+    values = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    partners = draw(st.permutations(values))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(values), max_size=len(values)))
+    p = Fraction(1, 2 * len(values))
+    atoms = tuple(row for a, b, s in zip(values, partners, signs)
+                  for row in ((a, s * b, p), (-a, -s * b, p)))
+    return SparsePairLaw(activation=Fraction(len(values), sum(a * a for a in values)),
+                         atoms=atoms, diagonal_atoms=draw(diagonal_atoms()))
+
+
+def mean(model, law, n, k):
+    """E[Tr(A^k)]/N, or E[Tr(C^k)] for the circulant, at one N."""
+    return exact_table(model, law, (n,), k)[n][(k, None)]
+
+
+def cov(model, law, n, k, l):
+    """E[Z_N(k) Z_N(l)] at one N."""
+    return exact_table(model, law, (n,), max(k, l))[n][(min(k, l), max(k, l))]
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +114,17 @@ class TestMomentTable:
     @pytest.mark.parametrize("n", [1, 4, 7, 512])
     def test_generator_cumulants(self, sign_law, n):
         # y = x / sqrt(N): the sign law puts +-1 at rate 1/N, so m_2 = m_4 = 1/N
-        assert ExactMomentTable(sign_law).cumulant(4, n) == Fraction(1, n) - Fraction(3, n**2)
+        assert ExactMomentTable(sign_law).cumulant(4)(n) == Fraction(1, n) - Fraction(3, n**2)
         # the skewed law has E[y^3] = q E[xi^3] / N = 1 / N, and kappa_3 = m_3
-        assert ExactMomentTable(SKEWED_LAW).cumulant(3, n) == Fraction(1, n)
+        assert ExactMomentTable(SKEWED_LAW).cumulant(3)(n) == Fraction(1, n)
         # a Gaussian entry has no cumulant beyond the variance 1/N
         gauss = ExactMomentTable(GaussianLaw())
-        assert [gauss.cumulant(j, n) for j in range(1, 9)] == [0, Fraction(1, n)] + [0] * 6
+        assert [gauss.cumulant(j)(n) for j in range(1, 9)] == [0, Fraction(1, n)] + [0] * 6
+
+    def test_generator_cumulants_are_polynomials_in_one_over_n(self, sign_law):
+        # kappa_4 = 1/N - 3/N^2, stored by half-powers of N
+        assert ExactMomentTable(sign_law).cumulant(4) == {-2: 1, -4: -3}
+        assert ExactMomentTable(GaussianLaw()).cumulant(3) == {}
 
     @pytest.mark.parametrize("law_class", [SparsePairLaw, SparseScalarLaw])
     def test_each_moment_summed_once(self, monkeypatch, law_class, sign_pair_law, sign_law):
@@ -89,7 +139,7 @@ class TestMomentTable:
         monkeypatch.setattr(law_class, "atom_moment", counted)
         pair = law_class is SparsePairLaw
         model, law = ("elliptic", sign_pair_law) if pair else ("circulant", sign_law)
-        exact_table(model, law, 8, 6)
+        exact_table(model, law, (7, 8), 6)
         assert calls and max(calls.values()) == 1
 
 
@@ -97,73 +147,81 @@ class TestExactTable:
     @pytest.mark.parametrize("model", ["elliptic", "iid", "circulant"])
     @pytest.mark.parametrize("n", [5, 512])
     def test_equals_the_one_value_functions(self, model, n, sign_pair_law, sign_law):
+        # a table over several N equals the table at that N alone, and each
+        # entry is its walk sums, evaluated at N and centred by hand
         law = sign_pair_law if model == "elliptic" else sign_law
-        table = exact_table(model, law, n, 6)
+        table = exact_table(model, law, (7, n), 6)[n]
+        assert table == exact_table(model, law, (n,), 6)[n]
         means = [key for key in table if key[1] is None]
         assert means == [(k, None) for k in range(1, 7)]
         assert list(table)[6:] == [(k, l) for k in (1, 2, 3) for l in range(k, 4)]
+        moments = ExactMomentTable(law)
+
+        def walk(*lengths):
+            if model == "circulant":
+                return oracle._circulant_sum(moments, lengths, (n,))[n]
+            return oracle._walk_sum(moments, lengths)(n)
+
         for (k, l), value in table.items():
             if l is not None:
-                assert value == exact_fluct_covariance_small(model, law, n, k, l)
-            elif model == "circulant":
-                assert value == exact_circulant_trace_mean(law, n, k)
+                assert value == (walk(k, l) - walk(k) * walk(l)) / n
             else:
-                assert value == exact_trace_mean(model, law, n, k)
+                assert value == walk(k) / (1 if model == "circulant" else n)
 
     def test_caps_and_guards(self, sign_law):
         keys = [(1, None), (2, None), (1, 1), (1, 2), (2, 2)]
-        assert list(exact_table("iid", sign_law, 5, 2)) == keys
-        with pytest.raises(ValueError):
-            exact_table("circulant", sign_law, MAX_N_POLY + 1, 2)
-        with pytest.raises(ValueError):
-            exact_table("block", sign_law, 5, 2)
+        assert list(exact_table("iid", sign_law, (5,), 2)[5]) == keys
+        for n in (0, MAX_N_POLY + 1):
+            with pytest.raises(ValueError, match=f"up to {MAX_N_POLY}, got {n}"):
+                exact_table("circulant", sign_law, (5, n), 2)
+        with pytest.raises(ValueError, match="no exact oracle for model block"):
+            exact_table("block", sign_law, (5,), 2)
 
     def test_iid_rejects_a_pair_law(self, sign_pair_law):
         # iid entries are independent; a pair law's joint moments do not apply
         with pytest.raises(ValueError, match="pair law"):
-            exact_table("iid", sign_pair_law, 5, 2)
-        with pytest.raises(ValueError, match="pair law"):
-            exact_trace_mean("iid", sign_pair_law, 5, 2)
+            exact_table("iid", sign_pair_law, (5,), 2)
 
     def test_circulant_rejects_a_pair_law(self, sign_pair_law):
         # the circulant generator entries are independent as well
         with pytest.raises(ValueError, match="circulant model needs a scalar or Gaussian law"):
-            exact_table("circulant", sign_pair_law, 5, 2)
-        with pytest.raises(ValueError, match="pair law"):
-            exact_circulant_trace_mean(sign_pair_law, 64, 2)
+            exact_table("circulant", sign_pair_law, (5, 64), 2)
 
 
 class TestExactTraceMean:
     def test_k1_mean_zero(self, sign_pair_law):
-        for n in (2, 5, 50):
-            assert exact_trace_mean("elliptic", sign_pair_law, n, 1) == 0
+        tables = exact_table("elliptic", sign_pair_law, (2, 5, 50), 1)
+        assert [t[(1, None)] for t in tables.values()] == [0, 0, 0]
 
     def test_elliptic_k2_formula(self, sign_pair_law):
         # (N-1)/N * rho + E[xi_d^2]/N at N = 5
-        assert exact_trace_mean("elliptic", sign_pair_law, 5, 2) == (
+        assert mean("elliptic", sign_pair_law, 5, 2) == (
             Fraction(4, 5) * Fraction(1, 2) + Fraction(1, 5)
         )
 
     def test_iid_k3_only_loop_block(self, zero_diag_scalar_law, sign_law):
         # with a zero diagonal the only candidate term dies entirely
-        assert exact_trace_mean("iid", zero_diag_scalar_law, 7, 3) == 0
+        assert mean("iid", zero_diag_scalar_law, 7, 3) == 0
         # +-1 diagonal keeps it zero too (odd moment)
-        assert exact_trace_mean("iid", sign_law, 7, 3) == 0
+        assert mean("iid", sign_law, 7, 3) == 0
 
     @pytest.mark.parametrize("model", ["elliptic", "iid"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agrees_with_tuple_enumeration(self, model, n, k, sign_pair_law, sign_law):
         law = sign_pair_law if model == "elliptic" else sign_law
-        assert exact_trace_mean(model, law, n, k) == reference_sums.exact_trace_mean_enumerated(
+        assert mean(model, law, n, k) == reference_sums.exact_trace_mean_enumerated(
             model, law, n, k
         )
 
-    def test_guards(self, sign_pair_law):
-        with pytest.raises(ValueError):
-            exact_trace_mean("elliptic", sign_pair_law, 10, 7)
-        with pytest.raises(ValueError):
-            exact_trace_mean("circulant", sign_pair_law, 5, 2)
+    def test_guards(self, sign_pair_law, sign_law):
+        # the means stop at MAX_K_MEAN; an N^(-1/2) term has a value only at square N
+        assert (7, None) not in exact_table("elliptic", sign_pair_law, (10,), 7)[10]
+        skewed = SparseScalarLaw(activation=sign_law.activation, atoms=sign_law.atoms,
+                                 diagonal_atoms=SKEWED_DIAG)
+        with pytest.raises(ValueError, match=r"N\^\(-3/2\) at non-square N=10"):
+            mean("iid", skewed, 10, 3)
+        assert mean("iid", skewed, 9, 3) == Fraction(1, 4) / 27
 
 
 def full_state_elliptic(law, n, kmax):
@@ -202,11 +260,11 @@ class TestFullStateEnumeration:
     def test_elliptic_means_and_fluctuations_n3(self, zero_diag_pair_law):
         law = zero_diag_pair_law
         means, joints = full_state_elliptic(law, 3, 3)
+        table = exact_table("elliptic", law, (3,), 3)[3]
         for k in (1, 2, 3):
-            assert exact_trace_mean("elliptic", law, 3, k) == means[k] / 3
+            assert table[(k, None)] == means[k] / 3
         for k, l in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
-            want = (joints[(k, l)] - means[k] * means[l]) / 3
-            assert exact_fluct_covariance_small("elliptic", law, 3, k, l) == want
+            assert table[(k, l)] == (joints[(k, l)] - means[k] * means[l]) / 3
 
 
 def full_state_circulant(law, n, kmax):
@@ -242,60 +300,61 @@ def full_state_circulant(law, n, kmax):
 
 class TestExactCirculant:
     def test_small_odd_n_k2_is_one(self, sign_law):
-        for n in (3, 5, 7):
-            assert exact_circulant_trace_mean(sign_law, n, 2) == 1
+        tables = exact_table("circulant", sign_law, (3, 5, 7), 2)
+        assert [t[(2, None)] for t in tables.values()] == [1, 1, 1]
 
     def test_even_n_parity_effect(self, sign_law):
-        assert exact_circulant_trace_mean(sign_law, 4, 2) == 2
+        assert mean("circulant", sign_law, 4, 2) == 2
 
     def test_frozen_k4_values(self, sign_law):
-        assert exact_circulant_trace_mean(sign_law, 7, 4) == Fraction(25, 7)
-        assert exact_circulant_trace_mean(sign_law, 11, 4) == Fraction(41, 11)
-        assert exact_circulant_trace_mean(sign_law, 13, 4) == Fraction(49, 13)
+        tables = exact_table("circulant", sign_law, (7, 11, 13), 4)
+        assert [t[(4, None)] for t in tables.values()] == [
+            Fraction(25, 7), Fraction(41, 11), Fraction(49, 13)
+        ]
 
     def test_matches_full_state_enumeration(self, sign_law):
         means, joints = full_state_circulant(sign_law, 4, 3)
+        table = exact_table("circulant", sign_law, (4,), 3)[4]
         for k in (1, 2, 3):
-            assert exact_circulant_trace_mean(sign_law, 4, k) == means[k]
-        for k, l in [(1, 1), (2, 2), (1, 2), (2, 3), (3, 3)]:
-            want = (joints[(min(k, l), max(k, l))] - means[k] * means[l]) / 4
-            assert exact_fluct_covariance_small("circulant", sign_law, 4, k, l) == want
+            assert table[(k, None)] == means[k]
+        for k, l in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+            assert table[(k, l)] == (joints[(k, l)] - means[k] * means[l]) / 4
 
     def test_gaussian_oracle_supported(self):
         # bounded law: E[Tr C^2] = 1 exactly at odd N
-        assert exact_circulant_trace_mean(GaussianLaw(), 5, 2) == 1
+        assert mean("circulant", GaussianLaw(), 5, 2) == 1
 
     def test_guards(self, sign_law):
-        with pytest.raises(ValueError):
-            exact_circulant_trace_mean(sign_law, MAX_N_POLY + 1, 2)
-        with pytest.raises(ValueError):
-            exact_circulant_trace_mean(sign_law, 5, 7)
+        with pytest.raises(ValueError, match=f"up to {MAX_N_POLY}"):
+            exact_table("circulant", sign_law, (MAX_N_POLY + 1,), 2)
+        assert list(exact_table("circulant", sign_law, (5,), 7)[5])[5:7] == [(6, None), (1, 1)]
 
 
 class TestExactFluctuations:
     def test_circulant_z1_variance_is_one(self, sign_law):
-        assert exact_fluct_covariance_small("circulant", sign_law, 5, 1, 1) == 1
+        assert cov("circulant", sign_law, 5, 1, 1) == 1
 
     def test_elliptic_diagonal_only_variance(self, sign_pair_law):
         # Z(1) keeps only the diagonal: Var(x_11)/N
-        assert exact_fluct_covariance_small("elliptic", sign_pair_law, 5, 1, 1) == Fraction(1, 5)
+        assert cov("elliptic", sign_pair_law, 5, 1, 1) == Fraction(1, 5)
 
     def test_circulant_heavy_excess_at_n5(self, sign_law):
-        val = exact_fluct_covariance_small("circulant", sign_law, 5, 2, 2)
+        val = cov("circulant", sign_law, 5, 2, 2)
         ex4 = Fraction(5)  # E[x^4] = q E[xi^4] N
         assert val == 2 * Fraction(4, 5) + (ex4 - 1) / 5 == Fraction(12, 5)
 
     def test_elliptic_converges_to_kernel(self, sign_pair_law, sign_pair_profile):
         kernel = covariance_trace(2, 2, "elliptic", sign_pair_profile)
-        g6 = abs(exact_fluct_covariance_small("elliptic", sign_pair_law, 6, 2, 2) - kernel)
-        g8 = abs(exact_fluct_covariance_small("elliptic", sign_pair_law, 8, 2, 2) - kernel)
+        tables = exact_table("elliptic", sign_pair_law, (6, 8), 2)
+        g6, g8 = (abs(t[(2, 2)] - kernel) for t in tables.values())
         assert g8 < g6
 
     def test_guards(self, sign_law):
-        with pytest.raises(ValueError):
-            exact_fluct_covariance_small("circulant", sign_law, MAX_N_POLY + 1, 2, 2)
-        with pytest.raises(ValueError):
-            exact_fluct_covariance_small("circulant", sign_law, 5, 4, 2)
+        with pytest.raises(ValueError, match=f"up to {MAX_N_POLY}"):
+            exact_table("circulant", sign_law, (5, MAX_N_POLY + 1), 2)
+        # the covariances stop at MAX_K_FLUCT
+        table = exact_table("circulant", sign_law, (5,), 4)[5]
+        assert (4, None) in table and not any(4 in key for key in table if key[1])
 
 
 class TestAgainstBellEnumeration:
@@ -309,65 +368,89 @@ class TestAgainstBellEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_means(self, cases, n):
         for model, law in cases:
+            table = exact_table(model, law, (n,), 6)[n]
             for k in range(1, 7):
-                assert exact_trace_mean(model, law, n, k) == reference_sums.exact_trace_mean(
-                    model, law, n, k
-                )
+                assert table[(k, None)] == reference_sums.exact_trace_mean(model, law, n, k)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_fluctuations(self, cases, n):
         for model, law in cases:
+            table = exact_table(model, law, (n,), 3)[n]
             for k in range(1, 4):
                 for l in range(1, 4):
-                    assert exact_fluct_covariance_small(model, law, n, k, l) == (
+                    assert table[(min(k, l), max(k, l))] == (
                         reference_sums.exact_fluct_covariance(model, law, n, k, l)
                     )
 
     @pytest.mark.parametrize("law", ["sign", "gaussian", "skewed"])
     def test_circulant_matches_tuple_enumeration(self, law, sign_law):
         law = {"sign": sign_law, "gaussian": GaussianLaw(), "skewed": SKEWED_LAW}[law]
-        for n in range(1, 12):
+        for n, table in exact_table("circulant", law, range(1, 12), 6).items():
             for k in range(1, 7):
-                assert exact_circulant_trace_mean(law, n, k) == (
-                    reference_sums.exact_circulant_trace_mean(law, n, k)
-                )
+                assert table[(k, None)] == reference_sums.exact_circulant_trace_mean(law, n, k)
 
     @pytest.mark.parametrize("law", ["sign", "gaussian", "skewed"])
     def test_circulant_fluctuation_matches_tuple_enumeration(self, law, sign_law):
         law = {"sign": sign_law, "gaussian": GaussianLaw(), "skewed": SKEWED_LAW}[law]
         table = ExactMomentTable(law)
-        for n in range(1, 9):
+        for n, exact in exact_table("circulant", law, range(1, 9), 3).items():
             means = {k: reference_sums.exact_circulant_trace_mean(law, n, k) for k in (1, 2, 3)}
             for k in range(1, 4):
                 for l in range(k, 4):
                     joint = reference_sums._circulant_joint(table, n, k, l)
-                    assert exact_fluct_covariance_small("circulant", law, n, k, l) == (
-                        (joint - means[k] * means[l]) / n
-                    )
+                    assert exact[(k, l)] == (joint - means[k] * means[l]) / n
 
     def test_circulant_fluctuation_at_verify_size(self, sign_law):
         # the README circulant sign run: row (1,3) at N = 512
-        assert exact_fluct_covariance_small("circulant", sign_law, 512, 1, 3) == Fraction(515, 512)
+        assert cov("circulant", sign_law, 512, 1, 3) == Fraction(515, 512)
 
 
 class TestConvergenceToLimits:
     def test_circulant_limit_along_odd_primes(self, sign_law, sign_profile):
+        tables = list(exact_table("circulant", sign_law, (7, 11, 13), 6).values())
         for k in range(1, 7):
             limit = circulant_limit_moment(k, sign_profile)
-            vals = [exact_circulant_trace_mean(sign_law, n, k) for n in (7, 11, 13)]
-            gaps = [abs(v - limit) for v in vals]
+            gaps = [abs(t[(k, None)] - limit) for t in tables]
             assert gaps[-1] <= gaps[0]
 
     def test_elliptic_gap_is_order_one_over_n(self, sign_pair_law, sign_pair_profile):
         # N * |exact(N) - limit| stays bounded: the constant fitted at N=100
         # covers N=1000 and N=10000 too
-        from explodingmoments.limits import limit_trace_moment
-
+        tables = exact_table("elliptic", sign_pair_law, (100, 1000, 10000), 4)
         for k in range(1, 5):
             limit = limit_trace_moment("elliptic", k, sign_pair_profile)
-            scaled = [
-                n * abs(exact_trace_mean("elliptic", sign_pair_law, n, k) - limit)
-                for n in (100, 1000, 10000)
-            ]
+            scaled = [n * abs(t[(k, None)] - limit) for n, t in tables.items()]
             c = scaled[0] + Fraction(1, 100)
             assert all(s <= c for s in scaled)
+
+
+class TestLimitIsLeadingCoefficient:
+    """The exact means and covariances are Laurent polynomials in N^(1/2)
+    with no positive power of N, and their N^0 coefficients are the limits."""
+
+    WALKS = [(k,) for k in range(1, 7)] + [(k, l) for k in (1, 2, 3) for l in range(k, 4)]
+
+    def check(self, model, law, profile):
+        polys = oracle._laurent_table(ExactMomentTable(law), self.WALKS)
+        assert exact_table(model, law, (9,), 6)[9] == {key: poly(9) for key, poly in polys.items()}
+        assert all(half <= 0 for poly in polys.values() for half in poly)
+        for (k, l), poly in polys.items():
+            if l is None:
+                assert poly.get(0, 0) == limit_trace_moment(model, k, profile)
+            else:
+                assert poly.get(0, 0) == covariance_trace(k, l, model, profile)
+
+    @given(pair_laws())
+    @settings(max_examples=15, deadline=None)
+    def test_elliptic(self, law):
+        self.check("elliptic", law, profile_of_sparse_law(law))
+
+    @given(scalar_laws())
+    @settings(max_examples=15, deadline=None)
+    def test_iid(self, law):
+        self.check("iid", law, profile_of_scalar_law(law))
+
+    def test_elliptic_sign_law_mean(self, sign_pair_law):
+        # rho = 1/2: E[Tr(A^6)]/N = 33/8 + (7/8)/N - 7/N^2 + 3/N^3
+        poly = oracle._laurent_table(ExactMomentTable(sign_pair_law), [(6,)])[(6, None)]
+        assert poly == Laurent({0: Fraction(33, 8), -2: Fraction(7, 8), -4: -7, -6: 3})

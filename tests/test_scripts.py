@@ -1,4 +1,4 @@
-"""The scripts import the oracle functions directly; run or import each."""
+"""The scripts call the oracle's exact_table directly; run or import each."""
 
 import importlib.util
 from fractions import Fraction
