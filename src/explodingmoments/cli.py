@@ -12,8 +12,11 @@ Subcommands:
 
 Configuration may come from a single JSON document (--config); explicit
 flags override file fields, and every run embeds its fully resolved
-configuration in the output for provenance.  Exit status: 0 on success,
-1 if any verify row fails, 2 on usage errors.
+configuration in the output for provenance.  Each input is checked once:
+the config checks its own fields, ``_resolve_setup`` reads the law or
+profile file, and ``dispatch`` maps the library's input errors in setup
+and exact work, not in sampling, to usage errors.  Exit status: 0 on
+success, 1 if any verify row fails, 2 on usage errors (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .profiles import (
     MODELS,
     PAIR_MODELS,
     MomentProfile,
+    MomentTableError,
     SparsePairLaw,
     SparseScalarLaw,
     design_correlated_sign_law,
@@ -101,9 +104,10 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run configuration; embedded in every report."""
+    """Fully resolved run configuration; embedded in every report.  However
+    it is built, it raises UsageError for the first field its command cannot run."""
 
     command: str
     model: str = "elliptic"
@@ -118,31 +122,76 @@ class ExperimentConfig:
     fmt: str = "json"  # "json" | "csv"
     out: Optional[str] = None
 
+    def __post_init__(self):
+        for name, (kinds, wanted) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in kinds or (name == "n" and any(type(x) is not int for x in value)):
+                raise UsageError(f"config field {name!r} must be {wanted}, got {value!r}")
+        object.__setattr__(self, "n", tuple(self.n))
+        if self.fmt not in _FORMATS:
+            raise UsageError(f"config field 'fmt' must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.command not in _COMMANDS:
+            raise UsageError(f"unknown command {self.command!r}")
+        if self.model not in MODELS:
+            raise UsageError(f"unknown model {self.model!r}")
+        cmd, row = self.command, _COMMANDS[self.command]
+        if row.kmax_cap is not None and self.kmax < 1:
+            raise UsageError(f"{cmd} needs --kmax of at least 1, got {self.kmax}")
+        if row.kmax_cap is not None and self.kmax > row.kmax_cap:
+            raise UsageError(f"{cmd} supports --kmax up to {row.kmax_cap}, got {self.kmax}")
+        if row.needs_reps and self.reps < 2:
+            raise UsageError(f"{cmd} needs --reps of at least 2, got {self.reps}")
+        if row.reads_n and min(self.n, default=0) < 1:
+            raise UsageError(f"{cmd} needs --n of at least 1, got {min(self.n, default=0)}")
+        if row.first_seed is not None and self.seed + row.first_seed < 0:
+            raise UsageError(f"{cmd} needs --seed of at least {-row.first_seed}, got {self.seed}")
+        if cmd != "weaver" and self.profile == "sign" and self.model in PAIR_MODELS:
+            try:
+                rho = Fraction(self.rho)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                rho = None  # OverflowError: an infinite float
+            if rho is None or not -1 <= rho <= 1:
+                raise UsageError(f"--rho must be a rational in [-1, 1], got {self.rho!r}")
+        # nan, the infinities and integers past the float range all fail this
+        if cmd == "verify" and not abs(self.z_threshold) <= sys.float_info.max:
+            raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")
+
     def as_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["n"] = list(self.n)
         return doc
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        """Build a config from a document of field values, checking each
-        field's type; raises UsageError for the first that does not fit."""
-        doc = dict(doc)
-        for name, value in doc.items():
-            if name not in _FIELD_TYPES:
-                continue  # ExperimentConfig(**doc) rejects it
-            kinds, wanted = _FIELD_TYPES[name]
-            if type(value) not in kinds or (name == "n" and any(type(x) is not int for x in value)):
-                raise UsageError(f"config field {name!r} must be {wanted}, got {value!r}")
-        if doc.get("fmt", "json") not in _FORMATS:
-            raise UsageError(f"config field 'fmt' must be one of {_FORMATS}, got {doc['fmt']!r}")
-        if "n" in doc:
-            doc["n"] = tuple(doc["n"])
-        return ExperimentConfig(**doc)
+    def from_dict(doc, **overrides) -> "ExperimentConfig":
+        """The config of a JSON object's fields, ``overrides`` replacing those
+        it also names; another document or an unknown field is a UsageError."""
+        if not isinstance(doc, dict):
+            raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+        fields = {**doc, **overrides}
+        unknown = set(fields) - set(_FIELD_TYPES)
+        if unknown:
+            raise UsageError(f"config has unknown fields: {sorted(unknown)}")
+        return ExperimentConfig(**fields)
+
+
+def _read_json(what: str, path: str):
+    """The JSON document at ``path``; ``what`` names the file in a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"{what} {path!r}: invalid JSON at line {exc.lineno} column {exc.colno}"
+        ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer past the digit limit
+        raise UsageError(f"{what} {path!r}: {exc}") from exc
 
 
 def _resolve_setup(cfg: ExperimentConfig):
-    """Return (law or None, prediction profile) for the configured model."""
+    """Return (law or None, prediction profile) for the configured model; a
+    profile document has no law, so a command reading --n rejects it."""
     kmax_profile = max(8, 2 * min(cfg.kmax, 6))
     if cfg.profile == "sign":
         if cfg.model in PAIR_MODELS:
@@ -154,22 +203,14 @@ def _resolve_setup(cfg: ExperimentConfig):
         if cfg.model in PAIR_MODELS:
             raise UsageError(f"the light profile has no dependent-pair law for model {cfg.model}")
         return GaussianLaw(), light_profile(kmax=kmax_profile)
-    try:
-        with open(cfg.profile) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read profile file {cfg.profile!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"profile file {cfg.profile!r}: invalid JSON at line {exc.lineno} column {exc.colno}"
-        ) from exc
+    doc = _read_json("profile file", cfg.profile)
     readers = (
         ("pair_law", partial(law_from_dict, SparsePairLaw), profile_of_sparse_law),
         ("scalar_law", partial(law_from_dict, SparseScalarLaw), profile_of_scalar_law),
         ("profile", profile_from_dict, None),
     )
     for key, read, constants in readers:
-        if key not in doc:
+        if not isinstance(doc, dict) or key not in doc:
             continue
         try:
             value = read(doc[key])
@@ -177,21 +218,14 @@ def _resolve_setup(cfg: ExperimentConfig):
             raise UsageError(f"profile file {cfg.profile!r}: {key} lacks field {exc}") from exc
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"profile file {cfg.profile!r}: malformed {key}: {exc}") from exc
-        if constants is None:
-            return None, value
-        return value, constants(value, kmax=kmax_profile)
+        if constants is not None:
+            return value, constants(value, kmax=kmax_profile)
+        if _COMMANDS[cfg.command].reads_n:
+            raise UsageError(f"{cfg.command} needs an entry law, not just a profile")
+        return None, value
     raise UsageError(
         f"profile file {cfg.profile!r} must contain 'pair_law', 'scalar_law', or 'profile'"
     )
-
-
-def _validated_profile(cfg: ExperimentConfig, profile: MomentProfile) -> MomentProfile:
-    violations = validate_profile(profile, cfg.model)
-    if violations:
-        raise UsageError(
-            f"profile invalid for model {cfg.model}: " + "; ".join(str(v) for v in violations)
-        )
-    return profile
 
 
 def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fraction:
@@ -202,44 +236,41 @@ def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fracti
     return limit_trace_moment(cfg.model, k, profile)
 
 
-def _cmd_limits(cfg: ExperimentConfig) -> tuple[int, dict]:
-    _law, profile = _resolve_setup(cfg)
-    _validated_profile(cfg, profile)
-    values = [
-        {"k": k, "value": _limit_mean(cfg, profile, k)} for k in range(1, cfg.kmax + 1)
+def _predictions(cfg: ExperimentConfig, profile: MomentProfile, kmean: int, kcov: int) -> list:
+    """(k, None, limit mean) for k <= kmean, then (k, l, limit covariance)
+    for k <= l <= kcov, once the profile passes the model's table checks."""
+    violations = validate_profile(profile, cfg.model)
+    if violations:
+        raise UsageError(
+            f"profile invalid for model {cfg.model}: " + "; ".join(str(v) for v in violations)
+        )
+    means = [(k, None, _limit_mean(cfg, profile, k)) for k in range(1, kmean + 1)]
+    return means + [
+        (k, l, covariance_trace(k, l, cfg.model, profile))
+        for k in range(1, kcov + 1)
+        for l in range(k, kcov + 1)
     ]
-    return 0, {"values": values}
 
 
-def _cmd_covariance(cfg: ExperimentConfig) -> tuple[int, dict]:
+def _cmd_limits(cfg: ExperimentConfig) -> dict:
     _law, profile = _resolve_setup(cfg)
-    _validated_profile(cfg, profile)
-    values = []
-    for k in range(1, cfg.kmax + 1):
-        for l in range(k, cfg.kmax + 1):
-            val = covariance_trace(k, l, cfg.model, profile)
-            values.append({"k": k, "l": l, "value": val})
-    return 0, {"values": values}
+    values = _predictions(cfg, profile, cfg.kmax, 0)
+    return {"values": [{"k": k, "value": val} for k, _l, val in values]}
 
 
-def _usage_checked(build, *args):
-    """build(*args), whose ValueError (a law the sampler or oracle does not
-    take, a size past the dense limit) is a usage error."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _cmd_covariance(cfg: ExperimentConfig) -> dict:
+    _law, profile = _resolve_setup(cfg)
+    values = _predictions(cfg, profile, 0, cfg.kmax)
+    return {"values": [{"k": k, "l": l, "value": val} for k, l, val in values]}
 
 
-def _make_spec(cfg: ExperimentConfig, law) -> EnsembleSpec:
-    if law is None:
-        raise UsageError("this command needs an entry law, not just a profile")
-    return _usage_checked(EnsembleSpec, _ENSEMBLE_KIND[cfg.model], cfg.n[0], law, cfg.seed)
+def _sampling_setup(cfg: ExperimentConfig) -> tuple[EnsembleSpec, MomentProfile]:
+    law, profile = _resolve_setup(cfg)
+    return EnsembleSpec(_ENSEMBLE_KIND[cfg.model], cfg.n[0], law, cfg.seed), profile
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
-    law, _profile = _resolve_setup(cfg)
-    spec = _make_spec(cfg, law)
+def _cmd_simulate(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
+    spec, _profile = setup
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     doc = {
         "means": [
@@ -265,35 +296,32 @@ def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
     n = cfg.n[0]
     # the estimator reports Tr(C^k)/N, so circulant means scale down by N
     scale = n if cfg.model == "circulant" else 1
-    kcov = min(cfg.kmax, MAX_K_FLUCT)
-    predictions = [(k, None, _limit_mean(cfg, profile, k) / scale) for k in range(1, cfg.kmax + 1)]
-    predictions += [
-        (k, l, covariance_trace(k, l, cfg.model, profile))
-        for k in range(1, kcov + 1)
-        for l in range(k, kcov + 1)
+    predictions = [
+        (k, l, val / scale if l is None else val)
+        for k, l, val in _predictions(cfg, profile, cfg.kmax, min(cfg.kmax, MAX_K_FLUCT))
     ]
     if n > MAX_N_POLY or cfg.model not in EXACT_MODELS:
         return predictions, {}  # the oracle column stays empty
-    table = _usage_checked(exact_table, cfg.model, law, (n,), cfg.kmax)[n]
+    table = exact_table(cfg.model, law, (n,), cfg.kmax)[n]
     return predictions, {(k, l): v / scale if l is None else v for (k, l), v in table.items()}
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> tuple[int, dict]:
-    law, profile = _resolve_setup(cfg)
-    _validated_profile(cfg, profile)
-    spec = _make_spec(cfg, law)
-    predictions, oracle_values = _verify_targets(cfg, law, profile)
+def _verify_setup(cfg: ExperimentConfig):
+    spec, profile = _sampling_setup(cfg)
+    return (spec, *_verify_targets(cfg, spec.law, profile))
+
+
+def _cmd_verify(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
+    spec, predictions, oracle_values = setup
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     rows = compare_report(stats, predictions, oracle_values, z_threshold=cfg.z_threshold)
     passed = all(row.passed for row in rows)
     return (0 if passed else 1), {"rows": [row.as_record() for row in rows], "all_passed": passed}
 
 
-def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
+def _cmd_oracle(cfg: ExperimentConfig) -> dict:
     law, _profile = _resolve_setup(cfg)
-    if law is None:
-        raise UsageError("oracle runs need an entry law")
-    tables = _usage_checked(exact_table, cfg.model, law, cfg.n, cfg.kmax)
+    tables = exact_table(cfg.model, law, cfg.n, cfg.kmax)
     values = []
     for n in cfg.n:
         for (k, l), val in tables[n].items():
@@ -303,12 +331,15 @@ def _cmd_oracle(cfg: ExperimentConfig) -> tuple[int, dict]:
             row["value"] = val
             values.append(row)
     provenance = {"package": "explodingmoments", "version": __version__}
-    return 0, {"provenance": provenance, "values": values}
+    return {"provenance": provenance, "values": values}
 
 
-def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
-    n = cfg.n[0]
-    spec = _usage_checked(EnsembleSpec, "centrosymmetric", n, GaussianLaw(), cfg.seed)
+def _weaver_setup(cfg: ExperimentConfig) -> EnsembleSpec:
+    return EnsembleSpec("centrosymmetric", cfg.n[0], GaussianLaw(), cfg.seed)
+
+
+def _cmd_weaver(cfg: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, dict]:
+    n = spec.n
     m = sample(spec).dense()
     red = weaver_reduce(m)
     reduced = red.reduced()
@@ -333,57 +364,39 @@ def _cmd_weaver(cfg: ExperimentConfig) -> tuple[int, dict]:
     return (0 if ok else 1), doc
 
 
-# the largest --kmax each command evaluates
-_KMAX_CAP = {
-    "limits": KMAX_TRACE,
-    "covariance": KMAX_COV,
-    "oracle": MAX_K_MEAN,
-    "simulate": KMAX_TRACE_POWERS,
-    "verify": KMAX_TRACE_POWERS,
-}
-_MONTE_CARLO = ("simulate", "verify")
-# commands that read --n, and the offset of the first seed each hands numpy
-_READS_N = ("simulate", "verify", "oracle", "weaver")
-_FIRST_SEED = {"simulate": 1, "verify": 1, "weaver": 0}
+class _Command(NamedTuple):
+    """One subcommand.  ``setup(cfg)`` reads the law and does the exact
+    work, and ``dispatch`` maps the library input errors it raises to usage
+    errors.  ``draw(cfg, setup's result)`` samples and returns (exit status,
+    report fields); a command without one reports what its setup returned."""
 
-# each returns (exit status, report fields); dispatch heads them with the
-# schema, command and config
+    setup: Callable
+    draw: Optional[Callable]
+    kmax_cap: Optional[int]  # the largest --kmax it evaluates; None: it reads none
+    reads_n: bool  # it works at a finite N
+    needs_reps: bool  # --reps of at least 2
+    first_seed: Optional[int]  # offset of the first seed it hands numpy
+
+
 _COMMANDS = {
-    "limits": _cmd_limits,
-    "covariance": _cmd_covariance,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "weaver": _cmd_weaver,
+    "limits": _Command(_cmd_limits, None, KMAX_TRACE, False, False, None),
+    "covariance": _Command(_cmd_covariance, None, KMAX_COV, False, False, None),
+    "simulate": _Command(_sampling_setup, _cmd_simulate, KMAX_TRACE_POWERS, True, True, 1),
+    "verify": _Command(_verify_setup, _cmd_verify, KMAX_TRACE_POWERS, True, True, 1),
+    "oracle": _Command(_cmd_oracle, None, MAX_K_MEAN, True, False, None),
+    "weaver": _Command(_weaver_setup, _cmd_weaver, None, True, False, 0),
 }
 
 
 def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Run one configured command; returns (exit status, report document)."""
-    if cfg.command not in _COMMANDS:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    if cfg.model not in MODELS:
-        raise UsageError(f"unknown model {cfg.model!r}")
-    cap = _KMAX_CAP.get(cfg.command)
-    if cap is not None and cfg.kmax > cap:
-        raise UsageError(f"{cfg.command} supports --kmax up to {cap}, got {cfg.kmax}")
-    if cfg.command in _MONTE_CARLO and cfg.reps < 2:
-        raise UsageError(f"{cfg.command} needs --reps of at least 2, got {cfg.reps}")
-    if cfg.command in _READS_N and min(cfg.n, default=0) < 1:
-        raise UsageError(f"{cfg.command} needs --n of at least 1, got {min(cfg.n, default=0)}")
-    offset = _FIRST_SEED.get(cfg.command)
-    if offset is not None and cfg.seed + offset < 0:
-        raise UsageError(f"{cfg.command} needs --seed of at least {-offset}, got {cfg.seed}")
-    if cfg.command != "weaver" and cfg.profile == "sign" and cfg.model in PAIR_MODELS:
-        try:
-            rho = Fraction(cfg.rho)
-        except (TypeError, ValueError, ZeroDivisionError):
-            rho = None
-        if rho is None or not -1 <= rho <= 1:
-            raise UsageError(f"--rho must be a rational in [-1, 1], got {cfg.rho!r}")
-    if cfg.command == "verify" and not math.isfinite(cfg.z_threshold):
-        raise UsageError(f"verify needs a finite --z-threshold, got {cfg.z_threshold}")
-    code, fields = _COMMANDS[cfg.command](cfg)
+    command = _COMMANDS[cfg.command]
+    try:
+        made = command.setup(cfg)
+    except (ValueError, MomentTableError) as exc:
+        # a law, profile or size the sampler, oracle or limit formula does not take
+        raise UsageError(str(exc)) from exc
+    code, fields = command.draw(cfg, made) if command.draw else (0, made)
     head = {"schema": SCHEMA_VERSION, "command": cfg.command, "config": cfg.as_dict()}
     return code, {**head, **fields}
 
@@ -414,30 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                base = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"config {args.config!r}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
-        unknown = set(base) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-        if unknown:
-            raise UsageError(f"config {args.config!r} has unknown fields: {sorted(unknown)}")
-    base["command"] = args.command
-    for name in ("model", "kmax", "reps", "seed", "rho", "profile", "z_threshold", "fmt", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            base[name] = value
-    if args.n:
-        base["n"] = tuple(args.n)
-    if args.paper_formula is not None:
-        base["paper_formula"] = args.paper_formula
-    return ExperimentConfig.from_dict(base)
+    doc = _read_json("config", args.config) if args.config else {}
+    flags = {name: value for name in _FIELD_TYPES if (value := getattr(args, name)) is not None}
+    return ExperimentConfig.from_dict(doc, **flags)
 
 
 def _emit(doc: dict, cfg: ExperimentConfig):

@@ -129,9 +129,9 @@ def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Frac
         raise ValueError(f"unknown model {model!r}")
     if not (1 <= k <= KMAX_COV and 1 <= l <= KMAX_COV):
         raise ValueError(f"(k,l)=({k},{l}) outside 1..{KMAX_COV}")
+    _require_alpha_one(profile)
     if model == "circulant":
         return circulant_covariance(k, l)
-    _require_alpha_one(profile)
     if model in _ZERO_MODELS:
         return Fraction(0)
     leaves = walk_partitions((k, l), prune=True)
@@ -155,10 +155,11 @@ def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fractio
     return total
 
 
-def _scalar_of(profile_or_table) -> Mapping[int, Fraction]:
-    if isinstance(profile_or_table, MomentProfile):
-        return profile_or_table.scalar_table
-    return {int(k): Fraction(v) for k, v in profile_or_table.items()}
+def _profile_of(table) -> MomentProfile:
+    """The profile itself, or the alpha = 1 profile of a table {m: C_m}."""
+    if isinstance(table, MomentProfile):
+        return table
+    return MomentProfile(alpha=Fraction(1), kmax=max(table, default=2), scalar_table=table)
 
 
 def circulant_limit_moment(
@@ -170,15 +171,17 @@ def circulant_limit_moment(
     (each >= 2, summing to k).  The corrected form divides by the part
     multiplicity factorials (values are assigned to unordered parts); the
     uncorrected variant (paper_formula=True) omits that symmetry factor and
-    is kept for comparison reports only.
+    is kept for comparison reports only.  A C_m the table lacks raises
+    :class:`MomentTableError`, as in :meth:`MomentProfile.scalar`.
     """
-    scalar = _scalar_of(profile)
+    profile = _profile_of(profile)
+    _require_alpha_one(profile)
     total = Fraction(0)
     for parts in enumerate_integer_partitions_min2(k):
         term = Fraction(factorial(k))
         for m in parts:
             term /= factorial(m)
-            term *= scalar.get(m, Fraction(0))
+            term *= profile.scalar(m)
         if not paper_formula:
             for mult in _part_multiplicities(parts):
                 term /= factorial(mult)

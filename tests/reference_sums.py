@@ -240,18 +240,18 @@ def exact_trace_mean_enumerated(model: str, law, n: int, k: int) -> Fraction:
 
 def exact_circulant_trace_mean(law, n: int, k: int) -> Fraction:
     """E[Tr(C^k)] at finite N: enumerate index tuples with sum = 0 mod N
-    (last index solved from the congruence), factorizing by independence."""
+    (last index solved from the congruence), factorizing by independence.
+    A tuple's moment product depends only on its sorted index multiplicities,
+    so tuples are tallied by that signature and each product taken once."""
     table = ExactMomentTable(law)
-    total_coeff: dict[int, Fraction] = {}
+    signatures: Counter = Counter()
     for head in product(range(n), repeat=k - 1):
-        last = (-sum(head)) % n
-        counts: dict[int, int] = {}
-        for j in head:
-            counts[j] = counts.get(j, 0) + 1
-        counts[last] = counts.get(last, 0) + 1
-        c, h = _entry_product(table, counts.values())
+        signatures[tuple(sorted(Counter(head + ((-sum(head)) % n,)).values()))] += 1
+    total_coeff: dict[int, Fraction] = {}
+    for signature, tuples in signatures.items():
+        c, h = _entry_product(table, signature)
         if c != 0:
-            total_coeff[h] = total_coeff.get(h, Fraction(0)) + c
+            total_coeff[h] = total_coeff.get(h, Fraction(0)) + tuples * c
     total = Fraction(0)
     for h, c in total_coeff.items():
         total += _eval_scaled(c, h - (k - 2), n)

@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explodingmoments.cli import (
     ExperimentConfig,
@@ -22,6 +28,8 @@ from explodingmoments.profiles import (
     design_correlated_sign_law,
     law_to_dict,
     light_profile,
+    profile_of_scalar_law,
+    profile_of_sparse_law,
     profile_to_dict,
     sign_scalar_law,
 )
@@ -93,11 +101,15 @@ class TestUsageErrors:
              "config field 'paper_formula' must be true or false, got 'no'"),
             ({"n": [16.7]}, "config field 'n' must be a list of integers, got [16.7]"),
             ({"fmt": "xml"}, "config field 'fmt' must be one of ('json', 'csv'), got 'xml'"),
+            ([], "config must be a JSON object, got list"),
+            ([[1]], "config must be a JSON object, got list"),
+            # json reads 1e400 as an infinite float
+            ('{"rho": 1e400}', "--rho must be a rational in [-1, 1], got inf"),
         ],
     )
     def test_config_field_type_exits_2(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "oracle", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
@@ -131,6 +143,11 @@ class TestUsageErrors:
             (["weaver", "--seed", "-1"], "weaver needs --seed of at least 0, got -1"),
             (["verify", "--z-threshold", "nan"], "verify needs a finite --z-threshold, got nan"),
             (["verify", "--z-threshold", "inf"], "verify needs a finite --z-threshold, got inf"),
+            (["limits", "--kmax", "0"], "limits needs --kmax of at least 1, got 0"),
+            (["covariance", "--kmax", "0"], "covariance needs --kmax of at least 1, got 0"),
+            (["oracle", "--kmax", "0"], "oracle needs --kmax of at least 1, got 0"),
+            (["simulate", "--kmax", "0"], "simulate needs --kmax of at least 1, got 0"),
+            (["verify", "--kmax", "-1"], "verify needs --kmax of at least 1, got -1"),
         ],
     )
     def test_bad_numeric_input_exits_2(self, capsys, argv, message):
@@ -160,6 +177,13 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv, "--reps", "5")
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_integer_z_threshold_past_float_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"z_threshold": 1%s}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--reps", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: verify needs a finite --z-threshold, got {10**400}\n"
 
     def test_verify_oracle_error_comes_before_sampling(self, tmp_path, capsys, monkeypatch):
         # odd diagonal moments put N^(3/2) into the iid oracle at non-square N
@@ -416,6 +440,35 @@ class TestProfileFile:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("command", ["limits", "covariance"])
+    def test_profile_alpha_other_than_one_exits_2(self, tmp_path, capsys, command, model):
+        # the limit formulas hold at alpha = 1 only; none is evaluated elsewhere
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile_to_dict(replace(light_profile(), alpha=2))}))
+        code, out, err = run_cli(capsys, command, "--model", model, "--kmax", "4",
+                                 "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: limit evaluation requires alpha = 1, got alpha = 2\n"
+
+    @pytest.mark.parametrize(
+        "model,profile,message",
+        [
+            ("elliptic", profile_of_sparse_law(design_correlated_sign_law(Fraction(1, 2)), kmax=4),
+             "pair table has no entry C_(3,3)"),
+            # a missing C_3 is not read as 0
+            ("circulant", profile_of_scalar_law(sign_scalar_law(), kmax=2),
+             "scalar table has no entry C_3"),
+        ],
+    )
+    def test_profile_shorter_than_kmax_exits_2(self, tmp_path, capsys, model, profile, message):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile_to_dict(profile)}))
+        code, out, err = run_cli(capsys, "limits", "--model", model, "--kmax", "6",
+                                 "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_law_from_file(self, tmp_path, capsys):
         path = tmp_path / "law.json"
         path.write_text(json.dumps({"pair_law": law_to_dict(design_correlated_sign_law(1))}))
@@ -423,3 +476,128 @@ class TestProfileFile:
                                "--profile", str(path))
         assert code == 0
         assert {r["k"]: r["value"] for r in json.loads(out)["values"]}[4] == "3/1"
+
+
+# JSON values of every type, with the non-finite and overflowing numbers a
+# document can hold; strings stay short so that none names a file, and no
+# object key is "out", which would write the report to a file
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.sampled_from([10**400, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=3).filter(lambda key: key != "out"), inner, max_size=3),
+    max_leaves=6,
+)
+_NOT_STRINGS = _JSON_SCALARS.filter(lambda x: not isinstance(x, str))
+# integers up to 16 only: a size, a replica count or a profile kmax
+_SMALL_NUMBERS = _NOT_STRINGS.filter(lambda x: not isinstance(x, int) or x <= 16)
+
+
+def _mostly(usual, other):
+    """``usual`` three draws in four, so that most cases get past the first check."""
+    return st.one_of(usual, usual, usual, other)
+
+
+# a config object's fields; n and reps stay small so that no case samples a
+# large matrix, and out is never a path
+_CONFIG_OBJECTS = st.fixed_dictionaries(
+    {
+        "n": _mostly(st.lists(st.integers(-1, 16), min_size=1, max_size=2),
+                     st.lists(_SMALL_NUMBERS, max_size=2) | _NOT_STRINGS),
+        "reps": _mostly(st.integers(-1, 8), st.floats(allow_nan=True) | st.text(max_size=3)),
+    },
+    optional={
+        "model": _mostly(st.sampled_from(MODELS), _JSON_VALUES),
+        "kmax": _mostly(st.integers(-1, 11), _JSON_SCALARS),
+        "seed": _mostly(st.integers(-3, 10**6), _JSON_SCALARS),
+        "rho": _mostly(st.sampled_from(["1/2", "-1", "3/2", "x", "1/0"]), _JSON_SCALARS),
+        "profile": _mostly(st.sampled_from(["sign", "light"]), _NOT_STRINGS),
+        "z_threshold": _mostly(st.floats(-10, 10), _JSON_SCALARS),
+        "paper_formula": _mostly(st.booleans(), _JSON_SCALARS),
+        "fmt": _mostly(st.sampled_from(["json", "csv"]), _JSON_SCALARS),
+        "out": _NOT_STRINGS,
+    },
+)
+_KMAX_CAPS = {"limits": 10, "covariance": 6, "oracle": 6, "simulate": 8, "verify": 8, "weaver": 8}
+
+
+@st.composite
+def _argv(draw, command, sized: bool):
+    """Flags of ``command``: each valid or just out of range, or absent;
+    --n and --reps are always present unless ``sized`` (by a config)."""
+    flags = {
+        "--n": st.integers(-1, 16),
+        "--reps": st.integers(-1, 8),
+        "--model": st.sampled_from(MODELS),
+        "--kmax": st.integers(-1, _KMAX_CAPS[command] + 1),
+        "--seed": st.integers(-3, 20),
+        "--rho": st.sampled_from(["1/2", "1", "-1", "3/2", "abc", "1/0", "1e400"]),
+        "--z-threshold": st.sampled_from(["4", "0.5", "nan", "inf", "1e400"]),
+        "--format": st.sampled_from(["json", "csv"]),
+    }
+    argv = [command]
+    for flag, values in flags.items():
+        if (flag in ("--n", "--reps") and not sized) or draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if draw(st.booleans()):
+        argv.append("--paper-formula")
+    return argv
+
+
+@st.composite
+def _law_documents(draw):
+    """A law or profile document: sound, with alpha other than 1, a short
+    kmax or one field replaced by any JSON value, or any JSON value at all."""
+    profile = light_profile(kmax=draw(st.integers(2, 8)))
+    docs = {
+        "profile": profile_to_dict(replace(profile, alpha=draw(st.sampled_from([1, 2, -1])))),
+        "pair_law": law_to_dict(design_correlated_sign_law(Fraction(1, 2))),
+        "scalar_law": law_to_dict(sign_scalar_law()),
+    }
+    key = draw(st.sampled_from(["profile", "profile", "pair_law", "scalar_law"]))
+    doc = docs[key]
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(sorted(doc)))
+        # validate_profile lists every table key up to the profile's kmax
+        doc[field] = draw(_SMALL_NUMBERS if field == "kmax" else _JSON_VALUES)
+    return draw(_mostly(st.just({key: doc}), _JSON_VALUES))
+
+
+def _assert_runs_or_usage_error(argv, config=None, law=None):
+    """Run the CLI on argv, its @CONFIG and @PROFILE standing for files that
+    hold these documents: it runs, or is a usage error of one line."""
+    with tempfile.TemporaryDirectory() as root:
+        files = {"@CONFIG": Path(root) / "config.json", "@PROFILE": Path(root) / "law.json"}
+        files["@CONFIG"].write_text(json.dumps(config))
+        files["@PROFILE"].write_text(json.dumps(law))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(files.get(arg, arg)) for arg in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@given(st.data())
+@settings(derandomize=True, deadline=None, max_examples=150)
+def test_fuzzed_flags_and_config_exit_cleanly(data):
+    command = data.draw(st.sampled_from(GRID_COMMANDS))
+    config = data.draw(st.none() | _CONFIG_OBJECTS | _JSON_VALUES)
+    sized = isinstance(config, dict) and {"n", "reps"} <= set(config)
+    argv = data.draw(_argv(command, sized=sized))
+    if config is not None:
+        argv += ["--config", "@CONFIG"]
+    _assert_runs_or_usage_error(argv, config=config)
+
+
+@given(st.data())
+@settings(derandomize=True, deadline=None, max_examples=150)
+def test_fuzzed_law_and_profile_documents_exit_cleanly(data):
+    command = data.draw(st.sampled_from(GRID_COMMANDS[:-1]))  # weaver reads no law
+    argv = data.draw(_argv(command, sized=False)) + ["--profile", "@PROFILE"]
+    _assert_runs_or_usage_error(argv, law=data.draw(_law_documents()))

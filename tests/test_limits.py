@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,21 @@ class TestCirculant:
             gaps.append(abs(val - limit))
             assert abs(val - uncorrected) > abs(val - limit)
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_missing_constant_raises(self):
+        # a constant the table lacks is missing, not 0
+        short = profile_of_scalar_law(sign_scalar_law(), kmax=2)
+        with pytest.raises(MomentTableError, match="no entry C_3"):
+            circulant_limit_moment(3, short)
+        with pytest.raises(MomentTableError, match="no entry C_4"):
+            circulant_limit_moment(4, {2: Fraction(1), 3: Fraction(0)})
+
+    def test_alpha_other_than_one_raises(self):
+        heavy = replace(profile_of_scalar_law(sign_scalar_law()), alpha=Fraction(2))
+        with pytest.raises(ValueError, match="requires alpha = 1"):
+            circulant_limit_moment(2, heavy)
+        with pytest.raises(ValueError, match="requires alpha = 1"):
+            covariance_trace(2, 2, "circulant", heavy)
 
     def test_covariance_kernel_verbatim(self):
         assert circulant_covariance(2, 2) == 2
