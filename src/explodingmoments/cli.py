@@ -72,13 +72,6 @@ from .profiles import (
 
 SCHEMA_VERSION = 1
 
-_ENSEMBLE_KIND = {
-    "elliptic": "elliptic",
-    "iid": "iid",
-    "block": "block2",
-    "centrosymmetric": "centrosymmetric",
-    "circulant": "circulant",
-}
 _FORMATS = ("json", "csv")
 
 
@@ -266,7 +259,7 @@ def _cmd_covariance(cfg: ExperimentConfig) -> dict:
 
 def _sampling_setup(cfg: ExperimentConfig) -> tuple[EnsembleSpec, MomentProfile]:
     law, profile = _resolve_setup(cfg)
-    return EnsembleSpec(_ENSEMBLE_KIND[cfg.model], cfg.n[0], law, cfg.seed), profile
+    return EnsembleSpec(cfg.model, cfg.n[0], law, cfg.seed), profile
 
 
 def _cmd_simulate(cfg: ExperimentConfig, setup) -> tuple[int, dict]:

@@ -10,7 +10,6 @@ entry x = sqrt(N)*xi becomes the stored value xi.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -19,12 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .partitions import double_factorial_odd
-from .profiles import SparsePairLaw, SparseScalarLaw
-
-KINDS = ("elliptic", "iid", "block2", "centrosymmetric", "circulant")
-
-_PAIR_KINDS = ("elliptic", "block2")
-_SCALAR_KINDS = ("iid", "centrosymmetric", "circulant")
+from .profiles import MODELS, PAIR_MODELS, SparsePairLaw, SparseScalarLaw
 
 DENSE_LIMIT = 4096  # largest size we will materialize densely
 
@@ -49,19 +43,19 @@ class EnsembleSpec:
     """Which model to draw, at what size, from which law, with which seed."""
 
     kind: str
-    n: int  # block size for block2 (the matrix is 2n x 2n); full size otherwise
+    n: int  # block size for the block model (the matrix is 2n x 2n); full size otherwise
     law: EntryLaw
     seed: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in MODELS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind in _PAIR_KINDS and not isinstance(self.law, SparsePairLaw):
-            raise ValueError(f"{self.kind} requires a SparsePairLaw")
-        if self.kind in _SCALAR_KINDS and isinstance(self.law, SparsePairLaw):
-            raise ValueError(f"{self.kind} requires a scalar or Gaussian law")
+        pair = self.kind in PAIR_MODELS
+        if pair != isinstance(self.law, SparsePairLaw):
+            need = "a SparsePairLaw" if pair else "a scalar or Gaussian law"
+            raise ValueError(f"{self.kind} requires {need}")
         if isinstance(self.law, GaussianLaw) and self.kind != "circulant":
             if self.n > DENSE_LIMIT:
                 raise ValueError(
@@ -75,10 +69,9 @@ class MatrixSample:
 
     kind: str
     size: int
-    trace_norm: int  # divisor of Tr(A^k): block size for block2, else size
+    trace_norm: int  # divisor of Tr(A^k): the spec's n (the block size for block)
     matrix: Optional[Union[sparse.csr_matrix, np.ndarray]]
     generator_values: Optional[np.ndarray] = None  # circulant x vector, unscaled
-    seed: Optional[int] = None
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
@@ -134,115 +127,77 @@ def _decode_upper_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, t - starts[i] + i + 1
 
 
+def _off_diagonal(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the row-major ordered off-diagonal positions t."""
+    r, c0 = np.divmod(t, n - 1)
+    return r, c0 + (c0 >= r)
+
+
+def _elliptic_cells(n, t, values):
+    i, j = _decode_upper_pairs(t, n)
+    xi, eta = values
+    return [(i, j, xi), (j, i, eta)]
+
+
+def _iid_cells(n, t, values):
+    return [(*_off_diagonal(t, n), values[0])]
+
+
+def _block_cells(n, t, values):
+    r, c = _off_diagonal(t, n)
+    xi, eta = values
+    return [(r, c, xi), (n + r, n + c, eta)]
+
+
+def _centrosymmetric_cells(n, t, values):
+    (v,) = values
+    mirror = n * n - 1 - t
+    keep = mirror != t  # for odd n the center is its own mirror
+    return [(t // n, t % n, v), (mirror[keep] // n, mirror[keep] % n, v[keep])]
+
+
+# a sparse model's geometry: its orbit count at size n, the (rows, cols,
+# values) cells its active orbits t fill given their atom value columns, and
+# the number of n x n diagonal blocks of diagonal-law draws
+_SPARSE_GEOMETRY = {
+    "elliptic": (lambda n: n * (n - 1) // 2, _elliptic_cells, 1),
+    "iid": (lambda n: n * (n - 1), _iid_cells, 1),
+    "block": (lambda n: n * (n - 1), _block_cells, 2),
+    # orbits pair position t with n^2-1-t and hold the diagonal too
+    "centrosymmetric": (lambda n: (n * n + 1) // 2, _centrosymmetric_cells, 0),
+}
+
+
 def sample(spec: EnsembleSpec) -> MatrixSample:
-    """Draw one matrix; bit-identical for identical specs."""
+    """Draw one matrix; bit-identical for identical specs.
+
+    A sparse model draws, in order: a binomial count of active orbits and
+    that many distinct orbits, one atom row per active orbit, then each of
+    its diagonal blocks; a Gaussian model one standard normal per entry."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "elliptic":
-        return _sample_elliptic(spec, rng)
-    if spec.kind == "iid":
-        return _sample_iid(spec, rng)
-    if spec.kind == "block2":
-        return _sample_block2(spec, rng)
-    if spec.kind == "centrosymmetric":
-        return _sample_centrosymmetric(spec, rng)
-    if spec.kind == "circulant":
-        return _sample_circulant(spec, rng)
-    raise AssertionError(spec.kind)
-
-
-def _finish(spec, rows, cols, data, size, trace_norm) -> MatrixSample:
-    mat = sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-    return MatrixSample(spec.kind, size, trace_norm, mat, seed=spec.seed)
-
-
-def _diag_draws(rng, law, n, scale):
-    (vals,), cum = _draw_table(law.diagonal_atoms)
-    return vals[_draw_atoms(rng, cum, n)] * scale
-
-
-def _sample_elliptic(spec: EnsembleSpec, rng) -> MatrixSample:
-    n = spec.n
-    law: SparsePairLaw = spec.law
-    total = n * (n - 1) // 2
-    active = _binomial_active(rng, total, float(law.activation) / n)
-    i, j = _decode_upper_pairs(active, n)
-    (xi_vals, eta_vals), cum = _draw_table(law.atoms)
-    which = _draw_atoms(rng, cum, len(active))
-    diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
-    rows = np.concatenate([i, j, np.arange(n)])
-    cols = np.concatenate([j, i, np.arange(n)])
-    data = np.concatenate([xi_vals[which], eta_vals[which], diag])
-    return _finish(spec, rows, cols, data, n, n)
-
-
-def _sample_iid(spec: EnsembleSpec, rng) -> MatrixSample:
-    n = spec.n
-    if isinstance(spec.law, GaussianLaw):
-        m = rng.standard_normal((n, n)) / np.sqrt(n)
-        return MatrixSample(spec.kind, n, n, m, seed=spec.seed)
-    law: SparseScalarLaw = spec.law
-    total = n * (n - 1)  # ordered off-diagonal positions
-    active = _binomial_active(rng, total, float(law.activation) / n)
-    r = active // (n - 1)
-    c0 = active % (n - 1)
-    c = c0 + (c0 >= r)
-    (vals,), cum = _draw_table(law.atoms)
-    which = _draw_atoms(rng, cum, len(active))
-    diag = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
-    rows = np.concatenate([r, np.arange(n)])
-    cols = np.concatenate([c, np.arange(n)])
-    data = np.concatenate([vals[which], diag])
-    return _finish(spec, rows, cols, data, n, n)
-
-
-def _sample_block2(spec: EnsembleSpec, rng) -> MatrixSample:
-    n = spec.n
-    law: SparsePairLaw = spec.law
-    total = n * (n - 1)
-    active = _binomial_active(rng, total, float(law.activation) / n)
-    r = active // (n - 1)
-    c0 = active % (n - 1)
-    c = c0 + (c0 >= r)
-    (xi_vals, eta_vals), cum = _draw_table(law.atoms)
-    which = _draw_atoms(rng, cum, len(active))
-    diag1 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
-    diag2 = _diag_draws(rng, law, n, 1.0 / np.sqrt(n))
-    rows = np.concatenate([r, np.arange(n), n + r, n + np.arange(n)])
-    cols = np.concatenate([c, np.arange(n), n + c, n + np.arange(n)])
-    data = np.concatenate([xi_vals[which], diag1, eta_vals[which], diag2])
-    return _finish(spec, rows, cols, data, 2 * n, n)
-
-
-def _mirror_positions(t: np.ndarray, n: int) -> np.ndarray:
-    return n * n - 1 - t
-
-
-def _sample_centrosymmetric(spec: EnsembleSpec, rng) -> MatrixSample:
-    n = spec.n
-    if isinstance(spec.law, GaussianLaw):
+    kind, n, law = spec.kind, spec.n, spec.law
+    if kind == "circulant":
+        x = sample_circulant_generator(law, n, [rng])[0]
+        return MatrixSample(kind, n, n, None, generator_values=x)
+    if isinstance(law, GaussianLaw):
         g = rng.standard_normal(n * n)
-        t = np.arange(n * n)
-        rep = np.minimum(t, _mirror_positions(t, n))
-        m = (g[rep] / np.sqrt(n)).reshape(n, n)
-        return MatrixSample(spec.kind, n, n, m, seed=spec.seed)
-    law: SparseScalarLaw = spec.law
-    # orbits pair position t with n^2-1-t; for odd n the center is fixed
-    n_orbits = (n * n + 1) // 2
-    active = _binomial_active(rng, n_orbits, float(law.activation) / n)
-    (vals,), cum = _draw_table(law.atoms)
-    v = vals[_draw_atoms(rng, cum, len(active))]
-    t1 = active
-    t2 = _mirror_positions(active, n)
-    keep = t2 != t1
-    rows = np.concatenate([t1 // n, t2[keep] // n])
-    cols = np.concatenate([t1 % n, t2[keep] % n])
-    data = np.concatenate([v, v[keep]])
-    return _finish(spec, rows, cols, data, n, n)
-
-
-def _sample_circulant(spec: EnsembleSpec, rng) -> MatrixSample:
-    x = sample_circulant_generator(spec.law, spec.n, [rng])[0]
-    return MatrixSample(spec.kind, spec.n, spec.n, None, generator_values=x, seed=spec.seed)
+        if kind == "centrosymmetric":
+            t = np.arange(n * n)
+            g = g[np.minimum(t, n * n - 1 - t)]
+        return MatrixSample(kind, n, n, (g / np.sqrt(n)).reshape(n, n))
+    orbits, cells, blocks = _SPARSE_GEOMETRY[kind]
+    active = _binomial_active(rng, orbits(n), float(law.activation) / n)
+    columns, cum = _draw_table(law.atoms)
+    which = _draw_atoms(rng, cum, len(active))
+    placed = cells(n, active, [column[which] for column in columns])
+    (diag,), diag_cum = _draw_table(law.diagonal_atoms)
+    for b in range(blocks):
+        d = np.arange(b * n, (b + 1) * n)
+        placed.append((d, d, diag[_draw_atoms(rng, diag_cum, n)] * (1.0 / np.sqrt(n))))
+    rows, cols, data = (np.concatenate(part) for part in zip(*placed))
+    size = n * max(blocks, 1)  # the block model's two blocks make it 2n x 2n
+    mat = sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+    return MatrixSample(kind, size, n, mat)
 
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -337,14 +292,3 @@ def weaver_reduce(m: Union[MatrixSample, np.ndarray]) -> WeaverReduction:
     return WeaverReduction(
         A + J @ C, A - J @ C, (np.sqrt(2) * x, np.sqrt(2) * y, q), Q
     )
-
-
-def dump_sample(m: MatrixSample, fh: io.TextIOBase):
-    """Coordinate-list text dump: header `# kind N seed`, then `i j value`."""
-    fh.write(f"# {m.kind} {m.size} {m.seed}\n")
-    mat = m.matrix
-    if mat is None:
-        mat = sparse.csr_matrix(m.dense())
-    coo = sparse.coo_matrix(mat)
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        fh.write(f"{i} {j} {float(v)!r}\n")

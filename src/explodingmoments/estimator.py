@@ -60,14 +60,10 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     if m.kind == "circulant" and m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
     norm = m.trace_norm
-    mat = m.matrix
+    mat = power = m.matrix
     out = np.empty(k_max)
-    power = mat.copy()
     for k in range(k_max):
-        if sparse.issparse(power):
-            out[k] = power.diagonal().sum() / norm
-        else:
-            out[k] = np.trace(power) / norm
+        out[k] = power.diagonal().sum() / norm
         if k + 1 < k_max:
             power = power @ mat
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import ClassVar, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 
@@ -43,9 +43,9 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _pair_keys(kmax: int) -> list[tuple[int, int]]:
+def _pair_keys(kmax: int) -> Iterator[tuple[int, int]]:
     """The pair-table keys (k, l): k, l >= 0 and 2 <= k + l <= kmax, k-major."""
-    return [(k, l) for k in range(kmax + 1) for l in range(kmax + 1 - k) if k + l >= 2]
+    return ((k, l) for k in range(kmax + 1) for l in range(kmax + 1 - k) if k + l >= 2)
 
 
 @dataclass(frozen=True)
@@ -289,15 +289,30 @@ def light_profile(kmax: int = DEFAULT_KMAX) -> MomentProfile:
     return degenerate_profile_of(scalar, kmax=kmax)
 
 
+def _missing_entries(name: str, table: Mapping, keys: Iterable, expected: int) -> list[Violation]:
+    """One violation if the table lacks any of its ``expected`` keys, naming
+    how many and the first.  The table holds only keys in range, so the count
+    is expected - len(table), and the scan stops at the first absent key: the
+    cost is bounded by the table size, not by kmax."""
+    missing = expected - len(table)
+    if not missing:
+        return []
+    first = next(key for key in keys if key not in table)
+    label = "(%d,%d)" % first if isinstance(first, tuple) else first
+    return [Violation("missing-entry",
+                      f"{name} table lacks {missing} of {expected} entries, first C_{label}")]
+
+
 def validate_profile(profile: MomentProfile, model: str) -> list[Violation]:
     """Check the tables a model's limit formulas require; empty list means ok."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     out: list[Violation] = []
+    kmax = profile.kmax
     if model in PAIR_MODELS:
-        for k, l in _pair_keys(profile.kmax):
-            if (k, l) not in profile.pair_table:
-                out.append(Violation("missing-entry", f"pair table lacks C_({k},{l})"))
+        # the (kmax+1)(kmax+2)/2 keys with k + l <= kmax, less (0,0), (0,1), (1,0)
+        out += _missing_entries("pair", profile.pair_table, _pair_keys(kmax),
+                                (kmax + 1) * (kmax + 2) // 2 - 3)
         if profile.alpha == 1:
             for key in ((2, 0), (0, 2)):
                 have = profile.pair_table.get(key)
@@ -309,9 +324,7 @@ def validate_profile(profile: MomentProfile, model: str) -> list[Violation]:
                         )
                     )
     if model in _SCALAR_MODELS:
-        for k in range(2, profile.kmax + 1):
-            if k not in profile.scalar_table:
-                out.append(Violation("missing-entry", f"scalar table lacks C_{k}"))
+        out += _missing_entries("scalar", profile.scalar_table, range(2, kmax + 1), kmax - 1)
         if profile.alpha == 1:
             have = profile.scalar_table.get(2)
             if have is not None and have != 1:

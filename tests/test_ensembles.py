@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from explodingmoments.ensembles import (
     _decode_upper_pairs,
     _distinct_uniform,
     circulant_eigenvalues,
-    dump_sample,
     is_centrosymmetric,
     sample,
     sample_circulant_generator,
@@ -45,9 +43,9 @@ class TestSpecValidation:
 
 
 class TestReproducibility:
-    @pytest.mark.parametrize("kind", ["elliptic", "iid", "block2", "centrosymmetric", "circulant"])
+    @pytest.mark.parametrize("kind", ["elliptic", "iid", "block", "centrosymmetric", "circulant"])
     def test_same_spec_same_sample(self, kind, sign_pair_law, sign_law):
-        law = sign_pair_law if kind in ("elliptic", "block2") else sign_law
+        law = sign_pair_law if kind in ("elliptic", "block") else sign_law
         spec = EnsembleSpec(kind=kind, n=24, law=law, seed=77)
         a, b = sample(spec), sample(spec)
         if a.matrix is None:
@@ -90,8 +88,8 @@ class TestStructuralInvariants:
             for j in range(i + 1, 40):
                 assert (d[i, j] != 0) == (d[j, i] != 0)
 
-    def test_block2_is_block_diagonal(self, sign_pair_law):
-        d = dense_of(EnsembleSpec(kind="block2", n=16, law=sign_pair_law, seed=4))
+    def test_block_is_block_diagonal(self, sign_pair_law):
+        d = dense_of(EnsembleSpec(kind="block", n=16, law=sign_pair_law, seed=4))
         assert d.shape == (32, 32)
         assert np.all(d[:16, 16:] == 0) and np.all(d[16:, :16] == 0)
 
@@ -233,15 +231,38 @@ class TestGaussianLaw:
         assert [g.moment(k) for k in range(7)] == [1, 0, 1, 0, 3, 0, 15]
 
 
-class TestDump:
-    def test_header_and_entries(self, sign_law):
-        spec = EnsembleSpec(kind="circulant", n=6, law=sign_law, seed=13)
-        s = sample(spec)
-        buf = io.StringIO()
-        dump_sample(s, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# circulant 6 13"
-        for line in lines[1:]:
-            i, j, v = line.split()
-            assert 0 <= int(i) < 6 and 0 <= int(j) < 6
-            float(v)
+# 1.0 * (1 / sqrt(6)) as the sampler rounds it: a sign-law diagonal entry at n = 6
+_D = 0.4082482904638631
+
+
+class TestPinnedDraws:
+    """Seeded sparse draws under the sign laws, recorded as (row, col, value)
+    of every stored entry: a change to the draw sequence shows here."""
+
+    @pytest.mark.parametrize(
+        "kind,n,seed,cells",
+        [
+            ("elliptic", 6, 1, [(0, 0, _D), (1, 1, _D), (2, 2, -_D), (2, 5, 1), (3, 3, _D),
+                                (4, 4, -_D), (4, 5, -1), (5, 2, 1), (5, 4, 1), (5, 5, _D)]),
+            ("iid", 6, 1, [(0, 0, _D), (0, 2, -1), (0, 5, 1), (1, 1, -_D), (2, 2, -_D),
+                           (3, 3, _D), (4, 2, 1), (4, 4, -_D), (4, 5, -1), (5, 3, 1),
+                           (5, 5, _D)]),
+            ("block", 6, 1, [(0, 0, _D), (0, 2, 1), (0, 5, -1), (1, 1, -_D), (2, 2, -_D),
+                             (3, 3, _D), (4, 2, 1), (4, 4, -_D), (4, 5, -1), (5, 3, -1),
+                             (5, 5, _D), (6, 6, _D), (6, 8, -1), (6, 11, -1), (7, 7, _D),
+                             (8, 8, _D), (9, 9, _D), (10, 8, 1), (10, 10, _D), (10, 11, -1),
+                             (11, 9, -1), (11, 11, -_D)]),
+            ("centrosymmetric", 6, 1, [(0, 0, 1), (2, 1, -1), (2, 5, 1), (3, 0, 1), (3, 4, -1),
+                                       (5, 5, 1)]),
+            # odd n: the active center orbit fills one cell
+            ("centrosymmetric", 7, 8, [(0, 4, 1), (0, 5, -1), (3, 3, -1), (6, 1, -1),
+                                       (6, 2, 1)]),
+        ],
+    )
+    def test_sign_law_draw(self, kind, n, seed, cells, sign_pair_law, sign_law):
+        law = sign_pair_law if kind in ("elliptic", "block") else sign_law
+        m = sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix
+        size = 2 * n if kind == "block" else n
+        assert m.format == "csr" and m.shape == (size, size)
+        coo = m.tocoo()
+        assert sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())) == cells

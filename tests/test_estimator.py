@@ -147,7 +147,7 @@ class TestBootstrapAgainstLoop:
         "circulant-sign": ("circulant", 24),
         "circulant-light": ("circulant", 24),
         "elliptic": ("elliptic", 12),
-        "block": ("block2", 6),
+        "block": ("block", 6),
     }
 
     @staticmethod
