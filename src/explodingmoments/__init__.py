@@ -1,17 +1,14 @@
 """Combinatorial limit theory and Monte Carlo verification for linear
-eigenvalue statistics of random matrices with exploding entry moments."""
+eigenvalue statistics of random matrices with exploding entry moments.
+
+The exact layers load eagerly and import neither numpy nor scipy.  The
+sampling names resolve on first access (PEP 562), so importing the package
+costs only what the exact layers need."""
 
 __version__ = "0.1.0"
 
-from .ensembles import (
-    EnsembleSpec,
-    GaussianLaw,
-    MatrixSample,
-    circulant_eigenvalues,
-    sample,
-    weaver_reduce,
-)
-from .estimator import SampleStats, compare_report, run_experiment, trace_powers
+import importlib
+
 from .graphs import TraceGraph, classify, graph_of_partition, stats
 from .limits import (
     asymptotic_order,
@@ -31,6 +28,7 @@ from .partitions import (
     walk_partitions,
 )
 from .profiles import (
+    GaussianLaw,
     MomentProfile,
     SparsePairLaw,
     SparseScalarLaw,
@@ -44,3 +42,29 @@ from .profiles import (
     validate_profile,
     wigner_profile,
 )
+
+# the sampling names and the module defining each; they import numpy
+_SAMPLING = {
+    "EnsembleSpec": "ensembles",
+    "MatrixSample": "ensembles",
+    "circulant_eigenvalues": "ensembles",
+    "sample": "ensembles",
+    "weaver_reduce": "ensembles",
+    "SampleStats": "estimator",
+    "compare_report": "estimator",
+    "run_experiment": "estimator",
+    "trace_powers": "estimator",
+}
+
+
+def __getattr__(name: str):
+    module = _SAMPLING.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_SAMPLING])

@@ -17,6 +17,10 @@ the config checks its own fields, ``_resolve_setup`` reads the law or
 profile file, and ``dispatch`` maps the library's input errors in setup
 and exact work, not in sampling, to usage errors.  Exit status: 0 on
 success, 1 if any verify row fails, 2 on usage errors (one ``error:`` line).
+
+Only the commands that sample (simulate, verify, weaver) import the
+sampling modules, and with them numpy; limits, covariance and oracle run on
+the exact layers alone.
 """
 
 from __future__ import annotations
@@ -28,23 +32,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
-from .ensembles import (
-    EnsembleSpec,
-    GaussianLaw,
-    sample,
-    weaver_reduce,
-)
-from .estimator import (
-    KMAX_TRACE_POWERS,
-    compare_report,
-    rows_to_csv,
-    run_experiment,
-)
 from .limits import (
     KMAX_COV,
     KMAX_TRACE,
@@ -54,8 +44,10 @@ from .limits import (
 )
 from .oracle import EXACT_MODELS, MAX_K_FLUCT, MAX_K_MEAN, MAX_N_POLY, exact_table
 from .profiles import (
+    KMAX_TRACE_POWERS,
     MODELS,
     PAIR_MODELS,
+    GaussianLaw,
     MomentProfile,
     MomentTableError,
     SparsePairLaw,
@@ -69,6 +61,9 @@ from .profiles import (
     sign_scalar_law,
     validate_profile,
 )
+
+if TYPE_CHECKING:
+    from .ensembles import EnsembleSpec
 
 SCHEMA_VERSION = 1
 
@@ -125,6 +120,8 @@ class ExperimentConfig:
             raise UsageError(f"config field 'fmt' must be one of {_FORMATS}, got {self.fmt!r}")
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
+        if self.fmt == "csv" and self.command != "verify":
+            raise UsageError("--format csv applies only to verify")
         if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}")
         cmd, row = self.command, _COMMANDS[self.command]
@@ -258,11 +255,15 @@ def _cmd_covariance(cfg: ExperimentConfig) -> dict:
 
 
 def _sampling_setup(cfg: ExperimentConfig) -> tuple[EnsembleSpec, MomentProfile]:
+    from .ensembles import EnsembleSpec
+
     law, profile = _resolve_setup(cfg)
     return EnsembleSpec(cfg.model, cfg.n[0], law, cfg.seed), profile
 
 
 def _cmd_simulate(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
+    from .estimator import run_experiment
+
     spec, _profile = setup
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     doc = {
@@ -305,6 +306,8 @@ def _verify_setup(cfg: ExperimentConfig):
 
 
 def _cmd_verify(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
+    from .estimator import compare_report, run_experiment
+
     spec, predictions, oracle_values = setup
     stats = run_experiment(spec, cfg.kmax, cfg.reps)
     rows = compare_report(stats, predictions, oracle_values, z_threshold=cfg.z_threshold)
@@ -328,10 +331,16 @@ def _cmd_oracle(cfg: ExperimentConfig) -> dict:
 
 
 def _weaver_setup(cfg: ExperimentConfig) -> EnsembleSpec:
+    from .ensembles import EnsembleSpec
+
     return EnsembleSpec("centrosymmetric", cfg.n[0], GaussianLaw(), cfg.seed)
 
 
 def _cmd_weaver(cfg: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, dict]:
+    import numpy as np
+
+    from .ensembles import sample, weaver_reduce
+
     n = spec.n
     m = sample(spec).dense()
     red = weaver_reduce(m)
@@ -426,7 +435,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _emit(doc: dict, cfg: ExperimentConfig):
-    if cfg.fmt == "csv" and "rows" in doc:
+    if cfg.fmt == "csv":
+        from .estimator import rows_to_csv
+
         text = rows_to_csv(doc["rows"])
     else:
         text = json.dumps(doc, indent=2, default=_json_default) + "\n"
@@ -439,8 +450,6 @@ def _emit(doc: dict, cfg: ExperimentConfig):
 def _json_default(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 

@@ -11,31 +11,16 @@ entry x = sqrt(N)*xi becomes the stored value xi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
-from .partitions import double_factorial_odd
-from .profiles import MODELS, PAIR_MODELS, SparsePairLaw, SparseScalarLaw
+from .profiles import MODELS, PAIR_MODELS, EntryLaw, GaussianLaw, SparsePairLaw
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DENSE_LIMIT = 4096  # largest size we will materialize densely
-
-
-@dataclass(frozen=True)
-class GaussianLaw:
-    """Standard normal entries: the bounded-moment (light) reference law.
-
-    E[x^k] is (k-1)!! for even k and 0 for odd k, so C_2 = 1 and C_k -> 0
-    for k >= 3.
-    """
-
-    def moment(self, k: int) -> Fraction:
-        return Fraction(double_factorial_odd(k))
-
-
-EntryLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,7 @@ class MatrixSample:
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
-            return self.matrix.toarray() if sparse.issparse(self.matrix) else self.matrix
+            return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
         if self.kind == "circulant":
             if self.size > DENSE_LIMIT:
                 raise ValueError("circulant too large to densify")
@@ -196,6 +181,8 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
         placed.append((d, d, diag[_draw_atoms(rng, diag_cum, n)] * (1.0 / np.sqrt(n))))
     rows, cols, data = (np.concatenate(part) for part in zip(*placed))
     size = n * max(blocks, 1)  # the block model's two blocks make it 2n x 2n
+    from scipy import sparse  # loaded by the sparse models alone
+
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
     return MatrixSample(kind, size, n, mat)
 

@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from .ensembles import (
     EnsembleSpec,
@@ -41,8 +40,8 @@ from .ensembles import (
     sample,
     sample_circulant_generator,
 )
+from .profiles import KMAX_TRACE_POWERS
 
-KMAX_TRACE_POWERS = 8
 BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
 
@@ -229,6 +228,8 @@ def reduction_block_moments(
     """
     if spec.kind != "centrosymmetric":
         raise ValueError("reduction moments are defined for centrosymmetric samples")
+    from scipy import sparse
+
     n = spec.n
     s = n // 2
     mirror_rows = np.arange(n - 1, n - 1 - s, -1)

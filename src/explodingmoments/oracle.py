@@ -24,20 +24,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
-from .ensembles import GaussianLaw
 from .graphs import moment_product
 from .partitions import walk_partitions
-from .profiles import SparsePairLaw, SparseScalarLaw
+from .profiles import EntryLaw, GaussianLaw, SparsePairLaw
 
 EXACT_MODELS = ("elliptic", "iid", "circulant")
 
 MAX_N_POLY = 10**6
 MAX_K_MEAN = 6
 MAX_K_FLUCT = 3
-
-OracleLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]
 
 _Scaled = tuple[Fraction, int]  # (coefficient, half-power of N): value = c * N^(h/2)
 
@@ -106,7 +103,7 @@ class ExactMomentTable:
     and the cumulants of a circulant generator entry as Laurent polynomials;
     each is computed once per table."""
 
-    law: OracleLaw
+    law: EntryLaw
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @_once
@@ -229,7 +226,7 @@ def _laurent_table(table: ExactMomentTable, walks) -> dict:
     return _centred({walk: _walk_sum(table, walk) for walk in walks}, inv_n, inv_n)
 
 
-def exact_table(model: str, law: OracleLaw, ns: Sequence[int], kmax: int) -> dict:
+def exact_table(model: str, law: EntryLaw, ns: Sequence[int], kmax: int) -> dict:
     """{N: table} for each N of ``ns``: the means (k <= MAX_K_MEAN, keyed
     (k, None); E[Tr(A^k)]/N, or E[Tr(C^k)] for the circulant) and the
     covariances (k <= l <= MAX_K_FLUCT) up to ``kmax``, each walk summed

@@ -11,6 +11,8 @@ finite-atom variable ``xi``.  :class:`SparsePairLaw` (atom rows
 ``(xi, eta, prob)`` for a dependent pair ``(x_ij, x_ji)``) and
 :class:`SparseScalarLaw` (rows ``(xi, prob)``) share one body, and
 :func:`law_to_dict` / :func:`law_from_dict` are the JSON codec of both.
+:class:`GaussianLaw` is the bounded-moment reference law; ``EntryLaw`` is
+any of the three.
 
 Everything in this module is exact rational arithmetic; no floats.
 """
@@ -20,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping, Union
+
+from .partitions import double_factorial_odd
 
 MODELS = ("elliptic", "iid", "block", "centrosymmetric", "circulant")
 
@@ -31,6 +35,9 @@ PAIR_MODELS = ("elliptic", "block")
 _SCALAR_MODELS = ("iid", "block", "centrosymmetric", "circulant")
 
 DEFAULT_KMAX = 8
+
+# the highest trace power a Monte Carlo run estimates
+KMAX_TRACE_POWERS = 8
 
 
 class MomentTableError(LookupError):
@@ -212,6 +219,21 @@ class SparseScalarLaw(_SparseLaw):
     _WIDTH = 1
     _NAMES = ("scalar law", "atoms", "atom mean E[xi] must vanish",
               "unit variance requires q*E[xi^2] = 1")
+
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """Standard normal entries: the bounded-moment (light) reference law.
+
+    E[x^k] is (k-1)!! for even k and 0 for odd k, so C_2 = 1 and C_k -> 0
+    for k >= 3.
+    """
+
+    def moment(self, k: int) -> Fraction:
+        return Fraction(double_factorial_odd(k))
+
+
+EntryLaw = Union[SparsePairLaw, SparseScalarLaw, GaussianLaw]
 
 
 def design_correlated_sign_law(rho) -> SparsePairLaw:

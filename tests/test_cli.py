@@ -21,7 +21,7 @@ from explodingmoments.cli import (
     dispatch,
     main,
 )
-from explodingmoments import cli, oracle
+from explodingmoments import estimator, oracle
 from explodingmoments.oracle import MAX_N_POLY
 from explodingmoments.profiles import (
     MODELS,
@@ -149,6 +149,11 @@ class TestUsageErrors:
             (["oracle", "--kmax", "0"], "oracle needs --kmax of at least 1, got 0"),
             (["simulate", "--kmax", "0"], "simulate needs --kmax of at least 1, got 0"),
             (["verify", "--kmax", "-1"], "verify needs --kmax of at least 1, got -1"),
+            (["limits", "--format", "csv"], "--format csv applies only to verify"),
+            (["covariance", "--format", "csv"], "--format csv applies only to verify"),
+            (["simulate", "--format", "csv"], "--format csv applies only to verify"),
+            (["oracle", "--format", "csv"], "--format csv applies only to verify"),
+            (["weaver", "--format", "csv"], "--format csv applies only to verify"),
         ],
     )
     def test_bad_numeric_input_exits_2(self, capsys, argv, message):
@@ -196,7 +201,7 @@ class TestUsageErrors:
         path = tmp_path / "law.json"
         path.write_text(json.dumps({"scalar_law": law_to_dict(law)}))
         calls = []
-        monkeypatch.setattr(cli, "run_experiment", lambda *a: calls.append(a) or 1 / 0)
+        monkeypatch.setattr(estimator, "run_experiment", lambda *a: calls.append(a) or 1 / 0)
         code, out, err = run_cli(capsys, "verify", "--model", "iid", "--profile", str(path),
                                  "--n", "5", "--kmax", "3", "--reps", "50")
         assert (code, out, calls) == (2, "", [])

@@ -1,0 +1,80 @@
+"""The exact layers and commands run without numpy or scipy: importing the
+package loads neither, the sampling names resolve on first access, and
+only the sparse samplers load ``scipy.sparse``.  Each check runs in a fresh
+interpreter, since this process has loaded both long before."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+HEAVY = ("numpy", "scipy", "scipy.sparse")
+
+# every name the package exported when its sampling names became lazy
+EXPORTED = [
+    "EnsembleSpec", "GaussianLaw", "MatrixSample", "circulant_eigenvalues", "sample",
+    "weaver_reduce", "SampleStats", "compare_report", "run_experiment", "trace_powers",
+    "TraceGraph", "classify", "graph_of_partition", "stats", "asymptotic_order",
+    "circulant_covariance", "circulant_limit_moment", "covariance_trace",
+    "limit_trace_moment", "tau", "wick_joint", "ExactMomentTable", "exact_table",
+    "SetPartition", "enumerate_integer_partitions_min2", "enumerate_pair_partitions",
+    "enumerate_set_partitions", "walk_partitions", "MomentProfile", "SparsePairLaw",
+    "SparseScalarLaw", "design_correlated_sign_law", "degenerate_profile_of",
+    "light_profile", "profile_of_scalar_law", "profile_of_sparse_law", "sign_scalar_law",
+    "tilde_transform", "validate_profile", "wigner_profile", "__version__",
+]
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this checkout."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    return proc.stdout
+
+
+def loaded_after(*argvs):
+    """{'import' or command: exit status and the HEAVY modules loaded}, in
+    one fresh interpreter that imports the package and its CLI, then runs
+    each argv through ``cli.main`` in turn."""
+    probe = f"""
+import contextlib, io, json, sys
+import explodingmoments, explodingmoments.cli as cli
+loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
+report = {{"import": [0, loaded()]}}
+for argv in {list(argvs)!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        report[argv[0]] = [cli.main(argv), loaded()]
+print(json.dumps(report))
+"""
+    return json.loads(run_fresh(probe))
+
+
+def test_import_and_exact_commands_load_no_numpy_or_scipy():
+    report = loaded_after(
+        ["limits", "--model", "elliptic", "--kmax", "6"],
+        ["covariance", "--model", "iid", "--kmax", "3"],
+        ["oracle", "--model", "circulant", "--n", "7", "--n", "11", "--kmax", "6"],
+    )
+    assert report == {name: [0, []] for name in ("import", "limits", "covariance", "oracle")}
+
+
+def test_circulant_simulate_loads_numpy_but_not_scipy_sparse():
+    report = loaded_after(["simulate", "--model", "circulant", "--n", "8", "--reps", "5"])
+    assert report["simulate"] == [0, ["numpy"]]
+
+
+def test_every_exported_name_resolves():
+    code = f"""
+import explodingmoments
+missing = [n for n in {EXPORTED!r} if not hasattr(explodingmoments, n)]
+assert not missing, missing
+assert not hasattr(explodingmoments, "no_such_name")
+from explodingmoments import run_experiment, sample
+from explodingmoments.estimator import run_experiment as defined
+assert run_experiment is defined and sample is explodingmoments.ensembles.sample
+"""
+    run_fresh(code)

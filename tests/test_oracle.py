@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from explodingmoments import oracle
-from explodingmoments.ensembles import GaussianLaw
 from explodingmoments.limits import circulant_limit_moment, covariance_trace, limit_trace_moment
 from explodingmoments.oracle import MAX_N_POLY, ExactMomentTable, Laurent, exact_table
 import reference_sums
 from explodingmoments.profiles import (
+    GaussianLaw,
     SparsePairLaw,
     SparseScalarLaw,
     design_correlated_sign_law,
