@@ -256,7 +256,9 @@ def _cmd_covariance(cfg: ExperimentConfig) -> dict:
 
 def _sampling_setup(cfg: ExperimentConfig) -> tuple[EnsembleSpec, MomentProfile]:
     from .ensembles import EnsembleSpec
+    from .estimator import thread_count
 
+    thread_count()  # a malformed thread count stops the run before it samples
     law, profile = _resolve_setup(cfg)
     return EnsembleSpec(cfg.model, cfg.n[0], law, cfg.seed), profile
 

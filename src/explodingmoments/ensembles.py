@@ -156,21 +156,34 @@ _SPARSE_GEOMETRY = {
 def sample(spec: EnsembleSpec) -> MatrixSample:
     """Draw one matrix; bit-identical for identical specs.
 
-    A sparse model draws, in order: a binomial count of active orbits and
-    that many distinct orbits, one atom row per active orbit, then each of
-    its diagonal blocks; a Gaussian model one standard normal per entry."""
-    rng = np.random.default_rng(spec.seed)
+    A sparse model draws as :func:`_sparse_cells` says and is the one block
+    of :func:`sample_sparse_blocks` at its seed; a Gaussian model draws one
+    standard normal per entry."""
     kind, n, law = spec.kind, spec.n, spec.law
     if kind == "circulant":
-        x = sample_circulant_generator(law, n, [rng])[0]
+        x = sample_circulant_generator(law, n, [np.random.default_rng(spec.seed)])[0]
         return MatrixSample(kind, n, n, None, generator_values=x)
     if isinstance(law, GaussianLaw):
-        g = rng.standard_normal(n * n)
+        g = np.random.default_rng(spec.seed).standard_normal(n * n)
         if kind == "centrosymmetric":
             t = np.arange(n * n)
             g = g[np.minimum(t, n * n - 1 - t)]
         return MatrixSample(kind, n, n, (g / np.sqrt(n)).reshape(n, n))
-    orbits, cells, blocks = _SPARSE_GEOMETRY[kind]
+    return MatrixSample(kind, sparse_size(spec), n, sample_sparse_blocks(spec, [spec.seed]))
+
+
+def sparse_size(spec: EnsembleSpec) -> int:
+    """The side of a sparse model's matrix: the block model's two blocks make
+    it 2n x 2n, every other model's n x n."""
+    return spec.n * max(_SPARSE_GEOMETRY[spec.kind][2], 1)
+
+
+def _sparse_cells(spec: EnsembleSpec, rng: np.random.Generator):
+    """(rows, cols, values) of one sparse draw from rng.  It draws, in order:
+    a binomial count of active orbits and that many distinct orbits, one atom
+    row per active orbit, then each of its diagonal blocks."""
+    n, law = spec.n, spec.law
+    orbits, cells, blocks = _SPARSE_GEOMETRY[spec.kind]
     active = _binomial_active(rng, orbits(n), float(law.activation) / n)
     columns, cum = _draw_table(law.atoms)
     which = _draw_atoms(rng, cum, len(active))
@@ -179,12 +192,24 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
     for b in range(blocks):
         d = np.arange(b * n, (b + 1) * n)
         placed.append((d, d, diag[_draw_atoms(rng, diag_cum, n)] * (1.0 / np.sqrt(n))))
-    rows, cols, data = (np.concatenate(part) for part in zip(*placed))
-    size = n * max(blocks, 1)  # the block model's two blocks make it 2n x 2n
+    return [np.concatenate(part) for part in zip(*placed)]
+
+
+def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:
+    """One block-diagonal CSR matrix of a sparse model whose block i, of side
+    ``sparse_size(spec)``, is drawn from ``default_rng(seeds[i])`` alone: it
+    equals ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry,
+    in the same stored order."""
+    size = sparse_size(spec)
+    parts = []
+    for i, seed in enumerate(seeds):
+        rows, cols, data = _sparse_cells(spec, np.random.default_rng(seed))
+        parts.append((rows + i * size, cols + i * size, data))
+    rows, cols, data = (np.concatenate(part) for part in zip(*parts))
     from scipy import sparse  # loaded by the sparse models alone
 
-    mat = sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-    return MatrixSample(kind, size, n, mat)
+    total = size * len(seeds)
+    return sparse.coo_matrix((data, (rows, cols)), shape=(total, total)).tocsr()
 
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

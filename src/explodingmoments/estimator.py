@@ -7,6 +7,19 @@ deterministic end to end and replicas can be generated in any order or in
 parallel.  Z_N(k) is centered at the empirical replica mean; the O(1/M)
 centering bias is covered by the bootstrap standard errors.
 
+Sparse replicas are drawn in chunks of consecutive seeds.  A chunk is one
+block-diagonal CSR matrix whose block i is the sample at its seed, sized
+to about 8000 rows, so each scipy product serves every replica in it and
+its per-call cost is paid once per chunk.  One kernel takes such a matrix,
+or a single sample as one block: with h = ceil(k_max/2) it forms A, ...,
+A^h by sequential products, reads Tr(A^k) for k <= h as a per-block sum of
+the diagonal (the values of a per-sample power loop, bit for bit), and for
+k > h takes Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and
+b = ceil(k/2), which moves the sum at rounding level.  Chunk boundaries
+depend only on M and the matrix size, and ``EXPLODINGMOMENTS_THREADS``
+threads map over chunks, so results do not depend on the thread count.
+Dense (Gaussian) replicas go one per chunk through repeated products.
+
 Circulant replicas never form a matrix.  Their generators are drawn in
 chunks, one row per replica seed, and one kernel gives Tr(C^k)/N for a
 sample or a chunk: the real FFT of the generator gives the half-spectrum
@@ -39,8 +52,10 @@ from .ensembles import (
     MatrixSample,
     sample,
     sample_circulant_generator,
+    sample_sparse_blocks,
+    sparse_size,
 )
-from .profiles import KMAX_TRACE_POWERS
+from .profiles import KMAX_TRACE_POWERS, GaussianLaw
 
 BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
@@ -50,14 +65,16 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     """[Tr(A^k) / N for k = 1..k_max]; N is the sample's trace normalizer.
 
     Circulant samples go through half-spectrum eigenvalue powers
-    (:func:`_circulant_power_sums`), sparse samples through sparse
-    closed-walk products, dense samples through repeated multiplication; the
-    three paths agree on common inputs.
+    (:func:`_circulant_power_sums`), sparse samples through the one-block
+    case of :func:`_sparse_block_traces`, dense samples through repeated
+    multiplication; the three paths agree on common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
     if m.kind == "circulant" and m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
+    if not isinstance(m.matrix, np.ndarray):
+        return _sparse_block_traces(m.matrix, 1, m.trace_norm, k_max)[0]
     norm = m.trace_norm
     mat = power = m.matrix
     out = np.empty(k_max)
@@ -66,6 +83,32 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
         if k + 1 < k_max:
             power = power @ mat
     return out
+
+
+def _sparse_block_traces(mat, blocks: int, norm: int, k_max: int) -> np.ndarray:
+    """(blocks, k_max) array of Tr(B_r^k) / norm, k = 1..k_max, for the
+    ``blocks`` diagonal blocks B_r, all of one size, of the CSR matrix mat.
+
+    Powers of a block-diagonal matrix are block diagonal with blocks B_r^k,
+    so each product serves every block.  A, ..., A^h with h = ceil(k_max/2)
+    are formed by sequential products, and Tr(A^k) for k <= h is the
+    per-block sum of the diagonal of A^k.  For k > h,
+    Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2), b = ceil(k/2),
+    one elementwise product per k in place of a matrix product."""
+    half = (k_max + 1) // 2
+    powers = [mat]
+    while len(powers) < half:
+        powers.append(powers[-1] @ mat)
+    size = mat.shape[0] // blocks
+    out = np.empty((blocks, k_max))
+    for k in range(1, k_max + 1):
+        if k <= half:
+            out[:, k - 1] = powers[k - 1].diagonal().reshape(blocks, size).sum(axis=1)
+        else:
+            paired = powers[k // 2 - 1].multiply(powers[(k + 1) // 2 - 1].T)
+            block_of = np.repeat(np.arange(blocks), np.diff(paired.indptr[::size]))
+            out[:, k - 1] = np.bincount(block_of, paired.data, minlength=blocks)
+    return out / norm
 
 
 @dataclass
@@ -111,21 +154,48 @@ def _circulant_power_sums(x: np.ndarray, k_max: int) -> np.ndarray:
     return out
 
 
-def _replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
-    kind = spec.kind
-    if kind == "circulant":
+def thread_count() -> int:
+    """The worker threads of a Monte Carlo run: the positive integer in
+    ``EXPLODINGMOMENTS_THREADS``, or 1 when it is unset or empty.  Any other
+    value is a ValueError."""
+    raw = os.environ.get(THREADS_ENV, "")
+    if not raw:
+        return 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) -> np.ndarray:
+    """(m, k_max) traces of replicas r = 1..m, drawn from seeds spec.seed + r.
+
+    Sparse replicas are drawn in chunks of consecutive seeds, one
+    block-diagonal matrix per chunk; dense replicas one at a time.  Chunk
+    boundaries depend only on m and the matrix size, and threads map over
+    chunks, so the result does not depend on the thread count."""
+    if spec.kind == "circulant":
         return _circulant_replica_traces(spec, k_max, m)
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    seeds = [spec.seed + r for r in range(1, m + 1)]
+    if isinstance(spec.law, GaussianLaw):
+        chunk = 1
 
-    def one(seed: int) -> np.ndarray:
-        return trace_powers(sample(replace(spec, seed=seed)), k_max)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, seeds))
+        def traces(seeds: range) -> np.ndarray:
+            return trace_powers(sample(replace(spec, seed=seeds[0])), k_max)[None]
     else:
-        rows = [one(s) for s in seeds]
+        # 8000 rows hold four replicas at N = 2000; larger chunks were no faster
+        # and used more memory
+        chunk = max(1, min(m, 8000 // sparse_size(spec)))
+
+        def traces(seeds: range) -> np.ndarray:
+            batch = sample_sparse_blocks(spec, seeds)
+            return _sparse_block_traces(batch, len(seeds), spec.n, k_max)
+
+    first = spec.seed + 1
+    chunks = [range(first + lo, first + min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            rows = list(pool.map(traces, chunks))
+    else:
+        rows = [traces(seeds) for seeds in chunks]
     return np.vstack(rows)
 
 
@@ -160,7 +230,7 @@ def run_experiment(
         raise ValueError("need at least 2 replicates")
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
-    traces = _replica_traces(spec, k_max, replicates)
+    traces = _replica_traces(spec, k_max, replicates, thread_count())
     return aggregate_stats(spec, traces, bootstrap_resamples)
 
 

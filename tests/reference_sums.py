@@ -11,7 +11,9 @@ which the tests require to give the same ``Fraction`` values.
 pass: each resample gathers its copy of the traces and recomputes the
 statistics from it.  ``reference_circulant_generator`` is the circulant
 generator draw written out for one replica, which pins the random stream of
-the batched draw.
+the batched draw.  ``reference_trace_powers`` is the sparse trace kernel as
+it was before replicas were batched: one sample, k_max - 1 sequential
+products.
 """
 
 from __future__ import annotations
@@ -342,3 +344,15 @@ def reference_circulant_generator(law, n: int, rng, branches: Counter) -> np.nda
     x = np.zeros(n)
     x[active] = vals[np.searchsorted(cum, rng.random(count), side="right")] * np.sqrt(n)
     return x
+
+
+def reference_trace_powers(matrix, norm: int, k_max: int) -> np.ndarray:
+    """[Tr(A^k) / norm for k = 1..k_max] of one sparse or dense matrix A by
+    sequential products A^k = A^(k-1) A, each trace the sum of a diagonal."""
+    out = np.empty(k_max)
+    power = matrix
+    for k in range(k_max):
+        out[k] = power.diagonal().sum() / norm
+        if k + 1 < k_max:
+            power = power @ matrix
+    return out

@@ -207,6 +207,18 @@ class TestUsageErrors:
         assert (code, out, calls) == (2, "", [])
         assert err.startswith("error: exact value involves N^(") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_malformed_thread_count_exits_2_before_sampling(self, capsys, monkeypatch,
+                                                             command, raw):
+        calls = []
+        monkeypatch.setattr(estimator, "run_experiment", lambda *a: calls.append(a) or 1 / 0)
+        monkeypatch.setenv("EXPLODINGMOMENTS_THREADS", raw)
+        code, out, err = run_cli(capsys, command, "--model", "elliptic", "--n", "50",
+                                 "--kmax", "2", "--reps", "10")
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: EXPLODINGMOMENTS_THREADS must be a positive integer, got {raw!r}\n"
+
     def test_lowest_seed_still_runs(self, capsys):
         # replica r draws from seed + r, so --seed -1 hands numpy 0, 1, ...
         code, out, _ = run_cli(capsys, "simulate", "--model", "circulant", "--n", "8",

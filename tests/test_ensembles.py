@@ -15,6 +15,8 @@ from explodingmoments.ensembles import (
     is_centrosymmetric,
     sample,
     sample_circulant_generator,
+    sample_sparse_blocks,
+    sparse_size,
     weaver_reduce,
 )
 from explodingmoments.profiles import SparseScalarLaw, design_correlated_sign_law, sign_scalar_law
@@ -266,3 +268,20 @@ class TestPinnedDraws:
         assert m.format == "csr" and m.shape == (size, size)
         coo = m.tocoo()
         assert sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())) == cells
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7])
+    @pytest.mark.parametrize("kind", ["elliptic", "iid", "block", "centrosymmetric"])
+    def test_batch_blocks_are_the_seeded_draws(self, kind, n, sign_pair_law, sign_law):
+        # block i of a batch holds the draw at seeds[i], in the same stored order
+        law = sign_pair_law if kind in ("elliptic", "block") else sign_law
+        spec = EnsembleSpec(kind=kind, n=n, law=law, seed=0)
+        seeds = [11, 3, 12, 40]
+        batch = sample_sparse_blocks(spec, seeds)
+        size = sparse_size(spec)
+        assert batch.format == "csr" and batch.shape == (4 * size, 4 * size)
+        for i, seed in enumerate(seeds):
+            m = sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix
+            lo, hi = batch.indptr[i * size], batch.indptr[(i + 1) * size]
+            assert np.array_equal(batch.indptr[i * size : (i + 1) * size + 1] - lo, m.indptr)
+            assert np.array_equal(batch.indices[lo:hi] - i * size, m.indices)
+            assert np.array_equal(batch.data[lo:hi], m.data)

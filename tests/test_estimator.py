@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,13 @@ from explodingmoments.ensembles import (
     MatrixSample,
     circulant_eigenvalues,
     sample,
+    sample_sparse_blocks,
 )
 from explodingmoments.estimator import (
+    THREADS_ENV,
     _circulant_power_sums,
     _replica_traces,
+    _sparse_block_traces,
     aggregate_stats,
     compare_report,
     rows_to_csv,
@@ -20,7 +24,15 @@ from explodingmoments.estimator import (
     trace_powers,
 )
 from explodingmoments.oracle import exact_table
-from reference_sums import reference_aggregate_stats
+from explodingmoments.profiles import PAIR_MODELS
+from reference_sums import reference_aggregate_stats, reference_trace_powers
+
+SPARSE_MODELS = ("elliptic", "iid", "block", "centrosymmetric")
+
+
+def sparse_spec(kind, n, seed, sign_law, sign_pair_law):
+    law = sign_pair_law if kind in PAIR_MODELS else sign_law
+    return EnsembleSpec(kind=kind, n=n, law=law, seed=seed)
 
 
 class TestTracePowers:
@@ -56,6 +68,49 @@ class TestTracePowers:
         s = sample(EnsembleSpec(kind="circulant", n=n, law=sign_law, seed=seed))
         dense = MatrixSample(kind="circulant", size=n, trace_norm=n, matrix=s.dense())
         assert np.allclose(trace_powers(s, 6), trace_powers(dense, 6), rtol=1e-8, atol=1e-12)
+
+
+class TestSparseBlockTraces:
+    """The batched half-power kernel against the per-sample sequential
+    products of ``reference_sums.reference_trace_powers``."""
+
+    @staticmethod
+    def reference(samples, k_max):
+        """(traces, scale) per sample; the scale of Tr(A^k) is Tr(|A|^k), the
+        sum of the absolute values of its closed-walk summands."""
+        want = [reference_trace_powers(m.matrix, m.trace_norm, k_max) for m in samples]
+        scale = [reference_trace_powers(abs(m.matrix), m.trace_norm, k_max) for m in samples]
+        return np.array(want), np.array(scale)
+
+    @staticmethod
+    def assert_matches(got, want, scale):
+        # k <= h = ceil(k_max/2) takes the same products; k > h pairs A^a with A^b
+        half = (got.shape[-1] + 1) // 2
+        assert np.array_equal(got[..., :half], want[..., :half])
+        assert (np.abs(got[..., half:] - want[..., half:]) <= 1e-12 * scale[..., half:]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("kind", SPARSE_MODELS)
+    def test_blocks_match_sequential_products(self, kind, n, sign_law, sign_pair_law):
+        spec = sparse_spec(kind, n, 0, sign_law, sign_pair_law)
+        seeds = range(40, 45)
+        samples = [sample(replace(spec, seed=s)) for s in seeds]
+        want, scale = self.reference(samples, 8)
+        batch = sample_sparse_blocks(spec, seeds)
+        for k_max in range(1, 9):
+            got = _sparse_block_traces(batch, len(seeds), n, k_max)
+            self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
+            for m, w, sc in zip(samples, want, scale):
+                self.assert_matches(trace_powers(m, k_max), w[:k_max], sc[:k_max])
+
+    @pytest.mark.parametrize("kind", SPARSE_MODELS)
+    def test_replica_chunks_match_per_sample(self, kind, sign_law, sign_pair_law):
+        # at n = 64 a chunk holds 125 replicas (62 for block), so 130 replicas
+        # end in a short chunk
+        spec = sparse_spec(kind, 64, 8, sign_law, sign_pair_law)
+        samples = [sample(replace(spec, seed=spec.seed + r)) for r in range(1, 131)]
+        want, scale = self.reference(samples, 8)
+        self.assert_matches(_replica_traces(spec, 8, 130), want, scale)
 
 
 class TestCirculantPowerSums:
@@ -131,12 +186,22 @@ class TestRunExperiment:
         stats = run_experiment(spec, 2, 5)
         assert stats.seed_range() == (11, 15)
 
-    def test_thread_count_does_not_change_results(self, sign_pair_law, monkeypatch):
-        spec = EnsembleSpec(kind="elliptic", n=40, law=sign_pair_law, seed=6)
-        base = run_experiment(spec, 3, 40)
-        monkeypatch.setenv("EXPLODINGMOMENTS_THREADS", "4")
-        threaded = run_experiment(spec, 3, 40)
-        assert np.array_equal(base.traces, threaded.traces)
+    def test_thread_count_does_not_change_results(self, sign_law, sign_pair_law, monkeypatch):
+        # 130 replicas at n = 64 span two chunks (three for block)
+        for kind in ("elliptic", "block", "centrosymmetric"):
+            spec = sparse_spec(kind, 64, 6, sign_law, sign_pair_law)
+            monkeypatch.delenv(THREADS_ENV, raising=False)
+            base = run_experiment(spec, 6, 130)
+            monkeypatch.setenv(THREADS_ENV, "3")
+            threaded = run_experiment(spec, 6, 130)
+            assert np.array_equal(base.traces, threaded.traces), kind
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2", " 2"])
+    def test_malformed_thread_count_is_rejected(self, raw, sign_law, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, raw)
+        spec = EnsembleSpec(kind="iid", n=8, law=sign_law, seed=1)
+        with pytest.raises(ValueError, match=f"{THREADS_ENV} must be a positive integer"):
+            run_experiment(spec, 2, 5)
 
 
 class TestBootstrapAgainstLoop:
