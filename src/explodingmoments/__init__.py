@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .graphs import TraceGraph, classify, graph_of_partition, stats
+from .graphs import classify
 from .limits import (
     asymptotic_order,
     circulant_covariance,
@@ -21,10 +21,8 @@ from .limits import (
 )
 from .oracle import ExactMomentTable, exact_table
 from .partitions import (
-    SetPartition,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
-    enumerate_set_partitions,
     walk_partitions,
 )
 from .profiles import (

@@ -1,4 +1,5 @@
-"""Directed multigraphs of closed trace walks and their tree classification.
+"""Tree classification of trace graphs and the entry-moment product that
+weighs a trace term.
 
 A partition pi of {1..k} induces a directed multigraph on its blocks with one
 edge block(m) -> block(m+1) per walk step (cyclically).  Whether the limit of
@@ -15,22 +16,17 @@ tree crosses each edge as often in one direction as in the other.  The
 limits layer therefore returns the independent-entry limits as 0 without
 enumerating; the fat-tree rule stays here as the reference for that fact.
 
-The partition sums of the limits and oracle layers build no graphs:
-``partitions.walk_partitions`` grows the same ``TraceCounts`` edge by edge,
-with the same :func:`partitions.tally_step` that :func:`stats` uses.
-:func:`moment_product` turns the counters into the product of entry moments
-that weighs a term.
+Both functions read a graph's ``partitions.TraceCounts``, the record that
+``partitions.walk_partitions`` grows edge by edge; no graph is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .partitions import SetPartition, TraceCounts, tally_step
+from .partitions import TraceCounts
 
 ADMISSIBLE_TREE = "admissible_tree"
 ZERO_SINGLE_EDGE_OR_LOOP = "zero_by_single_edge_or_loop"
@@ -40,73 +36,7 @@ ZERO_DIRECTION = "zero_by_direction_rule"
 GRAPH_MODELS = ("elliptic", "iid")
 
 
-@dataclass(frozen=True)
-class TraceGraph:
-    """Directed multigraph, canonically encoded as a sorted edge tuple (used
-    as cache key downstream)."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) endpoint out of range")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> TraceGraph:
-    return TraceGraph(vertex_count, tuple((u, v) for u, v in edges))
-
-
-def graph_of_partition(pi: SetPartition) -> TraceGraph:
-    """Blocks become vertices; one edge block(m) -> block(m+1) per step, with
-    k+1 identified with 1.  Exactly k edges in total."""
-    k = pi.ground_size
-    vertex_of = {}
-    for i, block in enumerate(pi.blocks):
-        for element in block:
-            vertex_of[element] = i
-    edges = []
-    for m in range(1, k + 1):
-        nxt = 1 if m == k else m + 1
-        edges.append((vertex_of[m], vertex_of[nxt]))
-    return TraceGraph(pi.num_blocks, tuple(edges))
-
-
-def _components(vertex_count: int, pairs: Iterable[tuple[int, int]]) -> int:
-    parent = list(range(vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in pairs:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(vertex_count)})
-
-
-@lru_cache(maxsize=65536)
-def stats(g: TraceGraph) -> TraceCounts:
-    """All multiplicity counters of a graph; deterministic and cached."""
-    loops: dict[int, int] = {}
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for u, v in g.edges:
-        tally_step(loops, pairs, u, v)
-    comps = _components(g.vertex_count, pairs)
-    return TraceCounts.of(g.vertex_count, loops, pairs, component_count=comps)
-
-
-@lru_cache(maxsize=65536)
-def classify(g: TraceGraph, model: str) -> str:
+def classify(counts: TraceCounts, model: str) -> str:
     """Decide whether a connected graph's limit term survives.
 
     Loops and single-multiplicity pairs zero out under every model; a cycle
@@ -117,12 +47,11 @@ def classify(g: TraceGraph, model: str) -> str:
     """
     if model not in GRAPH_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {GRAPH_MODELS}")
-    s = stats(g)
-    if s.has_loop or s.has_single_multiplicity_pair:
+    if counts.has_loop or counts.has_single_multiplicity_pair:
         return ZERO_SINGLE_EDGE_OR_LOOP
-    if s.cycle_excess > 0 or s.component_count > 1:
+    if counts.cycle_excess > 0 or counts.component_count > 1:
         return ZERO_CYCLE
-    if model == "iid" and not s.all_pairs_unidirectional:
+    if model == "iid" and not counts.all_pairs_unidirectional:
         return ZERO_DIRECTION
     return ADMISSIBLE_TREE
 

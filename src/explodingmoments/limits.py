@@ -23,8 +23,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Optional, Sequence, Union
 
-from .graphs import ADMISSIBLE_TREE, TraceGraph, classify, moment_product, stats
+from .graphs import ADMISSIBLE_TREE, classify, moment_product
 from .partitions import (
+    TraceCounts,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
     walk_partitions,
@@ -61,17 +62,17 @@ def _tree_product(counts, model: str, profile: MomentProfile) -> Fraction:
     return moment_product(counts, lambda a, b: (profile.scalar(a + b), 0))[0]
 
 
-def tau(g: TraceGraph, model: str, profile: MomentProfile) -> Fraction:
-    """Limiting trace contribution of one graph: the pair-constant product if
-    the graph is an admissible tree for the model ("elliptic" or "iid"),
-    else 0."""
+def tau(counts: TraceCounts, model: str, profile: MomentProfile) -> Fraction:
+    """Limiting trace contribution of one graph, given by its counters: the
+    pair-constant product if the graph is an admissible tree for the model
+    ("elliptic" or "iid"), else 0."""
     _require_alpha_one(profile)
-    if classify(g, model) != ADMISSIBLE_TREE:
+    if classify(counts, model) != ADMISSIBLE_TREE:
         return Fraction(0)
-    return _tree_product(stats(g), model, profile)
+    return _tree_product(counts, model, profile)
 
 
-def asymptotic_order(g: TraceGraph, alpha) -> LimitValue:
+def asymptotic_order(counts: TraceCounts, alpha) -> LimitValue:
     """Order classification valid for every alpha > 0.
 
     Exact zero when some pair carries total multiplicity one or some vertex
@@ -79,11 +80,10 @@ def asymptotic_order(g: TraceGraph, alpha) -> LimitValue:
     For alpha > 1 that exponent is always negative on connected graphs.
     """
     alpha = Fraction(alpha)
-    s = stats(g)
-    if s.has_single_multiplicity_pair or s.has_single_loop_vertex:
+    if counts.has_single_multiplicity_pair or counts.has_single_loop_vertex:
         return LimitValue(kind="zero_exact")
-    exponent = Fraction(s.vertex_count - 1) - alpha * s.reduced_edge_count
-    if alpha > 1 and s.component_count == 1 and exponent >= 0:
+    exponent = Fraction(counts.vertex_count - 1) - alpha * counts.reduced_edge_count
+    if alpha > 1 and counts.component_count == 1 and exponent >= 0:
         raise AssertionError("connected graphs must have negative order for alpha > 1")
     return LimitValue(kind="symbolic_order", exponent=exponent)
 
@@ -144,12 +144,10 @@ def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fractio
     ks = list(ks)
     if len(ks) > KMAX_COV:
         raise ValueError(f"at most {KMAX_COV} factors")
-    if len(ks) % 2 == 1:
-        return Fraction(0)
     total = Fraction(0)
     for matching in enumerate_pair_partitions(len(ks)):
         term = Fraction(1)
-        for i, j in matching.blocks:
+        for i, j in matching:
             term *= covariance_trace(ks[i - 1], ks[j - 1], model, profile)
         total += term
     return total

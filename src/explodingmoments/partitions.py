@@ -1,103 +1,25 @@
-"""Set partitions, pair partitions, and partitions of walk positions.
+"""Pair partitions, partitions of walk positions, and integer partitions.
 
 These index every sum in the trace-moment calculus: a normalized trace
 expands over partitions of {1..k} (which index tuples by their coincidence
 pattern), and a covariance kernel over partitions of the k + l positions of
 two walks (restricted to each walk they give the two trace graphs, and the
-blocks they merge glue them).  :func:`walk_partitions` enumerates both,
-growing the trace graph as it goes, and can prune every branch on which no
-limit term survives.  :class:`TraceCounts` is the one record of a trace
-graph's counters, for these partitions and for ``graphs.stats``.
+blocks they merge glue them).  :func:`walk_partitions`, the one set-partition
+enumerator, enumerates both, growing the trace graph as it goes, and can
+prune every branch on which no limit term survives.  :class:`TraceCounts` is
+the one record of a trace graph's counters.
 
-Enumeration is guarded at small sizes (Bell(13) > 27M); index sets S_pi are
-exposed as a count formula and a membership predicate, never materialized.
+Enumeration is guarded at small sizes (Bell(13) > 27M).  The index tuples of
+a partition with |V| blocks are never materialized: there are
+N (N-1) ... (N-|V|+1) of them, ``math.perm(N, |V|)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_GROUND = 12
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of {1..ground_size} into disjoint blocks, canonically ordered
-    by minimum element."""
-
-    ground_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if tuple(sorted(block)) != block:
-                raise ValueError("block elements must be sorted")
-            seen.update(block)
-        if seen != set(range(1, self.ground_size + 1)):
-            raise ValueError("blocks must cover {1..k} disjointly")
-        if sum(len(b) for b in self.blocks) != self.ground_size:
-            raise ValueError("blocks overlap")
-        if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
-            raise ValueError("blocks must be ordered by minimum element")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_index_of(self, element: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if element in block:
-                return i
-        raise ValueError(f"element {element} not in ground set")
-
-    def contains_tuple(self, indices: Sequence[int]) -> bool:
-        """Membership in S_pi: i_m = i_n iff m ~ n under this partition."""
-        if len(indices) != self.ground_size:
-            raise ValueError("tuple length must equal ground size")
-        label = {}
-        for pos, val in enumerate(indices, start=1):
-            b = self.block_index_of(pos)
-            if b in label:
-                if label[b] != val:
-                    return False
-            else:
-                label[b] = val
-        return len(set(label.values())) == len(label)
-
-    def index_tuple_count(self, n: int) -> int:
-        """|S_pi(N)| = N (N-1) ... (N - |pi| + 1)."""
-        return falling_factorial(n, self.num_blocks)
-
-    def __str__(self) -> str:
-        return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
-
-
-def make_partition(k: int, blocks) -> SetPartition:
-    """Build a canonical SetPartition from any iterable of blocks."""
-    bs = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-    return SetPartition(ground_size=k, blocks=tuple(bs))
-
-
-def falling_factorial(n: int, m: int) -> int:
-    out = 1
-    for j in range(m):
-        out *= n - j
-    return out
-
-
-@lru_cache(maxsize=None)
-def bell_number(k: int) -> int:
-    # independent recurrence: B(n+1) = sum_j binom(n, j) B(j)
-    if k == 0:
-        return 1
-    return sum(comb(k - 1, j) * bell_number(j) for j in range(k))
 
 
 def double_factorial_odd(r: int) -> int:
@@ -110,50 +32,21 @@ def double_factorial_odd(r: int) -> int:
     return out
 
 
-def enumerate_set_partitions(k: int) -> list[SetPartition]:
-    """All partitions of {1..k}, canonical order, count = Bell(k)."""
-    if not 1 <= k <= MAX_GROUND:
-        raise ValueError(f"k={k} outside 1..{MAX_GROUND}")
-    results: list[SetPartition] = []
-    blocks: list[list[int]] = []
-
-    def place(element: int):
-        if element > k:
-            results.append(make_partition(k, blocks))
-            return
-        for b in blocks:
-            b.append(element)
-            place(element + 1)
-            b.pop()
-        blocks.append([element])
-        place(element + 1)
-        blocks.pop()
-
-    place(1)
-    return results
-
-
-def enumerate_pair_partitions(r: int) -> list[SetPartition]:
-    """All perfect matchings of {1..r}; empty for odd r; count = (r-1)!!."""
+def enumerate_pair_partitions(r: int) -> list[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of {1..r}, each a tuple of pairs (a, b) with
+    a < b in increasing a; the one empty matching for r = 0, none for odd r;
+    count = (r-1)!!."""
     if not 0 <= r <= MAX_GROUND:
         raise ValueError(f"r={r} outside 0..{MAX_GROUND}")
-    if r % 2 == 1:
-        return []
-    results: list[SetPartition] = []
 
-    def match(rest: tuple[int, ...], acc: list[tuple[int, int]]):
+    def match(rest: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not rest:
-            results.append(make_partition(r, acc))
-            return
-        a = rest[0]
+            yield ()
         for i in range(1, len(rest)):
-            b = rest[i]
-            match(rest[1:i] + rest[i + 1 :], acc + [(a, b)])
+            for tail in match(rest[1:i] + rest[i + 1 :]):
+                yield ((rest[0], rest[i]),) + tail
 
-    if r == 0:
-        return []
-    match(tuple(range(1, r + 1)), [])
-    return results
+    return list(match(tuple(range(1, r + 1))))
 
 
 class TraceCounts(NamedTuple):
@@ -162,11 +55,9 @@ class TraceCounts(NamedTuple):
 
     loop_counts[k]             - number of vertices carrying exactly k loops
     ordered_pair_counts[(k,l)] - vertex pairs u < v with k edges u->v and l edges v->u
-    unordered_counts[k]        - vertex pairs with exactly k edges in total
     reduced_edge_count         - edges after forgetting multiplicity and orientation
                                  (each loop vertex and each adjacent pair counts once)
-    block_sizes                - per vertex, ascending: (positions in walk 1, in walk 2);
-                                 empty for a graph given by its edges
+    block_sizes                - per vertex, ascending: (positions in walk 1, in walk 2)
     shared                     - some directed edge is a step of both walks
     """
 
@@ -186,13 +77,6 @@ class TraceCounts(NamedTuple):
             tuple(sorted(Counter(tuple(r) for r in pairs.values()).items())),
             **rest,
         )
-
-    @property
-    def unordered_counts(self) -> tuple[tuple[int, int], ...]:
-        totals: Counter = Counter()
-        for (a, b), count in self.ordered_pair_counts:
-            totals[a + b] += count
-        return tuple(sorted(totals.items()))
 
     @property
     def reduced_edge_count(self) -> int:

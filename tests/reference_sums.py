@@ -1,11 +1,14 @@
 """Reference enumerations for the exact layers, used only by the tests.
 
 These are the sums the limits and oracle layers computed before
-``partitions.walk_partitions``: Bell-number enumeration of set partitions
-filtered by graph classification, gluings of two trace graphs over cross
-partitions of their vertex sets, and the circulant mean and joint moment by
-tuple enumeration.  They are slow and independent of the pruned enumerator,
-which the tests require to give the same ``Fraction`` values.
+``partitions.walk_partitions``: set partitions by their restricted-growth
+strings, each turned into a trace graph and then into its counters, gluings
+of two trace graphs over cross partitions of their vertex sets, and the
+circulant mean and joint moment by tuple enumeration.  They are slow and
+independent of the walk enumerator, which the tests require to give the same
+``Fraction`` values.  A graph here is a pair (vertex count, directed edges);
+only :func:`trace_counts` shares code with the package, the edge tally
+``partitions.tally_step``.
 
 ``reference_aggregate_stats`` is the bootstrap as it was before the weighted
 pass: each resample gathers its copy of the traces and recomputes the
@@ -22,17 +25,61 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from math import perm
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from explodingmoments.ensembles import EnsembleSpec, GaussianLaw
 from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
 
-from explodingmoments.graphs import TraceGraph, graph_of_partition, make_graph, stats
 from explodingmoments.limits import _require_alpha_one, tau
 from explodingmoments.oracle import ExactMomentTable, _eval_scaled, _Scaled
-from explodingmoments.partitions import MAX_GROUND, enumerate_set_partitions, falling_factorial
+from explodingmoments.partitions import MAX_GROUND, TraceCounts, tally_step
+
+Graph = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def set_partitions(k: int) -> Iterator[tuple[int, ...]]:
+    """The set partitions of k positions as restricted-growth strings (Knuth,
+    TAOCP 4A, 7.2.1.5), in lexicographic order: position i carries the label
+    of its block, at most one more than every label before it."""
+    if k == 0:
+        yield ()
+        return
+    for head in set_partitions(k - 1):
+        for b in range(max(head, default=-1) + 2):
+            yield head + (b,)
+
+
+def walk_graph(labels: Sequence[int], lengths: Optional[Sequence[int]] = None) -> Graph:
+    """Trace graph of closed walks through the blocks of ``labels``: one edge
+    per step, the walks of the given lengths (by default one walk) taking
+    consecutive positions."""
+    edges, start = [], 0
+    for size in lengths or (len(labels),):
+        edges += [(labels[start + i], labels[start + (i + 1) % size]) for i in range(size)]
+        start += size
+    return max(labels) + 1, tuple(edges)
+
+
+def trace_counts(vertex_count: int, edges) -> TraceCounts:
+    """Counters of a graph given by its edges, tallied edge by edge as in
+    ``walk_partitions``, with components found by union-find."""
+    loops: dict[int, int] = {}
+    pairs: dict[tuple[int, int], list[int]] = {}
+    root = list(range(vertex_count))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for u, v in edges:
+        tally_step(loops, pairs, u, v)
+        root[find(u)] = find(v)
+    components = sum(find(a) == a for a in range(vertex_count))
+    return TraceCounts.of(vertex_count, loops, pairs, component_count=components)
 
 
 @dataclass(frozen=True)
@@ -57,16 +104,6 @@ class CrossPartition:
         expected = {(o, v) for o, size in enumerate(self.parts) for v in range(size)}
         if seen != expected or sum(len(b) for b in self.blocks) != len(expected):
             raise ValueError("blocks must cover the disjoint union exactly once")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_index_of(self, origin: int, vertex: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if (origin, vertex) in block:
-                return i
-        raise ValueError(f"vertex ({origin},{vertex}) not found")
 
 
 def enumerate_cross_partitions(sizes: Sequence[int]) -> list[CrossPartition]:
@@ -98,68 +135,61 @@ def enumerate_cross_partitions(sizes: Sequence[int]) -> list[CrossPartition]:
     return results
 
 
-def merge_under_cross_partition(
-    graphs: list[TraceGraph], sigma: CrossPartition
-) -> tuple[TraceGraph, bool]:
-    """Union of the graphs with vertices re-addressed to sigma's blocks.
+def merge_under_cross_partition(graphs: list[Graph], sigma: CrossPartition) -> tuple[Graph, bool]:
+    """Union of the graphs with vertices re-addressed to sigma's blocks, its
+    edges sorted.
 
     The flag is true iff some edge of one graph coincides with an edge of
     another graph on the same ordered endpoint blocks.
     """
-    if tuple(g.vertex_count for g in graphs) != sigma.parts:
+    if tuple(n for n, _ in graphs) != sigma.parts:
         raise ValueError("cross partition parts do not match graph vertex counts")
-    block_of = {}
-    for i, block in enumerate(sigma.blocks):
-        for tag in block:
-            block_of[tag] = i
+    block_of = {tag: i for i, block in enumerate(sigma.blocks) for tag in block}
     edges = []
     seen_by: dict[tuple[int, int], set[int]] = {}
-    for gi, g in enumerate(graphs):
-        for u, v in g.edges:
-            a, b = block_of[(gi, u)], block_of[(gi, v)]
-            edges.append((a, b))
-            seen_by.setdefault((a, b), set()).add(gi)
+    for gi, (_, g_edges) in enumerate(graphs):
+        for u, v in g_edges:
+            edge = (block_of[(gi, u)], block_of[(gi, v)])
+            edges.append(edge)
+            seen_by.setdefault(edge, set()).add(gi)
     shared = any(len(owners) > 1 for owners in seen_by.values())
-    return TraceGraph(sigma.num_blocks, tuple(edges)), shared
+    return (len(sigma.blocks), tuple(sorted(edges))), shared
 
 
-def covariance_graphs(g1: TraceGraph, g2: TraceGraph, model: str, profile) -> Fraction:
+def covariance_graphs(g1: Graph, g2: Graph, model: str, profile) -> Fraction:
     """Sum over gluings of two trace graphs sharing at least one edge of the
     tau product of the merged graph (0 unless the merge is an admissible
     tree for the model)."""
     _require_alpha_one(profile)
     total = Fraction(0)
-    for sigma in enumerate_cross_partitions((g1.vertex_count, g2.vertex_count)):
+    for sigma in enumerate_cross_partitions((g1[0], g2[0])):
         merged, shared = merge_under_cross_partition([g1, g2], sigma)
-        if not shared:
-            continue
-        total += tau(merged, model, profile)
+        if shared:
+            total += tau(trace_counts(*merged), model, profile)
     return total
 
 
 def limit_trace_moment(model: str, k: int, profile) -> Fraction:
     """Graph-summed limit of E[Tr(A^k)] / N over all Bell(k) partitions."""
-    total = Fraction(0)
-    for pi in enumerate_set_partitions(k):
-        total += tau(graph_of_partition(pi), model, profile)
-    return total
+    return sum(
+        (tau(trace_counts(*walk_graph(p)), model, profile) for p in set_partitions(k)),
+        Fraction(0),
+    )
 
 
 def covariance_trace(k: int, l: int, model: str, profile) -> Fraction:
     """Graph-summed covariance kernel over all pairs of partitions and
     their cross partitions."""
-    graphs1 = [graph_of_partition(pi) for pi in enumerate_set_partitions(k)]
-    graphs2 = [graph_of_partition(pi) for pi in enumerate_set_partitions(l)]
+    graphs2 = [walk_graph(p) for p in set_partitions(l)]
     total = Fraction(0)
-    for g1 in graphs1:
+    for p1 in set_partitions(k):
         for g2 in graphs2:
-            total += covariance_graphs(g1, g2, model, profile)
+            total += covariance_graphs(walk_graph(p1), g2, model, profile)
     return total
 
 
-def _delta0(table: ExactMomentTable, g: TraceGraph, model: str) -> _Scaled:
+def _delta0(table: ExactMomentTable, s: TraceCounts, model: str) -> _Scaled:
     """E[prod over edges of a_(phi u, phi v)] for one injective labeling."""
-    s = stats(g)
     coeff = Fraction(1)
     half = 0
     for loops_k, count in s.loop_counts:
@@ -196,12 +226,11 @@ def exact_trace_mean(model: str, law, n: int, k: int) -> Fraction:
     """E[Tr(A^k)] / N at finite N over all Bell(k) partitions."""
     table = ExactMomentTable(law)
     total = Fraction(0)
-    for pi in enumerate_set_partitions(k):
-        g = graph_of_partition(pi)
-        coeff, half = _delta0(table, g, model)
-        if coeff == 0:
-            continue
-        total += falling_factorial(n - 1, g.vertex_count - 1) * _eval_scaled(coeff, half, n)
+    for p in set_partitions(k):
+        s = trace_counts(*walk_graph(p))
+        coeff, half = _delta0(table, s, model)
+        if coeff != 0:
+            total += perm(n - 1, s.vertex_count - 1) * _eval_scaled(coeff, half, n)
     return total
 
 
@@ -211,20 +240,20 @@ def exact_fluct_covariance(model: str, law, n: int, k: int, l: int) -> Fraction:
     the product of the separate ones."""
     table = ExactMomentTable(law)
     total = Fraction(0)
-    for pi1 in enumerate_set_partitions(k):
-        g1 = graph_of_partition(pi1)
-        c1, h1 = _delta0(table, g1, model)
-        for pi2 in enumerate_set_partitions(l):
-            g2 = graph_of_partition(pi2)
-            c2, h2 = _delta0(table, g2, model)
-            for sigma in enumerate_cross_partitions((g1.vertex_count, g2.vertex_count)):
+    for p1 in set_partitions(k):
+        g1 = walk_graph(p1)
+        c1, h1 = _delta0(table, trace_counts(*g1), model)
+        for p2 in set_partitions(l):
+            g2 = walk_graph(p2)
+            c2, h2 = _delta0(table, trace_counts(*g2), model)
+            for sigma in enumerate_cross_partitions((g1[0], g2[0])):
                 merged, _shared = merge_under_cross_partition([g1, g2], sigma)
-                cm, hm = _delta0(table, merged, model)
+                cm, hm = _delta0(table, trace_counts(*merged), model)
                 omega = _eval_scaled(cm, hm, n) - _eval_scaled(c1, h1, n) * _eval_scaled(
                     c2, h2, n
                 )
                 if omega != 0:
-                    total += falling_factorial(n, sigma.num_blocks) * omega
+                    total += perm(n, len(sigma.blocks)) * omega
     return total / n
 
 
@@ -235,8 +264,8 @@ def exact_trace_mean_enumerated(model: str, law, n: int, k: int) -> Fraction:
     table = ExactMomentTable(law)
     total = Fraction(0)
     for tup in product(range(n), repeat=k):
-        g = make_graph(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
-        total += _eval_scaled(*_delta0(table, g, model), n)
+        s = trace_counts(n, ((tup[m], tup[(m + 1) % k]) for m in range(k)))
+        total += _eval_scaled(*_delta0(table, s, model), n)
     return total / n
 
 

@@ -11,7 +11,7 @@ N.  Monte Carlo criteria use fixed seeds and standard-error bands.
 
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, prod
+from math import comb, perm, prod
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from explodingmoments.estimator import (
     reduction_block_moments,
     run_experiment,
 )
-from explodingmoments.graphs import graph_of_partition, stats
 from explodingmoments.limits import (
     asymptotic_order,
     circulant_covariance,
@@ -32,7 +31,7 @@ from explodingmoments.limits import (
     tau,
 )
 from explodingmoments.oracle import ExactMomentTable, exact_table
-from explodingmoments.partitions import enumerate_set_partitions
+from explodingmoments.partitions import walk_partitions
 from explodingmoments.profiles import (
     MomentProfile,
     degenerate_profile_of,
@@ -60,7 +59,7 @@ def test_criterion_01_partition_tiling():
     ok = True
     for n in range(1, 7):
         for k in range(1, 6):
-            total = sum(p.index_tuple_count(n) for p in enumerate_set_partitions(k))
+            total = sum(perm(n, leaf.vertex_count) for leaf in walk_partitions((k,)))
             ok = ok and total == n**k
     report(1, "partition tiling sums to N^k", ok)
 
@@ -80,9 +79,8 @@ def test_criterion_03_model_reduction():
     emb = degenerate_profile_of(scalar, kmax=8)
     ok = True
     for k in range(1, 7):
-        for pi in enumerate_set_partitions(k):
-            g = graph_of_partition(pi)
-            if tau(g, "iid", iid_prof) != tau(g, "elliptic", emb):
+        for leaf in walk_partitions((k,)):
+            if tau(leaf, "iid", iid_prof) != tau(leaf, "elliptic", emb):
                 ok = False
     report(3, "independent-entry tau equals elliptic tau on degenerate profile", ok)
 
@@ -161,9 +159,9 @@ def _circulant_mean_by_partitions(prof, n: int, k: int) -> Fraction:
     """
     return sum(
         (
-            prod(prof.scalar(len(b)) for b in pi.blocks)
-            * prod(1 - Fraction(i, n) for i in range(1, pi.num_blocks))
-            for pi in enumerate_set_partitions(k)
+            prod(prof.scalar(m) for m, _ in leaf.block_sizes)
+            * prod(1 - Fraction(i, n) for i in range(1, leaf.vertex_count))
+            for leaf in walk_partitions((k,))
         ),
         Fraction(0),
     )
@@ -190,7 +188,7 @@ def test_criterion_08_circulant_moment_formula_vs_oracle():
     # falling-factorial correction) is the symmetry-factor formula
     for k in range(1, 7):
         leading = sum(
-            (prod(prof.scalar(len(b)) for b in pi.blocks) for pi in enumerate_set_partitions(k)),
+            (prod(prof.scalar(m) for m, _ in leaf.block_sizes) for leaf in walk_partitions((k,))),
             Fraction(0),
         )
         if leading != circulant_limit_moment(k, prof):
@@ -304,11 +302,9 @@ def test_criterion_11_tilde_transforms():
 def test_criterion_12_asymptotic_order_classifier():
     ok = True
     for k in range(1, 6):
-        for pi in enumerate_set_partitions(k):
-            g = graph_of_partition(pi)
-            s = stats(g)
+        for s in walk_partitions((k,)):
             for alpha in (Fraction(1, 2), Fraction(2)):
-                out = asymptotic_order(g, alpha)
+                out = asymptotic_order(s, alpha)
                 if out.kind == "zero_exact":
                     if not (s.has_single_multiplicity_pair or s.has_single_loop_vertex):
                         ok = False

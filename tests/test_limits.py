@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from explodingmoments.graphs import graph_of_partition, make_graph
 from explodingmoments.limits import (
     LimitValue,
     asymptotic_order,
@@ -15,7 +14,7 @@ from explodingmoments.limits import (
     wick_joint,
 )
 from explodingmoments.oracle import exact_table
-from explodingmoments.partitions import enumerate_set_partitions, make_partition
+from explodingmoments.partitions import walk_partitions
 from explodingmoments.profiles import (
     MomentProfile,
     MomentTableError,
@@ -26,17 +25,17 @@ from explodingmoments.profiles import (
     sign_scalar_law,
     wigner_profile,
 )
-from explodingmoments.graphs import stats
 import reference_sums
-from reference_sums import covariance_graphs
+from reference_sums import covariance_graphs, trace_counts
+
+TWO_CYCLE = (2, ((0, 1), (1, 0)))
+LOOP = (1, ((0, 0),))
+# from the pairing {1,3}{2,4}: two edges in each direction
+DOUBLE_PAIR = (2, ((0, 1), (1, 0), (0, 1), (1, 0)))
 
 
 def two_cycle():
-    return graph_of_partition(make_partition(2, [[1], [2]]))
-
-
-def loop_graph():
-    return graph_of_partition(make_partition(1, [[1]]))
+    return trace_counts(*TWO_CYCLE)
 
 
 class TestTau:
@@ -47,13 +46,13 @@ class TestTau:
         assert tau(two_cycle(), "iid", sign_profile) == 0
 
     def test_double_pair_graph(self, sign_pair_profile):
-        g = graph_of_partition(make_partition(4, [[1, 3], [2, 4]]))
+        g = trace_counts(*DOUBLE_PAIR)
         assert tau(g, "elliptic", sign_pair_profile) == sign_pair_profile.pair(2, 2)
 
     def test_fat_tree_triple_edge(self):
         # C_3 != 0, so the product is told apart from a rejected graph's 0
         prof = MomentProfile(alpha=1, kmax=3, scalar_table={2: Fraction(1), 3: Fraction(5, 7)})
-        g = make_graph(2, [(0, 1), (0, 1), (0, 1)])
+        g = trace_counts(2, [(0, 1), (0, 1), (0, 1)])
         assert tau(g, "iid", prof) == prof.scalar(3)
 
     def test_only_graph_models(self, sign_profile):
@@ -61,13 +60,13 @@ class TestTau:
             with pytest.raises(ValueError):
                 tau(two_cycle(), model, sign_profile)
             with pytest.raises(ValueError):
-                covariance_graphs(two_cycle(), two_cycle(), model, sign_profile)
+                covariance_graphs(TWO_CYCLE, TWO_CYCLE, model, sign_profile)
 
     def test_table_too_short(self):
         small = MomentProfile(alpha=1, kmax=2, pair_table={(1, 1): Fraction(1),
                                                            (2, 0): Fraction(1),
                                                            (0, 2): Fraction(1)})
-        g = graph_of_partition(make_partition(4, [[1, 3], [2, 4]]))
+        g = trace_counts(*DOUBLE_PAIR)
         with pytest.raises(MomentTableError):
             tau(g, "elliptic", small)
 
@@ -81,9 +80,8 @@ class TestTau:
         # independent-entry tau equals elliptic tau on the degenerate profile
         emb = degenerate_profile_of(sign_profile.scalar_table, kmax=sign_profile.kmax)
         for k in range(1, 7):
-            for pi in enumerate_set_partitions(k):
-                g = graph_of_partition(pi)
-                assert tau(g, "iid", sign_profile) == tau(g, "elliptic", emb)
+            for leaf in walk_partitions((k,)):
+                assert tau(leaf, "iid", sign_profile) == tau(leaf, "elliptic", emb)
 
 
 class TestAsymptoticOrder:
@@ -95,24 +93,22 @@ class TestAsymptoticOrder:
         assert asymptotic_order(two_cycle(), 2).exponent == -1
 
     def test_single_edge_zero_exact(self):
-        g = make_graph(2, [(0, 1)])
+        g = trace_counts(2, [(0, 1)])
         for alpha in (Fraction(1, 2), 1, 2):
             assert asymptotic_order(g, alpha).kind == "zero_exact"
 
     def test_exponent_recomputed_from_stats(self):
         for k in range(1, 7):
             for alpha in (Fraction(1, 2), 1, 2):
-                for pi in enumerate_set_partitions(k):
-                    g = graph_of_partition(pi)
-                    out = asymptotic_order(g, alpha)
-                    s = stats(g)
+                for s in walk_partitions((k,)):
+                    out = asymptotic_order(s, alpha)
                     if out.kind == "symbolic_order":
                         assert out.exponent == s.vertex_count - 1 - alpha * s.reduced_edge_count
 
     def test_alpha_above_one_always_negative(self):
         for k in range(1, 7):
-            for pi in enumerate_set_partitions(k):
-                out = asymptotic_order(graph_of_partition(pi), 2)
+            for leaf in walk_partitions((k,)):
+                out = asymptotic_order(leaf, 2)
                 if out.kind == "symbolic_order":
                     assert out.exponent < 0
 
@@ -152,12 +148,12 @@ class TestCovariance:
     def test_two_cycle_gluings_counted_by_hand(self, sign_pair_profile):
         # 7 cross partitions of (2,2); only the two full alignments share an
         # edge and merge into a thick tree
-        total = covariance_graphs(two_cycle(), two_cycle(), "elliptic", sign_pair_profile)
+        total = covariance_graphs(TWO_CYCLE, TWO_CYCLE, "elliptic", sign_pair_profile)
         assert total == 2 * sign_pair_profile.pair(2, 2)
 
     def test_loop_graph_contributes_nothing(self, sign_pair_profile):
-        assert covariance_graphs(loop_graph(), two_cycle(), "elliptic", sign_pair_profile) == 0
-        assert covariance_graphs(loop_graph(), loop_graph(), "elliptic", sign_pair_profile) == 0
+        assert covariance_graphs(LOOP, TWO_CYCLE, "elliptic", sign_pair_profile) == 0
+        assert covariance_graphs(LOOP, LOOP, "elliptic", sign_pair_profile) == 0
 
     def test_elliptic_low_orders_vanish(self, sign_pair_profile):
         assert covariance_trace(1, 1, "elliptic", sign_pair_profile) == 0
@@ -187,6 +183,10 @@ class TestCovariance:
 class TestWick:
     def test_odd_vanishes(self, sign_pair_profile):
         assert wick_joint((2, 2, 2), "elliptic", sign_pair_profile) == 0
+
+    def test_empty_product_is_one(self, sign_pair_profile):
+        # E[empty product] = 1: the sum holds the one empty matching
+        assert wick_joint((), "elliptic", sign_pair_profile) == 1
 
     def test_single_pair(self, sign_pair_profile):
         assert wick_joint((2, 3), "elliptic", sign_pair_profile) == covariance_trace(

@@ -1,23 +1,44 @@
-from fractions import Fraction
+from collections import Counter
 from itertools import product
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explodingmoments.graphs import graph_of_partition, make_graph, stats
 from explodingmoments.partitions import (
-    SetPartition,
-    bell_number,
+    MAX_GROUND,
     double_factorial_odd,
     enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
-    enumerate_set_partitions,
-    falling_factorial,
-    make_partition,
     walk_partitions,
 )
-from reference_sums import CrossPartition, enumerate_cross_partitions
+from reference_sums import (
+    CrossPartition,
+    enumerate_cross_partitions,
+    set_partitions,
+    trace_counts,
+    walk_graph,
+)
+
+# Bell numbers B(1..12), OEIS A000110
+BELL = [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+
+
+def blocks_of(labels):
+    """Blocks of 1-based positions of a restricted-growth string, ordered by
+    least element."""
+    blocks = {}
+    for pos, b in enumerate(labels, start=1):
+        blocks.setdefault(b, []).append(pos)
+    return tuple(map(tuple, blocks.values()))
+
+
+def pattern_of(indices):
+    """Coincidence pattern of an index tuple as a restricted-growth string:
+    each index labelled by the order of its first appearance."""
+    first = {}
+    return tuple(first.setdefault(i, len(first)) for i in indices)
 
 
 def brute_force_partitions(k):
@@ -34,57 +55,70 @@ def brute_force_partitions(k):
 
 
 class TestSetPartitions:
+    """The restricted-growth reference that ``walk_partitions`` is checked
+    against."""
+
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
     def test_counts(self, k, count):
-        assert len(enumerate_set_partitions(k)) == count
+        assert sum(1 for _ in set_partitions(k)) == count
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, k):
-        ours = {p.blocks for p in enumerate_set_partitions(k)}
+        ours = {blocks_of(p) for p in set_partitions(k)}
         assert ours == brute_force_partitions(k)
 
     def test_counts_match_bell_recurrence(self):
+        # the table satisfies B(n+1) = sum_j C(n, j) B(j), with B(0) = 1
+        bell = [1] + BELL
+        for n in range(len(BELL)):
+            assert bell[n + 1] == sum(comb(n, j) * bell[j] for j in range(n + 1))
         for k in range(1, 9):
-            assert len(enumerate_set_partitions(k)) == bell_number(k)
+            assert sum(1 for _ in set_partitions(k)) == BELL[k - 1]
 
     def test_k1(self):
-        assert enumerate_set_partitions(1) == [make_partition(1, [[1]])]
+        assert list(set_partitions(1)) == [(0,)]
+        assert [leaf.vertex_count for leaf in walk_partitions((1,))] == [1]
 
     def test_guard(self):
+        # walk_partitions is the one set-partition enumerator of the package
         with pytest.raises(ValueError):
-            enumerate_set_partitions(13)
+            list(walk_partitions((MAX_GROUND + 1,)))
 
     def test_no_duplicates(self):
-        parts = enumerate_set_partitions(6)
-        assert len({p.blocks for p in parts}) == len(parts)
+        parts = list(set_partitions(6))
+        assert len(set(parts)) == len(parts)
 
     def test_canonical_order_enforced(self):
-        with pytest.raises(ValueError):
-            SetPartition(ground_size=2, blocks=((2,), (1,)))
+        # each string is canonical (a label at most one above every label
+        # before it), and the strings come in lexicographic order
+        parts = list(set_partitions(6))
+        assert parts == sorted(parts)
+        for p in parts:
+            assert all(b <= max(p[:i], default=-1) + 1 for i, b in enumerate(p))
 
 
 class TestIndexSets:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 6)])
     def test_tiling(self, n, k):
-        # the S_pi partition the whole index space [N]^k
-        total = sum(p.index_tuple_count(n) for p in enumerate_set_partitions(k))
-        assert total == n**k
+        # the index sets S_pi, with N (N-1) ... (N-|pi|+1) tuples each,
+        # partition the whole index space [N]^k
+        assert sum(perm(n, leaf.vertex_count) for leaf in walk_partitions((k,))) == n**k
+
+    @pytest.mark.parametrize("k,l", [(k, l) for k in range(1, 7) for l in range(1, 8 - k)])
+    def test_two_walk_tiling(self, k, l):
+        # the same over the positions of two walks: [N]^(k + l)
+        leaves = list(walk_partitions((k, l)))
+        for n in range(1, 5):
+            assert sum(perm(n, leaf.vertex_count) for leaf in leaves) == n ** (k + l)
 
     def test_membership_matches_count(self):
+        # tuples grouped by their coincidence pattern: each pattern with
+        # |pi| <= N blocks holds N (N-1) ... (N-|pi|+1) tuples
         n, k = 4, 3
-        for p in enumerate_set_partitions(k):
-            members = [t for t in product(range(n), repeat=k) if p.contains_tuple(t)]
-            assert len(members) == p.index_tuple_count(n)
-
-    def test_each_tuple_in_exactly_one_class(self):
-        n, k = 3, 4
-        parts = enumerate_set_partitions(k)
-        for t in product(range(n), repeat=k):
-            assert sum(p.contains_tuple(t) for p in parts) == 1
-
-    def test_falling_factorial(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(2, 3) == 0
+        classes = Counter(pattern_of(t) for t in product(range(n), repeat=k))
+        assert set(classes) == {p for p in set_partitions(k) if max(p) < n}
+        for p, members in classes.items():
+            assert members == perm(n, max(p) + 1)
 
 
 class TestPairPartitions:
@@ -96,19 +130,18 @@ class TestPairPartitions:
 
     def test_counts_match_double_factorial(self):
         for r in range(0, 9):
-            assert len(enumerate_pair_partitions(r)) == (
-                double_factorial_odd(r) if r >= 2 else 0
-            )
+            assert len(enumerate_pair_partitions(r)) == double_factorial_odd(r)
 
     def test_r2(self):
-        assert enumerate_pair_partitions(2) == [make_partition(2, [[1, 2]])]
+        assert enumerate_pair_partitions(2) == [((1, 2),)]
+        assert enumerate_pair_partitions(0) == [()]
 
     @pytest.mark.parametrize("r", [2, 4, 6])
     def test_subset_of_set_partitions_with_size2_blocks(self, r):
-        all_parts = {p.blocks for p in enumerate_set_partitions(r)}
+        all_parts = {blocks_of(p) for p in set_partitions(r)}
         for m in enumerate_pair_partitions(r):
-            assert m.blocks in all_parts
-            assert all(len(b) == 2 for b in m.blocks)
+            assert m in all_parts
+            assert all(len(b) == 2 for b in m)
 
 
 class TestCrossPartitions:
@@ -118,12 +151,7 @@ class TestCrossPartitions:
     def test_sizes_2_2_by_filtering(self):
         # independent count: partitions of a 4-set whose blocks never contain
         # two elements of the same origin (origins: {0,1} vs {2,3})
-        legal = 0
-        for p in enumerate_set_partitions(4):
-            ok = all(
-                not ({1, 2} <= set(b) or {3, 4} <= set(b)) for b in p.blocks
-            )
-            legal += ok
+        legal = sum(p[0] != p[1] and p[2] != p[3] for p in set_partitions(4))
         assert legal == len(enumerate_cross_partitions((2, 2)))
 
     def test_sizes_1_1(self):
@@ -154,20 +182,18 @@ class TestCrossPartitions:
 class TestWalkPartitions:
     @pytest.mark.parametrize("lengths", [(1,), (4,), (7,), (1, 1), (2, 3), (3, 3), (4, 4)])
     def test_unpruned_counts_are_bell(self, lengths):
-        assert sum(1 for _ in walk_partitions(lengths)) == bell_number(sum(lengths))
+        assert sum(1 for _ in walk_partitions(lengths)) == BELL[sum(lengths) - 1]
 
     def test_one_walk_leaves_are_partition_graphs(self):
-        # same restricted-growth order as enumerate_set_partitions, same counters
+        # same restricted-growth order as the reference, same counters
         for k in range(1, 8):
             leaves = list(walk_partitions((k,)))
-            parts = enumerate_set_partitions(k)
+            parts = list(set_partitions(k))
             assert len(leaves) == len(parts)
-            for leaf, pi in zip(leaves, parts):
-                s = stats(graph_of_partition(pi))
-                assert leaf.vertex_count == pi.num_blocks
-                assert sorted(a + b for a, b in leaf.block_sizes) == sorted(
-                    len(b) for b in pi.blocks
-                )
+            for leaf, p in zip(leaves, parts):
+                s = trace_counts(*walk_graph(p))
+                assert leaf.vertex_count == max(p) + 1
+                assert sorted(a + b for a, b in leaf.block_sizes) == sorted(Counter(p).values())
                 assert all(b == 0 for _, b in leaf.block_sizes)
                 assert leaf.loop_counts == s.loop_counts
                 assert leaf.ordered_pair_counts == s.ordered_pair_counts
@@ -175,18 +201,11 @@ class TestWalkPartitions:
 
     @pytest.mark.parametrize("lengths", [(5,), (1, 1), (2, 3), (3, 3)])
     def test_leaf_counters_equal_graph_stats(self, lengths):
-        # a leaf is the same record graphs.stats builds from the walks' edges
-        k = lengths[0]
+        # a leaf is the same record the reference tallies from the walks' edges
         leaves = list(walk_partitions(lengths))
-        for leaf, pi in zip(leaves, enumerate_set_partitions(sum(lengths))):
-            walks = [range(1, k + 1), range(k + 1, sum(lengths) + 1)][: len(lengths)]
-            edges = [
-                (pi.block_index_of(w[i]), pi.block_index_of(w[(i + 1) % len(w)]))
-                for w in walks
-                for i in range(len(w))
-            ]
-            g = make_graph(pi.num_blocks, edges)
-            assert leaf._replace(block_sizes=(), shared=False) == stats(g)
+        for leaf, p in zip(leaves, set_partitions(sum(lengths))):
+            s = trace_counts(*walk_graph(p, lengths))
+            assert leaf._replace(block_sizes=(), shared=False) == s
         assert {leaf.component_count for leaf in leaves} == set(range(1, len(lengths) + 1))
 
     @pytest.mark.parametrize("lengths", [(1, 1), (2, 3), (3, 3)])
