@@ -10,10 +10,12 @@ entry x = sqrt(N)*xi becomes the stored value xi.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .profiles import MODELS, PAIR_MODELS, EntryLaw, GaussianLaw, SparsePairLaw
 
@@ -69,6 +71,94 @@ class MatrixSample:
             idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
             return x[idx] / np.sqrt(n)
         raise ValueError("sample holds no matrix")
+
+
+# SeedSequence's hash constants: the entropy hash, the output hash and the
+# pool mix of its four 32-bit pool words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix with its running constant.  The constant steps
+    the same way for every seed, so one hasher mixes a column of words, one
+    word per seed, for many seeds at once."""
+
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _MASK32
+        words = words * np.uint32(const)
+        return words ^ (words >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_states(seeds: Iterable[int]) -> np.ndarray:
+    """(len(seeds), 4) uint64 array whose row i is
+    ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+
+    Seeds are grouped by their count of little-endian 32-bit entropy words
+    (one for 0), and each group goes through SeedSequence's steps as uint32
+    column operations, one column holding one word of every seed: the
+    entropy hash into a pool of four words (zeros past a short entropy), the
+    pool's cross mix, the mix of each entropy word past the fourth, and the
+    output hash of eight words, joined in pairs, low word first."""
+    seeds = [operator.index(seed) for seed in seeds]
+    groups: dict[int, list[int]] = {}
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"expected a non-negative seed, got {seed}")
+        groups.setdefault(max(1, -(-seed.bit_length() // 32)), []).append(i)
+    out = np.empty((2 * _POOL, len(seeds)), dtype=np.uint32)
+    for width, members in groups.items():
+        raw = b"".join(seeds[i].to_bytes(4 * width, "little") for i in members)
+        words = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, width).T
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        zero = np.zeros(len(members), dtype=np.uint32)
+        pool = [hashmix(words[i] if i < width else zero) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for src in range(_POOL, width):
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], hashmix(words[src]))
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        for j in range(2 * _POOL):
+            out[j, members] = hashmix(pool[j % _POOL])
+    states = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+    # PCG64 reads each row's memory directly, so rows must be contiguous
+    return np.ascontiguousarray(states.T)
+
+
+class _SeedState(ISeedSequence):
+    """One seed's precomputed ``generate_state(4, np.uint64)`` words, which
+    PCG64 reads from its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (_POOL, np.dtype(np.uint64)):
+            raise ValueError("a precomputed seed state holds four uint64 words")
+        return self.words
+
+
+def replica_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
+    """One generator per seed, each equal to ``np.random.default_rng(seed)``:
+    the seeds' PCG64 states come from one vectorised SeedSequence pass
+    (:func:`_seed_states`) instead of one SeedSequence per seed.  A negative
+    seed is a ValueError, as for ``default_rng``."""
+    states = _seed_states(seeds)
+    return [np.random.Generator(np.random.PCG64(_SeedState(words))) for words in states]
 
 
 def _draw_table(atoms):
@@ -197,13 +287,15 @@ def _sparse_cells(spec: EnsembleSpec, rng: np.random.Generator):
 
 def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:
     """One block-diagonal CSR matrix of a sparse model whose block i, of side
-    ``sparse_size(spec)``, is drawn from ``default_rng(seeds[i])`` alone: it
-    equals ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry,
-    in the same stored order."""
+    ``sparse_size(spec)``, is drawn from the generator of ``seeds[i]`` alone,
+    equal to ``default_rng(seeds[i])`` (all seeds are seeded in one
+    :func:`replica_generators` pass): it equals
+    ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry, in the
+    same stored order."""
     size = sparse_size(spec)
     parts = []
-    for i, seed in enumerate(seeds):
-        rows, cols, data = _sparse_cells(spec, np.random.default_rng(seed))
+    for i, rng in enumerate(replica_generators(seeds)):
+        rows, cols, data = _sparse_cells(spec, rng)
         parts.append((rows + i * size, cols + i * size, data))
     rows, cols, data = (np.concatenate(part) for part in zip(*parts))
     from scipy import sparse  # loaded by the sparse models alone
@@ -214,13 +306,18 @@ def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Unscaled generator vectors (x_0..x_{N-1}) of circulant draws, one row
-    per generator in ``rngs``; row i is the draw of ``rngs[i]`` alone.
+    per generator in ``rngs``; row i is the draw of ``rngs[i]`` alone.  A
+    chunk of replicas passes the generators of :func:`replica_generators`,
+    each equal to ``default_rng`` at its seed.
 
     The law's draw table, scaled by sqrt(N), and its activation probability
     q/N are built once per call.  Each row takes, in order: a binomial count
     of active positions, that many distinct positions, and one uniform per
     active position for its atom (a Gaussian row is one standard normal
-    vector)."""
+    vector).  A row with no active position draws nothing more: a draw of
+    size 0 leaves the generator's state alone.  The rows' positions and
+    uniforms are collected as Python lists and placed by one atom lookup and
+    one scatter per call."""
     out = np.zeros((len(rngs), n))
     if isinstance(law, GaussianLaw):
         for row, rng in zip(out, rngs):
@@ -229,9 +326,16 @@ def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator])
     (vals,), cum = _draw_table(law.atoms)
     vals *= np.sqrt(n)
     p = float(law.activation) / n
-    for row, rng in zip(out, rngs):
-        active = _binomial_active(rng, n, p)
-        row[active] = vals[_draw_atoms(rng, cum, len(active))]
+    rows: list[int] = []
+    positions: list[int] = []
+    uniforms: list[float] = []
+    for i, rng in enumerate(rngs):
+        count = rng.binomial(n, p)
+        if count:
+            rows += [i] * count
+            positions += _distinct_uniform(rng, n, count).tolist()
+            uniforms += rng.random(count).tolist()
+    out[rows, positions] = vals[np.searchsorted(cum, uniforms, side="right")]
     return out
 
 

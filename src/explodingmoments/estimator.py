@@ -21,8 +21,10 @@ threads map over chunks, so results do not depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
 
 Circulant replicas never form a matrix.  Their generators are drawn in
-chunks, one row per replica seed, and one kernel gives Tr(C^k)/N for a
-sample or a chunk: the real FFT of the generator gives the half-spectrum
+chunks, one row per replica seed.  A chunk's random generators come from one
+vectorised SeedSequence pass over its seeds, each equal to
+``default_rng(seed + r)``, and one kernel gives Tr(C^k)/N for a sample or a
+chunk: the real FFT of the generator gives the half-spectrum
 lambda_0..lambda_(N//2), and since lambda_(N-j) = conj(lambda_j) for a real
 generator, the power sum over all N eigenvalues is a weighted real sum over
 that half.
@@ -50,6 +52,7 @@ import numpy as np
 from .ensembles import (
     EnsembleSpec,
     MatrixSample,
+    replica_generators,
     sample,
     sample_circulant_generator,
     sample_sparse_blocks,
@@ -200,17 +203,19 @@ def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) ->
 
 
 def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
-    """Replica i draws its generator from ``default_rng(spec.seed + 1 + i)``,
-    as ``sample`` does at that seed.  Each chunk of replicas is one
-    ``sample_circulant_generator`` call and one batched real FFT through the
-    half-spectrum kernel :func:`_circulant_power_sums`, the kernel of
-    ``trace_powers`` for a single circulant sample."""
+    """Replica i draws its generator from the generator of seed
+    ``spec.seed + 1 + i``, equal to ``default_rng`` at that seed, as
+    ``sample`` does.  Each chunk of replicas is one vectorised seeding pass
+    (:func:`replica_generators`), one ``sample_circulant_generator`` call and
+    one batched real FFT through the half-spectrum kernel
+    :func:`_circulant_power_sums`, the kernel of ``trace_powers`` for a single
+    circulant sample."""
     n = spec.n
     out = np.empty((m, k_max))
     chunk = max(1, min(m, 4 * 10**6 // max(n, 1)))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        rngs = [np.random.default_rng(spec.seed + 1 + i) for i in range(lo, hi)]
+        rngs = replica_generators(range(spec.seed + 1 + lo, spec.seed + 1 + hi))
         out[lo:hi] = _circulant_power_sums(sample_circulant_generator(spec.law, n, rngs), k_max)
     return out
 

@@ -13,6 +13,7 @@ from explodingmoments.ensembles import (
     _distinct_uniform,
     circulant_eigenvalues,
     is_centrosymmetric,
+    replica_generators,
     sample,
     sample_circulant_generator,
     sample_sparse_blocks,
@@ -136,23 +137,61 @@ class TestCirculantEigenvalues:
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+class TestReplicaGenerators:
+    # one word each up to 2^32 - 1; 2^128 + 3 and 2^160 + 7 have more than the
+    # pool's four words, which SeedSequence mixes in one by one
+    SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 3, 2**160 + 7]
+
+    @staticmethod
+    def assert_default_rng(seeds):
+        seeds = list(seeds)
+        rngs = replica_generators(seeds)
+        assert len(rngs) == len(seeds)
+        for seed, rng in zip(seeds, rngs):
+            want = np.random.default_rng(seed)
+            assert rng.bit_generator.state == want.bit_generator.state, seed
+            assert rng.random(3).tolist() == want.random(3).tolist(), seed
+            assert rng.integers(0, 1000, size=4).tolist() == want.integers(0, 1000, size=4).tolist()
+            assert rng.binomial(512, 1 / 512) == want.binomial(512, 1 / 512), seed
+            assert rng.standard_normal(3).tolist() == want.standard_normal(3).tolist(), seed
+
+    def test_first_draws_are_default_rng(self):
+        # one call holds seeds of one to six entropy words
+        self.assert_default_rng(self.SEEDS)
+        for seed in self.SEEDS:
+            self.assert_default_rng([seed])
+
+    def test_consecutive_chunk_straddling_2_32(self):
+        self.assert_default_rng(range(2**32 - 40, 2**32 + 40))
+
+    def test_seed_state_serves_pcg64_alone(self):
+        # the precomputed words are what PCG64 asks for, and nothing else
+        seed_seq = replica_generators([5])[0].bit_generator.seed_seq
+        assert seed_seq.generate_state(4, np.uint64).tolist() == (
+            np.random.SeedSequence(5).generate_state(4, np.uint64).tolist()
+        )
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(8, np.uint32)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            replica_generators([3, -1])
+
+
 class TestCirculantGenerator:
     SKEWED = SparseScalarLaw(
         activation=Fraction(1, 2), atoms=((-1, Fraction(2, 3)), (2, Fraction(1, 3)))
     )
-
-    @pytest.mark.parametrize(
-        "law,n,branch",
-        [
-            (sign_scalar_law(), 64, None),
-            (GaussianLaw(), 64, None),
-            (SKEWED, 4, "permutation"),  # 3 count >= N: a permutation prefix
-            (sign_scalar_law(), 12, "redraw"),  # a batch with a collision is redrawn
-        ],
+    # q = 1/8: most rows of this law have no active position
+    SMALL_ACTIVATION = SparseScalarLaw(
+        activation=Fraction(1, 8), atoms=((-2, Fraction(2, 3)), (4, Fraction(1, 3)))
     )
-    def test_batched_rows_are_the_per_sample_draws(self, law, n, branch):
-        seeds = range(400)
-        rows = sample_circulant_generator(law, n, [np.random.default_rng(s) for s in seeds])
+
+    @staticmethod
+    def assert_per_sample_draws(law, n, seeds, branch=None):
+        rows = sample_circulant_generator(law, n, replica_generators(seeds))
         assert rows.shape == (len(seeds), n)
         branches = Counter()
         for seed, row in zip(seeds, rows):
@@ -162,6 +201,26 @@ class TestCirculantGenerator:
             assert np.array_equal(row, want)
         if branch is not None:
             assert branches[branch] > 0
+        return rows
+
+    @pytest.mark.parametrize(
+        "law,n,branch",
+        [
+            (sign_scalar_law(), 64, None),
+            (GaussianLaw(), 64, None),
+            (SKEWED, 4, "permutation"),  # 3 count >= N: a permutation prefix
+            (sign_scalar_law(), 12, "redraw"),  # a batch with a collision is redrawn
+            (SMALL_ACTIVATION, 64, None),
+        ],
+    )
+    def test_batched_rows_are_the_per_sample_draws(self, law, n, branch):
+        rows = self.assert_per_sample_draws(law, n, range(400), branch)
+        if law is self.SMALL_ACTIVATION:
+            assert np.count_nonzero(~rows.any(axis=1)) > 300
+
+    @pytest.mark.parametrize("law", [sign_scalar_law(), SMALL_ACTIVATION])
+    def test_rows_at_seeds_straddling_2_32(self, law):
+        self.assert_per_sample_draws(law, 64, range(2**32 - 200, 2**32 + 200))
 
 
 class TestIndexDraws:

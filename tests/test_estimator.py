@@ -10,6 +10,7 @@ from explodingmoments.ensembles import (
     MatrixSample,
     circulant_eigenvalues,
     sample,
+    sample_circulant_generator,
     sample_sparse_blocks,
 )
 from explodingmoments.estimator import (
@@ -151,6 +152,25 @@ class TestRunExperiment:
         for i in range(12):
             one = trace_powers(sample(replace(spec, seed=spec.seed + 1 + i)), 4)
             assert np.allclose(stats.traces[i], one, rtol=1e-12, atol=1e-14)
+
+    def test_circulant_rows_across_chunks_are_the_seeded_draws(self, sign_law, monkeypatch):
+        # at N = 4096 a chunk holds 976 replicas: 1000 replicas take two
+        # chunks, and the first also crosses seed 2^32
+        from explodingmoments import estimator
+
+        drawn = []
+
+        def spy(law, n, rngs):
+            drawn.append(sample_circulant_generator(law, n, rngs))
+            return drawn[-1]
+
+        monkeypatch.setattr(estimator, "sample_circulant_generator", spy)
+        spec = EnsembleSpec(kind="circulant", n=4096, law=sign_law, seed=2**32 - 600)
+        run_experiment(spec, 2, 1000, bootstrap_resamples=2)
+        assert [len(rows) for rows in drawn] == [976, 24]
+        for i, row in enumerate(np.vstack(drawn)):
+            one = sample(replace(spec, seed=spec.seed + 1 + i))
+            assert np.array_equal(row, one.generator_values), i
 
     def test_covariance_symmetric_and_psd(self, sign_pair_law):
         spec = EnsembleSpec(kind="elliptic", n=80, law=sign_pair_law, seed=3)
