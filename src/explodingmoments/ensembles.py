@@ -268,17 +268,18 @@ def sparse_size(spec: EnsembleSpec) -> int:
     return spec.n * max(_SPARSE_GEOMETRY[spec.kind][2], 1)
 
 
-def _sparse_cells(spec: EnsembleSpec, rng: np.random.Generator):
-    """(rows, cols, values) of one sparse draw from rng.  It draws, in order:
-    a binomial count of active orbits and that many distinct orbits, one atom
-    row per active orbit, then each of its diagonal blocks."""
+def _sparse_cells(spec: EnsembleSpec, rng: np.random.Generator, atoms, diagonal):
+    """(rows, cols, values) of one sparse draw from rng, given the law's
+    ``_draw_table`` of its atoms and of its diagonal atoms.  It draws, in
+    order: a binomial count of active orbits and that many distinct orbits,
+    one atom row per active orbit, then each of its diagonal blocks."""
     n, law = spec.n, spec.law
     orbits, cells, blocks = _SPARSE_GEOMETRY[spec.kind]
     active = _binomial_active(rng, orbits(n), float(law.activation) / n)
-    columns, cum = _draw_table(law.atoms)
+    columns, cum = atoms
     which = _draw_atoms(rng, cum, len(active))
     placed = cells(n, active, [column[which] for column in columns])
-    (diag,), diag_cum = _draw_table(law.diagonal_atoms)
+    (diag,), diag_cum = diagonal
     for b in range(blocks):
         d = np.arange(b * n, (b + 1) * n)
         placed.append((d, d, diag[_draw_atoms(rng, diag_cum, n)] * (1.0 / np.sqrt(n))))
@@ -291,11 +292,12 @@ def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr
     equal to ``default_rng(seeds[i])`` (all seeds are seeded in one
     :func:`replica_generators` pass): it equals
     ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry, in the
-    same stored order."""
+    same stored order.  The law's draw tables are built once per call."""
     size = sparse_size(spec)
+    atoms, diagonal = _draw_table(spec.law.atoms), _draw_table(spec.law.diagonal_atoms)
     parts = []
     for i, rng in enumerate(replica_generators(seeds)):
-        rows, cols, data = _sparse_cells(spec, rng)
+        rows, cols, data = _sparse_cells(spec, rng, atoms, diagonal)
         parts.append((rows + i * size, cols + i * size, data))
     rows, cols, data = (np.concatenate(part) for part in zip(*parts))
     from scipy import sparse  # loaded by the sparse models alone

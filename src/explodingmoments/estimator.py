@@ -21,13 +21,18 @@ threads map over chunks, so results do not depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
 
 Circulant replicas never form a matrix.  Their generators are drawn in
-chunks, one row per replica seed.  A chunk's random generators come from one
-vectorised SeedSequence pass over its seeds, each equal to
-``default_rng(seed + r)``, and one kernel gives Tr(C^k)/N for a sample or a
-chunk: the real FFT of the generator gives the half-spectrum
+chunks, one row per replica seed, sized to a fixed working set of 2^18
+generator entries (2 MB of rows) whatever M: the kernel's spectrum and power
+temporaries are each about that size, so a chunk stays in cache and maps no
+fresh memory, and peak memory does not grow with M.  A chunk's random
+generators come from one vectorised SeedSequence pass over its seeds, each
+equal to ``default_rng(seed + r)``, and one kernel gives Tr(C^k)/N for a
+sample or a chunk: the real FFT of the generator gives the half-spectrum
 lambda_0..lambda_(N//2), and since lambda_(N-j) = conj(lambda_j) for a real
 generator, the power sum over all N eigenvalues is a weighted real sum over
-that half.
+that half.  That sum is a BLAS matrix-vector product, whose rounding can
+depend on a row's place in its chunk, so chunk boundaries depend only on M
+and N and the chunk size is a constant, not a setting.
 
 The bootstrap never gathers a resampled copy of the traces.  Each resample
 is one ``rng.integers`` draw of M indices from its own seeded stream, turned
@@ -62,6 +67,9 @@ from .profiles import KMAX_TRACE_POWERS, GaussianLaw
 
 BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
+# generator entries per circulant replica chunk: 2 MB of float64 rows (512
+# replicas at N = 512), so the chunk's FFT and power temporaries stay in cache
+CIRCULANT_CHUNK_ENTRIES = 2**18
 
 
 def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
@@ -209,10 +217,15 @@ def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndar
     (:func:`replica_generators`), one ``sample_circulant_generator`` call and
     one batched real FFT through the half-spectrum kernel
     :func:`_circulant_power_sums`, the kernel of ``trace_powers`` for a single
-    circulant sample."""
+    circulant sample.
+
+    A chunk holds ``CIRCULANT_CHUNK_ENTRIES // N`` replicas (at least one), a
+    fixed working set, so peak memory is a few chunk sizes plus the
+    (m, k_max) output however large m is.  Chunk boundaries depend only on m
+    and N."""
     n = spec.n
     out = np.empty((m, k_max))
-    chunk = max(1, min(m, 4 * 10**6 // max(n, 1)))
+    chunk = max(1, min(m, CIRCULANT_CHUNK_ENTRIES // n))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         rngs = replica_generators(range(spec.seed + 1 + lo, spec.seed + 1 + hi))
@@ -259,11 +272,17 @@ def aggregate_stats(
     mean = traces.mean(axis=0)
     z = np.sqrt(spec.n) * (traces - mean)
     cov = z.T @ z / m
-    m4 = (z**4).mean(axis=0)
     se_mean = traces.std(axis=0, ddof=1) / np.sqrt(m)
-    # per-replica features: z, z_i z_j for i <= j, z^3, z^4
+    # per-replica features, written in place: z, z_i z_j for i <= j, z^3, z^4
     iu, ju = np.triu_indices(k_max)
-    features = np.hstack([z, z[:, iu] * z[:, ju], z**3, z**4])
+    pairs = len(iu)
+    features = np.empty((m, 3 * k_max + pairs))
+    features[:, :k_max] = z
+    for col, (i, j) in enumerate(zip(iu, ju), start=k_max):
+        np.multiply(z[:, i], z[:, j], out=features[:, col])
+    np.power(z, 3, out=features[:, k_max + pairs : 2 * k_max + pairs])
+    np.power(z, 4, out=features[:, 2 * k_max + pairs :])
+    m4 = features[:, 2 * k_max + pairs :].mean(axis=0)
     sums = np.empty((bootstrap_resamples, features.shape[1]))
     rng = np.random.default_rng(np.random.SeedSequence((abs(spec.seed), 0xB007)))
     chunk = max(1, min(bootstrap_resamples, 5 * 10**5 // m))  # 4 MB of counts
@@ -273,7 +292,7 @@ def aggregate_stats(
         for b in range(hi - lo):
             counts[b] = np.bincount(rng.integers(0, m, size=m), minlength=m)
         sums[lo:hi] = counts[: hi - lo] @ features / m
-    mu, s2, s3, s4 = np.split(sums, np.cumsum([k_max, len(iu), k_max]), axis=1)
+    mu, s2, s3, s4 = np.split(sums, np.cumsum([k_max, pairs, k_max]), axis=1)
     covs = s2 - mu[:, iu] * mu[:, ju]
     m4s = s4 - 4 * mu * s3 + 6 * mu**2 * s2[:, iu == ju] - 3 * mu**4
     se_cov = np.empty((k_max, k_max))

@@ -154,8 +154,8 @@ class TestRunExperiment:
             assert np.allclose(stats.traces[i], one, rtol=1e-12, atol=1e-14)
 
     def test_circulant_rows_across_chunks_are_the_seeded_draws(self, sign_law, monkeypatch):
-        # at N = 4096 a chunk holds 976 replicas: 1000 replicas take two
-        # chunks, and the first also crosses seed 2^32
+        # at N = 4096 a chunk holds 64 replicas: 1000 replicas take sixteen
+        # chunks, and one of them crosses seed 2^32
         from explodingmoments import estimator
 
         drawn = []
@@ -167,10 +167,31 @@ class TestRunExperiment:
         monkeypatch.setattr(estimator, "sample_circulant_generator", spy)
         spec = EnsembleSpec(kind="circulant", n=4096, law=sign_law, seed=2**32 - 600)
         run_experiment(spec, 2, 1000, bootstrap_resamples=2)
-        assert [len(rows) for rows in drawn] == [976, 24]
+        per_chunk = estimator.CIRCULANT_CHUNK_ENTRIES // 4096
+        full, rest = divmod(1000, per_chunk)
+        assert [len(rows) for rows in drawn] == [per_chunk] * full + [rest]
         for i, row in enumerate(np.vstack(drawn)):
             one = sample(replace(spec, seed=spec.seed + 1 + i))
             assert np.array_equal(row, one.generator_values), i
+
+    def test_circulant_replica_memory_is_a_few_chunks(self, sign_law):
+        # 8000 replicas at N = 512 hold 4 * 10^6 generator entries; one chunk
+        # of that size keeps some 100 MB of spectrum and power temporaries.
+        # numpy reports its buffers to tracemalloc
+        import tracemalloc
+
+        from explodingmoments.estimator import CIRCULANT_CHUNK_ENTRIES
+
+        spec = EnsembleSpec(kind="circulant", n=512, law=sign_law, seed=7)
+        m, k_max = 8000, 6
+        tracemalloc.start()
+        try:
+            traces = _replica_traces(spec, k_max, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traces.shape == (m, k_max)
+        assert peak < 8 * CIRCULANT_CHUNK_ENTRIES * 8 + m * k_max * 8
 
     def test_covariance_symmetric_and_psd(self, sign_pair_law):
         spec = EnsembleSpec(kind="elliptic", n=80, law=sign_pair_law, seed=3)
