@@ -176,14 +176,21 @@ def _draw_atoms(rng, cum, size):
 
 def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
     """count distinct uniform indices in [0, total); exact conditional law by
-    redrawing the whole batch on collision (rare for count^2 << total)."""
+    redrawing the whole batch on collision (rare for count^2 << total).
+
+    A batch of one is the scalar draw, which takes the same value and leaves
+    the generator in the same state, without numpy's handling of ``size``.
+    Distinctness is checked by sorting."""
     if count > total:
         raise ValueError("cannot draw more distinct indices than exist")
     if 3 * count >= total:
         return rng.permutation(total)[:count]
+    if count == 1:
+        return np.array([rng.integers(0, total)])
     while True:
         idx = rng.integers(0, total, size=count)
-        if len(set(idx.tolist())) == count:
+        ordered = np.sort(idx)
+        if (ordered[1:] != ordered[:-1]).all():
             return idx
 
 

@@ -237,6 +237,15 @@ class TestIndexDraws:
         assert _distinct_uniform(stub, 100, 3).tolist() == [4, 7, 9]
         assert stub.batches == []
 
+    @pytest.mark.parametrize("total", [4, 512, 2000 * 1999])
+    def test_single_index_is_the_batch_of_one_draw(self, total):
+        for seed in range(2000):
+            rng, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _distinct_uniform(rng, total, 1)
+            assert got.dtype == np.int64
+            assert got.tolist() == batch.integers(0, total, size=1).tolist()
+            assert rng.random() == batch.random()
+
     def test_upper_pair_decode_is_triu_order(self):
         for n in [*range(1, 90), 2000]:
             i, j = _decode_upper_pairs(np.arange(n * (n - 1) // 2), n)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from explodingmoments.ensembles import (
     EnsembleSpec,
@@ -16,6 +17,7 @@ from explodingmoments.ensembles import (
 from explodingmoments.estimator import (
     THREADS_ENV,
     _circulant_power_sums,
+    _cyclic_core,
     _replica_traces,
     _sparse_block_traces,
     aggregate_stats,
@@ -112,6 +114,128 @@ class TestSparseBlockTraces:
         samples = [sample(replace(spec, seed=spec.seed + r)) for r in range(1, 131)]
         want, scale = self.reference(samples, 8)
         self.assert_matches(_replica_traces(spec, 8, 130), want, scale)
+
+
+def csr_of(size, entries):
+    """A canonical CSR matrix from {(i, j): value}; a 0.0 value is stored."""
+    rows, cols = zip(*entries) if entries else ((), ())
+    data = list(entries.values())
+    return sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def off_diagonal_rows(mat):
+    """The rows of mat with an off-diagonal stored entry."""
+    coo = mat.tocoo()
+    return sorted(set(coo.row[coo.row != coo.col].tolist()))
+
+
+def on_cycle(mat):
+    """Rows of mat on a directed cycle of its off-diagonal stored entries, by
+    boolean closure of the pattern."""
+    coo = mat.tocoo()
+    step = np.zeros(mat.shape, dtype=int)
+    step[coo.row, coo.col] = 1
+    np.fill_diagonal(step, 0)
+    reach = step.copy()
+    for _ in range(len(step)):
+        reach = np.minimum(reach + reach @ step, 1)
+    return np.flatnonzero(np.diag(reach))
+
+
+class TestCyclicCore:
+    """Dropping the off-diagonal entries of the rows on no cycle: the kernel
+    on hand-built patterns against sequential products, and the powers of
+    the peeled matrix against those of the matrix, bit for bit."""
+
+    @staticmethod
+    def check(mat, blocks=1, k_max=8):
+        """The peeled matrix, after checking the kernel against sequential
+        products per block, and that its powers have the diagonals and the
+        paired entries (A^a)_ij (A^b)_ji of the powers of mat, in the same
+        stored order."""
+        size = mat.shape[0] // blocks
+        want, scale = [], []
+        for b in range(blocks):
+            block = mat[b * size : (b + 1) * size, b * size : (b + 1) * size]
+            want.append(reference_trace_powers(block, 1, k_max))
+            scale.append(reference_trace_powers(abs(block), 1, k_max))
+        for k in range(1, k_max + 1):
+            got = _sparse_block_traces(mat, blocks, 1, k)
+            TestSparseBlockTraces.assert_matches(
+                got, np.array(want)[:, :k], np.array(scale)[:, :k]
+            )
+        core = _cyclic_core(mat)
+        powers = [(mat, core)]
+        for _ in range(k_max - 1):
+            powers.append((powers[-1][0] @ mat, powers[-1][1] @ core))
+        for full, peeled in powers:
+            assert np.array_equal(full.diagonal(), peeled.diagonal())
+        for (full_a, peeled_a), (full_b, peeled_b) in zip(powers, powers[1:] + powers[:1]):
+            full, peeled = full_a.multiply(full_b.T), peeled_a.multiply(peeled_b.T)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(full, part), getattr(peeled, part))
+        return core
+
+    def test_dag_plus_diagonal_is_its_loops(self):
+        d = np.array([2.0, -1.5, 0.5, 3.0])
+        mat = csr_of(4, {(0, 1): 1.0, (0, 2): -2.0, (1, 3): 4.0, (2, 3): 0.5,
+                         **{(i, i): v for i, v in enumerate(d)}})
+        core = self.check(mat)
+        assert np.array_equal(core.toarray(), np.diag(d))
+        for k in range(1, 9):
+            assert _sparse_block_traces(mat, 1, 1, k)[0, -1] == np.sum(d**k)
+
+    def test_cycle_with_tails_keeps_the_cycle(self):
+        # 0 -> 1 -> 2 -> 0 is the cycle; 3 -> 0 an in-tail, 2 -> 4 -> 5 an out-tail
+        mat = csr_of(6, {(0, 1): 1.0, (1, 2): -2.0, (2, 0): 0.5, (3, 0): 3.0,
+                         (2, 4): 1.5, (4, 5): -1.0, (0, 0): 0.25, (3, 3): -2.0,
+                         (5, 5): 1.5, (4, 4): 0.75})
+        core = self.check(mat)
+        want = mat.toarray()
+        want[3:, :] = np.diag(np.diag(want))[3:, :]
+        want[:3, 3:] = 0.0
+        assert np.array_equal(core.toarray(), want)
+        assert off_diagonal_rows(core) == [0, 1, 2]
+
+    def test_two_cycle(self):
+        # 0 <-> 2, with row 1 feeding row 0
+        mat = csr_of(3, {(0, 2): 1.5, (2, 0): -0.5, (1, 0): 4.0, (1, 1): 2.0, (2, 2): 1.0})
+        assert off_diagonal_rows(self.check(mat)) == [0, 2]
+
+    def test_explicit_zero_diagonal(self):
+        mat = csr_of(4, {(0, 0): 0.0, (1, 1): 0.0, (2, 2): -1.0, (0, 1): 2.0,
+                         (1, 0): 1.0, (1, 3): 1.0, (3, 3): 0.0})
+        assert mat.nnz == 7
+        core = self.check(mat)
+        assert off_diagonal_rows(core) == [0, 1] and core.nnz == 6
+
+    def test_block_with_core_beside_block_without(self):
+        cycle = {(0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.5, (2, 2): 2.0, (1, 2): 3.0}
+        dag = {(3, 4): 1.0, (4, 5): 2.0, (3, 3): -1.0, (5, 5): 0.5}
+        core = self.check(csr_of(6, {**cycle, **dag}), blocks=2)
+        assert off_diagonal_rows(core) == [0, 1] and core.nnz == 6
+
+    def test_nothing_peeled_keeps_the_chunk(self):
+        # every row with an off-diagonal entry has one in and one out, and the
+        # rows with their loop alone stay: the first round deletes no entry
+        for mat in (csr_of(3, {(0, 1): 1.0, (1, 0): 2.0, (2, 2): 1.0}),
+                    csr_of(4, {(i, i): 1.0 + i for i in range(4)}),
+                    csr_of(3, {(0, 1): 1.0, (1, 2): 2.0, (2, 0): -1.0, (0, 2): 0.5})):
+            assert self.check(mat) is mat
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_core_against_brute_force_cycles(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(60):
+            density = rng.uniform(0.05, 0.5)
+            pattern = rng.random((n, n)) < density
+            values = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=(n, n))
+            mat = csr_of(n, {(i, j): values[i, j] for i, j in zip(*np.nonzero(pattern))})
+            kept = set(off_diagonal_rows(self.check(mat)))
+            cyclic = set(on_cycle(mat).tolist())
+            assert cyclic <= kept, (n, trial)
+            peeled = set(off_diagonal_rows(mat)) - kept
+            assert not peeled & cyclic, (n, trial)
 
 
 class TestCirculantPowerSums:

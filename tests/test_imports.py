@@ -1,7 +1,8 @@
 """The exact layers and commands run without numpy or scipy: importing the
 package loads neither, the sampling names resolve on first access, and
-only the sparse samplers load ``scipy.sparse``.  Each check runs in a fresh
-interpreter, since this process has loaded both long before."""
+only the sparse samplers load ``scipy.sparse``, without its graph or linear
+algebra subpackages.  Each check runs in a fresh interpreter, since this
+process has loaded both long before."""
 
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("numpy", "scipy", "scipy.sparse")
+HEAVY = ("numpy", "scipy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
 
 # every name the package exports, the lazy sampling names first
 EXPORTED = [
@@ -64,6 +65,15 @@ def test_import_and_exact_commands_load_no_numpy_or_scipy():
 def test_circulant_simulate_loads_numpy_but_not_scipy_sparse():
     report = loaded_after(["simulate", "--model", "circulant", "--n", "8", "--reps", "5"])
     assert report["simulate"] == [0, ["numpy"]]
+
+
+def test_sparse_simulate_and_verify_load_scipy_sparse_alone():
+    report = loaded_after(
+        ["simulate", "--model", "block", "--n", "20", "--reps", "5"],
+        ["verify", "--model", "iid", "--n", "40", "--reps", "5", "--kmax", "4"],
+    )
+    sparse_stack = [0, ["numpy", "scipy", "scipy.sparse"]]
+    assert report["simulate"] == sparse_stack and report["verify"] == sparse_stack
 
 
 def test_every_exported_name_resolves():
