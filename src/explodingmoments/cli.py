@@ -47,6 +47,7 @@ from .profiles import (
     KMAX_TRACE_POWERS,
     MODELS,
     PAIR_MODELS,
+    DocumentError,
     GaussianLaw,
     MomentProfile,
     MomentTableError,
@@ -204,10 +205,8 @@ def _resolve_setup(cfg: ExperimentConfig):
             continue
         try:
             value = read(doc[key])
-        except KeyError as exc:
-            raise UsageError(f"profile file {cfg.profile!r}: {key} lacks field {exc}") from exc
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"profile file {cfg.profile!r}: malformed {key}: {exc}") from exc
+        except DocumentError as exc:
+            raise UsageError(f"profile file {cfg.profile!r}: {exc}") from exc
         if constants is not None:
             return value, constants(value, kmax=kmax_profile)
         if _COMMANDS[cfg.command].reads_n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -170,10 +170,6 @@ def _draw_table(atoms):
     return [np.array([float(v) for v in column]) for column in columns], cum
 
 
-def _draw_atoms(rng, cum, size):
-    return np.searchsorted(cum, rng.random(size), side="right")
-
-
 def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
     """count distinct uniform indices in [0, total); exact conditional law by
     redrawing the whole batch on collision (rare for count^2 << total).
@@ -194,12 +190,6 @@ def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
             return idx
 
 
-def _binomial_active(rng, total: int, p: float) -> np.ndarray:
-    """Each of the total positions active with probability p (q/N for a law
-    of activation q at size N), as distinct uniform indices."""
-    return _distinct_uniform(rng, total, rng.binomial(total, p))
-
-
 def _decode_upper_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert the row-major enumeration of pairs (i < j) of {0..n-1}: row i
     starts at index i(2n - i - 1)/2."""
@@ -215,32 +205,39 @@ def _off_diagonal(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, c0 + (c0 >= r)
 
 
-def _elliptic_cells(n, t, values):
+def _elliptic_cells(n, t, values, base):
     i, j = _decode_upper_pairs(t, n)
+    i += base
+    j += base
     xi, eta = values
     return [(i, j, xi), (j, i, eta)]
 
 
-def _iid_cells(n, t, values):
-    return [(*_off_diagonal(t, n), values[0])]
-
-
-def _block_cells(n, t, values):
+def _iid_cells(n, t, values, base):
     r, c = _off_diagonal(t, n)
+    return [(r + base, c + base, values[0])]
+
+
+def _block_cells(n, t, values, base):
+    r, c = _off_diagonal(t, n)
+    r += base
+    c += base
     xi, eta = values
-    return [(r, c, xi), (n + r, n + c, eta)]
+    return [(r, c, xi), (r + n, c + n, eta)]
 
 
-def _centrosymmetric_cells(n, t, values):
+def _centrosymmetric_cells(n, t, values, base):
     (v,) = values
-    mirror = n * n - 1 - t
-    keep = mirror != t  # for odd n the center is its own mirror
-    return [(t // n, t % n, v), (mirror[keep] // n, mirror[keep] % n, v[keep])]
+    r, c = np.divmod(t, n)
+    keep = 2 * t != n * n - 1  # for odd n the center is its own mirror
+    mirror_r, mirror_c = (base + (n - 1) - r)[keep], (base + (n - 1) - c)[keep]
+    return [(r + base, c + base, v), (mirror_r, mirror_c, v[keep])]
 
 
 # a sparse model's geometry: its orbit count at size n, the (rows, cols,
-# values) cells its active orbits t fill given their atom value columns, and
-# the number of n x n diagonal blocks of diagonal-law draws
+# values) cells its active orbits t fill given their atom value columns and
+# the row offset ``base`` of each orbit's sample, and the number of n x n
+# diagonal blocks of diagonal-law draws
 _SPARSE_GEOMETRY = {
     "elliptic": (lambda n: n * (n - 1) // 2, _elliptic_cells, 1),
     "iid": (lambda n: n * (n - 1), _iid_cells, 1),
@@ -250,12 +247,48 @@ _SPARSE_GEOMETRY = {
 }
 
 
+class SparseChunk(NamedTuple):
+    """The stored entries of a square sparse matrix, usually a block-diagonal
+    chunk of samples: each off-diagonal entry as an edge ``src -> dst`` with
+    value ``val``, each diagonal entry as its row ``diag_at`` and value
+    ``diag``.  A stored entry may hold 0.0; no position is stored twice."""
+
+    size: int  # rows, and columns, of the matrix
+    src: np.ndarray
+    dst: np.ndarray
+    val: np.ndarray
+    diag_at: np.ndarray
+    diag: np.ndarray
+
+    @classmethod
+    def of_csr(cls, mat: sparse.csr_matrix) -> SparseChunk:
+        """The stored entries of a square CSR matrix, duplicates summed first
+        as scipy's products would sum them."""
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        on = rows == mat.indices
+        off = ~on
+        return cls(mat.shape[0], rows[off], mat.indices[off], mat.data[off], rows[on], mat.data[on])
+
+    def csr(self) -> sparse.csr_matrix:
+        """The canonical CSR matrix of these entries: rows in order, each
+        row's columns sorted."""
+        from scipy import sparse  # loaded by the sparse models alone
+
+        rows = np.concatenate([self.src, self.diag_at])
+        cols = np.concatenate([self.dst, self.diag_at])
+        data = np.concatenate([self.val, self.diag])
+        return sparse.coo_matrix((data, (rows, cols)), shape=(self.size, self.size)).tocsr()
+
+
 def sample(spec: EnsembleSpec) -> MatrixSample:
     """Draw one matrix; bit-identical for identical specs.
 
-    A sparse model draws as :func:`_sparse_cells` says and is the one block
-    of :func:`sample_sparse_blocks` at its seed; a Gaussian model draws one
-    standard normal per entry."""
+    A sparse model draws as :func:`sample_sparse_chunk` says and is the one
+    block of :func:`sample_sparse_blocks` at its seed; a Gaussian model draws
+    one standard normal per entry."""
     kind, n, law = spec.kind, spec.n, spec.law
     if kind == "circulant":
         x = sample_circulant_generator(law, n, [np.random.default_rng(spec.seed)])[0]
@@ -275,42 +308,55 @@ def sparse_size(spec: EnsembleSpec) -> int:
     return spec.n * max(_SPARSE_GEOMETRY[spec.kind][2], 1)
 
 
-def _sparse_cells(spec: EnsembleSpec, rng: np.random.Generator, atoms, diagonal):
-    """(rows, cols, values) of one sparse draw from rng, given the law's
-    ``_draw_table`` of its atoms and of its diagonal atoms.  It draws, in
-    order: a binomial count of active orbits and that many distinct orbits,
-    one atom row per active orbit, then each of its diagonal blocks."""
+def sample_sparse_chunk(spec: EnsembleSpec, seeds: Sequence[int]) -> SparseChunk:
+    """The stored entries of one block-diagonal matrix of a sparse model
+    whose block i, of side ``sparse_size(spec)``, is drawn from the generator
+    of ``seeds[i]`` alone, equal to ``default_rng(seeds[i])`` (all seeds are
+    seeded in one :func:`replica_generators` pass).
+
+    Each generator draws, in order: a binomial count of active orbits, that
+    many distinct orbits, one uniform per active orbit for its atom row, then
+    one uniform per diagonal entry of its diagonal blocks.  The atom lookup,
+    the decoding of orbits into cells and the offset of each block's rows
+    then run once for the whole chunk."""
     n, law = spec.n, spec.law
     orbits, cells, blocks = _SPARSE_GEOMETRY[spec.kind]
-    active = _binomial_active(rng, orbits(n), float(law.activation) / n)
-    columns, cum = atoms
-    which = _draw_atoms(rng, cum, len(active))
-    placed = cells(n, active, [column[which] for column in columns])
-    (diag,), diag_cum = diagonal
-    for b in range(blocks):
-        d = np.arange(b * n, (b + 1) * n)
-        placed.append((d, d, diag[_draw_atoms(rng, diag_cum, n)] * (1.0 / np.sqrt(n))))
-    return [np.concatenate(part) for part in zip(*placed)]
+    total = orbits(n)
+    p = float(law.activation) / n
+    counts, picked, uniforms, diagonal = [], [], [], []
+    for rng in replica_generators(seeds):
+        count = rng.binomial(total, p)
+        counts.append(count)
+        picked.append(_distinct_uniform(rng, total, count))
+        uniforms.append(rng.random(count))
+        diagonal.append(rng.random(blocks * n))
+    size = sparse_size(spec)
+    columns, cum = _draw_table(law.atoms)
+    which = np.searchsorted(cum, np.concatenate(uniforms), side="right")
+    base = np.repeat(np.arange(len(seeds)) * size, counts)
+    parts = cells(n, np.concatenate(picked), [column[which] for column in columns], base)
+    src, dst, val = (np.concatenate(part) for part in zip(*parts))
+    (diag,), diag_cum = _draw_table(law.diagonal_atoms)
+    diag = diag[np.searchsorted(diag_cum, np.concatenate(diagonal), side="right")]
+    # the diagonal blocks fill every row's diagonal; only centrosymmetric
+    # orbits, which draw no diagonal blocks, hold diagonal cells
+    on = src == dst
+    off = ~on
+    return SparseChunk(
+        len(seeds) * size,
+        src[off],
+        dst[off],
+        val[off],
+        np.concatenate([np.arange(len(diag)), src[on]]),
+        np.concatenate([diag * (1.0 / np.sqrt(n)), val[on]]),
+    )
 
 
 def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:
-    """One block-diagonal CSR matrix of a sparse model whose block i, of side
-    ``sparse_size(spec)``, is drawn from the generator of ``seeds[i]`` alone,
-    equal to ``default_rng(seeds[i])`` (all seeds are seeded in one
-    :func:`replica_generators` pass): it equals
+    """The CSR matrix of :func:`sample_sparse_chunk`: its block i equals
     ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry, in the
-    same stored order.  The law's draw tables are built once per call."""
-    size = sparse_size(spec)
-    atoms, diagonal = _draw_table(spec.law.atoms), _draw_table(spec.law.diagonal_atoms)
-    parts = []
-    for i, rng in enumerate(replica_generators(seeds)):
-        rows, cols, data = _sparse_cells(spec, rng, atoms, diagonal)
-        parts.append((rows + i * size, cols + i * size, data))
-    rows, cols, data = (np.concatenate(part) for part in zip(*parts))
-    from scipy import sparse  # loaded by the sparse models alone
-
-    total = size * len(seeds)
-    return sparse.coo_matrix((data, (rows, cols)), shape=(total, total)).tocsr()
+    same stored order."""
+    return sample_sparse_chunk(spec, seeds).csr()
 
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

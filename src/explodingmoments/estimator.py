@@ -8,20 +8,24 @@ parallel.  Z_N(k) is centered at the empirical replica mean; the O(1/M)
 centering bias is covered by the bootstrap standard errors.
 
 Sparse replicas are drawn in chunks of consecutive seeds.  A chunk is one
-block-diagonal CSR matrix whose block i is the sample at its seed, sized
-to about 8000 rows, so each scipy product serves every replica in it and
-its per-call cost is paid once per chunk.  One kernel takes such a matrix,
-or a single sample as one block.  It first drops the off-diagonal entries
-of the rows that lie on no directed cycle of the off-diagonal pattern: such
-a row's only closed walk is its loop, so every trace stays the same to the
-last bit.  At activation 1 that leaves a few hundred of a chunk's 8000 rows
-with off-diagonal entries for the iid, block and centrosymmetric samples,
-and drops nothing of the elliptic ones, whose pattern is symmetric.  Then,
-with h = ceil(k_max/2), it forms A, ..., A^h by sequential products, reads
+block-diagonal matrix whose block i is the sample at its seed, sized to
+about 8000 rows, so each scipy product serves every replica in it and its
+per-call cost is paid once per chunk.  The sampler leaves a chunk as its
+stored entries: the off-diagonal ones as edges, and the diagonal.  One
+kernel takes such a chunk, or the entries of a single sample as one block.
+It first peels the edges down to the cyclic core: the rows on a directed
+cycle, or on a path between two.  A row outside it lies on no closed walk
+but its loop, so it adds only the powers of its diagonal entry, formed as
+the products would form them.  At activation 1 the core holds a few
+hundred of a chunk's 8000 rows for the iid, block and centrosymmetric
+samples and about 63% for the elliptic ones, whose pattern is symmetric.
+Only the core rows become a CSR matrix A_C, relabelled in order.  With
+h = ceil(k_max/2), it forms A_C, ..., A_C^h by sequential products, reads
 Tr(A^k) for k <= h as a per-block sum of the diagonal (the values of a
 per-sample power loop, bit for bit), and for k > h takes
 Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and b = ceil(k/2),
-which moves the sum at rounding level.  Chunk boundaries depend only on M
+summing the core's terms apart from the other rows' loop terms, which
+moves the sum at rounding level.  Chunk boundaries depend only on M
 and the matrix size, and ``EXPLODINGMOMENTS_THREADS`` threads map over
 chunks, so results do not depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
@@ -63,10 +67,11 @@ import numpy as np
 from .ensembles import (
     EnsembleSpec,
     MatrixSample,
+    SparseChunk,
     replica_generators,
     sample,
     sample_circulant_generator,
-    sample_sparse_blocks,
+    sample_sparse_chunk,
     sparse_size,
 )
 from .profiles import KMAX_TRACE_POWERS, GaussianLaw
@@ -83,15 +88,15 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
 
     Circulant samples go through half-spectrum eigenvalue powers
     (:func:`_circulant_power_sums`), sparse samples through the one-block
-    case of :func:`_sparse_block_traces`, dense samples through repeated
-    multiplication; the three paths agree on common inputs.
+    case of :func:`_sparse_traces` on their stored entries, dense samples
+    through repeated multiplication; the three paths agree on common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
     if m.kind == "circulant" and m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
     if not isinstance(m.matrix, np.ndarray):
-        return _sparse_block_traces(m.matrix, 1, m.trace_norm, k_max)[0]
+        return _sparse_traces(SparseChunk.of_csr(m.matrix), 1, m.trace_norm, k_max)[0]
     norm = m.trace_norm
     mat = power = m.matrix
     out = np.empty(k_max)
@@ -102,83 +107,95 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     return out
 
 
-def _sparse_block_traces(mat, blocks: int, norm: int, k_max: int) -> np.ndarray:
+def _sparse_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: int) -> np.ndarray:
     """(blocks, k_max) array of Tr(B_r^k) / norm, k = 1..k_max, for the
-    ``blocks`` diagonal blocks B_r, all of one size, of the CSR matrix mat.
+    ``blocks`` diagonal blocks B_r, all of one size, of the matrix whose
+    stored entries are ``chunk``.
 
-    Powers of a block-diagonal matrix are block diagonal with blocks B_r^k,
-    so each product serves every block.  The products run on mat with the
-    off-diagonal entries of the rows outside its cyclic core dropped
-    (:func:`_cyclic_core`), which leaves every trace unchanged bit for bit.
-    A, ..., A^h with h = ceil(k_max/2) are formed by sequential products,
-    and Tr(A^k) for k <= h is the per-block sum of the diagonal of A^k.  For
-    k > h, Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2),
-    b = ceil(k/2), one elementwise product per k in place of a matrix
-    product."""
-    mat = _cyclic_core(mat)
+    A row outside the cyclic core (:func:`_core_rows`) lies on no directed
+    cycle, so its only closed walk is its loop and it adds d_i^k to
+    Tr(A^k), d being the diagonal.  That power is the running product
+    d_i * d_i * ..., as a product of matrices forms it.  The core rows
+    alone, with their off-diagonal and stored diagonal entries, become the
+    CSR matrix A_C, relabelled in order, so each product of A_C sums the
+    same terms in the same order as the product of the whole chunk would.
+    A_C, ..., A_C^h with h = ceil(k_max/2) are formed by sequential products.
+    For k <= h, Tr(A^k) is the per-block sum of the diagonal of A^k, the
+    core rows' entries read from A_C^k, bit for bit the values of
+    per-sample products.  For k > h, Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji
+    with a = floor(k/2), b = ceil(k/2): one elementwise product of A_C^a
+    and A_C^b per k, summed per block apart from the rows outside the core,
+    which moves these traces at rounding level."""
+    size = chunk.size // blocks
+    core = _core_rows(chunk.src, chunk.dst, chunk.size)
+    rows = np.flatnonzero(core)
+    mat = _core_matrix(chunk, core)
     half = (k_max + 1) // 2
     powers = [mat]
+    # the diagonal powers of the rows off the core; 0 on the core
+    loop_powers = [np.zeros(chunk.size)]
+    loop_powers[0][chunk.diag_at] = chunk.diag
+    loop_powers[0][rows] = 0.0
     while len(powers) < half:
         powers.append(powers[-1] @ mat)
-    size = mat.shape[0] // blocks
+        loop_powers.append(loop_powers[-1] * loop_powers[0])
+    core_block = rows // size
     out = np.empty((blocks, k_max))
     for k in range(1, k_max + 1):
         if k <= half:
-            out[:, k - 1] = powers[k - 1].diagonal().reshape(blocks, size).sum(axis=1)
+            diagonal = loop_powers[k - 1].copy()
+            diagonal[rows] = powers[k - 1].diagonal()
+            out[:, k - 1] = diagonal.reshape(blocks, size).sum(axis=1)
         else:
-            paired = powers[k // 2 - 1].multiply(powers[(k + 1) // 2 - 1].T)
-            block_of = np.repeat(np.arange(blocks), np.diff(paired.indptr[::size]))
-            out[:, k - 1] = np.bincount(block_of, paired.data, minlength=blocks)
+            a, b = k // 2 - 1, (k + 1) // 2 - 1
+            out[:, k - 1] = _paired_sums(powers[a], powers[b], core_block, blocks)
+            loops = loop_powers[a] * loop_powers[b]
+            out[:, k - 1] += loops.reshape(blocks, size).sum(axis=1)
     return out / norm
 
 
-def _cyclic_core(mat):
-    """The square CSR matrix mat with the off-diagonal entries of every row
-    outside its cyclic core dropped, in stored order; mat itself when there
-    are none to drop.
+def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
+    """Per-block sums of left_ij right_ji over the rows i of each block, the
+    block of row i being ``row_block[i]``.  The elementwise product is freed
+    on return, before the next one is formed."""
+    paired = left.multiply(right.T)
+    return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)
 
-    Over the off-diagonal stored entries (i -> j for a stored A_ij, i != j),
-    every row with no out-edge or no in-edge among the rows left is deleted,
-    round by round, each round shrinking the edge arrays.  The rows left,
-    the core, hold every row on a directed cycle and every row on a path
-    between two of them.  A deleted row lies on no cycle, so a walk that
-    leaves it never returns: its only closed walk is its loop, and the
-    powers of the result have the same diagonal as those of mat.  They also
-    agree, term for term and in the same order, on every entry whose row and
-    column lie on one closed walk, since a walk between two core rows stays
-    in the core; those are the entries the traces read, so every trace is
-    unchanged to the last bit.  A pattern-symmetric (elliptic) sample has
-    no row with out-edges but no in-edges, or the reverse, so its first
-    round deletes nothing and mat is returned after that one round."""
-    n = mat.shape[0]
-    rows = np.repeat(np.arange(n, dtype=mat.indices.dtype), np.diff(mat.indptr))
-    cols = mat.indices
-    off = rows != cols
-    src, dst = rows.compress(off), cols.compress(off)
-    peeled = False
+
+def _core_matrix(chunk: SparseChunk, core: np.ndarray):
+    """The CSR matrix of the stored entries of ``chunk`` whose row and column
+    are both in the row mask ``core``, relabelled in order."""
+    rank = np.cumsum(core) - 1
+    edges = core.take(chunk.src)
+    edges &= core.take(chunk.dst)
+    loops = core.take(chunk.diag_at)
+    return SparseChunk(
+        np.count_nonzero(core),
+        rank.take(chunk.src.compress(edges)),
+        rank.take(chunk.dst.compress(edges)),
+        chunk.val.compress(edges),
+        rank.take(chunk.diag_at.compress(loops)),
+        chunk.diag.compress(loops),
+    ).csr()
+
+
+def _core_rows(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the rows 0..n-1 in the cyclic core of the edges
+    src -> dst: every row with no out-edge or no in-edge among the rows left
+    is deleted, round by round, each round shrinking the edge arrays.  The
+    rows left hold every row on a directed cycle and every row on a path
+    between two of them; each has an edge to and from another row left."""
     while True:
-        live = np.zeros(n, dtype=bool)
-        live[src] = True
+        core = np.zeros(n, dtype=bool)
+        core[src] = True
         has_in = np.zeros(n, dtype=bool)
         has_in[dst] = True
-        live &= has_in
-        keep = live.take(src)
-        keep &= live.take(dst)
+        core &= has_in
+        keep = core.take(src)
+        keep &= core.take(dst)
         if keep.all():
-            break
-        src, dst, peeled = src.compress(keep), dst.compress(keep), True
-    if not peeled:
-        return mat
-    entry = live.take(rows)
-    entry &= live.take(cols)
-    entry |= ~off
-    indptr = np.zeros(n + 1, dtype=mat.indptr.dtype)
-    np.cumsum(np.bincount(rows.compress(entry), minlength=n), out=indptr[1:])
-    core = mat.__class__(
-        (mat.data.compress(entry), cols.compress(entry), indptr), shape=mat.shape
-    )
-    core.has_canonical_format = mat.has_canonical_format
-    return core
+            return core
+        src, dst = src.compress(keep), dst.compress(keep)
 
 
 @dataclass
@@ -252,12 +269,12 @@ def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) ->
             return trace_powers(sample(replace(spec, seed=seeds[0])), k_max)[None]
     else:
         # 8000 rows hold four replicas at N = 2000; 16,000-row chunks ran
-        # mc_sparse about 14% faster but took 3.2 MB more peak RSS
+        # mc_sparse in 2.11 against 2.63 s but took 3.3 MB more peak RSS
+        # (median of 4 alternating pairs, 2-core VM)
         chunk = max(1, min(m, 8000 // sparse_size(spec)))
 
         def traces(seeds: range) -> np.ndarray:
-            batch = sample_sparse_blocks(spec, seeds)
-            return _sparse_block_traces(batch, len(seeds), spec.n, k_max)
+            return _sparse_traces(sample_sparse_chunk(spec, seeds), len(seeds), spec.n, k_max)
 
     first = spec.seed + 1
     chunks = [range(first + lo, first + min(lo + chunk, m)) for lo in range(0, m, chunk)]

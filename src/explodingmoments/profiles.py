@@ -19,6 +19,7 @@ Everything in this module is exact rational arithmetic; no floats.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -42,6 +43,12 @@ KMAX_TRACE_POWERS = 8
 
 class MomentTableError(LookupError):
     """A moment table is too short for a requested entry."""
+
+
+class DocumentError(ValueError):
+    """A law or profile document that does not read: a field is missing,
+    holds a value of the wrong type or a zero denominator, or the values
+    make no valid law or profile."""
 
 
 def _frac(x) -> Fraction:
@@ -155,6 +162,7 @@ class _SparseLaw:
     )
 
     _WIDTH: ClassVar[int]  # values per atom row
+    _DOCUMENT: ClassVar[str]  # the law's key in a law document
     # the law, its atoms, and the mean and variance rules, as messages name them
     _NAMES: ClassVar[tuple[str, str, str, str]]
 
@@ -207,6 +215,7 @@ class SparsePairLaw(_SparseLaw):
     sqrt(N) * eta)`` for an atom row ``(xi, eta, prob)``."""
 
     _WIDTH = 2
+    _DOCUMENT = "pair_law"
     _NAMES = ("pair law", "pair atoms", "atom means E[xi], E[eta] must vanish",
               "unit variance requires q*E[xi^2] = q*E[eta^2] = 1")
 
@@ -217,6 +226,7 @@ class SparseScalarLaw(_SparseLaw):
     entry, atom rows ``(xi, prob)``."""
 
     _WIDTH = 1
+    _DOCUMENT = "scalar_law"
     _NAMES = ("scalar law", "atoms", "atom mean E[xi] must vanish",
               "unit variance requires q*E[xi^2] = 1")
 
@@ -458,15 +468,30 @@ def profile_to_dict(profile: MomentProfile) -> dict:
     }
 
 
+@contextmanager
+def _reading(document: str):
+    """Raise what goes wrong reading ``document`` as one DocumentError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DocumentError(f"{document} lacks field {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"malformed {document}: {exc}") from exc
+
+
 def profile_from_dict(doc: Mapping) -> MomentProfile:
-    """The profile of a document.  Other keys are ignored, so documents
-    that carry a ``diagonal_bounded`` flag still read."""
-    return MomentProfile(
-        alpha=_unrat(*doc["alpha"]),
-        kmax=_int(doc["kmax"]),
-        pair_table={(_int(k), _int(l)): _unrat(n, d) for k, l, n, d in doc.get("pair_table", [])},
-        scalar_table={_int(k): _unrat(n, d) for k, n, d in doc.get("scalar_table", [])},
-    )
+    """The profile of a ``profile`` document; a DocumentError if it does not
+    read.  Other keys are ignored, so documents that carry a
+    ``diagonal_bounded`` flag still read."""
+    with _reading("profile"):
+        return MomentProfile(
+            alpha=_unrat(*doc["alpha"]),
+            kmax=_int(doc["kmax"]),
+            pair_table={
+                (_int(k), _int(l)): _unrat(n, d) for k, l, n, d in doc.get("pair_table", [])
+            },
+            scalar_table={_int(k): _unrat(n, d) for k, n, d in doc.get("scalar_table", [])},
+        )
 
 
 def law_to_dict(law: _SparseLaw) -> dict:
@@ -487,9 +512,11 @@ def _unrat_row(row) -> tuple[Fraction, ...]:
 
 
 def law_from_dict(cls: type[_SparseLaw], doc: Mapping) -> _SparseLaw:
-    """The ``cls`` law (SparsePairLaw or SparseScalarLaw) of a document."""
-    return cls(
-        activation=_unrat(*doc["activation"]),
-        atoms=tuple(_unrat_row(row) for row in doc["atoms"]),
-        diagonal_atoms=tuple(_unrat_row(row) for row in doc["diagonal_atoms"]),
-    )
+    """The ``cls`` law (SparsePairLaw or SparseScalarLaw) of a ``pair_law``
+    or ``scalar_law`` document; a DocumentError if it does not read."""
+    with _reading(cls._DOCUMENT):
+        return cls(
+            activation=_unrat(*doc["activation"]),
+            atoms=tuple(_unrat_row(row) for row in doc["atoms"]),
+            diagonal_atoms=tuple(_unrat_row(row) for row in doc["diagonal_atoms"]),
+        )

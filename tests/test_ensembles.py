@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from explodingmoments.ensembles import (
     sparse_size,
     weaver_reduce,
 )
-from explodingmoments.profiles import SparseScalarLaw, design_correlated_sign_law, sign_scalar_law
+from explodingmoments.profiles import (
+    SparsePairLaw,
+    SparseScalarLaw,
+    design_correlated_sign_law,
+    sign_scalar_law,
+)
 from reference_sums import reference_circulant_generator
 
 
@@ -353,3 +359,48 @@ class TestPinnedDraws:
             assert np.array_equal(batch.indptr[i * size : (i + 1) * size + 1] - lo, m.indptr)
             assert np.array_equal(batch.indices[lo:hi] - i * size, m.indices)
             assert np.array_equal(batch.data[lo:hi], m.data)
+
+    @pytest.mark.parametrize(
+        "kind,law,n,digest",
+        [
+            ("elliptic", "sign", 3, "b50e7da46cd10833"),
+            ("elliptic", "sign", 49, "52b7b697c56dff35"),
+            ("iid", "sign", 3, "47d111e36fed523c"),
+            ("iid", "sign", 49, "a3fee8b702aab948"),
+            ("block", "sign", 3, "3662673cf8728546"),
+            ("block", "sign", 49, "5f04bfe029a493a2"),
+            ("centrosymmetric", "sign", 3, "96956aadaeeac89c"),
+            ("centrosymmetric", "sign", 49, "ddebf03e2544acd0"),
+            ("elliptic", "zeros", 3, "372d9368067efefb"),
+            ("elliptic", "zeros", 49, "702c52c8da48b872"),
+            ("iid", "zeros", 3, "aa8fa63dfd182d63"),
+            ("iid", "zeros", 49, "a1a5a3a3a589d035"),
+            ("block", "zeros", 3, "459f9eb64c3e968c"),
+            ("block", "zeros", 49, "b6cfe929d70015cc"),
+            ("centrosymmetric", "zeros", 3, "14a5ce659b1c814f"),
+            ("centrosymmetric", "zeros", 49, "06a32110fa38427e"),
+        ],
+    )
+    def test_batch_arrays_are_pinned(self, kind, law, n, digest, sign_pair_law, sign_law):
+        # the SHA-256 prefix of a six-seed batch's indptr, indices (as int64)
+        # and data, recorded when each draw ran its own scipy conversion; the
+        # "zeros" laws have zero-valued atoms, stored as explicit zeros
+        e, half = Fraction(1, 8), Fraction(1, 2)
+        diagonal = ((0, half), (1, half / 2), (-1, half / 2))
+        laws = {
+            "sign": (sign_pair_law, sign_law),
+            "zeros": (
+                SparsePairLaw(activation=1, diagonal_atoms=diagonal, atoms=(
+                    (2, 0, e), (-2, 0, e), (0, 2, e), (0, -2, e), (0, 0, 4 * e))),
+                SparseScalarLaw(activation=half, diagonal_atoms=diagonal,
+                                atoms=((0, half), (2, half / 2), (-2, half / 2))),
+            ),
+        }
+        pair, scalar = laws[law]
+        spec = EnsembleSpec(kind=kind, n=n, law=pair if kind in ("elliptic", "block") else scalar,
+                            seed=0)
+        batch = sample_sparse_blocks(spec, range(100, 106))
+        h = hashlib.sha256()
+        for part in (batch.indptr.astype(np.int64), batch.indices.astype(np.int64), batch.data):
+            h.update(part.tobytes())
+        assert h.hexdigest()[:16] == digest

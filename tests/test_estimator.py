@@ -9,17 +9,19 @@ from explodingmoments.ensembles import (
     EnsembleSpec,
     GaussianLaw,
     MatrixSample,
+    SparseChunk,
     circulant_eigenvalues,
     sample,
     sample_circulant_generator,
     sample_sparse_blocks,
+    sample_sparse_chunk,
 )
 from explodingmoments.estimator import (
     THREADS_ENV,
     _circulant_power_sums,
-    _cyclic_core,
+    _core_rows,
     _replica_traces,
-    _sparse_block_traces,
+    _sparse_traces,
     aggregate_stats,
     compare_report,
     rows_to_csv,
@@ -65,6 +67,21 @@ class TestTracePowers:
         dense = MatrixSample(kind="elliptic", size=n, trace_norm=n, matrix=s.dense())
         assert np.allclose(trace_powers(s, 6), trace_powers(dense, 6), rtol=1e-8, atol=1e-12)
 
+    def test_non_canonical_csr_sums_its_duplicates(self):
+        # rows hold unsorted columns, and (0, 0), (1, 2), (2, 1) and (3, 3)
+        # are each stored twice, row 3 on no cycle; the products sum
+        # duplicates, so the traces must too
+        indptr = np.array([0, 4, 7, 10, 12])
+        indices = np.array([2, 0, 1, 0, 2, 0, 2, 1, 0, 1, 3, 3])
+        data = np.array([1.5, 0.5, -2.0, 0.25, 1.0, 3.0, -0.5, 2.0, -1.0, 0.75, 0.5, 0.25])
+        mat = sparse.csr_matrix((data, indices, indptr), shape=(4, 4))
+        assert not mat.has_canonical_format
+        got = trace_powers(MatrixSample(kind="iid", size=4, trace_norm=4, matrix=mat), 8)
+        dense = MatrixSample(kind="iid", size=4, trace_norm=4, matrix=mat.toarray())
+        assert np.allclose(got, trace_powers(dense, 8), rtol=1e-12, atol=1e-12)
+        # the sample's own matrix is left as it was
+        assert np.array_equal(mat.indices, indices) and np.array_equal(mat.data, data)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_circulant_paths_agree(self, seed, sign_law):
         n = 16 + 2 * seed
@@ -95,16 +112,41 @@ class TestSparseBlockTraces:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
     def test_blocks_match_sequential_products(self, kind, n, sign_law, sign_pair_law):
+        # n = 1, 3 and 7 put a center row in the centrosymmetric samples
         spec = sparse_spec(kind, n, 0, sign_law, sign_pair_law)
         seeds = range(40, 45)
         samples = [sample(replace(spec, seed=s)) for s in seeds]
         want, scale = self.reference(samples, 8)
-        batch = sample_sparse_blocks(spec, seeds)
+        chunk = sample_sparse_chunk(spec, seeds)
         for k_max in range(1, 9):
-            got = _sparse_block_traces(batch, len(seeds), n, k_max)
+            got = _sparse_traces(chunk, len(seeds), n, k_max)
             self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
             for m, w, sc in zip(samples, want, scale):
                 self.assert_matches(trace_powers(m, k_max), w[:k_max], sc[:k_max])
+
+    @staticmethod
+    def chunk_where(spec, blocks, wanted):
+        """The seeds and chunk of the first run of ``blocks`` consecutive
+        seeds whose chunk has core rows in the blocks ``wanted`` and no other."""
+        size = sample(spec).size
+        for first in range(1000):
+            seeds = range(first, first + blocks)
+            chunk = sample_sparse_chunk(spec, seeds)
+            core = _core_rows(chunk.src, chunk.dst, chunk.size)
+            if set(np.flatnonzero(core) // size) == wanted:
+                return seeds, chunk
+        raise AssertionError(f"no chunk with core rows in the blocks {wanted}")
+
+    @pytest.mark.parametrize("wanted", [set(), {2}])
+    @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
+    def test_chunk_with_core_in_some_blocks(self, kind, wanted, sign_law, sign_pair_law):
+        # a chunk whose core is empty, and one whose core lies in one block
+        spec = sparse_spec(kind, 9, 0, sign_law, sign_pair_law)
+        seeds, chunk = self.chunk_where(spec, 4, wanted)
+        want, scale = self.reference([sample(replace(spec, seed=s)) for s in seeds], 8)
+        for k_max in range(1, 9):
+            got = _sparse_traces(chunk, 4, 9, k_max)
+            self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
 
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
     def test_replica_chunks_match_per_sample(self, kind, sign_law, sign_pair_law):
@@ -123,15 +165,22 @@ def csr_of(size, entries):
     return sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def core_of(mat):
+    """The rows of mat in the cyclic core of its off-diagonal stored entries."""
+    chunk = SparseChunk.of_csr(mat)
+    return np.flatnonzero(_core_rows(chunk.src, chunk.dst, chunk.size)).tolist()
+
+
 def off_diagonal_rows(mat):
     """The rows of mat with an off-diagonal stored entry."""
     coo = mat.tocoo()
     return sorted(set(coo.row[coo.row != coo.col].tolist()))
 
 
-def on_cycle(mat):
-    """Rows of mat on a directed cycle of its off-diagonal stored entries, by
-    boolean closure of the pattern."""
+def between_cycles(mat):
+    """Rows of mat reachable from a row on a directed cycle of its
+    off-diagonal stored entries, and from which such a row is reachable (a
+    row on a cycle is both), by boolean closure of the pattern."""
     coo = mat.tocoo()
     step = np.zeros(mat.shape, dtype=int)
     step[coo.row, coo.col] = 1
@@ -139,20 +188,24 @@ def on_cycle(mat):
     reach = step.copy()
     for _ in range(len(step)):
         reach = np.minimum(reach + reach @ step, 1)
-    return np.flatnonzero(np.diag(reach))
+    cyclic = np.diag(reach) == 1
+    into = reach[cyclic].any(axis=0) | cyclic
+    out_of = reach[:, cyclic].any(axis=1) | cyclic
+    return np.flatnonzero(into & out_of).tolist()
 
 
 class TestCyclicCore:
-    """Dropping the off-diagonal entries of the rows on no cycle: the kernel
-    on hand-built patterns against sequential products, and the powers of
-    the peeled matrix against those of the matrix, bit for bit."""
+    """The peel's row mask on hand-built patterns, the kernel on them against
+    sequential products, and the identity the kernel rests on, bit for bit."""
 
     @staticmethod
     def check(mat, blocks=1, k_max=8):
-        """The peeled matrix, after checking the kernel against sequential
-        products per block, and that its powers have the diagonals and the
-        paired entries (A^a)_ij (A^b)_ji of the powers of mat, in the same
-        stored order."""
+        """The core rows of mat, after checking the kernel against sequential
+        products per block, and that the powers of the core rows' submatrix
+        A_C, relabelled in order, have the diagonals and the paired entries
+        (A^a)_ij (A^b)_ji of the powers of mat on the core rows, in the same
+        stored order, while every other row's are the running powers of its
+        loop."""
         size = mat.shape[0] // blocks
         want, scale = [], []
         for b in range(blocks):
@@ -160,68 +213,70 @@ class TestCyclicCore:
             want.append(reference_trace_powers(block, 1, k_max))
             scale.append(reference_trace_powers(abs(block), 1, k_max))
         for k in range(1, k_max + 1):
-            got = _sparse_block_traces(mat, blocks, 1, k)
+            got = _sparse_traces(SparseChunk.of_csr(mat), blocks, 1, k)
             TestSparseBlockTraces.assert_matches(
                 got, np.array(want)[:, :k], np.array(scale)[:, :k]
             )
-        core = _cyclic_core(mat)
-        powers = [(mat, core)]
+        core = core_of(mat)
+        rest = np.setdiff1d(np.arange(mat.shape[0]), core)
+        compact = mat[core][:, core]
+        powers = [(mat, compact)]
         for _ in range(k_max - 1):
-            powers.append((powers[-1][0] @ mat, powers[-1][1] @ core))
+            powers.append((powers[-1][0] @ mat, powers[-1][1] @ compact))
+        loop = [mat.diagonal()]
         for full, peeled in powers:
-            assert np.array_equal(full.diagonal(), peeled.diagonal())
-        for (full_a, peeled_a), (full_b, peeled_b) in zip(powers, powers[1:] + powers[:1]):
-            full, peeled = full_a.multiply(full_b.T), peeled_a.multiply(peeled_b.T)
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(full, part), getattr(peeled, part))
+            assert np.array_equal(full.diagonal()[core], peeled.diagonal())
+            assert np.array_equal(full.diagonal()[rest], loop[-1][rest])
+            loop.append(loop[-1] * loop[0])
+        for a, b in zip(range(k_max), [*range(1, k_max), 0]):
+            (full_a, peeled_a), (full_b, peeled_b) = powers[a], powers[b]
+            full, peeled = full_a.multiply(full_b.T)[core], peeled_a.multiply(peeled_b.T)
+            assert np.array_equal(full.indptr, peeled.indptr)
+            assert np.array_equal(full.indices, np.array(core, dtype=int)[peeled.indices])
+            assert np.array_equal(full.data, peeled.data)
+            want_rest = np.zeros((len(rest), mat.shape[0]))
+            want_rest[np.arange(len(rest)), rest] = loop[a][rest] * loop[b][rest]
+            assert np.array_equal(full_a.multiply(full_b.T)[rest].toarray(), want_rest)
         return core
 
     def test_dag_plus_diagonal_is_its_loops(self):
         d = np.array([2.0, -1.5, 0.5, 3.0])
         mat = csr_of(4, {(0, 1): 1.0, (0, 2): -2.0, (1, 3): 4.0, (2, 3): 0.5,
                          **{(i, i): v for i, v in enumerate(d)}})
-        core = self.check(mat)
-        assert np.array_equal(core.toarray(), np.diag(d))
+        assert self.check(mat) == []
         for k in range(1, 9):
-            assert _sparse_block_traces(mat, 1, 1, k)[0, -1] == np.sum(d**k)
+            assert _sparse_traces(SparseChunk.of_csr(mat), 1, 1, k)[0, -1] == np.sum(d**k)
 
     def test_cycle_with_tails_keeps_the_cycle(self):
         # 0 -> 1 -> 2 -> 0 is the cycle; 3 -> 0 an in-tail, 2 -> 4 -> 5 an out-tail
         mat = csr_of(6, {(0, 1): 1.0, (1, 2): -2.0, (2, 0): 0.5, (3, 0): 3.0,
                          (2, 4): 1.5, (4, 5): -1.0, (0, 0): 0.25, (3, 3): -2.0,
                          (5, 5): 1.5, (4, 4): 0.75})
-        core = self.check(mat)
-        want = mat.toarray()
-        want[3:, :] = np.diag(np.diag(want))[3:, :]
-        want[:3, 3:] = 0.0
-        assert np.array_equal(core.toarray(), want)
-        assert off_diagonal_rows(core) == [0, 1, 2]
+        assert self.check(mat) == [0, 1, 2]
 
     def test_two_cycle(self):
         # 0 <-> 2, with row 1 feeding row 0
         mat = csr_of(3, {(0, 2): 1.5, (2, 0): -0.5, (1, 0): 4.0, (1, 1): 2.0, (2, 2): 1.0})
-        assert off_diagonal_rows(self.check(mat)) == [0, 2]
+        assert self.check(mat) == [0, 2]
 
     def test_explicit_zero_diagonal(self):
         mat = csr_of(4, {(0, 0): 0.0, (1, 1): 0.0, (2, 2): -1.0, (0, 1): 2.0,
                          (1, 0): 1.0, (1, 3): 1.0, (3, 3): 0.0})
         assert mat.nnz == 7
-        core = self.check(mat)
-        assert off_diagonal_rows(core) == [0, 1] and core.nnz == 6
+        assert self.check(mat) == [0, 1]
 
     def test_block_with_core_beside_block_without(self):
         cycle = {(0, 1): 1.0, (1, 0): -1.0, (1, 1): 0.5, (2, 2): 2.0, (1, 2): 3.0}
         dag = {(3, 4): 1.0, (4, 5): 2.0, (3, 3): -1.0, (5, 5): 0.5}
-        core = self.check(csr_of(6, {**cycle, **dag}), blocks=2)
-        assert off_diagonal_rows(core) == [0, 1] and core.nnz == 6
+        assert self.check(csr_of(6, {**cycle, **dag}), blocks=2) == [0, 1]
 
     def test_nothing_peeled_keeps_the_chunk(self):
         # every row with an off-diagonal entry has one in and one out, and the
-        # rows with their loop alone stay: the first round deletes no entry
+        # rows with their loop alone stay off the core: one round peels nothing
         for mat in (csr_of(3, {(0, 1): 1.0, (1, 0): 2.0, (2, 2): 1.0}),
                     csr_of(4, {(i, i): 1.0 + i for i in range(4)}),
                     csr_of(3, {(0, 1): 1.0, (1, 2): 2.0, (2, 0): -1.0, (0, 2): 0.5})):
-            assert self.check(mat) is mat
+            assert self.check(mat) == off_diagonal_rows(mat)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_core_against_brute_force_cycles(self, n):
@@ -231,11 +286,7 @@ class TestCyclicCore:
             pattern = rng.random((n, n)) < density
             values = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=(n, n))
             mat = csr_of(n, {(i, j): values[i, j] for i, j in zip(*np.nonzero(pattern))})
-            kept = set(off_diagonal_rows(self.check(mat)))
-            cyclic = set(on_cycle(mat).tolist())
-            assert cyclic <= kept, (n, trial)
-            peeled = set(off_diagonal_rows(mat)) - kept
-            assert not peeled & cyclic, (n, trial)
+            assert self.check(mat) == between_cycles(mat), (n, trial)
 
 
 class TestCirculantPowerSums:

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explodingmoments.profiles import (
+    DocumentError,
     MomentProfile,
     MomentTableError,
     SparsePairLaw,
@@ -253,6 +255,26 @@ class TestSerialization:
         doc["atoms"][0].append(7)
         with pytest.raises(ValueError, match="odd length"):
             law_from_dict(SparseScalarLaw, doc)
+
+    @pytest.mark.parametrize(
+        "reader,doc,message",
+        [
+            (profile_from_dict, {"kmax": 4}, "profile lacks field 'alpha'"),
+            (profile_from_dict, {"alpha": [1, 1], "kmax": "4"}, "malformed profile"),
+            (profile_from_dict, {"alpha": [1, 0], "kmax": 4}, "malformed profile"),
+            (profile_from_dict, [[1, 1], 4], "malformed profile"),
+            (partial(law_from_dict, SparseScalarLaw), {"activation": [1, 1], "atoms": []},
+             "scalar_law lacks field 'diagonal_atoms'"),
+            (partial(law_from_dict, SparsePairLaw),
+             {"activation": [1.0, 1], "atoms": [], "diagonal_atoms": []}, "malformed pair_law"),
+            (partial(law_from_dict, SparsePairLaw),
+             {"activation": [1, 0], "atoms": [], "diagonal_atoms": []}, "malformed pair_law"),
+        ],
+    )
+    def test_unreadable_document_is_a_document_error(self, reader, doc, message):
+        # a missing field, a wrong type and a zero denominator raise one error
+        with pytest.raises(DocumentError, match=message):
+            reader(doc)
 
     @given(rho=rationals)
     @settings(max_examples=20)
