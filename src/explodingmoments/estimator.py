@@ -213,9 +213,6 @@ class SampleStats:
     zmoment4: np.ndarray  # E[Z_N(k)^4] per k
     se_zmoment4: np.ndarray
 
-    def seed_range(self) -> tuple[int, int]:
-        return (self.spec.seed + 1, self.spec.seed + self.replicates)
-
 
 def _circulant_power_sums(x: np.ndarray, k_max: int) -> np.ndarray:
     """[Tr(C^k) / N for k = 1..k_max] of the circulant C with generator x
@@ -385,37 +382,6 @@ def aggregate_stats(
         zmoment4=m4,
         se_zmoment4=m4s.std(axis=0, ddof=1),
     )
-
-
-def reduction_block_moments(
-    spec: EnsembleSpec, k_values: Sequence[int], replicates: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empirical moments of the entries of the first orthogonal-reduction
-    block A + JC of centrosymmetric samples.
-
-    Returns (per-replica matrix, means, standard errors) of
-    E[(entry * sqrt(N))^k] / N^(k/2-1), averaged over all block entries.
-    """
-    if spec.kind != "centrosymmetric":
-        raise ValueError("reduction moments are defined for centrosymmetric samples")
-    from scipy import sparse
-
-    n = spec.n
-    s = n // 2
-    mirror_rows = np.arange(n - 1, n - 1 - s, -1)
-    per_rep = np.empty((replicates, len(k_values)))
-    for r in range(replicates):
-        m = sample(replace(spec, seed=spec.seed + 1 + r)).matrix
-        if not sparse.issparse(m):
-            m = sparse.csr_matrix(m)
-        block = (m[:s, :s] + m[mirror_rows][:, :s]).tocoo()
-        vals = block.data
-        for col, k in enumerate(k_values):
-            # (w*sqrt(N))^k / (s^2 * N^(k/2-1)) summed over all s^2 entries
-            per_rep[r, col] = n * float(np.sum(vals**k)) / s**2
-    means = per_rep.mean(axis=0)
-    ses = per_rep.std(axis=0, ddof=1) / np.sqrt(replicates)
-    return per_rep, means, ses
 
 
 Number = Union[int, float, Fraction]

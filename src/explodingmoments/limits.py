@@ -18,18 +18,14 @@ and are substituted at the end.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import ADMISSIBLE_TREE, classify, moment_product
-from .partitions import (
-    TraceCounts,
-    enumerate_integer_partitions_min2,
-    enumerate_pair_partitions,
-    walk_partitions,
-)
+from .partitions import TraceCounts, block_classes, enumerate_pair_partitions, walk_partitions
 from .profiles import MODELS, MomentProfile
 
 # 10 covers the tenth Wigner moment in the acceptance suite
@@ -165,33 +161,22 @@ def circulant_limit_moment(
 ) -> Fraction:
     """Limit of E[Tr(C^k)] for the circulant model.
 
-    Sums multinomial weights over multisets {m_1..m_r} of multiplicities
-    (each >= 2, summing to k).  The corrected form divides by the part
-    multiplicity factorials (values are assigned to unordered parts); the
-    uncorrected variant (paper_formula=True) omits that symmetry factor and
-    is kept for comparison reports only.  A C_m the table lacks raises
-    :class:`MomentTableError`, as in :meth:`MomentProfile.scalar`.
+    Sums prod_b C_(m_b) over the set partitions of {1..k} into blocks of
+    sizes m_b >= 2, class by class (:func:`partitions.block_classes`): the
+    count k! / (prod_b m_b! prod mu!) divides by the multiplicities mu of
+    equal sizes.  The uncorrected variant (paper_formula=True) omits that
+    symmetry factor and is kept for comparison reports only.  A C_m the
+    table lacks raises :class:`MomentTableError`, as in
+    :meth:`MomentProfile.scalar`.
     """
     profile = _profile_of(profile)
     _require_alpha_one(profile)
     total = Fraction(0)
-    for parts in enumerate_integer_partitions_min2(k):
-        term = Fraction(factorial(k))
-        for m in parts:
-            term /= factorial(m)
-            term *= profile.scalar(m)
-        if not paper_formula:
-            for mult in _part_multiplicities(parts):
-                term /= factorial(mult)
-        total += term
+    for blocks, count in block_classes((k,)).items():
+        if paper_formula:
+            count *= prod(map(factorial, Counter(blocks).values()))
+        total += count * prod(profile.scalar(m) for (m,) in blocks)
     return total
-
-
-def _part_multiplicities(parts: Sequence[int]) -> list[int]:
-    counts: dict[int, int] = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    return list(counts.values())
 
 
 def circulant_covariance(k: int, l: int) -> Fraction:

@@ -8,7 +8,8 @@ times a monomial c N^(h/2) of exact entry moments read from the law (the
 joint moments of x_ij and x_ji for a pair law, their products for an
 independent-entry law).  The N^0 coefficients of the means and covariances
 are the limits of ``limits``.  The circulant sums are the moment-cumulant
-formula over the same partitions, with generator cumulants that are
+formula over the block-size classes of the same partitions
+(``partitions.block_classes``), with generator cumulants that are
 polynomials in 1/N and residue counts that depend on gcds with N.
 
 All arithmetic is exact.  Sparse moments carry half-integer powers of N
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .graphs import moment_product
-from .partitions import walk_partitions
+from .partitions import block_classes, walk_partitions
 from .profiles import EntryLaw, GaussianLaw, SparsePairLaw
 
 EXACT_MODELS = ("elliptic", "iid", "circulant")
@@ -175,18 +176,20 @@ def _walk_sum(table: ExactMomentTable, lengths: Sequence[int]) -> Laurent:
 
 
 @lru_cache(maxsize=None)
-def _residue_count(blocks: tuple[tuple[int, int], ...], n: int) -> int:
-    """Labelings of blocks with per-walk sizes (m_b, m'_b) by residues v_b
-    mod N, not necessarily distinct, with sum m_b v_b = sum m'_b v_b = 0
-    mod N: the kernel of Z_N^t -> Z_N^2 for t blocks, which by the Smith
-    normal form has N^(t-2) gcd(d1, N) gcd(d2, N) elements.  d1 is the gcd
-    of all entries and d1 d2 the gcd of all 2x2 minors (d2 = 0 at rank <= 1,
-    so one walk gives N^(t-1) gcd(d1, N)).
+def _residue_count(blocks: tuple[tuple[int, ...], ...], n: int) -> int:
+    """Labelings of blocks with per-walk sizes (m_b,) or (m_b, m'_b) by
+    residues v_b mod N, not necessarily distinct, with zero weighted sum
+    mod N on each walk: by the Smith normal form, N^(t-1) gcd(d1, N) for t
+    blocks of one walk and N^(t-2) gcd(d1, N) gcd(d2, N) for two.  d1 is the
+    gcd of all entries and d1 d2 the gcd of all 2x2 minors (d2 = 0 at rank 1).
     """
     d1 = math.gcd(*(m for block in blocks for m in block))
+    count = n ** (len(blocks) - 1) * math.gcd(d1, n)
+    if len(blocks[0]) == 1:
+        return count
     minors = math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(blocks, 2)))
     # integer form of N^(t-2) gcd(d1, N) gcd(d2, N): at t = 1, gcd(0, N) = N
-    return n ** (len(blocks) - 1) * math.gcd(d1, n) * math.gcd(minors // d1, n) // n
+    return count * math.gcd(minors // d1, n) // n
 
 
 def _circulant_sum(table: ExactMomentTable, lengths: Sequence[int], ns: Sequence[int]) -> dict:
@@ -194,18 +197,19 @@ def _circulant_sum(table: ExactMomentTable, lengths: Sequence[int], ns: Sequence
     formula.  Tr(C^k) is N times the sum, over residue k-tuples with zero
     sum mod N, of the product of the generator entries y_v, whose joint
     cumulants vanish unless their indices agree.  Each set partition of the
-    walk positions, counted by block sizes once, contributes the product of
-    its block cumulants kappa_|B|(y) times the residue labelings of its
-    blocks with zero weighted sum mod N on each walk."""
+    walk positions contributes the product of its block cumulants
+    kappa_|B|(y) times the residue labelings of its blocks with zero
+    weighted sum mod N on each walk; both depend only on its per-walk block
+    sizes, so each class of :func:`partitions.block_classes` is taken once,
+    times its count."""
     kappa = [table.cumulant(j) for j in range(sum(lengths) + 1)]
-    classes = Counter(leaf.block_sizes for leaf in walk_partitions(lengths))
-    live = [(blocks, count) for blocks, count in classes.items()
-            if all(kappa[a + b] for a, b in blocks)]
+    live = [(blocks, count) for blocks, count in block_classes(lengths).items()
+            if all(kappa[sum(block)] for block in blocks)]
     sums = {}
     for n in ns:
         at_n = [poly(n) for poly in kappa]
-        terms = (count * math.prod(at_n[a + b] for a, b in blocks) * _residue_count(blocks, n)
-                 for blocks, count in live)
+        terms = (count * math.prod(at_n[sum(block)] for block in blocks)
+                 * _residue_count(blocks, n) for blocks, count in live)
         sums[n] = n ** len(lengths) * sum(terms, Fraction(0))
     return sums
 

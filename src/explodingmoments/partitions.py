@@ -1,4 +1,4 @@
-"""Pair partitions, partitions of walk positions, and integer partitions.
+"""Pair partitions, partitions of walk positions, and their block-size classes.
 
 These index every sum in the trace-moment calculus: a normalized trace
 expands over partitions of {1..k} (which index tuples by their coincidence
@@ -7,7 +7,9 @@ two walks (restricted to each walk they give the two trace graphs, and the
 blocks they merge glue them).  :func:`walk_partitions`, the one set-partition
 enumerator, enumerates both, growing the trace graph as it goes, and can
 prune every branch on which no limit term survives.  :class:`TraceCounts` is
-the one record of a trace graph's counters.
+the one record of a trace graph's counters.  A circulant term depends on a
+partition only through its per-walk block sizes, so :func:`block_classes`
+counts the partitions of each such class in closed form instead.
 
 Enumeration is guarded at small sizes (Bell(13) > 27M).  The index tuples of
 a partition with |V| blocks are never materialized: there are
@@ -17,6 +19,9 @@ N (N-1) ... (N-|V|+1) of them, ``math.perm(N, |V|)``.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
+from math import factorial, prod
+from operator import le, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_GROUND = 12
@@ -57,7 +62,6 @@ class TraceCounts(NamedTuple):
     ordered_pair_counts[(k,l)] - vertex pairs u < v with k edges u->v and l edges v->u
     reduced_edge_count         - edges after forgetting multiplicity and orientation
                                  (each loop vertex and each adjacent pair counts once)
-    block_sizes                - per vertex, ascending: (positions in walk 1, in walk 2)
     shared                     - some directed edge is a step of both walks
     """
 
@@ -65,7 +69,6 @@ class TraceCounts(NamedTuple):
     loop_counts: tuple[tuple[int, int], ...]
     ordered_pair_counts: tuple[tuple[tuple[int, int], int], ...]
     component_count: int
-    block_sizes: tuple[tuple[int, int], ...] = ()
     shared: bool = False
 
     @staticmethod
@@ -139,7 +142,6 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Tra
         raise ValueError(f"walk lengths {lengths}: need one or two walks, total 1..{MAX_GROUND}")
     max_vertices = total // 2 + 1 if prune else total
     label = [0] * total
-    sizes: list[list[int]] = []  # per block: [positions in walk 1, in walk 2]
     loops: dict[int, int] = {}
     pairs: dict[tuple[int, int], list[int]] = {}
 
@@ -150,69 +152,74 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Tra
         second = label[lengths[0] : p + 1]
         return 1 + (bool(second) and min(second) > max(label[: lengths[0]]))
 
-    def leaf() -> Optional[TraceCounts]:
-        if prune and (len(pairs) != len(sizes) - 1 or any(a + b == 1 for a, b in pairs.values())):
+    def leaf(blocks: int) -> Optional[TraceCounts]:
+        if prune and (len(pairs) != blocks - 1 or any(a + b == 1 for a, b in pairs.values())):
             return None  # a forest of two trees, or a pair with a single edge
         steps = [
             {(label[s + i], label[s + (i + 1) % size]) for i in range(size)}
             for s, size in zip((0, lengths[0]), lengths)
         ]
         return TraceCounts.of(
-            len(sizes),
+            blocks,
             loops,
             pairs,
             component_count=components(total - 1),
-            block_sizes=tuple(sorted(map(tuple, sizes))),
             shared=len(steps) == 2 and not steps[0].isdisjoint(steps[1]),
         )
 
-    def place(p: int) -> Iterator[TraceCounts]:
+    def place(p: int, blocks: int) -> Iterator[TraceCounts]:
         if p == total:
-            out = leaf()
+            out = leaf(blocks)
             if out is not None:
                 yield out
             return
-        walk = p >= lengths[0]
-        first, last = (lengths[0], total - 1) if walk else (0, lengths[0] - 1)
-        for b in range(min(len(sizes) + 1, max_vertices)):
-            if b == len(sizes):
-                sizes.append([0, 0])
-            sizes[b][walk] += 1
+        first, last = (lengths[0], total - 1) if p >= lengths[0] else (0, lengths[0] - 1)
+        for b in range(min(blocks + 1, max_vertices)):
             label[p] = b
             steps = [(label[p - 1], b)] if p != first else []
             if p == last:
                 steps.append((b, label[first]))
             for u, v in steps:
                 tally_step(loops, pairs, u, v, 1)
+            grown = max(blocks, b + 1)
             # a loop-free graph is a forest iff it has |V| - components pairs
-            if not prune or (not loops and len(pairs) == len(sizes) - components(p)):
-                yield from place(p + 1)
+            if not prune or (not loops and len(pairs) == grown - components(p)):
+                yield from place(p + 1, grown)
             for u, v in steps:
                 tally_step(loops, pairs, u, v, -1)
-            sizes[b][walk] -= 1
-            if sizes[b] == [0, 0]:
-                sizes.pop()
 
-    yield from place(0)
+    yield from place(0, 0)
 
 
-def enumerate_integer_partitions_min2(k: int) -> list[tuple[int, ...]]:
-    """Multisets (m_1 >= ... >= m_r >= 2) with sum k, each exactly once."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    results: list[tuple[int, ...]] = []
+def block_classes(lengths: Sequence[int]) -> dict[tuple[tuple[int, ...], ...], int]:
+    """{blocks: count} over the set partitions of the positions of one or two
+    closed walks of the given lengths, grouped by block sizes, keeping only
+    those whose every block holds at least two positions.
 
-    def grow(remaining: int, cap: int, acc: list[int]):
-        if remaining == 0:
-            if acc:
-                results.append(tuple(acc))
+    A class is the multiset of its blocks, each the tuple of its positions in
+    each walk, sorted in decreasing order.  A class with per-walk block sizes
+    a_bw holds prod_w k_w! / (prod_b prod_w a_bw! * prod mu!) partitions,
+    where mu runs over the multiplicities of equal blocks (the exponential
+    formula; Stanley, Enumerative Combinatorics 2, 5.1).  For one walk the
+    classes are the integer partitions of k with parts >= 2.
+    """
+    lengths = tuple(int(x) for x in lengths)
+    if not 1 <= len(lengths) <= 2 or min(lengths) < 1:
+        raise ValueError(f"walk lengths {lengths}: need one or two walks, each of length >= 1")
+    shapes = sorted(
+        (a for a in product(*(range(k + 1) for k in lengths)) if sum(a) >= 2), reverse=True
+    )
+    classes = {}
+
+    def grow(rest: tuple[int, ...], first: int, blocks: tuple[tuple[int, ...], ...]):
+        if not any(rest):
+            sizes = prod(factorial(a) for block in blocks for a in block)
+            equal = prod(map(factorial, Counter(blocks).values()))
+            classes[blocks] = prod(map(factorial, lengths)) // (sizes * equal)
             return
-        for part in range(min(cap, remaining), 1, -1):
-            if remaining - part == 1:  # a leftover part of 1 is never legal
-                continue
-            acc.append(part)
-            grow(remaining - part, part, acc)
-            acc.pop()
+        for i, shape in enumerate(shapes[first:], first):
+            if all(map(le, shape, rest)):
+                grow(tuple(map(sub, rest, shape)), i, blocks + (shape,))
 
-    grow(k, k, [])
-    return results
+    grow(lengths, 0, ())
+    return classes

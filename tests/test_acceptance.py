@@ -9,19 +9,17 @@ moments with the tilde transform of the raw entry moments at the simulated
 N.  Monte Carlo criteria use fixed seeds and standard-error bands.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, perm, prod
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from explodingmoments.ensembles import EnsembleSpec, GaussianLaw, sample, weaver_reduce
-from explodingmoments.estimator import (
-    compare_report,
-    reduction_block_moments,
-    run_experiment,
-)
+from explodingmoments.estimator import compare_report, run_experiment
 from explodingmoments.limits import (
     asymptotic_order,
     circulant_covariance,
@@ -43,6 +41,7 @@ from explodingmoments.profiles import (
     tilde_transform,
     wigner_profile,
 )
+from reference_sums import set_partitions
 
 SEED = 20240801
 
@@ -150,7 +149,8 @@ def test_criterion_07_circulant_kernel_light():
 
 def _circulant_mean_by_partitions(prof, n: int, k: int) -> Fraction:
     """E[Tr(C^k)] for a sparse scalar law at prime N > k, summed over set
-    partitions of the k positions.
+    partitions of the k positions, each read off its restricted-growth
+    string (independent of ``partitions.block_classes``).
 
     A partition with r blocks of sizes m_b puts distinct residues v_b on its
     blocks with sum_b m_b v_b = 0 mod N.  Every m_b is a unit mod N, so there
@@ -159,9 +159,9 @@ def _circulant_mean_by_partitions(prof, n: int, k: int) -> Fraction:
     """
     return sum(
         (
-            prod(prof.scalar(m) for m, _ in leaf.block_sizes)
-            * prod(1 - Fraction(i, n) for i in range(1, leaf.vertex_count))
-            for leaf in walk_partitions((k,))
+            prod(prof.scalar(m) for m in Counter(p).values())
+            * prod(1 - Fraction(i, n) for i in range(1, max(p) + 1))
+            for p in set_partitions(k)
         ),
         Fraction(0),
     )
@@ -188,7 +188,7 @@ def test_criterion_08_circulant_moment_formula_vs_oracle():
     # falling-factorial correction) is the symmetry-factor formula
     for k in range(1, 7):
         leading = sum(
-            (prod(prof.scalar(m) for m, _ in leaf.block_sizes) for leaf in walk_partitions((k,))),
+            (prod(prof.scalar(m) for m in Counter(p).values()) for p in set_partitions(k)),
             Fraction(0),
         )
         if leading != circulant_limit_moment(k, prof):
@@ -254,6 +254,37 @@ def test_criterion_10_weaver_reduction():
             ok = False
     report(10, "orthogonal reduction exact to 1e-12 with matching spectra", ok,
            f"orth={worst_orth:.1e}, block={worst_block:.1e}, charpoly={worst_poly:.1e}")
+
+
+def reduction_block_moments(
+    spec: EnsembleSpec, k_values: Sequence[int], replicates: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical moments of the entries of the first orthogonal-reduction
+    block A + JC of centrosymmetric samples.
+
+    Returns (per-replica matrix, means, standard errors) of
+    E[(entry * sqrt(N))^k] / N^(k/2-1), averaged over all block entries.
+    """
+    if spec.kind != "centrosymmetric":
+        raise ValueError("reduction moments are defined for centrosymmetric samples")
+    from scipy import sparse
+
+    n = spec.n
+    s = n // 2
+    mirror_rows = np.arange(n - 1, n - 1 - s, -1)
+    per_rep = np.empty((replicates, len(k_values)))
+    for r in range(replicates):
+        m = sample(replace(spec, seed=spec.seed + 1 + r)).matrix
+        if not sparse.issparse(m):
+            m = sparse.csr_matrix(m)
+        block = (m[:s, :s] + m[mirror_rows][:, :s]).tocoo()
+        vals = block.data
+        for col, k in enumerate(k_values):
+            # (w*sqrt(N))^k / (s^2 * N^(k/2-1)) summed over all s^2 entries
+            per_rep[r, col] = n * float(np.sum(vals**k)) / s**2
+    means = per_rep.mean(axis=0)
+    ses = per_rep.std(axis=0, ddof=1) / np.sqrt(replicates)
+    return per_rep, means, ses
 
 
 def test_criterion_11_tilde_transforms():

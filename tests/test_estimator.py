@@ -397,11 +397,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, 2, 1)
 
-    def test_seed_range(self, sign_law):
-        spec = EnsembleSpec(kind="circulant", n=8, law=sign_law, seed=10)
-        stats = run_experiment(spec, 2, 5)
-        assert stats.seed_range() == (11, 15)
-
     def test_thread_count_does_not_change_results(self, sign_law, sign_pair_law, monkeypatch):
         # 130 replicas at n = 64 span two chunks (three for block)
         for kind in ("elliptic", "block", "centrosymmetric"):

@@ -20,7 +20,7 @@ EXPORTED = [
     "weaver_reduce", "SampleStats", "compare_report", "run_experiment", "trace_powers",
     "classify", "asymptotic_order", "circulant_covariance", "circulant_limit_moment",
     "covariance_trace", "limit_trace_moment", "tau", "wick_joint", "ExactMomentTable",
-    "exact_table", "enumerate_integer_partitions_min2", "enumerate_pair_partitions",
+    "exact_table", "enumerate_pair_partitions",
     "walk_partitions", "MomentProfile", "SparsePairLaw", "SparseScalarLaw",
     "design_correlated_sign_law", "degenerate_profile_of", "light_profile",
     "profile_of_scalar_law", "profile_of_sparse_law", "sign_scalar_law",

@@ -223,6 +223,11 @@ class TestCirculant:
             assert abs(val - uncorrected) > abs(val - limit)
         assert gaps == sorted(gaps, reverse=True)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_walk_length_below_one_raises(self, k, sign_profile):
+        with pytest.raises(ValueError):
+            circulant_limit_moment(k, sign_profile)
+
     def test_missing_constant_raises(self):
         # a constant the table lacks is missing, not 0
         short = profile_of_scalar_law(sign_scalar_law(), kmax=2)

@@ -320,6 +320,16 @@ class TestExactCirculant:
         for k, l in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
             assert table[(k, l)] == (joints[(k, l)] - means[k] * means[l]) / 4
 
+    def test_sums_by_class_without_enumeration(self, sign_law, monkeypatch):
+        def enumerate_partitions(*args, **kwargs):
+            raise AssertionError("the circulant oracle enumerates no set partition")
+
+        monkeypatch.setattr(oracle, "walk_partitions", enumerate_partitions)
+        tables = exact_table("circulant", sign_law, (7, 11, 13), 6)
+        assert [t[(4, None)] for t in tables.values()] == [
+            Fraction(25, 7), Fraction(41, 11), Fraction(49, 13)
+        ]
+
     def test_gaussian_oracle_supported(self):
         # bounded law: E[Tr C^2] = 1 exactly at odd N
         assert mean("circulant", GaussianLaw(), 5, 2) == 1

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from explodingmoments.partitions import (
     MAX_GROUND,
+    block_classes,
     double_factorial_odd,
-    enumerate_integer_partitions_min2,
     enumerate_pair_partitions,
     walk_partitions,
 )
@@ -193,8 +193,6 @@ class TestWalkPartitions:
             for leaf, p in zip(leaves, parts):
                 s = trace_counts(*walk_graph(p))
                 assert leaf.vertex_count == max(p) + 1
-                assert sorted(a + b for a, b in leaf.block_sizes) == sorted(Counter(p).values())
-                assert all(b == 0 for _, b in leaf.block_sizes)
                 assert leaf.loop_counts == s.loop_counts
                 assert leaf.ordered_pair_counts == s.ordered_pair_counts
                 assert not leaf.shared
@@ -205,15 +203,8 @@ class TestWalkPartitions:
         leaves = list(walk_partitions(lengths))
         for leaf, p in zip(leaves, set_partitions(sum(lengths))):
             s = trace_counts(*walk_graph(p, lengths))
-            assert leaf._replace(block_sizes=(), shared=False) == s
+            assert leaf._replace(shared=False) == s
         assert {leaf.component_count for leaf in leaves} == set(range(1, len(lengths) + 1))
-
-    @pytest.mark.parametrize("lengths", [(1, 1), (2, 3), (3, 3)])
-    def test_two_walk_block_split(self, lengths):
-        # each block counts its positions in walk 1 and in walk 2
-        for leaf in walk_partitions(lengths):
-            assert tuple(map(sum, zip(*leaf.block_sizes))) == lengths
-            assert all(a + b >= 1 for a, b in leaf.block_sizes)
 
     @pytest.mark.parametrize("k,leaves", [(2, 1), (4, 3), (6, 12), (8, 57), (10, 303)])
     def test_pruned_leaves(self, k, leaves):
@@ -238,24 +229,59 @@ class TestWalkPartitions:
                 list(walk_partitions(bad))
 
 
+def one_walk_parts(k):
+    """The integer partitions that index the one-walk block classes."""
+    return [tuple(m for (m,) in blocks) for blocks in block_classes((k,))]
+
+
+# every one- and two-walk tuple of total <= 8, and two of total 10
+CLASS_LENGTHS = [(k,) for k in range(1, 9)]
+CLASS_LENGTHS += [(k, l) for k in range(1, 8) for l in range(1, 9 - k)]
+CLASS_LENGTHS += [(10,), (5, 5)]
+
+
+class TestBlockClasses:
+    @pytest.mark.parametrize("lengths", CLASS_LENGTHS, ids=str)
+    def test_counts_equal_enumeration(self, lengths):
+        # the set partitions grouped by per-walk block shape, one-position
+        # blocks dropped, are the classes with their closed-form counts
+        walk_of = [w for w, k in enumerate(lengths) for _ in range(k)]
+        classes = Counter()
+        for p in set_partitions(sum(lengths)):
+            shapes = [[0] * len(lengths) for _ in range(max(p) + 1)]
+            for b, w in zip(p, walk_of):
+                shapes[b][w] += 1
+            if all(sum(shape) >= 2 for shape in shapes):
+                classes[tuple(sorted(map(tuple, shapes), reverse=True))] += 1
+        assert block_classes(lengths) == dict(classes)
+
+    def test_guard(self):
+        for bad in [(), (0,), (-1,), (3, 0), (2, 2, 2)]:
+            with pytest.raises(ValueError):
+                block_classes(bad)
+
+
 class TestIntegerPartitionsMin2:
+    """The one-walk block classes are the integer partitions with parts >= 2."""
+
     def test_k4(self):
-        assert set(enumerate_integer_partitions_min2(4)) == {(4,), (2, 2)}
+        assert set(one_walk_parts(4)) == {(4,), (2, 2)}
 
     def test_k6(self):
-        assert set(enumerate_integer_partitions_min2(6)) == {(6,), (4, 2), (3, 3), (2, 2, 2)}
+        assert set(one_walk_parts(6)) == {(6,), (4, 2), (3, 3), (2, 2, 2)}
 
     def test_k3(self):
-        assert enumerate_integer_partitions_min2(3) == [(3,)]
+        assert one_walk_parts(3) == [(3,)]
 
     def test_small_and_empty(self):
-        assert enumerate_integer_partitions_min2(0) == []
-        assert enumerate_integer_partitions_min2(1) == []
-        assert enumerate_integer_partitions_min2(2) == [(2,)]
+        assert one_walk_parts(1) == []
+        assert one_walk_parts(2) == [(2,)]
+        with pytest.raises(ValueError):
+            block_classes((0,))
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_brute_force_agreement(self, k):
-        ours = set(enumerate_integer_partitions_min2(k))
+        ours = set(one_walk_parts(k))
         ref = set()
 
         def grow(rest, cap, acc):
