@@ -101,7 +101,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _seed_states(seeds: Iterable[int]) -> np.ndarray:
+def seed_states(seeds: Iterable[int]) -> np.ndarray:
     """(len(seeds), 4) uint64 array whose row i is
     ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
 
@@ -155,9 +155,15 @@ class _SeedState(ISeedSequence):
 def replica_generators(seeds: Iterable[int]) -> list[np.random.Generator]:
     """One generator per seed, each equal to ``np.random.default_rng(seed)``:
     the seeds' PCG64 states come from one vectorised SeedSequence pass
-    (:func:`_seed_states`) instead of one SeedSequence per seed.  A negative
+    (:func:`seed_states`) instead of one SeedSequence per seed.  A negative
     seed is a ValueError, as for ``default_rng``."""
-    states = _seed_states(seeds)
+    return state_generators(seed_states(seeds))
+
+
+def state_generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of :func:`seed_states`, so that the states of
+    many seeds can come from one pass and their generators be made a few at a
+    time."""
     return [np.random.Generator(np.random.PCG64(_SeedState(words))) for words in states]
 
 
@@ -192,11 +198,16 @@ def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
 
 def _decode_upper_pairs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert the row-major enumeration of pairs (i < j) of {0..n-1}: row i
-    starts at index i(2n - i - 1)/2."""
-    rows = np.arange(n - 1, dtype=np.int64)
-    starts = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(starts, t, side="right") - 1
-    return i, t - starts[i] + i + 1
+    starts at s(i) = i(b - i)/2 with b = 2n - 1, so the row of t is the floor
+    of the smaller root (b - sqrt(b^2 - 8t))/2 of s(i) = t.  The root is
+    taken in floating point and then moved by one where s(i) > t or
+    s(i + 1) <= t, which leaves the exact integer row."""
+    t = np.asarray(t, dtype=np.int64)
+    b = 2 * n - 1
+    i = ((b - np.sqrt((b * b - 8 * t).astype(float))) / 2).astype(np.int64)
+    i -= i * (b - i) // 2 > t
+    i += (i + 1) * (b - i - 1) // 2 <= t
+    return i, t - i * (b - i) // 2 + i + 1
 
 
 def _off_diagonal(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +319,12 @@ def sparse_size(spec: EnsembleSpec) -> int:
     return spec.n * max(_SPARSE_GEOMETRY[spec.kind][2], 1)
 
 
-def sample_sparse_chunk(spec: EnsembleSpec, seeds: Sequence[int]) -> SparseChunk:
+def sample_sparse_chunk(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> SparseChunk:
     """The stored entries of one block-diagonal matrix of a sparse model
     whose block i, of side ``sparse_size(spec)``, is drawn from the generator
-    of ``seeds[i]`` alone, equal to ``default_rng(seeds[i])`` (all seeds are
-    seeded in one :func:`replica_generators` pass).
+    ``rngs[i]`` alone.  A chunk of replicas passes generators made from one
+    :func:`seed_states` pass over its seeds, each equal to ``default_rng`` at
+    its seed.
 
     Each generator draws, in order: a binomial count of active orbits, that
     many distinct orbits, one uniform per active orbit for its atom row, then
@@ -324,7 +336,7 @@ def sample_sparse_chunk(spec: EnsembleSpec, seeds: Sequence[int]) -> SparseChunk
     total = orbits(n)
     p = float(law.activation) / n
     counts, picked, uniforms, diagonal = [], [], [], []
-    for rng in replica_generators(seeds):
+    for rng in rngs:
         count = rng.binomial(total, p)
         counts.append(count)
         picked.append(_distinct_uniform(rng, total, count))
@@ -333,7 +345,7 @@ def sample_sparse_chunk(spec: EnsembleSpec, seeds: Sequence[int]) -> SparseChunk
     size = sparse_size(spec)
     columns, cum = _draw_table(law.atoms)
     which = np.searchsorted(cum, np.concatenate(uniforms), side="right")
-    base = np.repeat(np.arange(len(seeds)) * size, counts)
+    base = np.repeat(np.arange(len(rngs)) * size, counts)
     parts = cells(n, np.concatenate(picked), [column[which] for column in columns], base)
     src, dst, val = (np.concatenate(part) for part in zip(*parts))
     (diag,), diag_cum = _draw_table(law.diagonal_atoms)
@@ -343,7 +355,7 @@ def sample_sparse_chunk(spec: EnsembleSpec, seeds: Sequence[int]) -> SparseChunk
     on = src == dst
     off = ~on
     return SparseChunk(
-        len(seeds) * size,
+        len(rngs) * size,
         src[off],
         dst[off],
         val[off],
@@ -356,7 +368,7 @@ def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr
     """The CSR matrix of :func:`sample_sparse_chunk`: its block i equals
     ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry, in the
     same stored order."""
-    return sample_sparse_chunk(spec, seeds).csr()
+    return sample_sparse_chunk(spec, replica_generators(seeds)).csr()
 
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -9,25 +9,31 @@ centering bias is covered by the bootstrap standard errors.
 
 Sparse replicas are drawn in chunks of consecutive seeds.  A chunk is one
 block-diagonal matrix whose block i is the sample at its seed, sized to
-about 8000 rows, so each scipy product serves every replica in it and its
-per-call cost is paid once per chunk.  The sampler leaves a chunk as its
-stored entries: the off-diagonal ones as edges, and the diagonal.  One
-kernel takes such a chunk, or the entries of a single sample as one block.
-It first peels the edges down to the cyclic core: the rows on a directed
-cycle, or on a path between two.  A row outside it lies on no closed walk
-but its loop, so it adds only the powers of its diagonal entry, formed as
-the products would form them.  At activation 1 the core holds a few
-hundred of a chunk's 8000 rows for the iid, block and centrosymmetric
-samples and about 63% for the elliptic ones, whose pattern is symmetric.
-Only the core rows become a CSR matrix A_C, relabelled in order.  With
-h = ceil(k_max/2), it forms A_C, ..., A_C^h by sequential products, reads
-Tr(A^k) for k <= h as a per-block sum of the diagonal (the values of a
-per-sample power loop, bit for bit), and for k > h takes
-Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and b = ceil(k/2),
-summing the core's terms apart from the other rows' loop terms, which
-moves the sum at rounding level.  Chunk boundaries depend only on M
-and the matrix size, and ``EXPLODINGMOMENTS_THREADS`` threads map over
-chunks, so results do not depend on the thread count.
+about 8000 rows.  Chunks come in groups of up to 8: a group's seeds go
+through one vectorised SeedSequence pass, and its chunks, drawn and peeled
+one at a time, share their products.  The sampler leaves a chunk as its
+stored entries: the off-diagonal ones as edges, and the diagonal.  Each
+chunk is peeled down to its cyclic core: the rows on a directed cycle, or
+on a path between two.  A row outside it lies on no closed walk but its
+loop, so it adds only the powers of its diagonal entry, formed as the
+products would form them.  At activation 1 the core holds a few hundred of
+a chunk's 8000 rows for the iid, block and centrosymmetric samples and
+about 63% for the elliptic ones, whose pattern is symmetric.  The cores of
+consecutive chunks of a group are joined, relabelled in order, into one
+block-diagonal CSR matrix A_C while they total at most 8000 rows: at
+N = 2000 a batch holds one elliptic core, or all eight iid cores of a
+group, so what a batch holds stays bounded.  One kernel takes such a batch, or
+the entries of a single sample as a batch of one.  With h = ceil(k_max/2),
+it forms A_C, ..., A_C^h by sequential products, reads Tr(A^k) for k <= h
+as a per-block sum of the diagonal (the values of a per-sample power loop,
+bit for bit), and for k > h takes Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with
+a = floor(k/2) and b = ceil(k/2), transposing each A_C^b once, summing the
+core's terms apart from the other rows' loop terms, which moves the sum at
+rounding level.  The products of A_C sum, row by row, the terms a chunk's
+own core would, so the traces do not depend on how chunks are batched.
+Group boundaries depend only on M and the matrix size, and
+``EXPLODINGMOMENTS_THREADS`` threads map over groups, so results do not
+depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
 
 Circulant replicas never form a matrix.  Their generators are drawn in
@@ -60,7 +66,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,12 +78,23 @@ from .ensembles import (
     sample,
     sample_circulant_generator,
     sample_sparse_chunk,
+    seed_states,
     sparse_size,
+    state_generators,
 )
 from .profiles import KMAX_TRACE_POWERS, GaussianLaw
 
 BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
+# a sparse replica chunk is one block-diagonal matrix of about CHUNK_ROWS
+# rows, four replicas at N = 2000 (16,000-row chunks ran mc_sparse faster
+# before chunks were batched, but took 3.3 MB more peak RSS); a group of up
+# to GROUP_CHUNKS chunks is seeded in one pass, and its chunks' cores share
+# products in batches of at most BATCH_CORE_ROWS core rows (one elliptic core
+# at N = 2000), which bounds what a batch holds
+CHUNK_ROWS = 8000
+GROUP_CHUNKS = 8
+BATCH_CORE_ROWS = 8000
 # generator entries per circulant replica chunk: 2 MB of float64 rows (512
 # replicas at N = 512), so the chunk's FFT and power temporaries stay in cache
 CIRCULANT_CHUNK_ENTRIES = 2**18
@@ -87,16 +104,17 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     """[Tr(A^k) / N for k = 1..k_max]; N is the sample's trace normalizer.
 
     Circulant samples go through half-spectrum eigenvalue powers
-    (:func:`_circulant_power_sums`), sparse samples through the one-block
-    case of :func:`_sparse_traces` on their stored entries, dense samples
-    through repeated multiplication; the three paths agree on common inputs.
+    (:func:`_circulant_power_sums`), sparse samples through the kernel
+    :func:`_batch_traces` with a batch of one chunk, their stored entries,
+    dense samples through repeated multiplication; the three paths agree on
+    common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
     if m.kind == "circulant" and m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
     if not isinstance(m.matrix, np.ndarray):
-        return _sparse_traces(SparseChunk.of_csr(m.matrix), 1, m.trace_norm, k_max)[0]
+        return _batch_traces([_peel(SparseChunk.of_csr(m.matrix), 1)], m.trace_norm, k_max)[0]
     norm = m.trace_norm
     mat = power = m.matrix
     out = np.empty(k_max)
@@ -107,76 +125,111 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     return out
 
 
-def _sparse_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: int) -> np.ndarray:
-    """(blocks, k_max) array of Tr(B_r^k) / norm, k = 1..k_max, for the
-    ``blocks`` diagonal blocks B_r, all of one size, of the matrix whose
-    stored entries are ``chunk``.
+class _Peeled(NamedTuple):
+    """A chunk of ``blocks`` samples, each of ``len(loops) // blocks`` rows,
+    peeled to its cyclic core: the chunk's core rows in order, their stored
+    entries relabelled 0..len(rows)-1, and the chunk's diagonal off the core
+    (0 on the core)."""
 
-    A row outside the cyclic core (:func:`_core_rows`) lies on no directed
-    cycle, so its only closed walk is its loop and it adds d_i^k to
-    Tr(A^k), d being the diagonal.  That power is the running product
-    d_i * d_i * ..., as a product of matrices forms it.  The core rows
-    alone, with their off-diagonal and stored diagonal entries, become the
-    CSR matrix A_C, relabelled in order, so each product of A_C sums the
-    same terms in the same order as the product of the whole chunk would.
-    A_C, ..., A_C^h with h = ceil(k_max/2) are formed by sequential products.
-    For k <= h, Tr(A^k) is the per-block sum of the diagonal of A^k, the
-    core rows' entries read from A_C^k, bit for bit the values of
-    per-sample products.  For k > h, Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji
-    with a = floor(k/2), b = ceil(k/2): one elementwise product of A_C^a
-    and A_C^b per k, summed per block apart from the rows outside the core,
-    which moves these traces at rounding level."""
-    size = chunk.size // blocks
+    blocks: int
+    rows: np.ndarray
+    core: SparseChunk
+    loops: np.ndarray
+
+
+def _peel(chunk: SparseChunk, blocks: int) -> _Peeled:
+    """The cyclic core (:func:`_core_rows`) of a chunk of ``blocks`` samples,
+    and its diagonal off the core."""
     core = _core_rows(chunk.src, chunk.dst, chunk.size)
-    rows = np.flatnonzero(core)
-    mat = _core_matrix(chunk, core)
-    half = (k_max + 1) // 2
-    powers = [mat]
-    # the diagonal powers of the rows off the core; 0 on the core
-    loop_powers = [np.zeros(chunk.size)]
-    loop_powers[0][chunk.diag_at] = chunk.diag
-    loop_powers[0][rows] = 0.0
-    while len(powers) < half:
-        powers.append(powers[-1] @ mat)
-        loop_powers.append(loop_powers[-1] * loop_powers[0])
-    core_block = rows // size
-    out = np.empty((blocks, k_max))
-    for k in range(1, k_max + 1):
-        if k <= half:
-            diagonal = loop_powers[k - 1].copy()
-            diagonal[rows] = powers[k - 1].diagonal()
-            out[:, k - 1] = diagonal.reshape(blocks, size).sum(axis=1)
-        else:
-            a, b = k // 2 - 1, (k + 1) // 2 - 1
-            out[:, k - 1] = _paired_sums(powers[a], powers[b], core_block, blocks)
-            loops = loop_powers[a] * loop_powers[b]
-            out[:, k - 1] += loops.reshape(blocks, size).sum(axis=1)
-    return out / norm
-
-
-def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
-    """Per-block sums of left_ij right_ji over the rows i of each block, the
-    block of row i being ``row_block[i]``.  The elementwise product is freed
-    on return, before the next one is formed."""
-    paired = left.multiply(right.T)
-    return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)
-
-
-def _core_matrix(chunk: SparseChunk, core: np.ndarray):
-    """The CSR matrix of the stored entries of ``chunk`` whose row and column
-    are both in the row mask ``core``, relabelled in order."""
     rank = np.cumsum(core) - 1
     edges = core.take(chunk.src)
     edges &= core.take(chunk.dst)
-    loops = core.take(chunk.diag_at)
-    return SparseChunk(
+    on = core.take(chunk.diag_at)
+    loops = np.zeros(chunk.size)
+    loops[chunk.diag_at] = chunk.diag
+    loops[core] = 0.0
+    entries = SparseChunk(
         np.count_nonzero(core),
         rank.take(chunk.src.compress(edges)),
         rank.take(chunk.dst.compress(edges)),
         chunk.val.compress(edges),
-        rank.take(chunk.diag_at.compress(loops)),
-        chunk.diag.compress(loops),
+        rank.take(chunk.diag_at.compress(on)),
+        chunk.diag.compress(on),
+    )
+    return _Peeled(blocks, np.flatnonzero(core), entries, loops)
+
+
+def _batch_traces(batch: Sequence[_Peeled], norm: int, k_max: int) -> np.ndarray:
+    """(blocks, k_max) array of Tr(B_r^k) / norm, k = 1..k_max, for the
+    diagonal blocks B_r, all of one size, of the peeled chunks of ``batch``
+    in order.
+
+    A row outside the cyclic core lies on no directed cycle, so its only
+    closed walk is its loop and it adds d_i^k to Tr(A^k), d being the
+    diagonal.  That power is the running product d_i * d_i * ..., as a
+    product of matrices forms it.  The chunks' cores are joined into one
+    block-diagonal CSR matrix A_C, relabelled in order, so each product of
+    A_C sums the same terms in the same order as the product of a whole
+    chunk would.  A_C, ..., A_C^h with h = ceil(k_max/2) are formed by
+    sequential products.  For k <= h, Tr(A^k) is the per-block sum of the
+    diagonal of A^k, the core rows' entries read from A_C^k, bit for bit the
+    values of per-sample products.  For k > h, Tr(A^k) = sum_ij (A^a)_ij
+    (A^b)_ji with a = floor(k/2), b = ceil(k/2): one elementwise product of
+    A_C^a and the transpose of A_C^b per k, each transpose made once, summed
+    per block apart from the rows outside the core, which moves these traces
+    at rounding level."""
+    blocks = sum(part.blocks for part in batch)
+    size = len(batch[0].loops) // batch[0].blocks
+    cores = [part.core for part in batch]
+    shifts = np.cumsum([0] + [core.size for core in cores])
+    mat = SparseChunk(
+        int(shifts[-1]),
+        np.concatenate([core.src + shift for core, shift in zip(cores, shifts)]),
+        np.concatenate([core.dst + shift for core, shift in zip(cores, shifts)]),
+        np.concatenate([core.val for core in cores]),
+        np.concatenate([core.diag_at + shift for core, shift in zip(cores, shifts)]),
+        np.concatenate([core.diag for core in cores]),
     ).csr()
+    # the block of each core row, counted across the batch
+    first = np.cumsum([0] + [part.blocks for part in batch])
+    core_block = np.concatenate([part.rows // size + lo for part, lo in zip(batch, first)])
+    half = (k_max + 1) // 2
+    powers = [mat]
+    while len(powers) < half:
+        powers.append(powers[-1] @ mat)
+    diagonals = [power.diagonal() for power in powers]
+    out = np.empty((blocks, k_max))
+    for k in range(half + 1, k_max + 1):
+        a, b = k // 2 - 1, (k + 1) // 2 - 1
+        # b steps up at each odd k: drop the last transpose, then make this one
+        if k % 2 or k == half + 1:
+            right = None
+            right = powers[b].T.tocsr()
+        out[:, k - 1] = _paired_sums(powers[a], right, core_block, blocks)
+    # each chunk's loop terms: the diagonal powers of its rows off the core,
+    # 0 on the core
+    for part, lo, shift, stop in zip(batch, first, shifts, shifts[1:]):
+        loop_powers = [part.loops]
+        while len(loop_powers) < half:
+            loop_powers.append(loop_powers[-1] * loop_powers[0])
+        sums = out[lo : lo + part.blocks]
+        for k in range(1, k_max + 1):
+            if k <= half:
+                diagonal = loop_powers[k - 1].copy()
+                diagonal[part.rows] = diagonals[k - 1][shift:stop]
+                sums[:, k - 1] = diagonal.reshape(part.blocks, size).sum(axis=1)
+            else:
+                loops = loop_powers[k // 2 - 1] * loop_powers[(k + 1) // 2 - 1]
+                sums[:, k - 1] += loops.reshape(part.blocks, size).sum(axis=1)
+    return out / norm
+
+
+def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
+    """Per-block sums of left_ij right_ij over the rows i of each block, the
+    block of row i being ``row_block[i]``.  The elementwise product is freed
+    on return, before the next one is formed."""
+    paired = left.multiply(right)
+    return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)
 
 
 def _core_rows(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -253,34 +306,57 @@ def thread_count() -> int:
 def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) -> np.ndarray:
     """(m, k_max) traces of replicas r = 1..m, drawn from seeds spec.seed + r.
 
-    Sparse replicas are drawn in chunks of consecutive seeds, one
-    block-diagonal matrix per chunk; dense replicas one at a time.  Chunk
-    boundaries depend only on m and the matrix size, and threads map over
-    chunks, so the result does not depend on the thread count."""
+    Sparse replicas are drawn in groups of up to ``GROUP_CHUNKS`` chunks of
+    consecutive seeds (:func:`_group_traces`); dense replicas one at a time.
+    Group boundaries depend only on m and the matrix size, and threads map
+    over groups, so the result does not depend on the thread count."""
     if spec.kind == "circulant":
         return _circulant_replica_traces(spec, k_max, m)
     if isinstance(spec.law, GaussianLaw):
-        chunk = 1
+        group = 1
 
         def traces(seeds: range) -> np.ndarray:
             return trace_powers(sample(replace(spec, seed=seeds[0])), k_max)[None]
     else:
-        # 8000 rows hold four replicas at N = 2000; 16,000-row chunks ran
-        # mc_sparse in 2.11 against 2.63 s but took 3.3 MB more peak RSS
-        # (median of 4 alternating pairs, 2-core VM)
-        chunk = max(1, min(m, 8000 // sparse_size(spec)))
+        chunk = max(1, min(m, CHUNK_ROWS // sparse_size(spec)))
+        group = GROUP_CHUNKS * chunk
 
         def traces(seeds: range) -> np.ndarray:
-            return _sparse_traces(sample_sparse_chunk(spec, seeds), len(seeds), spec.n, k_max)
+            return _group_traces(spec, seeds, chunk, k_max)
 
     first = spec.seed + 1
-    chunks = [range(first + lo, first + min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    groups = [range(first + lo, first + min(lo + group, m)) for lo in range(0, m, group)]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            rows = list(pool.map(traces, chunks))
+        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
+            rows = list(pool.map(traces, groups))
     else:
-        rows = [traces(seeds) for seeds in chunks]
+        rows = [traces(seeds) for seeds in groups]
     return np.vstack(rows)
+
+
+def _group_traces(spec: EnsembleSpec, seeds: range, chunk: int, k_max: int) -> np.ndarray:
+    """(len(seeds), k_max) traces of one group of sparse replicas.
+
+    The group's seeds go through one vectorised SeedSequence pass; each
+    chunk of ``chunk`` seeds then makes its generators (about 0.8 kB each,
+    so they are made chunk by chunk: a group of one-row samples has 64,000
+    seeds), draws one block-diagonal chunk (:func:`sample_sparse_chunk`) and
+    peels it to its cyclic core (:func:`_peel`).  Consecutive chunks join
+    one product batch (:func:`_batch_traces`) while their cores total at
+    most ``BATCH_CORE_ROWS`` rows; a chunk whose core would pass that runs
+    the batch before it and starts the next.  A batch holds only its
+    chunks' cores and diagonals off the core."""
+    states = seed_states(seeds)
+    out, batch = [], []
+    for lo in range(0, len(seeds), chunk):
+        rngs = state_generators(states[lo : lo + chunk])
+        part = _peel(sample_sparse_chunk(spec, rngs), len(rngs))
+        if batch and sum(p.core.size for p in batch) + part.core.size > BATCH_CORE_ROWS:
+            out.append(_batch_traces(batch, spec.n, k_max))
+            batch = []
+        batch.append(part)
+    out.append(_batch_traces(batch, spec.n, k_max))
+    return np.vstack(out)
 
 
 def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:

@@ -16,7 +16,11 @@ statistics from it.  ``reference_circulant_generator`` is the circulant
 generator draw written out for one replica, which pins the random stream of
 the batched draw.  ``reference_trace_powers`` is the sparse trace kernel as
 it was before replicas were batched: one sample, k_max - 1 sequential
-products.
+products.  ``reference_chunk_traces`` is the sparse trace kernel as it was
+before chunks were batched: one chunk of samples peeled to its cyclic core,
+with its own core matrix, products and pairings, and
+``reference_replica_traces`` runs it chunk by chunk, each chunk seeded in
+its own pass.
 """
 
 from __future__ import annotations
@@ -30,8 +34,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from explodingmoments.ensembles import EnsembleSpec, GaussianLaw
-from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats
+from explodingmoments.ensembles import (
+    EnsembleSpec,
+    GaussianLaw,
+    SparseChunk,
+    replica_generators,
+    sample_sparse_chunk,
+    sparse_size,
+)
+from explodingmoments.estimator import BOOTSTRAP_DEFAULT, SampleStats, _core_rows
 
 from explodingmoments.limits import _require_alpha_one, tau
 from explodingmoments.oracle import ExactMomentTable, _eval_scaled, _Scaled
@@ -385,3 +396,62 @@ def reference_trace_powers(matrix, norm: int, k_max: int) -> np.ndarray:
         if k + 1 < k_max:
             power = power @ matrix
     return out
+
+
+def reference_chunk_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: int) -> np.ndarray:
+    """(blocks, k_max) array of Tr(B_r^k) / norm of the ``blocks`` equal
+    diagonal blocks of one chunk: the rows off the cyclic core add the powers
+    of their diagonal entry, the core rows become one CSR matrix A_C,
+    relabelled in order, and with h = ceil(k_max/2) the traces for k <= h
+    are per-block sums of the diagonals of A_C, ..., A_C^h, those for k > h
+    per-block sums of (A^a)_ij (A^b)_ji with a = floor(k/2), b = ceil(k/2),
+    each pairing transposing A_C^b afresh."""
+    size = chunk.size // blocks
+    core = _core_rows(chunk.src, chunk.dst, chunk.size)
+    rows = np.flatnonzero(core)
+    rank = np.cumsum(core) - 1
+    edges = core[chunk.src] & core[chunk.dst]
+    loops = core[chunk.diag_at]
+    mat = SparseChunk(
+        len(rows),
+        rank[chunk.src[edges]],
+        rank[chunk.dst[edges]],
+        chunk.val[edges],
+        rank[chunk.diag_at[loops]],
+        chunk.diag[loops],
+    ).csr()
+    half = (k_max + 1) // 2
+    powers = [mat]
+    loop_powers = [np.zeros(chunk.size)]
+    loop_powers[0][chunk.diag_at] = chunk.diag
+    loop_powers[0][rows] = 0.0
+    while len(powers) < half:
+        powers.append(powers[-1] @ mat)
+        loop_powers.append(loop_powers[-1] * loop_powers[0])
+    out = np.empty((blocks, k_max))
+    for k in range(1, k_max + 1):
+        if k <= half:
+            diagonal = loop_powers[k - 1].copy()
+            diagonal[rows] = powers[k - 1].diagonal()
+            out[:, k - 1] = diagonal.reshape(blocks, size).sum(axis=1)
+        else:
+            a, b = k // 2 - 1, (k + 1) // 2 - 1
+            paired = powers[a].multiply(powers[b].T)
+            row_block = np.repeat(rows // size, np.diff(paired.indptr))
+            out[:, k - 1] = np.bincount(row_block, paired.data, minlength=blocks)
+            out[:, k - 1] += (loop_powers[a] * loop_powers[b]).reshape(blocks, size).sum(axis=1)
+    return out / norm
+
+
+def reference_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
+    """(m, k_max) traces of the sparse replicas r = 1..m, seeds spec.seed + r,
+    in chunks of about 8000 rows, each chunk seeded and traced on its own by
+    :func:`reference_chunk_traces`."""
+    chunk = max(1, min(m, 8000 // sparse_size(spec)))
+    first = spec.seed + 1
+    out = []
+    for lo in range(0, m, chunk):
+        seeds = range(first + lo, first + min(lo + chunk, m))
+        sampled = sample_sparse_chunk(spec, replica_generators(seeds))
+        out.append(reference_chunk_traces(sampled, len(seeds), spec.n, k_max))
+    return np.vstack(out)

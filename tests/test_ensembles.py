@@ -258,6 +258,17 @@ class TestIndexDraws:
             ti, tj = np.triu_indices(n, 1)
             assert np.array_equal(i, ti) and np.array_equal(j, tj), n
 
+    @pytest.mark.parametrize("n", [2000, 10**6])
+    def test_upper_pair_decode_at_row_ends(self, n):
+        # the closed-form row is exact at each row's first index, where the
+        # root is a whole number, and at its last, one short of the next root
+        for lo in range(0, n - 1, 2**18):
+            rows = np.arange(lo, min(lo + 2**18, n - 1), dtype=np.int64)
+            first = rows * (2 * n - rows - 1) // 2
+            for t, col in ((first, rows + 1), (first + (n - 2 - rows), np.full_like(rows, n - 1))):
+                i, j = _decode_upper_pairs(t, n)
+                assert np.array_equal(i, rows) and np.array_equal(j, col)
+
 
 class TestWeaverReduce:
     def test_2x2_by_hand(self):

@@ -11,17 +11,20 @@ from explodingmoments.ensembles import (
     MatrixSample,
     SparseChunk,
     circulant_eigenvalues,
+    replica_generators,
     sample,
     sample_circulant_generator,
     sample_sparse_blocks,
     sample_sparse_chunk,
 )
+from explodingmoments import estimator
 from explodingmoments.estimator import (
     THREADS_ENV,
+    _batch_traces,
     _circulant_power_sums,
     _core_rows,
+    _peel,
     _replica_traces,
-    _sparse_traces,
     aggregate_stats,
     compare_report,
     rows_to_csv,
@@ -30,7 +33,12 @@ from explodingmoments.estimator import (
 )
 from explodingmoments.oracle import exact_table
 from explodingmoments.profiles import PAIR_MODELS
-from reference_sums import reference_aggregate_stats, reference_trace_powers
+from reference_sums import (
+    reference_aggregate_stats,
+    reference_chunk_traces,
+    reference_replica_traces,
+    reference_trace_powers,
+)
 
 SPARSE_MODELS = ("elliptic", "iid", "block", "centrosymmetric")
 
@@ -38,6 +46,16 @@ SPARSE_MODELS = ("elliptic", "iid", "block", "centrosymmetric")
 def sparse_spec(kind, n, seed, sign_law, sign_pair_law):
     law = sign_pair_law if kind in PAIR_MODELS else sign_law
     return EnsembleSpec(kind=kind, n=n, law=law, seed=seed)
+
+
+def chunk_of(spec, seeds):
+    """The chunk of the samples at ``seeds``, seeded in one pass."""
+    return sample_sparse_chunk(spec, replica_generators(seeds))
+
+
+def chunk_traces(chunk, blocks, norm, k_max):
+    """The kernel on a batch of one chunk of ``blocks`` samples."""
+    return _batch_traces([_peel(chunk, blocks)], norm, k_max)
 
 
 class TestTracePowers:
@@ -117,9 +135,9 @@ class TestSparseBlockTraces:
         seeds = range(40, 45)
         samples = [sample(replace(spec, seed=s)) for s in seeds]
         want, scale = self.reference(samples, 8)
-        chunk = sample_sparse_chunk(spec, seeds)
+        chunk = chunk_of(spec, seeds)
         for k_max in range(1, 9):
-            got = _sparse_traces(chunk, len(seeds), n, k_max)
+            got = chunk_traces(chunk, len(seeds), n, k_max)
             self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
             for m, w, sc in zip(samples, want, scale):
                 self.assert_matches(trace_powers(m, k_max), w[:k_max], sc[:k_max])
@@ -131,7 +149,7 @@ class TestSparseBlockTraces:
         size = sample(spec).size
         for first in range(1000):
             seeds = range(first, first + blocks)
-            chunk = sample_sparse_chunk(spec, seeds)
+            chunk = chunk_of(spec, seeds)
             core = _core_rows(chunk.src, chunk.dst, chunk.size)
             if set(np.flatnonzero(core) // size) == wanted:
                 return seeds, chunk
@@ -145,7 +163,7 @@ class TestSparseBlockTraces:
         seeds, chunk = self.chunk_where(spec, 4, wanted)
         want, scale = self.reference([sample(replace(spec, seed=s)) for s in seeds], 8)
         for k_max in range(1, 9):
-            got = _sparse_traces(chunk, 4, 9, k_max)
+            got = chunk_traces(chunk, 4, 9, k_max)
             self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
 
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
@@ -156,6 +174,103 @@ class TestSparseBlockTraces:
         samples = [sample(replace(spec, seed=spec.seed + r)) for r in range(1, 131)]
         want, scale = self.reference(samples, 8)
         self.assert_matches(_replica_traces(spec, 8, 130), want, scale)
+
+
+class TestReplicaBatches:
+    """Groups of chunks and product batches of their cores, against the
+    per-chunk kernel of ``reference_sums.reference_chunk_traces``: every
+    trace bit for bit."""
+
+    @staticmethod
+    def record_batches(monkeypatch):
+        """Wrap the group seeding and the kernel; the returned list gets
+        ("group", seeds) per group and ("batch", chunks) per batch."""
+        events = []
+        seed_states, batch_traces = estimator.seed_states, estimator._batch_traces
+
+        def seeding(seeds):
+            events.append(("group", len(seeds)))
+            return seed_states(seeds)
+
+        def batch(parts, norm, k_max):
+            events.append(("batch", len(parts)))
+            return batch_traces(parts, norm, k_max)
+
+        monkeypatch.setattr(estimator, "seed_states", seeding)
+        monkeypatch.setattr(estimator, "_batch_traces", batch)
+        return events
+
+    @pytest.mark.parametrize("kind", SPARSE_MODELS)
+    def test_short_last_group(self, kind, sign_law, sign_pair_law, monkeypatch):
+        # at n = 500 a chunk holds 16 replicas (8 for block) and a group 8
+        # chunks: 150 replicas end in a short group whose last chunk is short
+        spec = sparse_spec(kind, 500, 3, sign_law, sign_pair_law)
+        events = self.record_batches(monkeypatch)
+        got = _replica_traces(spec, 6, 150)
+        groups = [size for what, size in events if what == "group"]
+        assert groups == ([64, 64, 22] if kind == "block" else [128, 22])
+        assert np.array_equal(got, reference_replica_traces(spec, 6, 150))
+
+    @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
+    def test_group_cores_split_into_batches(self, kind, sign_law, sign_pair_law, monkeypatch):
+        # a core limit of a few chunks' cores makes each group run several
+        # batches of several chunks
+        spec = sparse_spec(kind, 500, 4, sign_law, sign_pair_law)
+        monkeypatch.setattr(estimator, "BATCH_CORE_ROWS", 600)
+        events = self.record_batches(monkeypatch)
+        for k_max in (5, 6, 8):
+            events.clear()
+            got = _replica_traces(spec, k_max, 200)
+            batches = [size for what, size in events if what == "batch"]
+            groups = len(events) - len(batches)
+            assert max(batches) > 1 and len(batches) > groups
+            assert np.array_equal(got, reference_replica_traces(spec, k_max, 200)), k_max
+
+    @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
+    def test_batch_with_empty_cores(self, kind, sign_law, sign_pair_law):
+        # a batch of chunks whose cores are empty, or lie in one block
+        spec = sparse_spec(kind, 9, 0, sign_law, sign_pair_law)
+        empty, one = (TestSparseBlockTraces.chunk_where(spec, 4, wanted)[1]
+                      for wanted in (set(), {2}))
+        for k_max in range(1, 9):
+            for batch in ([empty], [empty, empty], [empty, one, empty], [one, empty]):
+                want = [reference_chunk_traces(chunk, 4, 9, k_max) for chunk in batch]
+                got = _batch_traces([_peel(chunk, 4) for chunk in batch], 9, k_max)
+                assert np.array_equal(got, np.vstack(want))
+
+    def test_elliptic_batch_holds_one_chunk(self, sign_pair_law, monkeypatch):
+        # an elliptic core at N = 2000 holds about 5000 of its chunk's 8000
+        # rows, so two never share a batch
+        spec = sparse_spec("elliptic", 2000, 5, None, sign_pair_law)
+        events = self.record_batches(monkeypatch)
+        got = _replica_traces(spec, 6, 12)
+        assert events == [("group", 12), ("batch", 1), ("batch", 1), ("batch", 1)]
+        assert np.array_equal(got, reference_replica_traces(spec, 6, 12))
+
+    def test_group_holds_at_most_eight_chunks(self, sign_law, monkeypatch):
+        # 100 replicas in chunks of 4 are groups of 32, 32, 32 and 4
+        spec = sparse_spec("iid", 2000, 6, sign_law, None)
+        events = self.record_batches(monkeypatch)
+        _replica_traces(spec, 6, 100)
+        groups = []
+        for what, size in events:
+            if what == "group":
+                groups.append([size, 0])
+            else:
+                groups[-1][1] += size
+        assert groups == [[32, 8], [32, 8], [32, 8], [4, 1]]
+
+    def test_iid_group_is_one_csr_build(self, sign_law, monkeypatch):
+        # 64 replicas at N = 2000 are 16 chunks in two groups, each group's
+        # cores one batch
+        spec = sparse_spec("iid", 2000, 7, sign_law, None)
+        builds = []
+        csr = SparseChunk.csr
+        monkeypatch.setattr(SparseChunk, "csr", lambda chunk: builds.append(chunk.size) or csr(chunk))
+        got = _replica_traces(spec, 6, 64)
+        assert len(builds) == 2
+        monkeypatch.undo()
+        assert np.array_equal(got, reference_replica_traces(spec, 6, 64))
 
 
 def csr_of(size, entries):
@@ -213,7 +328,7 @@ class TestCyclicCore:
             want.append(reference_trace_powers(block, 1, k_max))
             scale.append(reference_trace_powers(abs(block), 1, k_max))
         for k in range(1, k_max + 1):
-            got = _sparse_traces(SparseChunk.of_csr(mat), blocks, 1, k)
+            got = chunk_traces(SparseChunk.of_csr(mat), blocks, 1, k)
             TestSparseBlockTraces.assert_matches(
                 got, np.array(want)[:, :k], np.array(scale)[:, :k]
             )
@@ -245,7 +360,7 @@ class TestCyclicCore:
                          **{(i, i): v for i, v in enumerate(d)}})
         assert self.check(mat) == []
         for k in range(1, 9):
-            assert _sparse_traces(SparseChunk.of_csr(mat), 1, 1, k)[0, -1] == np.sum(d**k)
+            assert chunk_traces(SparseChunk.of_csr(mat), 1, 1, k)[0, -1] == np.sum(d**k)
 
     def test_cycle_with_tails_keeps_the_cycle(self):
         # 0 -> 1 -> 2 -> 0 is the cycle; 3 -> 0 an in-tail, 2 -> 4 -> 5 an out-tail
@@ -398,14 +513,16 @@ class TestRunExperiment:
             run_experiment(spec, 2, 1)
 
     def test_thread_count_does_not_change_results(self, sign_law, sign_pair_law, monkeypatch):
-        # 130 replicas at n = 64 span two chunks (three for block)
+        # 300 replicas at n = 500 span three groups of 16-replica chunks
+        # (five of 8-replica chunks for block)
         for kind in ("elliptic", "block", "centrosymmetric"):
-            spec = sparse_spec(kind, 64, 6, sign_law, sign_pair_law)
+            spec = sparse_spec(kind, 500, 6, sign_law, sign_pair_law)
             monkeypatch.delenv(THREADS_ENV, raising=False)
-            base = run_experiment(spec, 6, 130)
-            monkeypatch.setenv(THREADS_ENV, "3")
-            threaded = run_experiment(spec, 6, 130)
-            assert np.array_equal(base.traces, threaded.traces), kind
+            base = run_experiment(spec, 6, 300)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv(THREADS_ENV, threads)
+                threaded = run_experiment(spec, 6, 300)
+                assert np.array_equal(base.traces, threaded.traces), (kind, threads)
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2", " 2"])
     def test_malformed_thread_count_is_rejected(self, raw, sign_law, monkeypatch):
