@@ -9,29 +9,38 @@ centering bias is covered by the bootstrap standard errors.
 
 Sparse replicas are drawn in chunks of consecutive seeds.  A chunk is one
 block-diagonal matrix whose block i is the sample at its seed, sized to
-about 8000 rows.  Chunks come in groups of up to 8: a group's seeds go
-through one vectorised SeedSequence pass, and its chunks, drawn and peeled
-one at a time, share their products.  The sampler leaves a chunk as its
-stored entries: the off-diagonal ones as edges, and the diagonal.  Each
-chunk is peeled down to its cyclic core: the rows on a directed cycle, or
-on a path between two.  A row outside it lies on no closed walk but its
-loop, so it adds only the powers of its diagonal entry, formed as the
-products would form them.  At activation 1 the core holds a few hundred of
-a chunk's 8000 rows for the iid, block and centrosymmetric samples and
-about 63% for the elliptic ones, whose pattern is symmetric.  The cores of
-consecutive chunks of a group are joined, relabelled in order, into one
-block-diagonal CSR matrix A_C while they total at most 8000 rows: at
-N = 2000 a batch holds one elliptic core, or all eight iid cores of a
-group, so what a batch holds stays bounded.  One kernel takes such a batch, or
-the entries of a single sample as a batch of one.  With h = ceil(k_max/2),
-it forms A_C, ..., A_C^h by sequential products, reads Tr(A^k) for k <= h
-as a per-block sum of the diagonal (the values of a per-sample power loop,
-bit for bit), and for k > h takes Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with
-a = floor(k/2) and b = ceil(k/2), transposing each A_C^b once, summing the
-core's terms apart from the other rows' loop terms, which moves the sum at
-rounding level.  The products of A_C sum, row by row, the terms a chunk's
-own core would, so the traces do not depend on how chunks are batched.
-Group boundaries depend only on M and the matrix size, and
+about 8000 rows and at most 256 samples.  Chunks come in groups of up to 8,
+whose seeds go through one vectorised SeedSequence pass.  The sampler
+leaves a chunk as its stored entries: the off-diagonal ones as edges, and
+the diagonal.  The traces rest on sum_k Tr(A^k) z^k = -z d/dz log
+det(I - zA): Gaussian elimination of a row multiplies det(I - zA) by the
+row's pivot, a power series in z.  Each chunk is cut by the first rounds
+of the peel, which removes every row with no in-edge or no out-edge among
+the rows left.  Such a row lies on no closed walk but its loop: its pivot
+is 1 - d z, and it adds the powers of its diagonal entry d, formed as the
+products would form them.  Consecutive chunks of a group join one run while
+their rows left total at most 12,000: two elliptic chunks at N = 2000, or
+a whole iid group.  A run is peeled to the end and then folded: a row
+whose only neighbour, in and out, is one other row is eliminated into that
+row's pivot, and a row left with no edge leaves with its pivot series,
+adding the series' Newton sums.  A fold whose chain of rows ends in a row
+that stays is undone, so the rows left, the run's core, make a scalar
+matrix A_C.  At activation 1 and N = 2000 the peel leaves about 63% of the
+elliptic rows, whose pattern is symmetric, and the fold about 4%, the rows
+on or between cycles; the peel leaves a few hundred of a chunk's 8000 rows
+for the iid, block and centrosymmetric samples, and the fold takes a few
+percent of those.  One kernel takes a run, or the entries of a single
+sample as a run of one.  With h = ceil(k_max/2), it forms A_C, ..., A_C^h
+by sequential products and reads Tr(A^k) for k <= h as a per-sample sum
+of the diagonal: on a sample in which no row was folded, the values of a
+per-sample power loop, bit for bit.  For k > h it takes Tr(A^k) =
+sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and b = ceil(k/2),
+transposing each A_C^b once, and sums the core's terms apart from the
+other rows' terms, which moves the sum at rounding level.  The products of
+A_C sum, row by row, the terms a sample's own core would, and a sample's
+rows are peeled and folded in the same rounds whatever chunks share its
+run, so the traces do not depend on how chunks are grouped.  Group
+boundaries depend only on M and the matrix size, and
 ``EXPLODINGMOMENTS_THREADS`` threads map over groups, so results do not
 depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
@@ -66,7 +75,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -88,13 +97,22 @@ BOOTSTRAP_DEFAULT = 200
 THREADS_ENV = "EXPLODINGMOMENTS_THREADS"
 # a sparse replica chunk is one block-diagonal matrix of about CHUNK_ROWS
 # rows, four replicas at N = 2000 (16,000-row chunks ran mc_sparse faster
-# before chunks were batched, but took 3.3 MB more peak RSS); a group of up
-# to GROUP_CHUNKS chunks is seeded in one pass, and its chunks' cores share
-# products in batches of at most BATCH_CORE_ROWS core rows (one elliptic core
-# at N = 2000), which bounds what a batch holds
+# before chunks were batched, but took 3.3 MB more peak RSS), and of at most
+# CHUNK_SAMPLES samples, so that a group's seeding pass covers at most 2048
+# seeds and a chunk's generators, about 0.8 kB each, about 200 kB however
+# small the samples.  A group of up to GROUP_CHUNKS chunks is seeded in one
+# pass; consecutive chunks of a group join a run, folded and multiplied as
+# one, while the rows left by their first PEEL_ROUNDS rounds of the peel
+# total at most BATCH_CORE_ROWS (two elliptic chunks at N = 2000; runs of
+# four took about 2 MB more peak RSS).  The fold relabels its rows once half
+# have left, unless fewer than FOLD_FLOOR would be left: masks of under
+# 1 kB, made anew in every round, filled numpy's cache of small buffers
 CHUNK_ROWS = 8000
+CHUNK_SAMPLES = 256
 GROUP_CHUNKS = 8
-BATCH_CORE_ROWS = 8000
+PEEL_ROUNDS = 8
+BATCH_CORE_ROWS = 12000
+FOLD_FLOOR = 1024
 # generator entries per circulant replica chunk: 2 MB of float64 rows (512
 # replicas at N = 512), so the chunk's FFT and power temporaries stay in cache
 CIRCULANT_CHUNK_ENTRIES = 2**18
@@ -104,17 +122,19 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     """[Tr(A^k) / N for k = 1..k_max]; N is the sample's trace normalizer.
 
     Circulant samples go through half-spectrum eigenvalue powers
-    (:func:`_circulant_power_sums`), sparse samples through the kernel
-    :func:`_batch_traces` with a batch of one chunk, their stored entries,
-    dense samples through repeated multiplication; the three paths agree on
-    common inputs.
+    (:func:`_circulant_power_sums`), sparse samples through the kernel of the
+    sparse replicas (:func:`_peel`, :func:`_fold`, :func:`_batch_traces`)
+    with one sample, its stored entries, dense samples through repeated
+    multiplication; the three paths agree on common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
     if m.kind == "circulant" and m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
     if not isinstance(m.matrix, np.ndarray):
-        return _batch_traces([_peel(SparseChunk.of_csr(m.matrix), 1)], m.trace_norm, k_max)[0]
+        out = np.empty((1, k_max))
+        _batch_traces(_fold([_peel(SparseChunk.of_csr(m.matrix), m.size)], k_max), m.trace_norm, k_max, out)
+        return out[0]
     norm = m.trace_norm
     mat = power = m.matrix
     out = np.empty(k_max)
@@ -126,22 +146,29 @@ def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
 
 
 class _Peeled(NamedTuple):
-    """A chunk of ``blocks`` samples, each of ``len(loops) // blocks`` rows,
-    peeled to its cyclic core: the chunk's core rows in order, their stored
-    entries relabelled 0..len(rows)-1, and the chunk's diagonal off the core
-    (0 on the core)."""
+    """Consecutive samples of ``size`` rows each, peeled: ``rows`` are the
+    core rows, ascending and numbered across the samples, and ``core`` the
+    stored entries among them, relabelled 0..len(rows)-1.  ``loops`` holds,
+    one array per chunk of samples, the diagonal of the rows off the core
+    that left with the pivot 1 - d z (0 on the others).  Row r of
+    ``terms``, when there are any, holds the Newton sums t_1, t_2, ... of
+    the pivot series of sample r's other rows (:func:`_fold`)."""
 
-    blocks: int
+    size: int
     rows: np.ndarray
     core: SparseChunk
-    loops: np.ndarray
+    loops: list[np.ndarray]
+    terms: Optional[np.ndarray] = None
 
 
-def _peel(chunk: SparseChunk, blocks: int) -> _Peeled:
-    """The cyclic core (:func:`_core_rows`) of a chunk of ``blocks`` samples,
-    and its diagonal off the core."""
-    core = _core_rows(chunk.src, chunk.dst, chunk.size)
-    rank = np.cumsum(core) - 1
+def _peel(chunk: SparseChunk, size: int) -> _Peeled:
+    """The first ``PEEL_ROUNDS`` rounds of the peel (:func:`_core_rows`) of
+    a chunk of samples of ``size`` rows: the rows left, their stored entries in
+    int32 rows, and the chunk's diagonal off them, so that the chunk itself
+    can be dropped.  The later rounds run in :func:`_fold`, over the rows
+    left in many chunks at once, where they take fewer calls."""
+    core = _core_rows(chunk.src, chunk.dst, chunk.size, PEEL_ROUNDS)
+    rank = np.cumsum(core, dtype=np.int32) - 1
     edges = core.take(chunk.src)
     edges &= core.take(chunk.dst)
     on = core.take(chunk.diag_at)
@@ -156,49 +183,230 @@ def _peel(chunk: SparseChunk, blocks: int) -> _Peeled:
         rank.take(chunk.diag_at.compress(on)),
         chunk.diag.compress(on),
     )
-    return _Peeled(blocks, np.flatnonzero(core), entries, loops)
+    return _Peeled(size, np.flatnonzero(core), entries, [loops])
 
 
-def _batch_traces(batch: Sequence[_Peeled], norm: int, k_max: int) -> np.ndarray:
-    """(blocks, k_max) array of Tr(B_r^k) / norm, k = 1..k_max, for the
-    diagonal blocks B_r, all of one size, of the peeled chunks of ``batch``
-    in order.
+def _fold(parts: list[_Peeled], k_max: int) -> _Peeled:
+    """The chunks ``parts``, each cut by :func:`_peel`, joined in order and
+    peeled to the end: the peel's last rounds, then the rows that hang off
+    the rest by a single 2-cycle folded into their neighbour's pivot series.
+    ``parts`` is emptied once joined, and the chunks' ``loops`` are updated
+    in place.
 
-    A row outside the cyclic core lies on no directed cycle, so its only
-    closed walk is its loop and it adds d_i^k to Tr(A^k), d being the
-    diagonal.  That power is the running product d_i * d_i * ..., as a
-    product of matrices forms it.  The chunks' cores are joined into one
-    block-diagonal CSR matrix A_C, relabelled in order, so each product of
-    A_C sums the same terms in the same order as the product of a whole
-    chunk would.  A_C, ..., A_C^h with h = ceil(k_max/2) are formed by
-    sequential products.  For k <= h, Tr(A^k) is the per-block sum of the
-    diagonal of A^k, the core rows' entries read from A_C^k, bit for bit the
-    values of per-sample products.  For k > h, Tr(A^k) = sum_ij (A^a)_ij
-    (A^b)_ji with a = floor(k/2), b = ceil(k/2): one elementwise product of
-    A_C^a and the transpose of A_C^b per k, each transpose made once, summed
-    per block apart from the rows outside the core, which moves these traces
-    at rounding level."""
-    blocks = sum(part.blocks for part in batch)
-    size = len(batch[0].loops) // batch[0].blocks
-    cores = [part.core for part in batch]
-    shifts = np.cumsum([0] + [core.size for core in cores])
-    mat = SparseChunk(
-        int(shifts[-1]),
-        np.concatenate([core.src + shift for core, shift in zip(cores, shifts)]),
-        np.concatenate([core.dst + shift for core, shift in zip(cores, shifts)]),
-        np.concatenate([core.val for core in cores]),
-        np.concatenate([core.diag_at + shift for core, shift in zip(cores, shifts)]),
-        np.concatenate([core.diag for core in cores]),
-    ).csr()
-    # the block of each core row, counted across the batch
-    first = np.cumsum([0] + [part.blocks for part in batch])
-    core_block = np.concatenate([part.rows // size + lo for part, lo in zip(batch, first)])
+    Sum_k Tr(A^k) z^k = -z d/dz log det(I - zA), taken mod z^(k_max+1), and
+    Gaussian elimination of a row v multiplies det(I - zA) by its pivot
+    pi_v, a series with pi_v(0) = 1 that starts as 1 - d_v z, d being the
+    diagonal.  A row with no in-edge or no out-edge among the rows left
+    leaves with its pivot and changes nothing else: that is the peel
+    (:func:`_core_rows`).  Then, round by round:
+
+    - a row l whose only out-neighbour and only in-neighbour among the rows
+      left are one row p leaves with its pivot, and p's series gains
+      -z^2 A_pl A_lp / pi_l; of two rows that are each other's only
+      neighbour, only the higher folds;
+    - a row with no edge left leaves with its pivot.  A row left with edges
+      one way only stays: after the peel that happens only on patterns
+      that are not symmetric, where folds are rare.
+
+    A row folded, directly or down a chain, into a row that stays goes back
+    to the core with its stored entries and its series is dropped, so the
+    core stays a scalar matrix.  A row that leaves with pivot 1 - d_v z adds
+    d_v^k, its loop terms, through ``loops``; one whose pivot absorbed folds
+    adds the Newton sums of its series (:func:`_newton_sums`) through
+    ``terms``.  The series are held from the first fold on, in one table
+    over the joined rows.  A sample's rows take the same rounds, in the same
+    order, whatever chunks are joined, so its traces do not depend on them."""
+    size = parts[0].size
+    loops = [loop for part in parts for loop in part.loops]
+    first = np.cumsum([0] + [len(loop) for loop in loops]).tolist()
+    rows = np.concatenate([part.rows + start for part, start in zip(parts, first)])
+    # the cores joined in order, in intp rows, which numpy takes without a
+    # cast; the chunks' own entries are freed
+    cores = [part.core for part in parts]
+    shifts = np.cumsum([0] + [core.size for core in cores]).tolist()
+    core = SparseChunk(
+        shifts[-1],
+        *(np.concatenate([getattr(c, name) + shift for c, shift in zip(cores, shifts)], dtype=np.intp)
+          for name in ("src", "dst")),
+        np.concatenate([c.val for c in cores]),
+        np.concatenate([c.diag_at + shift for c, shift in zip(cores, shifts)], dtype=np.intp),
+        np.concatenate([c.diag for c in cores]),
+    )
+    cores = None
+    parts.clear()
+    n = core.size
+    diag = np.zeros(n)
+    diag[core.diag_at] = core.diag
+    # the rows still indexed, by their label in ``core``; rows that left stay
+    # indexed until half are gone, then the rest are relabelled, unless fewer
+    # than FOLD_FLOOR would be left, so that small masks are seldom made
+    alive = _core_rows(core.src, core.dst, n)
+    label, src, dst, val = np.flatnonzero(alive), core.src, core.dst, core.val
+    if len(label) < n:
+        keep = alive.take(src)
+        keep &= alive.take(dst)
+        rank = np.cumsum(alive) - 1
+        src, dst, val = rank.take(src.compress(keep)), rank.take(dst.compress(keep)), val.compress(keep)
+        rank = keep = None
+    live = len(label)
+    alive = np.ones(live, dtype=bool)
+    checked = np.zeros(live, dtype=bool)  # rows found not pendant
+    # by label: the row each row folded into (-1 for none), and from the
+    # first fold on the coefficients 2..k_max of each pivot (the coefficient
+    # of z is -d) and whether it absorbed a fold
+    parent = np.full(n, -1)
+    series = absorbed = None
+    while live:
+        count = len(alive)
+        degree = np.bincount(src, minlength=count)
+        single, lone = degree == 1, degree == 0
+        degree = np.bincount(dst, minlength=count)
+        single &= degree == 1
+        lone &= degree == 0
+        degree = None
+        lone &= alive
+        lone = np.flatnonzero(lone)
+        # a row with one edge in and one out keeps its neighbours, so one
+        # found not pendant stays so until it leaves
+        single &= ~checked
+        leaf = np.flatnonzero(single)
+        if len(leaf):
+            edge = np.empty(count, dtype=np.int32)
+            edge[src] = np.arange(len(src), dtype=np.int32)
+            out_e = edge.take(leaf)
+            edge[dst] = np.arange(len(dst), dtype=np.int32)
+            in_e = edge.take(leaf)
+            edge = None
+            nb = dst.take(out_e)
+            pendant = src.take(in_e) == nb
+            checked[leaf] = ~pendant
+            # of a pair pendant on each other, the higher folds
+            mutual = single.take(nb)
+            mutual &= nb > leaf
+            pendant &= ~mutual
+            leaf, nb, out_e, in_e = (x.compress(pendant) for x in (leaf, nb, out_e, in_e))
+            ab = val.take(out_e)
+            ab *= val.take(in_e)
+            out_e = in_e = pendant = mutual = None
+        if not len(leaf) and not len(lone):
+            break
+        if len(leaf):
+            leaf_at, nb_at = label.take(leaf), label.take(nb)
+            parent[leaf_at] = nb_at
+            if k_max > 1:
+                if series is None:
+                    series, absorbed = np.zeros((k_max - 1, n)), np.zeros(n, dtype=bool)
+                # -A_pl A_lp / pi_l to z^(k_max-2): r_0 = -A_pl A_lp and
+                # r_j = -sum_(i<=j) p_i r_(j-i), p_1 being -d
+                d, p = diag.take(leaf_at), series[: max(k_max - 3, 0), leaf_at]
+                gain = np.empty((k_max - 1, len(leaf)))
+                np.negative(ab, out=gain[0])
+                for j in range(1, k_max - 1):
+                    np.multiply(d, gain[j - 1], out=gain[j])
+                    for i in range(2, j + 1):
+                        gain[j] -= p[i - 2] * gain[j - i]
+                # each parent's gains, added in its leaves' order
+                for row, add in zip(series, gain):
+                    np.add.at(row, nb_at, add)
+                absorbed[nb_at] = True
+        alive[lone] = False
+        alive[leaf] = False
+        live -= len(lone) + len(leaf)
+        keep = alive.take(src)
+        keep &= alive.take(dst)
+        src, dst, val = src.compress(keep), dst.compress(keep), val.compress(keep)
+        if 2 * live < count and live >= FOLD_FLOOR:
+            rank = np.cumsum(alive) - 1
+            src, dst = rank.take(src), rank.take(dst)
+            label, checked = label.compress(alive), checked.compress(alive)
+            alive = np.ones(live, dtype=bool)
+    kept = np.zeros(n, dtype=bool)
+    kept[label.compress(alive)] = True
+    src = dst = val = label = checked = alive = None
+    # back to the core: a row goes back when the row at the end of its chain
+    # of folds stays
+    root = np.where(parent < 0, np.arange(n), parent)
+    while True:
+        up = root.take(root)
+        if np.array_equal(up, root):
+            break
+        root = up
+    kept = kept.take(root)
+    if kept.all():
+        return _Peeled(size, rows, core, loops)
+    simple = ~kept
+    terms = None
+    if absorbed is not None and (absorbed & simple).any():
+        # the Newton sums of the series that left for good, summed per
+        # sample in row order
+        gone = np.flatnonzero(absorbed & simple)
+        simple[gone] = False
+        coef = np.concatenate([-diag.take(gone)[None], series[:, gone]])
+        block = rows.take(gone) // size
+        terms = np.empty((first[-1] // size, k_max))
+        for k, sums in enumerate(_newton_sums(coef)):
+            terms[:, k] = np.bincount(block, sums, minlength=len(terms))
+    # the rows that left with 1 - d z keep their loop terms
+    gone, left = rows.compress(simple), diag.compress(simple)
+    cuts = np.searchsorted(gone, first).tolist()
+    for loop, start, lo, hi in zip(loops, first, cuts, cuts[1:]):
+        loop[gone[lo:hi] - start] = left[lo:hi]
+    rank = np.cumsum(kept) - 1
+    edges = kept.take(core.src)
+    edges &= kept.take(core.dst)
+    on = kept.take(core.diag_at)
+    entries = SparseChunk(
+        int(rank[-1]) + 1,
+        rank.take(core.src.compress(edges)),
+        rank.take(core.dst.compress(edges)),
+        core.val.compress(edges),
+        rank.take(core.diag_at.compress(on)),
+        core.diag.compress(on),
+    )
+    return _Peeled(size, rows.compress(kept), entries, loops, terms)
+
+
+def _newton_sums(coef: np.ndarray) -> np.ndarray:
+    """Row k - 1 holds t_k, k = 1..K, of -z pi'(z) / pi(z) = sum_k t_k z^k
+    for each series pi = 1 + sum_j p_j z^j, row j - 1 of ``coef`` holding
+    p_j: Newton's identity t_k = -k p_k - sum_(j<k) p_j t_(k-j)."""
+    sums = np.empty_like(coef)
+    for k in range(1, len(coef) + 1):
+        acc = coef[k - 1] * -k
+        for j in range(1, k):
+            acc -= coef[j - 1] * sums[k - j - 1]
+        sums[k - 1] = acc
+    return sums
+
+
+def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> None:
+    """Write Tr(B_r^k) / norm, k = 1..k_max, for the samples B_r of
+    ``peeled`` in order, to the rows of ``out``, (blocks, k_max).
+
+    A row off the core adds the terms of its pivot: d_i^k for a row with
+    pivot 1 - d_i z, its loop, the running product d_i * d_i * ... as a
+    product of matrices forms it, and the Newton sums of a pivot series.
+    The core is one block-diagonal CSR matrix A_C whose rows are numbered
+    in order, so each product of A_C sums the same terms in the same order
+    as the product of a single sample's core would.  A_C, ..., A_C^h with
+    h = ceil(k_max/2) are formed by sequential products.  For k <= h,
+    Tr(A^k) is the per-sample sum of the diagonal of A^k, the core rows'
+    entries read from A_C^k; on a sample in which no row was folded these
+    are the values of per-sample products, bit for bit.  For k > h,
+    Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2), b = ceil(k/2):
+    one elementwise product of A_C^a and the transpose of A_C^b per k, each
+    transpose made once, summed per sample apart from the other rows'
+    terms, which moves these traces at rounding level."""
+    size, rows = peeled.size, peeled.rows
+    first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
+    blocks = len(out)
+    mat = peeled.core.csr()
     half = (k_max + 1) // 2
     powers = [mat]
     while len(powers) < half:
         powers.append(powers[-1] @ mat)
     diagonals = [power.diagonal() for power in powers]
-    out = np.empty((blocks, k_max))
+    core_block = rows // size
     for k in range(half + 1, k_max + 1):
         a, b = k // 2 - 1, (k + 1) // 2 - 1
         # b steps up at each odd k: drop the last transpose, then make this one
@@ -206,22 +414,27 @@ def _batch_traces(batch: Sequence[_Peeled], norm: int, k_max: int) -> np.ndarray
             right = None
             right = powers[b].T.tocsr()
         out[:, k - 1] = _paired_sums(powers[a], right, core_block, blocks)
-    # each chunk's loop terms: the diagonal powers of its rows off the core,
-    # 0 on the core
-    for part, lo, shift, stop in zip(batch, first, shifts, shifts[1:]):
-        loop_powers = [part.loops]
+    powers = right = None
+    # each chunk's other rows: the diagonal powers of the rows that left with
+    # 1 - d z (0 on the core), then the Newton sums of the pivot series
+    cuts = np.searchsorted(rows, first).tolist()
+    for loop, lo, hi, start, stop in zip(peeled.loops, first, first[1:], cuts, cuts[1:]):
+        at = rows[start:stop] - lo
+        loop_powers = [loop]
         while len(loop_powers) < half:
             loop_powers.append(loop_powers[-1] * loop_powers[0])
-        sums = out[lo : lo + part.blocks]
+        sums = out[lo // size : hi // size]
         for k in range(1, k_max + 1):
             if k <= half:
                 diagonal = loop_powers[k - 1].copy()
-                diagonal[part.rows] = diagonals[k - 1][shift:stop]
-                sums[:, k - 1] = diagonal.reshape(part.blocks, size).sum(axis=1)
+                diagonal[at] = diagonals[k - 1][start:stop]
+                sums[:, k - 1] = diagonal.reshape(-1, size).sum(axis=1)
             else:
                 loops = loop_powers[k // 2 - 1] * loop_powers[(k + 1) // 2 - 1]
-                sums[:, k - 1] += loops.reshape(part.blocks, size).sum(axis=1)
-    return out / norm
+                sums[:, k - 1] += loops.reshape(-1, size).sum(axis=1)
+    if peeled.terms is not None:
+        out += peeled.terms[:, :k_max]
+    out /= norm
 
 
 def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
@@ -232,18 +445,24 @@ def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
     return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)
 
 
-def _core_rows(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+def _core_rows(src: np.ndarray, dst: np.ndarray, n: int, rounds: Optional[int] = None) -> np.ndarray:
     """Boolean mask of the rows 0..n-1 in the cyclic core of the edges
     src -> dst: every row with no out-edge or no in-edge among the rows left
     is deleted, round by round, each round shrinking the edge arrays.  The
-    rows left hold every row on a directed cycle and every row on a path
-    between two of them; each has an edge to and from another row left."""
+    rows left at the end hold every row on a directed cycle and every row on
+    a path between two of them; each has an edge to and from another row
+    left.  With ``rounds`` given, the mask after at most that many rounds,
+    which holds the cyclic core."""
+    done = 0
     while True:
         core = np.zeros(n, dtype=bool)
         core[src] = True
         has_in = np.zeros(n, dtype=bool)
         has_in[dst] = True
         core &= has_in
+        done += 1
+        if done == rounds:
+            return core
         keep = core.take(src)
         keep &= core.take(dst)
         if keep.all():
@@ -312,51 +531,66 @@ def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) ->
     over groups, so the result does not depend on the thread count."""
     if spec.kind == "circulant":
         return _circulant_replica_traces(spec, k_max, m)
+    out = np.empty((m, k_max))
+    first = spec.seed + 1
     if isinstance(spec.law, GaussianLaw):
         group = 1
 
-        def traces(seeds: range) -> np.ndarray:
-            return trace_powers(sample(replace(spec, seed=seeds[0])), k_max)[None]
+        def fill(lo: int) -> None:
+            out[lo] = trace_powers(sample(replace(spec, seed=first + lo)), k_max)
     else:
-        chunk = max(1, min(m, CHUNK_ROWS // sparse_size(spec)))
+        chunk = max(1, min(m, CHUNK_ROWS // sparse_size(spec), CHUNK_SAMPLES))
         group = GROUP_CHUNKS * chunk
 
-        def traces(seeds: range) -> np.ndarray:
-            return _group_traces(spec, seeds, chunk, k_max)
+        def fill(lo: int) -> None:
+            seeds = range(first + lo, first + min(lo + group, m))
+            _group_traces(spec, seeds, chunk, k_max, out[lo : lo + group])
 
-    first = spec.seed + 1
-    groups = [range(first + lo, first + min(lo + group, m)) for lo in range(0, m, group)]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
-            rows = list(pool.map(traces, groups))
+        with ThreadPoolExecutor(max_workers=min(threads, -(-m // group))) as pool:
+            list(pool.map(fill, range(0, m, group)))
     else:
-        rows = [traces(seeds) for seeds in groups]
-    return np.vstack(rows)
+        for lo in range(0, m, group):
+            fill(lo)
+    return out
 
 
-def _group_traces(spec: EnsembleSpec, seeds: range, chunk: int, k_max: int) -> np.ndarray:
-    """(len(seeds), k_max) traces of one group of sparse replicas.
+def _group_traces(spec: EnsembleSpec, seeds: range, chunk: int, k_max: int, out: np.ndarray) -> None:
+    """The traces of one group of sparse replicas, written to ``out``, the
+    (len(seeds), k_max) rows of the group's output.
 
-    The group's seeds go through one vectorised SeedSequence pass; each
-    chunk of ``chunk`` seeds then makes its generators (about 0.8 kB each,
-    so they are made chunk by chunk: a group of one-row samples has 64,000
-    seeds), draws one block-diagonal chunk (:func:`sample_sparse_chunk`) and
-    peels it to its cyclic core (:func:`_peel`).  Consecutive chunks join
-    one product batch (:func:`_batch_traces`) while their cores total at
-    most ``BATCH_CORE_ROWS`` rows; a chunk whose core would pass that runs
-    the batch before it and starts the next.  A batch holds only its
-    chunks' cores and diagonals off the core."""
-    states = seed_states(seeds)
-    out, batch = [], []
-    for lo in range(0, len(seeds), chunk):
-        rngs = state_generators(states[lo : lo + chunk])
-        part = _peel(sample_sparse_chunk(spec, rngs), len(rngs))
-        if batch and sum(p.core.size for p in batch) + part.core.size > BATCH_CORE_ROWS:
-            out.append(_batch_traces(batch, spec.n, k_max))
-            batch = []
-        batch.append(part)
-    out.append(_batch_traces(batch, spec.n, k_max))
-    return np.vstack(out)
+    The group's seeds go through one vectorised SeedSequence pass, and each
+    chunk of ``chunk`` seeds then makes its generators, draws one
+    block-diagonal chunk (:func:`sample_sparse_chunk`) and is cut by the
+    first rounds of the peel (:func:`_peel`), after which only the rows
+    left and the chunk's diagonal are held.  Consecutive chunks join one run
+    while those rows total at most ``BATCH_CORE_ROWS`` (or the run is one
+    chunk); a run is peeled to the end and folded as one (:func:`_fold`),
+    and the rows it leaves make one product batch (:func:`_batch_traces`)."""
+    states, size = seed_states(seeds), sparse_size(spec)
+    parts = (
+        _peel(sample_sparse_chunk(spec, state_generators(states[lo : lo + chunk])), size)
+        for lo in range(0, len(seeds), chunk)
+    )
+    lo = 0
+    for run in _runs(parts, BATCH_CORE_ROWS):
+        peeled = _fold(run, k_max)
+        hi = lo + sum(map(len, peeled.loops)) // peeled.size
+        _batch_traces(peeled, spec.n, k_max, out[lo:hi])
+        lo = hi
+
+
+def _runs(parts: Iterable[_Peeled], rows: int) -> Iterator[list[_Peeled]]:
+    """``parts`` in runs of consecutive parts whose cores total at most
+    ``rows`` rows, or of one part."""
+    run: list[_Peeled] = []
+    for part in parts:
+        if run and sum(p.core.size for p in run) + part.core.size > rows:
+            yield run
+            run = []
+        run.append(part)
+    if run:
+        yield run
 
 
 def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:

@@ -17,8 +17,8 @@ generator draw written out for one replica, which pins the random stream of
 the batched draw.  ``reference_trace_powers`` is the sparse trace kernel as
 it was before replicas were batched: one sample, k_max - 1 sequential
 products.  ``reference_chunk_traces`` is the sparse trace kernel as it was
-before chunks were batched: one chunk of samples peeled to its cyclic core,
-with its own core matrix, products and pairings, and
+before chunks were batched and rows folded: one chunk of samples peeled to
+its cyclic core, with its own core matrix, products and pairings, and
 ``reference_replica_traces`` runs it chunk by chunk, each chunk seeded in
 its own pass.
 """

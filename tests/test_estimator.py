@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from explodingmoments.ensembles import (
@@ -23,6 +29,7 @@ from explodingmoments.estimator import (
     _batch_traces,
     _circulant_power_sums,
     _core_rows,
+    _fold,
     _peel,
     _replica_traces,
     aggregate_stats,
@@ -53,9 +60,33 @@ def chunk_of(spec, seeds):
     return sample_sparse_chunk(spec, replica_generators(seeds))
 
 
+def run_traces(chunks, blocks, norm, k_max):
+    """The kernel on one run of chunks of ``blocks`` samples each: the
+    chunks peeled, folded and multiplied together."""
+    peeled = _fold([_peel(chunk, chunk.size // blocks) for chunk in chunks], k_max)
+    out = np.empty((blocks * len(chunks), k_max))
+    _batch_traces(peeled, norm, k_max, out)
+    return out
+
+
 def chunk_traces(chunk, blocks, norm, k_max):
-    """The kernel on a batch of one chunk of ``blocks`` samples."""
-    return _batch_traces([_peel(chunk, blocks)], norm, k_max)
+    """The kernel on a run of one chunk of ``blocks`` samples."""
+    return run_traces([chunk], blocks, norm, k_max)
+
+
+def unfolded(chunk, blocks):
+    """Per sample of a chunk of ``blocks`` samples, whether the kernel's core
+    is its cyclic core: no row was folded, so the kernel's k <= ceil(k_max/2)
+    traces are those of per-sample products, bit for bit."""
+    size = chunk.size // blocks
+    kept = _fold([_peel(chunk, size)], 8).rows
+    cyclic = np.flatnonzero(_core_rows(chunk.src, chunk.dst, chunk.size))
+    return np.bincount(kept // size, minlength=blocks) == np.bincount(cyclic // size, minlength=blocks)
+
+
+def replicas_unfolded(spec, m):
+    """``unfolded`` for the replicas r = 1..m of ``spec``, one chunk each."""
+    return np.array([unfolded(chunk_of(spec, [spec.seed + r]), 1)[0] for r in range(1, m + 1)])
 
 
 class TestTracePowers:
@@ -121,11 +152,13 @@ class TestSparseBlockTraces:
         return np.array(want), np.array(scale)
 
     @staticmethod
-    def assert_matches(got, want, scale):
-        # k <= h = ceil(k_max/2) takes the same products; k > h pairs A^a with A^b
+    def assert_matches(got, want, scale, exact):
+        # on the samples in which no row was folded (``exact``) k <= h =
+        # ceil(k_max/2) takes the same products; k > h pairs A^a with A^b,
+        # and a folded row adds the Newton sums of its pivot series
         half = (got.shape[-1] + 1) // 2
-        assert np.array_equal(got[..., :half], want[..., :half])
-        assert (np.abs(got[..., half:] - want[..., half:]) <= 1e-12 * scale[..., half:]).all()
+        assert np.array_equal(got[exact, :half], want[exact, :half])
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
@@ -136,11 +169,12 @@ class TestSparseBlockTraces:
         samples = [sample(replace(spec, seed=s)) for s in seeds]
         want, scale = self.reference(samples, 8)
         chunk = chunk_of(spec, seeds)
+        exact = unfolded(chunk, len(seeds))
         for k_max in range(1, 9):
             got = chunk_traces(chunk, len(seeds), n, k_max)
-            self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
-            for m, w, sc in zip(samples, want, scale):
-                self.assert_matches(trace_powers(m, k_max), w[:k_max], sc[:k_max])
+            self.assert_matches(got, want[:, :k_max], scale[:, :k_max], exact)
+            for m, w, sc, ex in zip(samples, want, scale, exact):
+                self.assert_matches(trace_powers(m, k_max)[None], w[None, :k_max], sc[None, :k_max], [ex])
 
     @staticmethod
     def chunk_where(spec, blocks, wanted):
@@ -164,7 +198,7 @@ class TestSparseBlockTraces:
         want, scale = self.reference([sample(replace(spec, seed=s)) for s in seeds], 8)
         for k_max in range(1, 9):
             got = chunk_traces(chunk, 4, 9, k_max)
-            self.assert_matches(got, want[:, :k_max], scale[:, :k_max])
+            self.assert_matches(got, want[:, :k_max], scale[:, :k_max], unfolded(chunk, 4))
 
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
     def test_replica_chunks_match_per_sample(self, kind, sign_law, sign_pair_law):
@@ -173,18 +207,23 @@ class TestSparseBlockTraces:
         spec = sparse_spec(kind, 64, 8, sign_law, sign_pair_law)
         samples = [sample(replace(spec, seed=spec.seed + r)) for r in range(1, 131)]
         want, scale = self.reference(samples, 8)
-        self.assert_matches(_replica_traces(spec, 8, 130), want, scale)
+        got = _replica_traces(spec, 8, 130)
+        self.assert_matches(got, want, scale, replicas_unfolded(spec, 130))
+        # the kernel on a replica's own stored entries, bit for bit
+        assert np.array_equal(got, np.array([trace_powers(m, 8) for m in samples]))
 
 
 class TestReplicaBatches:
-    """Groups of chunks and product batches of their cores, against the
-    per-chunk kernel of ``reference_sums.reference_chunk_traces``: every
-    trace bit for bit."""
+    """Groups of chunks, runs of chunks folded and multiplied together, and
+    the products of their cores, against the per-chunk kernel of
+    ``reference_sums.reference_chunk_traces``: bit for bit for k <= h on
+    every replica in which no row was folded, and within 1e-12 Tr(|A|^k)
+    for every k on every replica."""
 
     @staticmethod
     def record_batches(monkeypatch):
         """Wrap the group seeding and the kernel; the returned list gets
-        ("group", seeds) per group and ("batch", chunks) per batch."""
+        ("group", seeds) per group and ("batch", chunks) per product batch."""
         events = []
         seed_states, batch_traces = estimator.seed_states, estimator._batch_traces
 
@@ -192,13 +231,23 @@ class TestReplicaBatches:
             events.append(("group", len(seeds)))
             return seed_states(seeds)
 
-        def batch(parts, norm, k_max):
-            events.append(("batch", len(parts)))
-            return batch_traces(parts, norm, k_max)
+        def batch(peeled, norm, k_max, out):
+            events.append(("batch", len(peeled.loops)))
+            return batch_traces(peeled, norm, k_max, out)
 
         monkeypatch.setattr(estimator, "seed_states", seeding)
         monkeypatch.setattr(estimator, "_batch_traces", batch)
         return events
+
+    @staticmethod
+    def assert_matches_reference(got, spec, k_max):
+        m = len(got)
+        want = reference_replica_traces(spec, k_max, m)
+        scale = np.array([
+            reference_trace_powers(abs(sample(replace(spec, seed=spec.seed + r)).matrix), spec.n, k_max)
+            for r in range(1, m + 1)
+        ])
+        TestSparseBlockTraces.assert_matches(got, want, scale, replicas_unfolded(spec, m))
 
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
     def test_short_last_group(self, kind, sign_law, sign_pair_law, monkeypatch):
@@ -209,14 +258,16 @@ class TestReplicaBatches:
         got = _replica_traces(spec, 6, 150)
         groups = [size for what, size in events if what == "group"]
         assert groups == ([64, 64, 22] if kind == "block" else [128, 22])
-        assert np.array_equal(got, reference_replica_traces(spec, 6, 150))
+        self.assert_matches_reference(got, spec, 6)
 
     @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
     def test_group_cores_split_into_batches(self, kind, sign_law, sign_pair_law, monkeypatch):
-        # a core limit of a few chunks' cores makes each group run several
-        # batches of several chunks
+        # a limit of two or three chunks' first-pass rows makes each group
+        # run several batches of several chunks, with the traces of the
+        # default runs bit for bit
         spec = sparse_spec(kind, 500, 4, sign_law, sign_pair_law)
-        monkeypatch.setattr(estimator, "BATCH_CORE_ROWS", 600)
+        default = {k_max: _replica_traces(spec, k_max, 200) for k_max in (5, 6, 8)}
+        monkeypatch.setattr(estimator, "BATCH_CORE_ROWS", 1000)
         events = self.record_batches(monkeypatch)
         for k_max in (5, 6, 8):
             events.clear()
@@ -224,28 +275,41 @@ class TestReplicaBatches:
             batches = [size for what, size in events if what == "batch"]
             groups = len(events) - len(batches)
             assert max(batches) > 1 and len(batches) > groups
-            assert np.array_equal(got, reference_replica_traces(spec, k_max, 200)), k_max
+            assert np.array_equal(got, default[k_max]), k_max
+            self.assert_matches_reference(got, spec, k_max)
 
     @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
     def test_batch_with_empty_cores(self, kind, sign_law, sign_pair_law):
-        # a batch of chunks whose cores are empty, or lie in one block
+        # a run of chunks whose cores are empty, or lie in one block
         spec = sparse_spec(kind, 9, 0, sign_law, sign_pair_law)
         empty, one = (TestSparseBlockTraces.chunk_where(spec, 4, wanted)[1]
                       for wanted in (set(), {2}))
         for k_max in range(1, 9):
-            for batch in ([empty], [empty, empty], [empty, one, empty], [one, empty]):
-                want = [reference_chunk_traces(chunk, 4, 9, k_max) for chunk in batch]
-                got = _batch_traces([_peel(chunk, 4) for chunk in batch], 9, k_max)
-                assert np.array_equal(got, np.vstack(want))
+            for run in ([empty], [empty, empty], [empty, one, empty], [one, empty]):
+                want = np.vstack([reference_chunk_traces(chunk, 4, 9, k_max) for chunk in run])
+                exact = np.concatenate([unfolded(chunk, 4) for chunk in run])
+                got = run_traces(run, 4, 9, k_max)
+                assert np.array_equal(got[exact], want[exact])
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+                for chunk, rows in zip(run, np.split(got, len(run))):
+                    assert np.array_equal(rows, chunk_traces(chunk, 4, 9, k_max))
 
-    def test_elliptic_batch_holds_one_chunk(self, sign_pair_law, monkeypatch):
-        # an elliptic core at N = 2000 holds about 5000 of its chunk's 8000
-        # rows, so two never share a batch
+    def test_elliptic_products_cover_few_rows(self, sign_pair_law, monkeypatch):
+        # at N = 2000 about 63% of an elliptic chunk's rows lie on a 2-cycle,
+        # but most of them in trees, which the fold takes off the products
         spec = sparse_spec("elliptic", 2000, 5, None, sign_pair_law)
-        events = self.record_batches(monkeypatch)
-        got = _replica_traces(spec, 6, 12)
-        assert events == [("group", 12), ("batch", 1), ("batch", 1), ("batch", 1)]
-        assert np.array_equal(got, reference_replica_traces(spec, 6, 12))
+        cores = []
+        batch_traces = estimator._batch_traces
+
+        def batch(peeled, norm, k_max, out):
+            cores.append(peeled.core.size)
+            return batch_traces(peeled, norm, k_max, out)
+
+        monkeypatch.setattr(estimator, "_batch_traces", batch)
+        got = _replica_traces(spec, 6, 32)
+        assert sum(cores) < 0.1 * 32 * 2000
+        monkeypatch.undo()
+        self.assert_matches_reference(got, spec, 6)
 
     def test_group_holds_at_most_eight_chunks(self, sign_law, monkeypatch):
         # 100 replicas in chunks of 4 are groups of 32, 32, 32 and 4
@@ -270,7 +334,7 @@ class TestReplicaBatches:
         got = _replica_traces(spec, 6, 64)
         assert len(builds) == 2
         monkeypatch.undo()
-        assert np.array_equal(got, reference_replica_traces(spec, 6, 64))
+        self.assert_matches_reference(got, spec, 6)
 
 
 def csr_of(size, entries):
@@ -309,6 +373,117 @@ def between_cycles(mat):
     return np.flatnonzero(into & out_of).tolist()
 
 
+def integer_traces(size, entries, k_max):
+    """[Tr(A^k) for k = 1..k_max] of the size x size matrix {(i, j): value}
+    of integers, by Python-int matrix powers: exact."""
+    mat = [[0] * size for _ in range(size)]
+    for (i, j), value in entries.items():
+        mat[i][j] = value
+    power, out = mat, []
+    for _ in range(k_max):
+        out.append(sum(power[i][i] for i in range(size)))
+        power = [[sum(power[i][m] * mat[m][j] for m in range(size)) for j in range(size)]
+                 for i in range(size)]
+    return out
+
+
+def integer_chunk(size, blocks):
+    """The SparseChunk of the block-diagonal matrix whose blocks are the
+    integer matrices ``blocks`` ({(i, j): value}, each size x size), every
+    entry stored, 0 included."""
+    src, dst, val, diag_at, diag = [], [], [], [], []
+    for b, entries in enumerate(blocks):
+        for (i, j), value in sorted(entries.items()):
+            if i == j:
+                diag_at.append(b * size + i)
+                diag.append(float(value))
+            else:
+                src.append(b * size + i)
+                dst.append(b * size + j)
+                val.append(float(value))
+    src, dst, diag_at = (np.array(x, dtype=np.intp) for x in (src, dst, diag_at))
+    return SparseChunk(size * len(blocks), src, dst, np.array(val), diag_at, np.array(diag))
+
+
+@st.composite
+def integer_blocks(draw):
+    """(size, blocks) for a chunk of small integer matrices: 2-cycles, which
+    the fold takes, edges one way, and diagonal entries, 0 among the values."""
+    size = draw(st.integers(1, 7))
+    rows, values = st.integers(0, size - 1), st.integers(-3, 3)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = {}
+        for i, j, a, b in draw(st.lists(st.tuples(rows, rows, values, values), max_size=8)):
+            if i != j:
+                entries[i, j], entries[j, i] = a, b
+        for i, j, a in draw(st.lists(st.tuples(rows, rows, values), max_size=4)):
+            entries[i, j] = a
+        diagonal = draw(st.dictionaries(rows, values, max_size=size))
+        entries.update({(i, i): a for i, a in diagonal.items()})
+        blocks.append(entries)
+    return size, blocks
+
+
+class TestFoldExact:
+    """The kernel on integer matrices, where float arithmetic is exact,
+    against Python-int matrix powers: the peel, the fold and the Newton
+    sums of the pivot series leave every trace exact, for every k_max."""
+
+    @staticmethod
+    def check(size, blocks):
+        """Check the traces; return the rows the kernel multiplies."""
+        chunk = integer_chunk(size, blocks)
+        want = np.array([integer_traces(size, entries, 8) for entries in blocks], dtype=float)
+        for k_max in range(1, 9):
+            assert np.array_equal(chunk_traces(chunk, len(blocks), 1, k_max), want[:, :k_max]), k_max
+        return _fold([_peel(chunk, size)], 8).rows.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_blocks())
+    def test_random_integer_chunks(self, case):
+        self.check(*case)
+
+    def test_mutual_pairs(self):
+        # 0 <-> 1 and 2 <-> 3, each row the other's only neighbour: the higher
+        # folds, the lower is left with no edge
+        assert self.check(4, [{(0, 1): 2, (1, 0): -3, (2, 3): 1, (3, 2): 1, (0, 0): 1, (1, 1): 2, (3, 3): -1}]) == []
+
+    def test_pendant_chains(self):
+        # the paths 0 - 1 - 2 - 3 - 4 and 5 - 6 of 2-cycles fold end by end
+        entries = {(i, i + 1): i + 1 for i in range(4)} | {(i + 1, i): -1 for i in range(4)}
+        entries |= {(5, 6): 3, (6, 5): 2, (2, 2): 1, (4, 4): -2, (6, 6): 1}
+        assert self.check(7, [entries]) == []
+
+    def test_pendant_tree_on_a_cycle_goes_back(self):
+        # the directed 3-cycle 0 -> 1 -> 2 -> 0 holds a tree of 2-cycles:
+        # 3 on 0, and 4, 5 on 3; every fold goes back to the core
+        entries = {(0, 1): 1, (1, 2): 2, (2, 0): -1, (3, 0): 1, (0, 3): 2,
+                   (4, 3): -1, (3, 4): 1, (5, 3): 2, (3, 5): 3, (3, 3): 1, (5, 5): -1}
+        assert self.check(6, [entries]) == list(range(6))
+
+    def test_row_left_with_out_edges_after_folds(self):
+        # 1 folds into 0, which is then left with its edge out to the cycle
+        # 2 -> 3 -> 4 -> 2 alone
+        entries = {(0, 1): 2, (1, 0): 1, (0, 2): 3, (2, 3): 1, (3, 4): 1, (4, 2): -2,
+                   (0, 0): 1, (1, 1): -1, (2, 2): 2}
+        assert self.check(5, [entries]) == list(range(5))
+
+    def test_row_absorbs_folds_then_leaves(self):
+        # 1 and 2 fold into 0, which then has no edge left and leaves with
+        # its series beside a block whose core is a 3-cycle
+        star = {(0, 1): 2, (1, 0): -1, (0, 2): 1, (2, 0): 3, (0, 0): 1, (1, 1): 2, (2, 2): -1}
+        cycle = {(0, 1): 1, (1, 2): 1, (2, 0): 2, (1, 1): -1}
+        assert self.check(3, [star, cycle, star]) == [3, 4, 5]
+
+    def test_stored_zero_values(self):
+        assert self.check(4, [{(0, 1): 0, (1, 0): 2, (1, 2): 0, (2, 1): 0, (2, 2): 0, (3, 3): 0, (0, 0): 1}]) == []
+
+    def test_empty_cores(self):
+        # a DAG and a diagonal: no core, so nothing to fold or multiply
+        assert self.check(4, [{(0, 1): 1, (1, 2): 2, (0, 3): -1, (2, 2): 3}, {(i, i): i - 1 for i in range(4)}]) == []
+
+
 class TestCyclicCore:
     """The peel's row mask on hand-built patterns, the kernel on them against
     sequential products, and the identity the kernel rests on, bit for bit."""
@@ -327,10 +502,11 @@ class TestCyclicCore:
             block = mat[b * size : (b + 1) * size, b * size : (b + 1) * size]
             want.append(reference_trace_powers(block, 1, k_max))
             scale.append(reference_trace_powers(abs(block), 1, k_max))
+        chunk = SparseChunk.of_csr(mat)
         for k in range(1, k_max + 1):
-            got = chunk_traces(SparseChunk.of_csr(mat), blocks, 1, k)
             TestSparseBlockTraces.assert_matches(
-                got, np.array(want)[:, :k], np.array(scale)[:, :k]
+                chunk_traces(chunk, blocks, 1, k), np.array(want)[:, :k], np.array(scale)[:, :k],
+                unfolded(chunk, blocks),
             )
         core = core_of(mat)
         rest = np.setdiff1d(np.arange(mat.shape[0]), core)
@@ -514,15 +690,39 @@ class TestRunExperiment:
 
     def test_thread_count_does_not_change_results(self, sign_law, sign_pair_law, monkeypatch):
         # 300 replicas at n = 500 span three groups of 16-replica chunks
-        # (five of 8-replica chunks for block)
-        for kind in ("elliptic", "block", "centrosymmetric"):
-            spec = sparse_spec(kind, 500, 6, sign_law, sign_pair_law)
+        # (five of 8-replica chunks for block); 100 elliptic replicas at
+        # N = 2000 are four groups, whose chunks are folded two at a time
+        cases = [(kind, 500, 300) for kind in SPARSE_MODELS] + [("elliptic", 2000, 100)]
+        for kind, n, m in cases:
+            spec = sparse_spec(kind, n, 6, sign_law, sign_pair_law)
             monkeypatch.delenv(THREADS_ENV, raising=False)
-            base = run_experiment(spec, 6, 300)
+            base = run_experiment(spec, 6, m)
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv(THREADS_ENV, threads)
-                threaded = run_experiment(spec, 6, 300)
-                assert np.array_equal(base.traces, threaded.traces), (kind, threads)
+                threaded = run_experiment(spec, 6, m)
+                assert np.array_equal(base.traces, threaded.traces), (kind, n, threads)
+
+    def test_one_row_replicas_grow_memory_little(self):
+        # 70,000 one-row replicas: chunks of at most CHUNK_SAMPLES replicas
+        # keep a group's seeding pass and generators small, and the traces
+        # are written straight to the (70,000, 6) output, itself 3.4 MB.  A
+        # group of 64,000 seeds in one pass grew peak RSS by 24.5 MB
+        code = """
+import resource
+from explodingmoments.ensembles import EnsembleSpec
+from explodingmoments.estimator import _replica_traces
+from explodingmoments.profiles import sign_scalar_law
+law = sign_scalar_law()
+_replica_traces(EnsembleSpec(kind="iid", n=1, law=law, seed=1), 6, 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_replica_traces(EnsembleSpec(kind="iid", n=1, law=law, seed=3), 6, 70000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+        assert int(proc.stdout) < 8 * 1024  # ru_maxrss is in kB on Linux
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-2", " 2"])
     def test_malformed_thread_count_is_rejected(self, raw, sign_law, monkeypatch):
