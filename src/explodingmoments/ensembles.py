@@ -286,7 +286,7 @@ class SparseChunk(NamedTuple):
     def csr(self) -> sparse.csr_matrix:
         """The canonical CSR matrix of these entries: rows in order, each
         row's columns sorted."""
-        from scipy import sparse  # loaded by the sparse models alone
+        from scipy import sparse  # loaded only when a CSR matrix is asked for
 
         rows = np.concatenate([self.src, self.diag_at])
         cols = np.concatenate([self.dst, self.diag_at])
@@ -344,24 +344,32 @@ def sample_sparse_chunk(spec: EnsembleSpec, rngs: Sequence[np.random.Generator])
         diagonal.append(rng.random(blocks * n))
     size = sparse_size(spec)
     columns, cum = _draw_table(law.atoms)
-    which = np.searchsorted(cum, np.concatenate(uniforms), side="right")
+    which = _atom_rows(cum, np.concatenate(uniforms))
     base = np.repeat(np.arange(len(rngs)) * size, counts)
     parts = cells(n, np.concatenate(picked), [column[which] for column in columns], base)
     src, dst, val = (np.concatenate(part) for part in zip(*parts))
+    if not blocks:
+        # centrosymmetric orbits draw no diagonal blocks and hold the diagonal
+        on = src == dst
+        off = ~on
+        return SparseChunk(len(rngs) * size, src[off], dst[off], val[off], src[on], val[on])
+    # the diagonal blocks fill every row's diagonal, and no other orbit
+    # lands on it
     (diag,), diag_cum = _draw_table(law.diagonal_atoms)
-    diag = diag[np.searchsorted(diag_cum, np.concatenate(diagonal), side="right")]
-    # the diagonal blocks fill every row's diagonal; only centrosymmetric
-    # orbits, which draw no diagonal blocks, hold diagonal cells
-    on = src == dst
-    off = ~on
-    return SparseChunk(
-        len(rngs) * size,
-        src[off],
-        dst[off],
-        val[off],
-        np.concatenate([np.arange(len(diag)), src[on]]),
-        np.concatenate([diag * (1.0 / np.sqrt(n)), val[on]]),
-    )
+    diag = diag[_atom_rows(diag_cum, np.concatenate(diagonal))]
+    return SparseChunk(len(rngs) * size, src, dst, val, np.arange(len(diag)), diag * (1.0 / np.sqrt(n)))
+
+
+def _atom_rows(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The atom row of each uniform in [0, 1), ``np.searchsorted(cum,
+    uniforms, side="right")`` for the cumulative probabilities ``cum`` of a
+    draw table: the count of rows whose cumulative probability is at most
+    the uniform, one comparison per row of a table of 2 to 4 rows.  The last
+    row's, 1.0, exceeds every uniform."""
+    which = np.zeros(len(uniforms), dtype=np.intp)
+    for edge in cum[:-1]:
+        which += uniforms >= edge
+    return which
 
 
 def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:

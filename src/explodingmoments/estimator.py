@@ -35,11 +35,17 @@ by sequential products and reads Tr(A^k) for k <= h as a per-sample sum
 of the diagonal: on a sample in which no row was folded, the values of a
 per-sample power loop, bit for bit.  For k > h it takes Tr(A^k) =
 sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and b = ceil(k/2),
-transposing each A_C^b once, and sums the core's terms apart from the
-other rows' terms, which moves the sum at rounding level.  The products of
-A_C sum, row by row, the terms a sample's own core would, and a sample's
-rows are peeled and folded in the same rounds whatever chunks share its
-run, so the traces do not depend on how chunks are grouped.  Group
+sorting each power's keys once, and sums the core's terms apart from the
+other rows' terms, which moves the sum at rounding level.  The products
+and pairings run on numpy arrays of A_C's entries, with no CSR matrix and
+no sparse-matrix library: Gustavson's row-wise product (ACM TOMS 4, 1978),
+as scipy's CSR kernels implement it, summing each entry's terms in their
+order, dropping exact-zero sums and storing each row in the order scipy
+stores it, so the traces equal those of scipy's products bit for bit.
+The products of A_C sum, row by row, the terms a sample's own core
+would, and a sample's rows are peeled and folded in the same rounds
+whatever chunks share its run, so the traces do not depend on how chunks
+are grouped.  Group
 boundaries depend only on M and the matrix size, and
 ``EXPLODINGMOMENTS_THREADS`` threads map over groups, so results do not
 depend on the thread count.
@@ -386,35 +392,64 @@ def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> No
     A row off the core adds the terms of its pivot: d_i^k for a row with
     pivot 1 - d_i z, its loop, the running product d_i * d_i * ... as a
     product of matrices forms it, and the Newton sums of a pivot series.
-    The core is one block-diagonal CSR matrix A_C whose rows are numbered
-    in order, so each product of A_C sums the same terms in the same order
-    as the product of a single sample's core would.  A_C, ..., A_C^h with
-    h = ceil(k_max/2) are formed by sequential products.  For k <= h,
-    Tr(A^k) is the per-sample sum of the diagonal of A^k, the core rows'
-    entries read from A_C^k; on a sample in which no row was folded these
-    are the values of per-sample products, bit for bit.  For k > h,
-    Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2), b = ceil(k/2):
-    one elementwise product of A_C^a and the transpose of A_C^b per k, each
-    transpose made once, summed per sample apart from the other rows'
-    terms, which moves these traces at rounding level."""
+    The core is one block-diagonal matrix A_C whose rows are numbered in
+    order, held as numpy arrays of its entries, so each product of A_C sums
+    the same terms in the same order as the product of a single sample's
+    core would.  A_C, ..., A_C^h with h = ceil(k_max/2) are formed by
+    sequential products.  For k <= h, Tr(A^k) is the per-sample sum of the
+    diagonal of A^k, the core rows' entries read from A_C^k; on a sample in
+    which no row was folded these are the values of per-sample products,
+    bit for bit.  For k > h, Tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a =
+    floor(k/2), b = ceil(k/2): each entry (i, j) of A_C^a, paired with
+    (A^b)_ji or 0, summed per sample from 0 apart from the other rows'
+    terms, which moves these traces at rounding level.  Each power's keys
+    are sorted once.
+
+    Every sum is the one scipy's CSR kernels form, bit for bit, with A_C
+    as a canonical CSR matrix, A^(p+1) = A^p @ A_C, and each pairing
+    ``A^a.multiply(A^b.T)`` summed by ``bincount`` in stored order:
+    - a product entry is 0 + a_1 b_1 + a_2 b_2 + ..., its terms in the
+      stored order of the left row (:func:`_product`);
+    - a product stores no exact-zero sum, -0.0 included;
+    - a product stores each row in reverse first-touch order, which the
+      next product and the pairings read;
+    - a pairing adds a row's terms in ascending columns when A^a happens to
+      be canonical (scipy's sorted merge), and otherwise in the reverse of
+      A^a's stored order (:func:`_visits`); the transpose is always sorted."""
     size, rows = peeled.size, peeled.rows
     first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
     blocks = len(out)
-    mat = peeled.core.csr()
+    n = peeled.core.size
+    mat = _csr(peeled.core)
     half = (k_max + 1) // 2
     powers = [mat]
     while len(powers) < half:
-        powers.append(powers[-1] @ mat)
-    diagonals = [power.diagonal() for power in powers]
+        powers.append(_product(powers[-1], mat, n))
+    diagonals = []
+    for power in powers:
+        diagonal = np.zeros(n)
+        on = power.row == power.col
+        diagonal[power.row.compress(on)] = power.val.compress(on)
+        diagonals.append(diagonal)
     core_block = rows // size
+    lefts = {}
     for k in range(half + 1, k_max + 1):
         a, b = k // 2 - 1, (k + 1) // 2 - 1
-        # b steps up at each odd k: drop the last transpose, then make this one
-        if k % 2 or k == half + 1:
-            right = None
-            right = powers[b].T.tocsr()
-        out[:, k - 1] = _paired_sums(powers[a], right, core_block, blocks)
-    powers = right = None
+        if a not in lefts:
+            lefts[a] = _visits(powers[a], n, core_block)
+        val, block, key, order = lefts[a]
+        # (A^b)_ji of each left entry (i, j), found by its transposed key,
+        # and left_ij * 0 where A^b stores no (j, i)
+        right = powers[b]
+        found = np.zeros(len(key))
+        if len(right.place):
+            at = np.searchsorted(right.place, key)
+            np.copyto(found, right.value.take(at, mode="clip"), where=right.place.take(at, mode="clip") == key)
+        paired = np.empty(len(key))
+        paired[order] = found
+        paired *= val
+        out[:, k - 1] = np.bincount(block, paired, minlength=blocks)
+    powers = lefts = None
     # each chunk's other rows: the diagonal powers of the rows that left with
     # 1 - d z (0 on the core), then the Newton sums of the pivot series
     cuts = np.searchsorted(rows, first).tolist()
@@ -437,12 +472,125 @@ def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> No
     out /= norm
 
 
-def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
-    """Per-block sums of left_ij right_ij over the rows i of each block, the
-    block of row i being ``row_block[i]``.  The elementwise product is freed
-    on return, before the next one is formed."""
-    paired = left.multiply(right)
-    return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)
+class _Power(NamedTuple):
+    """A power of A_C as scipy's products store it: entry e at (row[e],
+    col[e]) with value val[e], the rows ascending and row i's entries at
+    ptr[i]..ptr[i + 1] - 1; and its positions row n + col ascending
+    (``place``), with their values (``value``)."""
+
+    ptr: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    place: np.ndarray
+    value: np.ndarray
+
+
+def _csr(core: SparseChunk) -> _Power:
+    """The canonical CSR matrix of ``core``: the entries sorted by row, then
+    column, as ``coo.tocsr`` stores distinct positions, the values as
+    float64."""
+    n = core.size
+    place = np.concatenate([core.src, core.diag_at]).astype(np.intp)
+    place *= n
+    place += np.concatenate([core.dst, core.diag_at])
+    place, order = _sorted(place, n * n)
+    row = place // n
+    col = place - row * n
+    val = np.concatenate([core.val, core.diag]).take(order).astype(float, copy=False)
+    return _Power(_indptr(row, n), row, col, val, place, val)
+
+
+def _sorted(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``key`` sorted, and the stable argsort that sorts it, for keys in
+    0..bound - 1.  Each key is packed with its index into one int64 when
+    they fit, since sorting values is faster than sorting indices."""
+    width = max(len(key) - 1, 0).bit_length()
+    if bound << width > 1 << 63:
+        order = np.argsort(key, kind="stable")
+        return key.take(order), order
+    packed = key << width
+    packed += np.arange(len(key))
+    packed.sort()
+    order = packed & ((1 << width) - 1)
+    packed >>= width
+    return packed, order
+
+
+def _indptr(row: np.ndarray, n: int) -> np.ndarray:
+    """CSR row bounds of entries whose rows ``row``, in 0..n - 1, ascend."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _product(left: _Power, right: _Power, n: int) -> _Power:
+    """left @ right, two n x n matrices, ``right`` canonical, with the
+    values and stored order of scipy's ``csr_matmat`` (Gustavson's row-wise
+    product): entry (i, k) is 0 + sum_j left_ij right_jk, its terms added in
+    the stored order of left's row i, and a sum that is exactly 0 is not
+    stored.  Each row's entries are stored in the reverse of the order in
+    which their first terms come.
+
+    Each left entry is expanded over its right row, so the terms come in
+    that order; one stable sort by position puts each entry's terms
+    together in order, and ``bincount`` adds them from 0 in that order.
+    Reflected within its row's terms, an entry's first term gives a
+    distinct slot among the terms, in the stored order, so that order is
+    one scatter rather than a sort."""
+    count = np.diff(right.ptr).take(left.col)
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    if not total:
+        empty = np.zeros(0, dtype=np.intp)
+        return _Power(np.zeros(n + 1, dtype=np.intp), empty, empty, np.zeros(0), empty, np.zeros(0))
+    # the right entry of each term: its left entry's right row, in order
+    at = np.repeat(right.ptr.take(left.col) - ends + count, count)
+    at += np.arange(total)
+    terms = np.repeat(left.val, count)
+    terms *= right.val.take(at)
+    place = np.repeat(left.row * n, count)
+    place += right.col.take(at)
+    place, order = _sorted(place, n * n)
+    start = np.empty(total, dtype=bool)
+    start[0] = True
+    np.not_equal(place[1:], place[:-1], out=start[1:])
+    sums = np.bincount(np.cumsum(start) - 1, terms.take(order))
+    touch = order.compress(start)
+    place = place.compress(start)
+    row = place // n
+    # the terms of row i are span[i]..span[i + 1] - 1
+    span = np.concatenate([[0], ends]).take(left.ptr)
+    slot = (span[:-1] + span[1:] - 1).take(row)
+    slot -= touch
+    stored = sums != 0
+    spot = np.full(total, -1)
+    spot[slot.compress(stored)] = np.flatnonzero(stored)
+    pick = spot.compress(spot >= 0)
+    row = row.take(pick)
+    col = place.take(pick)
+    col -= row * n
+    return _Power(_indptr(row, n), row, col, sums.take(pick), place.compress(stored), sums.compress(stored))
+
+
+def _visits(power: _Power, n: int, row_block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries (i, j) of ``power`` in the order scipy's elementwise
+    product with a canonical matrix adds them up: the stored order when
+    every row's columns ascend, which makes ``power`` canonical too, and
+    otherwise each row's entries in reverse stored order.  In that order
+    their values and the blocks of their rows; then their transposed keys
+    j n + i ascending, and the argsort that sorts them."""
+    row, col, val = power.row, power.col, power.val
+    key = row * n
+    key += col
+    if not np.array_equal(key, power.place):
+        turn = (power.ptr[:-1] + power.ptr[1:] - 1).take(row)
+        turn -= np.arange(len(row))
+        col, val = col.take(turn), val.take(turn)
+    key = col * n
+    key += row
+    key, order = _sorted(key, n * n)
+    return val, row_block.take(row), key, order
 
 
 def _core_rows(src: np.ndarray, dst: np.ndarray, n: int, rounds: Optional[int] = None) -> np.ndarray:

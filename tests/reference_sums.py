@@ -20,7 +20,10 @@ products.  ``reference_chunk_traces`` is the sparse trace kernel as it was
 before chunks were batched and rows folded: one chunk of samples peeled to
 its cyclic core, with its own core matrix, products and pairings, and
 ``reference_replica_traces`` runs it chunk by chunk, each chunk seeded in
-its own pass.
+its own pass.  ``reference_batch_traces`` is the batch kernel as it was
+before its products left scipy: the run's core as one scipy CSR matrix,
+its powers by scipy's ``@``, and its pairings by scipy's elementwise
+``multiply`` with each transpose.
 """
 
 from __future__ import annotations
@@ -455,3 +458,55 @@ def reference_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarr
         sampled = sample_sparse_chunk(spec, replica_generators(seeds))
         out.append(reference_chunk_traces(sampled, len(seeds), spec.n, k_max))
     return np.vstack(out)
+
+
+def reference_batch_traces(peeled, norm: int, k_max: int, out: np.ndarray) -> None:
+    """``estimator._batch_traces`` with the products and pairings of scipy:
+    write Tr(B_r^k) / norm, k = 1..k_max, for the samples B_r of ``peeled``
+    in order, to the rows of ``out``, (blocks, k_max)."""
+    size, rows = peeled.size, peeled.rows
+    first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
+    blocks = len(out)
+    mat = peeled.core.csr()
+    half = (k_max + 1) // 2
+    powers = [mat]
+    while len(powers) < half:
+        powers.append(powers[-1] @ mat)
+    diagonals = [power.diagonal() for power in powers]
+    core_block = rows // size
+    for k in range(half + 1, k_max + 1):
+        a, b = k // 2 - 1, (k + 1) // 2 - 1
+        # b steps up at each odd k: drop the last transpose, then make this one
+        if k % 2 or k == half + 1:
+            right = None
+            right = powers[b].T.tocsr()
+        out[:, k - 1] = _paired_sums(powers[a], right, core_block, blocks)
+    powers = right = None
+    # each chunk's other rows: the diagonal powers of the rows that left with
+    # 1 - d z (0 on the core), then the Newton sums of the pivot series
+    cuts = np.searchsorted(rows, first).tolist()
+    for loop, lo, hi, start, stop in zip(peeled.loops, first, first[1:], cuts, cuts[1:]):
+        at = rows[start:stop] - lo
+        loop_powers = [loop]
+        while len(loop_powers) < half:
+            loop_powers.append(loop_powers[-1] * loop_powers[0])
+        sums = out[lo // size : hi // size]
+        for k in range(1, k_max + 1):
+            if k <= half:
+                diagonal = loop_powers[k - 1].copy()
+                diagonal[at] = diagonals[k - 1][start:stop]
+                sums[:, k - 1] = diagonal.reshape(-1, size).sum(axis=1)
+            else:
+                loops = loop_powers[k // 2 - 1] * loop_powers[(k + 1) // 2 - 1]
+                sums[:, k - 1] += loops.reshape(-1, size).sum(axis=1)
+    if peeled.terms is not None:
+        out += peeled.terms[:, :k_max]
+    out /= norm
+
+
+def _paired_sums(left, right, row_block: np.ndarray, blocks: int) -> np.ndarray:
+    """Per-block sums of left_ij right_ij over the rows i of each block, the
+    block of row i being ``row_block[i]``.  The elementwise product is freed
+    on return, before the next one is formed."""
+    paired = left.multiply(right)
+    return np.bincount(np.repeat(row_block, np.diff(paired.indptr)), paired.data, minlength=blocks)

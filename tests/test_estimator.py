@@ -26,11 +26,15 @@ from explodingmoments.ensembles import (
 from explodingmoments import estimator
 from explodingmoments.estimator import (
     THREADS_ENV,
+    _Peeled,
     _batch_traces,
     _circulant_power_sums,
     _core_rows,
+    _csr,
     _fold,
     _peel,
+    _product,
+    _sorted,
     _replica_traces,
     aggregate_stats,
     compare_report,
@@ -42,6 +46,7 @@ from explodingmoments.oracle import exact_table
 from explodingmoments.profiles import PAIR_MODELS
 from reference_sums import (
     reference_aggregate_stats,
+    reference_batch_traces,
     reference_chunk_traces,
     reference_replica_traces,
     reference_trace_powers,
@@ -326,13 +331,11 @@ class TestReplicaBatches:
 
     def test_iid_group_is_one_csr_build(self, sign_law, monkeypatch):
         # 64 replicas at N = 2000 are 16 chunks in two groups, each group's
-        # cores one batch
+        # cores one batch, whose kernel builds one CSR core
         spec = sparse_spec("iid", 2000, 7, sign_law, None)
-        builds = []
-        csr = SparseChunk.csr
-        monkeypatch.setattr(SparseChunk, "csr", lambda chunk: builds.append(chunk.size) or csr(chunk))
+        events = self.record_batches(monkeypatch)
         got = _replica_traces(spec, 6, 64)
-        assert len(builds) == 2
+        assert len([what for what, _ in events if what == "batch"]) == 2
         monkeypatch.undo()
         self.assert_matches_reference(got, spec, 6)
 
@@ -482,6 +485,153 @@ class TestFoldExact:
     def test_empty_cores(self):
         # a DAG and a diagonal: no core, so nothing to fold or multiply
         assert self.check(4, [{(0, 1): 1, (1, 2): 2, (0, 3): -1, (2, 2): 3}, {(i, i): i - 1 for i in range(4)}]) == []
+
+
+def same_bits(got, want):
+    """Whether two float arrays agree bit for bit, the sign of 0 included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def both_kernels(peeled, norm, k_max):
+    """The traces of ``peeled`` by the kernel and by its scipy reference."""
+    blocks = sum(map(len, peeled.loops)) // peeled.size
+    got, want = np.empty((blocks, k_max)), np.empty((blocks, k_max))
+    _batch_traces(peeled, norm, k_max, got)
+    reference_batch_traces(peeled, norm, k_max, want)
+    return got, want
+
+
+def with_values(chunk, rng):
+    """``chunk`` with non-integer values, a tenth of them stored 0.0."""
+    def values(count):
+        return rng.normal(size=count) * (rng.random(count) > 0.1)
+    return chunk._replace(val=values(len(chunk.val)), diag=values(len(chunk.diag)))
+
+
+def whole_core(mat):
+    """A run of one sample whose core is every row of ``mat``, nothing
+    peeled or folded, so that the kernel multiplies ``mat`` itself."""
+    n = mat.shape[0]
+    return _Peeled(n, np.arange(n), SparseChunk.of_csr(mat), [np.zeros(n)])
+
+
+def stored(power, mat):
+    """Whether the kernel's ``power`` holds the entries of the scipy CSR
+    ``mat`` in its stored order, and by position in ``place``."""
+    n = mat.shape[0]
+    ordered = mat.copy()
+    ordered.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(ordered.indptr))
+    return (np.array_equal(power.ptr, mat.indptr) and np.array_equal(power.col, mat.indices)
+            and same_bits(power.val, mat.data) and np.array_equal(power.place, rows * n + ordered.indices)
+            and same_bits(power.value, ordered.data))
+
+
+@st.composite
+def square_pairs(draw):
+    """(A, B): two canonical CSR matrices of one size, 0 to 8, of values that
+    cancel to exactly 0 in sums, non-integer values, and stored 0.0."""
+    n = draw(st.integers(0, 8))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                       st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    return tuple(csr_of(n, draw(st.dictionaries(cells, values, max_size=3 * n))) for _ in range(2))
+
+
+class TestScipyKernel:
+    """The kernel's numpy products and pairings against scipy's, bit for
+    bit: ``reference_sums.reference_batch_traces`` is the kernel with the
+    core as a scipy CSR matrix, its powers by ``@`` and its pairings by
+    ``multiply`` with each transpose."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 500])
+    @pytest.mark.parametrize("kind", SPARSE_MODELS)
+    def test_folded_runs(self, kind, n, sign_law, sign_pair_law):
+        # runs of two chunks of four samples, with the law's values and with
+        # non-integer ones, whose sums depend on their order
+        spec = sparse_spec(kind, n, 0, sign_law, sign_pair_law)
+        rng = np.random.default_rng(n)
+        chunks = [chunk_of(spec, range(40, 44)), chunk_of(spec, range(44, 48))]
+        for run in (chunks, [with_values(chunk, rng) for chunk in chunks]):
+            for k_max in range(1, 9):
+                peeled = _fold([_peel(chunk, chunk.size // 4) for chunk in run], k_max)
+                got, want = both_kernels(peeled, n, k_max)
+                assert same_bits(got, want), k_max
+
+    @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
+    def test_empty_cores(self, kind, sign_law, sign_pair_law):
+        spec = sparse_spec(kind, 9, 0, sign_law, sign_pair_law)
+        empty, one = (TestSparseBlockTraces.chunk_where(spec, 4, wanted)[1] for wanted in (set(), {2}))
+        for k_max in range(1, 9):
+            for run in ([empty], [empty, one], [one, empty, one]):
+                peeled = _fold([_peel(chunk, 9) for chunk in run], k_max)
+                got, want = both_kernels(peeled, 9, k_max)
+                assert same_bits(got, want), k_max
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_pairs())
+    def test_products_store_as_scipy(self, pair):
+        a, b = pair
+        n = a.shape[0]
+        right = _csr(SparseChunk.of_csr(b))
+        assert stored(right, b)
+        # the first product's left operand is canonical, the second's is
+        # stored as a product stores it
+        power, want = _csr(SparseChunk.of_csr(a)), a
+        for _ in range(3):
+            power, want = _product(power, right, n), want @ b
+            assert stored(power, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_pairs())
+    def test_traces_of_whole_cores(self, pair):
+        if not pair[0].shape[0]:
+            return  # a 0 x 0 matrix is no sample
+        for mat in pair:
+            for k_max in range(1, 9):
+                got, want = both_kernels(whole_core(mat), 1, k_max)
+                assert same_bits(got, want), k_max
+
+    def test_pairings_with_sorted_and_unsorted_left(self):
+        # the powers of a 3-cycle hold one entry a row, so they are
+        # canonical, and each pairing takes scipy's sorted merge; loops on
+        # the cycle leave the rows of its powers in reverse first-touch order
+        cycle = {(0, 1): 0.1, (1, 2): 0.7, (2, 0): -1.3}
+        for entries, canonical in ((cycle, True), ({**cycle, (0, 0): 0.3, (1, 1): -0.6, (2, 2): 0.9}, False)):
+            mat = csr_of(3, entries)
+            assert (mat @ mat).has_sorted_indices == canonical
+            for k_max in range(1, 9):
+                got, want = both_kernels(whole_core(mat), 3, k_max)
+                assert same_bits(got, want), k_max
+
+    def test_empty_products(self):
+        # a 3-cycle of stored zeros: every product sums to 0 and stores
+        # nothing, and a trace of stored -0.0 entries is 0.0
+        mat = csr_of(3, {(0, 1): 0.0, (1, 2): -0.0, (2, 0): 0.0, (1, 1): -0.0})
+        assert _product(_csr(SparseChunk.of_csr(mat)), _csr(SparseChunk.of_csr(mat)), 3).ptr.tolist() == [0, 0, 0, 0]
+        for mat in (mat, csr_of(1, {(0, 0): -0.0})):
+            for k_max in range(1, 9):
+                got, want = both_kernels(whole_core(mat), 3, k_max)
+                assert same_bits(got, want) and not got.any()
+
+    def test_integer_csr(self):
+        # an int-valued CSR matrix with a 2-cycle, which the fold takes, and
+        # a 3-cycle: exact integers, taken as float64 by the kernel
+        mat = sparse.csr_matrix(np.array([[1, 2, 0, 0, 0], [-3, 0, 1, 0, 0], [0, 0, 2, 4, 0],
+                                          [0, 0, 0, -1, 5], [0, 0, 1, 0, 3]]))
+        assert mat.dtype.kind == "i"
+        m = MatrixSample("iid", 5, 5, mat)
+        for k_max in range(1, 9):
+            assert np.array_equal(trace_powers(m, k_max), reference_trace_powers(mat, 5, k_max)), k_max
+
+    @pytest.mark.parametrize("bound", [1000, 1 << 62])
+    def test_sorted_is_a_stable_argsort(self, bound):
+        # a bound too wide to pack a key with its index falls back to numpy's
+        # stable argsort
+        keys = np.random.default_rng(5).integers(0, 1000, 5000) * (bound // 1000)
+        got, order = _sorted(keys, bound)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(got, np.sort(keys))
 
 
 class TestCyclicCore:

@@ -1,8 +1,9 @@
 """The exact layers and commands run without numpy or scipy: importing the
-package loads neither, the sampling names resolve on first access, and
-only the sparse samplers load ``scipy.sparse``, without its graph or linear
-algebra subpackages.  Each check runs in a fresh interpreter, since this
-process has loaded both long before."""
+package loads neither, the sampling names resolve on first access, the
+Monte Carlo commands load numpy alone, and only ``sample`` of a sparse
+model, which returns a CSR matrix, loads ``scipy.sparse``, without its
+graph or linear algebra subpackages.  Each check runs in a fresh
+interpreter, since this process has loaded both long before."""
 
 import json
 import os
@@ -67,13 +68,23 @@ def test_circulant_simulate_loads_numpy_but_not_scipy_sparse():
     assert report["simulate"] == [0, ["numpy"]]
 
 
-def test_sparse_simulate_and_verify_load_scipy_sparse_alone():
+def test_sparse_simulate_and_verify_load_numpy_alone():
     report = loaded_after(
         ["simulate", "--model", "block", "--n", "20", "--reps", "5"],
         ["verify", "--model", "iid", "--n", "40", "--reps", "5", "--kmax", "4"],
     )
-    sparse_stack = [0, ["numpy", "scipy", "scipy.sparse"]]
-    assert report["simulate"] == sparse_stack and report["verify"] == sparse_stack
+    assert report["simulate"] == [0, ["numpy"]] and report["verify"] == [0, ["numpy"]]
+
+
+def test_sparse_sample_loads_scipy_sparse_alone():
+    code = f"""
+import json, sys
+from fractions import Fraction
+from explodingmoments import EnsembleSpec, design_correlated_sign_law, sample
+m = sample(EnsembleSpec("elliptic", 20, design_correlated_sign_law(Fraction(1, 2)), 3))
+print(json.dumps([type(m.matrix).__name__, [name for name in {HEAVY!r} if name in sys.modules]]))
+"""
+    assert json.loads(run_fresh(code)) == ["csr_matrix", ["numpy", "scipy", "scipy.sparse"]]
 
 
 def test_every_exported_name_resolves():
