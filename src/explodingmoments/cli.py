@@ -405,6 +405,23 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every subcommand takes the same options: declared once, since each
+    # add_argument call builds a help formatter that reads the terminal size
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", help="JSON config file; flags override its fields")
+    options.add_argument("--model", choices=MODELS)
+    options.add_argument("--n", type=int, action="append",
+                         help="matrix size (repeatable for oracle)")
+    options.add_argument("--kmax", type=int)
+    options.add_argument("--reps", type=int)
+    options.add_argument("--seed", type=int)
+    options.add_argument("--rho", help="pair correlation for the sign law, e.g. 1/2")
+    options.add_argument("--profile", help="sign | light | path to a law/profile JSON")
+    options.add_argument("--z-threshold", type=float, dest="z_threshold")
+    options.add_argument("--paper-formula", action="store_true", default=None,
+                         help="use the uncorrected circulant moment display")
+    options.add_argument("--format", choices=_FORMATS, dest="fmt")
+    options.add_argument("--out", help="write the report document to this path")
     parser = argparse.ArgumentParser(
         prog="explodingmoments",
         description="trace-moment limits and Monte Carlo verification for "
@@ -412,20 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--n", type=int, action="append", help="matrix size (repeatable for oracle)")
-        p.add_argument("--kmax", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--rho", help="pair correlation for the sign law, e.g. 1/2")
-        p.add_argument("--profile", help="sign | light | path to a law/profile JSON")
-        p.add_argument("--z-threshold", type=float, dest="z_threshold")
-        p.add_argument("--paper-formula", action="store_true", default=None,
-                       help="use the uncorrected circulant moment display")
-        p.add_argument("--format", choices=_FORMATS, dest="fmt")
-        p.add_argument("--out", help="write the report document to this path")
+        sub.add_parser(name, parents=[options])
     return parser
 
 

@@ -167,13 +167,29 @@ def state_generators(states: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_SeedState(words))) for words in states]
 
 
+# draw tables by the id of their atoms tuple: hashing a tuple of Fractions
+# costs about as much as building its table.  An entry holds its tuple, so
+# the id cannot pass to another tuple while the entry lives
+_DRAW_TABLES: dict[int, tuple] = {}
+_DRAW_TABLES_MAX = 64
+
+
 def _draw_table(atoms):
     """(value columns, cumulative probabilities) of a law's atom rows
-    (values..., prob): one float array per value column."""
-    *columns, probs = zip(*atoms)
-    cum = np.cumsum([float(p) for p in probs])
-    cum[-1] = 1.0
-    return [np.array([float(v) for v in column]) for column in columns], cum
+    (values..., prob): one read-only float array per value column, built
+    once per atoms tuple and shared by every draw from it."""
+    hit = _DRAW_TABLES.get(id(atoms))
+    if hit is None:
+        *columns, probs = zip(*atoms)
+        cum = np.cumsum([float(p) for p in probs])
+        cum[-1] = 1.0
+        arrays = tuple(np.array([float(v) for v in column]) for column in columns)
+        for array in (*arrays, cum):
+            array.flags.writeable = False
+        if len(_DRAW_TABLES) >= _DRAW_TABLES_MAX:
+            _DRAW_TABLES.clear()
+        hit = _DRAW_TABLES[id(atoms)] = (atoms, arrays, cum)
+    return hit[1], hit[2]
 
 
 def _distinct_uniform(rng, total: int, count: int) -> np.ndarray:
@@ -385,21 +401,21 @@ def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator])
     chunk of replicas passes the generators of :func:`replica_generators`,
     each equal to ``default_rng`` at its seed.
 
-    The law's draw table, scaled by sqrt(N), and its activation probability
-    q/N are built once per call.  Each row takes, in order: a binomial count
-    of active positions, that many distinct positions, and one uniform per
-    active position for its atom (a Gaussian row is one standard normal
-    vector).  A row with no active position draws nothing more: a draw of
-    size 0 leaves the generator's state alone.  The rows' positions and
-    uniforms are collected as Python lists and placed by one atom lookup and
-    one scatter per call."""
+    The law's shared draw table is scaled by sqrt(N) into a new array, and
+    its activation probability q/N taken, once per call.  Each row takes, in
+    order: a binomial count of active positions, that many distinct
+    positions, and one uniform per active position for its atom (a Gaussian
+    row is one standard normal vector).  A row with no active position
+    draws nothing more: a draw of size 0 leaves the generator's state alone.
+    The rows' positions and uniforms are collected as Python lists and
+    placed by one atom lookup and one scatter per call."""
     out = np.zeros((len(rngs), n))
     if isinstance(law, GaussianLaw):
         for row, rng in zip(out, rngs):
             rng.standard_normal(out=row)
         return out
     (vals,), cum = _draw_table(law.atoms)
-    vals *= np.sqrt(n)
+    vals = vals * np.sqrt(n)
     p = float(law.activation) / n
     rows: list[int] = []
     positions: list[int] = []

@@ -5,8 +5,10 @@ At the critical exponent alpha = 1 the limit of a normalized trace term is a
 product of profile constants over the adjacent pairs of its trace graph when
 that graph is an admissible tree, and 0 otherwise.  Fluctuation covariances
 sum the same product over gluings of two trace graphs that share an edge and
-merge into an admissible tree.  For alpha != 1 only the asymptotic order
-|V| - 1 - alpha * p survives (p = reduced edge count).
+merge into an admissible tree.  The elliptic mean sums its trees' products
+by a recursion over the trees, with no enumeration of partitions; the
+covariance enumerates its gluings.  For alpha != 1 only the asymptotic
+order |V| - 1 - alpha * p survives (p = reduced edge count).
 
 Of the graph-summed models only the elliptic one has surviving terms: the
 iid, two-block and centrosymmetric mean and covariance limits are exactly 0
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import ADMISSIBLE_TREE, classify, moment_product
@@ -84,11 +86,60 @@ def asymptotic_order(counts: TraceCounts, alpha) -> LimitValue:
     return LimitValue(kind="symbolic_order", exponent=exponent)
 
 
+def _tree_walk_moment(k: int, profile: MomentProfile) -> Fraction:
+    """The elliptic limit M_k: the sum of :func:`tau` over the partitions of
+    {1..k} whose graph is a thick tree, by a recursion over the trees instead
+    of an enumeration of the partitions.
+
+    A closed walk on a tree crosses each edge as often one way as the other,
+    so a tree's product is prod_e C_(m_e,m_e) over its edges, each crossed
+    m_e times each way, and odd k has no term.  Count the walks in
+    half-lengths.  W(m, h) is the weight of the ordered m-tuples of closed
+    walks from one root, of total length 2h, on one tree; W(m, 0) = 1.  The
+    walks leave the root on E excursions, binom(E+m-1, m-1) ways to split
+    them in order among the m walks.  Each child of the root takes a block
+    of the excursions, r of them in time order: r steps each way across its
+    edge and an r-tuple of closed walks from the child.  So the weight
+    beta(E, h) of E excursions of total half-length h is a sum over the set
+    partitions of the E excursions into children (the exponential formula;
+    Flajolet and Sedgewick, *Analytic Combinatorics*, 2009, II.2), taken by
+    the block of the first excursion:
+
+      beta(E, h) = sum_(r, g) binom(E-1, r-1) C_(r,r) W(r, g) beta(E-r, h-r-g),
+      W(m, h) = sum_E binom(E+m-1, m-1) beta(E, h),   M_k = W(1, k/2).
+
+    Cf. Male, JFA 272 (2017), arXiv:1209.2366.  The constants are read as
+    C_(k/2,k/2) down to C_(1,1), so a profile that lacks one raises
+    :class:`MomentTableError` as the enumeration of the thick trees would.
+    """
+    if k % 2:
+        return Fraction(0)
+    half = k // 2
+    consts = {r: profile.pair(r, r) for r in range(half, 0, -1)}
+    beta = [[Fraction(1)]]  # beta[h][E], for E <= h
+    walks = [dict.fromkeys(range(1, half + 1), Fraction(1))]  # walks[h][m] = W(m, h)
+    for h in range(1, half + 1):
+        row = [Fraction(0)] + [
+            sum(
+                comb(e - 1, r - 1) * consts[r] * walks[g][r] * beta[h - r - g][e - r]
+                for r in range(1, e + 1)
+                for g in range(h - e + 1)
+            )
+            for e in range(1, h + 1)
+        ]
+        beta.append(row)
+        # a tuple of length 2h enters a longer walk only when m <= half - h
+        walks.append({m: sum(comb(e + m - 1, m - 1) * b for e, b in enumerate(row))
+                      for m in range(1, half - h + 1)})
+    return sum(beta[half])
+
+
 def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
     """Limit of the normalized trace E[Tr(A^k)] / N: the sum of
     :func:`tau` over the partitions of {1..k} whose graph is a thick tree,
-    the only ones the pruned :func:`partitions.walk_partitions` visits
-    (for the circulant model: limit of E[Tr(C^k)]).
+    taken by the tree-walk recursion of :func:`_tree_walk_moment`; the
+    pruned :func:`partitions.walk_partitions` visits the same trees and is
+    the tests' reference (for the circulant model: limit of E[Tr(C^k)]).
 
     The iid, two-block and centrosymmetric limits are exactly 0, for the mean
     here and for the covariance in :func:`covariance_trace`.  Each of these
@@ -108,8 +159,7 @@ def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
         return circulant_limit_moment(k, profile)
     if model in _ZERO_MODELS:
         return Fraction(0)
-    leaves = walk_partitions((k,), prune=True)
-    return sum((_tree_product(leaf, model, profile) for leaf in leaves), Fraction(0))
+    return _tree_walk_moment(k, profile)
 
 
 def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Fraction:

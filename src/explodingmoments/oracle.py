@@ -2,11 +2,14 @@
 
 Every sum here is N-free, and each N is an evaluation of it.  An elliptic or
 iid trace moment is a Laurent polynomial in N^(1/2), summed over the set
-partitions of the walk positions (``partitions.walk_partitions``, unpruned):
-each graph contributes its injective labelings, a falling factorial in N,
-times a monomial c N^(h/2) of exact entry moments read from the law (the
-joint moments of x_ij and x_ji for a pair law, their products for an
-independent-entry law).  The N^0 coefficients of the means and covariances
+partitions of the walk positions (``partitions.walk_partitions``): each
+graph contributes its injective labelings, a falling factorial in N, times a
+monomial c N^(h/2) of exact entry moments read from the law (the joint
+moments of x_ij and x_ji for a pair law, their products for an
+independent-entry law).  Every law is centred, so the enumeration skips the
+partitions whose graph has a single edge between two vertices or a single
+loop at one: their monomial has a factor E[x] = 0.  All other partitions
+are summed, trees or not, at every order of N.  The N^0 coefficients of the means and covariances
 are the limits of ``limits``.  The circulant sums are the moment-cumulant
 formula over the block-size classes of the same partitions
 (``partitions.block_classes``), with generator cumulants that are
@@ -164,9 +167,12 @@ def _walk_sum(table: ExactMomentTable, lengths: Sequence[int]) -> Laurent:
     """E[prod_w Tr(A^(lengths[w]))]: over the set partitions of the walk
     positions, tallied by (vertex count |V|, half-power), N (N-1) ...
     (N-|V|+1) injective labelings times the moment product of the partition
-    graph, E[prod over edges of a_(phi u, phi v)] for one labeling phi."""
+    graph, E[prod over edges of a_(phi u, phi v)] for one labeling phi.
+    Every law is centred, so a partition with a single edge between two
+    vertices or a single loop at one has a factor E[x] = 0 and is never
+    visited (``nonzero``)."""
     tally = Counter()
-    for leaf in walk_partitions(lengths):
+    for leaf in walk_partitions(lengths, nonzero=True):
         coeff, half = moment_product(leaf, table.a_pair, table.a_diagonal)
         tally[leaf.vertex_count, half] += coeff
     falling = [_monomial(1, 0)]  # N (N-1) ... (N-v+1) at index v

@@ -6,7 +6,8 @@ pattern), and a covariance kernel over partitions of the k + l positions of
 two walks (restricted to each walk they give the two trace graphs, and the
 blocks they merge glue them).  :func:`walk_partitions`, the one set-partition
 enumerator, enumerates both, growing the trace graph as it goes, and can
-prune every branch on which no limit term survives.  :class:`TraceCounts` is
+prune every branch on which no limit term survives, or every branch whose
+terms are zero under a centred law.  :class:`TraceCounts` is
 the one record of a trace graph's counters.  A circulant term depends on a
 partition only through its per-walk block sizes, so :func:`block_classes`
 counts the partitions of each such class in closed form instead.
@@ -106,23 +107,31 @@ class TraceCounts(NamedTuple):
         return all(a == 0 or b == 0 for (a, b), _ in self.ordered_pair_counts)
 
 
-def tally_step(loops: dict, pairs: dict, u: int, v: int, delta: int = 1):
+def tally_step(loops: dict, pairs: dict, u: int, v: int, delta: int = 1) -> int:
     """Add (delta = 1) or take back (delta = -1) the step u -> v:
     ``loops[u]`` counts the loops at u, ``pairs[(a, b)]`` with a < b the
-    steps [a -> b, b -> a]."""
+    steps [a -> b, b -> a].  Returns the change in the number of singles,
+    the vertices with exactly one loop and the adjacent pairs with exactly
+    one edge."""
     if u == v:
-        loops[u] = loops.get(u, 0) + delta
-        if not loops[u]:
+        before = loops.get(u, 0)
+        after = loops[u] = before + delta
+        if not after:
             del loops[u]
-        return
-    key = (u, v) if u < v else (v, u)
-    rec = pairs.setdefault(key, [0, 0])
-    rec[u > v] += delta
-    if rec == [0, 0]:
-        del pairs[key]
+    else:
+        key = (u, v) if u < v else (v, u)
+        rec = pairs.setdefault(key, [0, 0])
+        before = rec[0] + rec[1]
+        rec[u > v] += delta
+        after = before + delta
+        if not after:
+            del pairs[key]
+    return (after == 1) - (before == 1)
 
 
-def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[TraceCounts]:
+def walk_partitions(
+    lengths: Sequence[int], prune: bool = False, nonzero: bool = False
+) -> Iterator[TraceCounts]:
     """Set partitions of the positions of one or two closed walks of the
     given lengths, depth first in restricted-growth order (Knuth, TAOCP 4A,
     7.2.1.5), each yielded as the counters of the trace graph it induces.
@@ -133,8 +142,13 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Tra
     a cycle in the reduced graph, or when the vertex count passes (total
     length)/2 + 1 (each of a tree's |V| - 1 adjacent pairs takes two steps);
     a leaf is kept if it is connected and no adjacent pair carries a single
-    edge.  Without ``prune`` every set partition is yielded, Bell(total) in
-    all.
+    edge.  With ``nonzero`` only the partitions with no single are yielded:
+    no vertex carries exactly one loop and no adjacent pair exactly one
+    edge.  Under a centred law such a single is a factor E[x] = 0, so these
+    are the partitions whose term can be nonzero.  Each later step takes at
+    most one single away, so a branch is dropped as soon as its singles,
+    counted as the steps are tallied, outnumber the steps still to place.
+    With neither, every set partition is yielded, Bell(total) in all.
     """
     lengths = tuple(int(x) for x in lengths)
     total = sum(lengths)
@@ -167,7 +181,9 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Tra
             shared=len(steps) == 2 and not steps[0].isdisjoint(steps[1]),
         )
 
-    def place(p: int, blocks: int) -> Iterator[TraceCounts]:
+    def place(p: int, blocks: int, slack: int) -> Iterator[TraceCounts]:
+        """Place position p; ``slack`` is the steps still to place less the
+        singles, so a branch with negative slack holds only zero terms."""
         if p == total:
             out = leaf(blocks)
             if out is not None:
@@ -179,16 +195,19 @@ def walk_partitions(lengths: Sequence[int], prune: bool = False) -> Iterator[Tra
             steps = [(label[p - 1], b)] if p != first else []
             if p == last:
                 steps.append((b, label[first]))
+            left = slack - len(steps)
             for u, v in steps:
-                tally_step(loops, pairs, u, v, 1)
+                left -= tally_step(loops, pairs, u, v, 1)
             grown = max(blocks, b + 1)
             # a loop-free graph is a forest iff it has |V| - components pairs
-            if not prune or (not loops and len(pairs) == grown - components(p)):
-                yield from place(p + 1, grown)
+            if (not prune or (not loops and len(pairs) == grown - components(p))) and (
+                not nonzero or left >= 0
+            ):
+                yield from place(p + 1, grown, left)
             for u, v in steps:
                 tally_step(loops, pairs, u, v, -1)
 
-    yield from place(0, 0)
+    yield from place(0, 0, total)
 
 
 def block_classes(lengths: Sequence[int]) -> dict[tuple[tuple[int, ...], ...], int]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from functools import cached_property
+from math import comb, lcm, prod
 from typing import ClassVar, Iterable, Iterator, Mapping, Union
 
 from .partitions import double_factorial_odd
@@ -197,12 +198,27 @@ class _SparseLaw:
             problems.append("diagonal variance exceeds 1")
         return problems
 
+    @cached_property
+    def _integer_atoms(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The atom rows on common denominators: (integer rows, denominators),
+        a row's entries being its values and probability times the common
+        denominator of their column.  Made on the first moment asked for."""
+        dens = tuple(lcm(*(row[i].denominator for row in self.atoms))
+                     for i in range(self._WIDTH + 1))
+        rows = tuple(tuple(x.numerator * (d // x.denominator) for x, d in zip(row, dens))
+                     for row in self.atoms)
+        return rows, dens
+
     def atom_moment(self, *powers: int) -> Fraction:
-        """E[xi^k] for powers (k,), E[xi^k * eta^l] for (k, l) on a pair law."""
+        """E[xi^k] for powers (k,), E[xi^k * eta^l] for (k, l) on a pair law:
+        the integer atom rows raised and summed over their common
+        denominators, so that one Fraction is made per moment."""
         if len(powers) > self._WIDTH:
             raise ValueError(f"{len(powers)} powers for atoms of {self._WIDTH} value(s)")
+        rows, dens = self._integer_atoms
         # the powers run out before a row's closing probability
-        return sum((prod(map(pow, row, powers), start=row[-1]) for row in self.atoms), Fraction(0))
+        total = sum(prod(map(pow, row, powers), start=row[-1]) for row in rows)
+        return Fraction(total, prod(map(pow, dens, powers), start=dens[-1]))
 
     def diagonal_moment(self, k: int) -> Fraction:
         return sum((p * v**k for v, p in self.diagonal_atoms), Fraction(0))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from explodingmoments.cli import (
+    _COMMANDS,
     ExperimentConfig,
     _build_parser,
     _config_from_args,
@@ -243,6 +245,17 @@ class TestConfigPrecedence:
         assert doc["config"]["kmax"] == 3
         assert doc["config"]["model"] == "circulant"
         assert doc["config"]["seed"] == 9
+
+    def test_every_command_takes_the_same_options(self):
+        # the subparsers share one declaration of the config fields' flags
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {name: sorted(flag for action in p._actions for flag in action.option_strings)
+                   for name, p in sub.choices.items()}
+        assert set(options) == set(_COMMANDS)
+        flags = sorted(["-h", "--help", "--config", "--model", "--n", "--kmax", "--reps",
+                        "--seed", "--rho", "--profile", "--z-threshold", "--paper-formula",
+                        "--format", "--out"])
+        assert all(found == flags for found in options.values())
 
     def test_circulant_light_script_config(self):
         path = SCRIPTS / "verify_circulant_light.json"
@@ -486,6 +499,18 @@ class TestProfileFile:
                                  "--profile", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_profile_of_kmax_4_gives_the_elliptic_limits_up_to_5(self, tmp_path, capsys):
+        # the C_(m,m) with 2m <= 4 are all the tree sums up to k = 5 read
+        short = profile_of_sparse_law(design_correlated_sign_law(Fraction(1, 2)), kmax=4)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile_to_dict(short)}))
+        code, out, _ = run_cli(capsys, "limits", "--model", "elliptic", "--kmax", "5",
+                               "--profile", str(path))
+        _, full, _ = run_cli(capsys, "limits", "--model", "elliptic", "--kmax", "5",
+                             "--rho", "1/2")
+        assert code == 0
+        assert json.loads(out)["values"] == json.loads(full)["values"]
 
     def test_profile_with_huge_kmax_exits_2_quickly(self, tmp_path, capsys):
         # one missing-entry line per table, found in time bounded by the table

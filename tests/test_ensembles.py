@@ -1,4 +1,5 @@
 import hashlib
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from explodingmoments.ensembles import (
     MatrixSample,
     _decode_upper_pairs,
     _distinct_uniform,
+    _draw_table,
     circulant_eigenvalues,
     is_centrosymmetric,
     replica_generators,
@@ -227,6 +229,25 @@ class TestCirculantGenerator:
     @pytest.mark.parametrize("law", [sign_scalar_law(), SMALL_ACTIVATION])
     def test_rows_at_seeds_straddling_2_32(self, law):
         self.assert_per_sample_draws(law, 64, range(2**32 - 200, 2**32 + 200))
+
+    def test_draws_leave_the_shared_table_unscaled(self):
+        (vals,), cum = _draw_table(self.SKEWED.atoms)
+        first = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)))
+        again = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)))
+        assert np.array_equal(first, again)
+        assert vals.tolist() == [-1.0, 2.0] and cum.tolist() == [2 / 3, 1.0]
+
+
+class TestDrawTable:
+    def test_one_read_only_table_per_atoms_tuple(self):
+        law = design_correlated_sign_law(Fraction(1, 3))
+        columns, cum = _draw_table(law.atoms)
+        again, again_cum = _draw_table(law.atoms)
+        assert again_cum is cum and all(map(operator.is_, again, columns))
+        for array in (*columns, cum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array *= 2
 
 
 class TestIndexDraws:

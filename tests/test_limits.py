@@ -1,7 +1,10 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explodingmoments.limits import (
     LimitValue,
@@ -139,6 +142,42 @@ class TestLimitTraceMoment:
     def test_guard(self, sign_pair_profile):
         with pytest.raises(ValueError):
             limit_trace_moment("elliptic", 11, sign_pair_profile)
+
+
+def enumerated_limit(k, profile):
+    """The elliptic M_k as the sum of tau over the pruned enumeration."""
+    return sum((tau(leaf, "elliptic", profile) for leaf in walk_partitions((k,), prune=True)),
+               Fraction(0))
+
+
+# 0, negative and positive rationals
+CONSTANT = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6))
+
+
+class TestTreeWalkRecursion:
+    """The tree-walk recursion equals the sum over the pruned enumerator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(CONSTANT, min_size=5, max_size=5))
+    def test_equals_pruned_enumeration(self, diagonal):
+        # only the diagonal constants C_(m,m) weigh a closed walk on a tree
+        profile = MomentProfile(alpha=1, kmax=10,
+                                pair_table={(m, m): c for m, c in enumerate(diagonal, 1)})
+        for k in range(1, 11):
+            assert limit_trace_moment("elliptic", k, profile) == enumerated_limit(k, profile)
+
+    def test_short_profile_fails_as_the_enumeration(self):
+        # C_(m,m) with 2m <= 4 only; odd k reads no constant
+        profile = profile_of_sparse_law(design_correlated_sign_law(Fraction(1, 2)), kmax=4)
+        for k in range(1, 11):
+            try:
+                expected = enumerated_limit(k, profile)
+            except MomentTableError as exc:
+                with pytest.raises(MomentTableError, match=re.escape(str(exc))):
+                    limit_trace_moment("elliptic", k, profile)
+            else:
+                assert limit_trace_moment("elliptic", k, profile) == expected
+                assert k <= 5 or k % 2
 
 
 class TestCovariance:

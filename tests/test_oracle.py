@@ -434,6 +434,36 @@ class TestConvergenceToLimits:
             assert all(s <= c for s in scaled)
 
 
+class TestZeroTermRule:
+    """Skipping the partitions with a single edge or a single loop changes no
+    walk sum: every law is centred, so their terms are zero."""
+
+    @pytest.mark.parametrize(
+        "model,law",
+        [
+            ("elliptic", design_correlated_sign_law(Fraction(1, 2))),
+            ("elliptic", design_correlated_sign_law(Fraction(-1, 3))),
+            ("iid", SKEWED_LAW),
+            ("iid", GaussianLaw()),
+        ],
+        ids=["sign-1/2", "sign-minus-1/3", "skewed", "gaussian"],
+    )
+    def test_sums_equal_the_unpruned_sums(self, monkeypatch, model, law):
+        walk_sum, asked = oracle._walk_sum, []
+        monkeypatch.setattr(oracle, "_walk_sum",
+                            lambda table, walk: asked.append(walk) or walk_sum(table, walk))
+        exact_table(model, law, (10,), 8)
+        monkeypatch.undo()
+        fluct = oracle.MAX_K_FLUCT
+        assert len(asked) == oracle.MAX_K_MEAN + fluct * (fluct + 1) // 2
+        table = ExactMomentTable(law)
+        skipped = {walk: oracle._walk_sum(table, walk) for walk in asked}
+        unpruned = oracle.walk_partitions
+        monkeypatch.setattr(oracle, "walk_partitions",
+                            lambda lengths, nonzero: unpruned(lengths))
+        assert {walk: oracle._walk_sum(table, walk) for walk in asked} == skipped
+
+
 class TestLimitIsLeadingCoefficient:
     """The exact means and covariances are Laurent polynomials in N^(1/2)
     with no positive power of N, and their N^0 coefficients are the limits."""

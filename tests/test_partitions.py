@@ -179,6 +179,11 @@ class TestCrossPartitions:
                 assert len(origins) == len(set(origins))
 
 
+# every one- and two-walk tuple of total <= 8
+NONZERO_LENGTHS = [(k,) for k in range(1, 9)]
+NONZERO_LENGTHS += [(k, l) for k in range(1, 8) for l in range(1, 9 - k)]
+
+
 class TestWalkPartitions:
     @pytest.mark.parametrize("lengths", [(1,), (4,), (7,), (1, 1), (2, 3), (3, 3), (4, 4)])
     def test_unpruned_counts_are_bell(self, lengths):
@@ -228,6 +233,20 @@ class TestWalkPartitions:
             with pytest.raises(ValueError):
                 list(walk_partitions(bad))
 
+    @pytest.mark.parametrize("lengths", NONZERO_LENGTHS, ids=str)
+    def test_nonzero_leaves_are_the_unpruned_leaves_without_singles(self, lengths):
+        def has_single(leaf):
+            return (any(a + b == 1 for (a, b), _count in leaf.ordered_pair_counts)
+                    or any(loops == 1 for loops, _count in leaf.loop_counts))
+
+        kept = [leaf for leaf in walk_partitions(lengths) if not has_single(leaf)]
+        assert list(walk_partitions(lengths, nonzero=True)) == kept
+
+    @pytest.mark.parametrize("lengths,leaves", [((6,), 50), ((3, 3), 32)])
+    def test_nonzero_leaf_counts(self, lengths, leaves):
+        # of Bell(6) = 203 set partitions each
+        assert sum(1 for _ in walk_partitions(lengths, nonzero=True)) == leaves
+
 
 def one_walk_parts(k):
     """The integer partitions that index the one-walk block classes."""
@@ -235,9 +254,7 @@ def one_walk_parts(k):
 
 
 # every one- and two-walk tuple of total <= 8, and two of total 10
-CLASS_LENGTHS = [(k,) for k in range(1, 9)]
-CLASS_LENGTHS += [(k, l) for k in range(1, 8) for l in range(1, 9 - k)]
-CLASS_LENGTHS += [(10,), (5, 5)]
+CLASS_LENGTHS = NONZERO_LENGTHS + [(10,), (5, 5)]
 
 
 class TestBlockClasses:

@@ -41,6 +41,16 @@ SKEWED_PAIR_LAW = SparsePairLaw(
     diagonal_atoms=((0, 1),),
 )
 
+# atoms on different denominators: xi = -3/2 w.p. 8/17, 4/3 w.p. 9/17, and an
+# independent eta = -1 w.p. 2/3, 2 w.p. 1/3; E[xi^2] = E[eta^2] = 2, q = 1/2
+FRACTIONAL_XI = ((Fraction(-3, 2), Fraction(8, 17)), (Fraction(4, 3), Fraction(9, 17)))
+FRACTIONAL_LAW = SparseScalarLaw(activation=Fraction(1, 2), atoms=FRACTIONAL_XI)
+FRACTIONAL_PAIR_LAW = SparsePairLaw(
+    activation=Fraction(1, 2),
+    atoms=tuple((x, y, p * r) for x, p in FRACTIONAL_XI
+                for y, r in ((-1, Fraction(2, 3)), (2, Fraction(1, 3)))),
+)
+
 
 def full_pair_table(kmax, overrides):
     table = {}
@@ -104,6 +114,8 @@ class TestSparseLaws:
             SparsePairLaw(activation=Fraction(1, 2), atoms=((one, one, one),))
         with pytest.raises(ValueError, match="mean"):
             SparseScalarLaw(activation=one, atoms=((one, one),))
+        with pytest.raises(ValueError, match="sum to 0"):
+            SparsePairLaw(activation=one, atoms=())
 
     def test_atom_rows_of_the_wrong_width_rejected(self):
         one, half = Fraction(1), Fraction(1, 2)
@@ -115,7 +127,8 @@ class TestSparseLaws:
             SparseScalarLaw(activation=one, atoms=((one, half), (-one, half)),
                             diagonal_atoms=((0, 0, one),))
 
-    @pytest.mark.parametrize("law", [design_correlated_sign_law(Fraction(1, 3)), SKEWED_PAIR_LAW])
+    @pytest.mark.parametrize(
+        "law", [design_correlated_sign_law(Fraction(1, 3)), SKEWED_PAIR_LAW, FRACTIONAL_PAIR_LAW])
     def test_pair_atom_moment_is_the_atom_sum(self, law):
         for k in range(7):
             assert law.atom_moment(k) == sum(p * a**k for a, _b, p in law.atoms)
@@ -124,7 +137,7 @@ class TestSparseLaws:
         with pytest.raises(ValueError):
             law.atom_moment(1, 1, 1)
 
-    @pytest.mark.parametrize("law", [sign_scalar_law(), SKEWED_LAW])
+    @pytest.mark.parametrize("law", [sign_scalar_law(), SKEWED_LAW, FRACTIONAL_LAW])
     def test_scalar_atom_moment_is_the_atom_sum(self, law):
         for k in range(9):
             assert law.atom_moment(k) == sum(p * v**k for v, p in law.atoms)
