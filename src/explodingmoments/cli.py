@@ -13,7 +13,7 @@ Subcommands:
 Configuration may come from a single JSON document (--config); explicit
 flags override file fields, and every run embeds its fully resolved
 configuration in the output for provenance.  Each input is checked once:
-the config checks its own fields, ``_resolve_setup`` reads the law or
+the config checks its own fields, ``_resolve_law`` reads the law or
 profile file, and ``dispatch`` maps the library's input errors in setup
 and exact work, not in sampling, to usage errors.  Exit status: 0 on
 success, 1 if any verify row fails, 2 on usage errors (one ``error:`` line).
@@ -180,20 +180,20 @@ def _read_json(what: str, path: str):
         raise UsageError(f"{what} {path!r}: {exc}") from exc
 
 
-def _resolve_setup(cfg: ExperimentConfig):
-    """Return (law or None, prediction profile) for the configured model; a
-    profile document has no law, so a command reading --n rejects it."""
-    kmax_profile = max(8, 2 * min(cfg.kmax, 6))
+def _resolve_law(cfg: ExperimentConfig):
+    """Return (law or None, constants) for the configured model, where
+    ``constants(kmax=...)`` builds the prediction profile; a profile
+    document has no law, so a command reading --n rejects it."""
     if cfg.profile == "sign":
         if cfg.model in PAIR_MODELS:
             law = design_correlated_sign_law(Fraction(cfg.rho))
-            return law, profile_of_sparse_law(law, kmax=kmax_profile)
+            return law, partial(profile_of_sparse_law, law)
         law = sign_scalar_law()
-        return law, profile_of_scalar_law(law, kmax=kmax_profile)
+        return law, partial(profile_of_scalar_law, law)
     if cfg.profile == "light":
         if cfg.model in PAIR_MODELS:
             raise UsageError(f"the light profile has no dependent-pair law for model {cfg.model}")
-        return GaussianLaw(), light_profile(kmax=kmax_profile)
+        return GaussianLaw(), light_profile
     doc = _read_json("profile file", cfg.profile)
     readers = (
         ("pair_law", partial(law_from_dict, SparsePairLaw), profile_of_sparse_law),
@@ -208,13 +208,19 @@ def _resolve_setup(cfg: ExperimentConfig):
         except DocumentError as exc:
             raise UsageError(f"profile file {cfg.profile!r}: {exc}") from exc
         if constants is not None:
-            return value, constants(value, kmax=kmax_profile)
+            return value, partial(constants, value)
         if _COMMANDS[cfg.command].reads_n:
             raise UsageError(f"{cfg.command} needs an entry law, not just a profile")
-        return None, value
+        return None, lambda kmax: value
     raise UsageError(
         f"profile file {cfg.profile!r} must contain 'pair_law', 'scalar_law', or 'profile'"
     )
+
+
+def _resolve_setup(cfg: ExperimentConfig):
+    """Return (law or None, prediction profile) for the configured model."""
+    law, constants = _resolve_law(cfg)
+    return law, constants(kmax=max(8, 2 * min(cfg.kmax, 6)))
 
 
 def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fraction:
@@ -317,7 +323,7 @@ def _cmd_verify(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
 
 
 def _cmd_oracle(cfg: ExperimentConfig) -> dict:
-    law, _profile = _resolve_setup(cfg)
+    law, _constants = _resolve_law(cfg)
     tables = exact_table(cfg.model, law, cfg.n, cfg.kmax)
     values = []
     for n in cfg.n:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explodingmoments import limits, partitions
 from explodingmoments.limits import (
     LimitValue,
     asymptotic_order,
@@ -150,6 +151,20 @@ def enumerated_limit(k, profile):
                Fraction(0))
 
 
+def enumerated_covariance(k, l, profile):
+    """The elliptic kernel as the sum of tau over the pruned (k, l) gluings
+    that share a directed edge."""
+    leaves = walk_partitions((k, l), prune=True)
+    return sum((tau(leaf, "elliptic", profile) for leaf in leaves if leaf.shared), Fraction(0))
+
+
+def diagonal_profile(diagonal):
+    """A profile of the diagonal constants C_(m,m), m = 1, 2, ..., alone:
+    only they weigh a closed walk on a tree."""
+    return MomentProfile(alpha=1, kmax=2 * len(diagonal),
+                         pair_table={(m, m): c for m, c in enumerate(diagonal, 1)})
+
+
 # 0, negative and positive rationals
 CONSTANT = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6))
 
@@ -160,9 +175,7 @@ class TestTreeWalkRecursion:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(CONSTANT, min_size=5, max_size=5))
     def test_equals_pruned_enumeration(self, diagonal):
-        # only the diagonal constants C_(m,m) weigh a closed walk on a tree
-        profile = MomentProfile(alpha=1, kmax=10,
-                                pair_table={(m, m): c for m, c in enumerate(diagonal, 1)})
+        profile = diagonal_profile(diagonal)
         for k in range(1, 11):
             assert limit_trace_moment("elliptic", k, profile) == enumerated_limit(k, profile)
 
@@ -178,6 +191,70 @@ class TestTreeWalkRecursion:
             else:
                 assert limit_trace_moment("elliptic", k, profile) == expected
                 assert k <= 5 or k % 2
+
+
+class TestCovarianceRecursion:
+    """The two-colour tree-walk recursion equals the sum over the pruned
+    gluings that share an edge."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(CONSTANT, min_size=4, max_size=4))
+    def test_equals_pruned_enumeration(self, diagonal):
+        # k, l <= 4: the (6, 6) enumeration alone takes about 0.2 s
+        profile = diagonal_profile(diagonal)
+        for k in range(1, 5):
+            for l in range(1, 5):
+                assert covariance_trace(k, l, "elliptic", profile) == (
+                    enumerated_covariance(k, l, profile))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(CONSTANT, min_size=6, max_size=6))
+    def test_symmetric(self, diagonal):
+        profile = diagonal_profile(diagonal)
+        for k in range(1, 7):
+            for l in range(k, 7):
+                assert covariance_trace(k, l, "elliptic", profile) == (
+                    covariance_trace(l, k, "elliptic", profile))
+
+    @pytest.mark.parametrize("rho", ["1/2", "1", "-1/3"])
+    def test_sign_pair_profiles_up_to_the_cap(self, rho):
+        profile = profile_of_sparse_law(design_correlated_sign_law(Fraction(rho)), kmax=12)
+        for k in range(1, 7):
+            for l in range(k, 7):
+                expected = enumerated_covariance(k, l, profile)
+                assert covariance_trace(k, l, "elliptic", profile) == expected
+                assert covariance_trace(l, k, "elliptic", profile) == expected
+
+    def test_no_enumeration(self, monkeypatch, sign_pair_profile):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk_partitions called")
+
+        # the name in limits too, in case limits imports it again; and cold
+        # tables, so that every entry is computed under the patch
+        monkeypatch.setattr(partitions, "walk_partitions", refuse)
+        monkeypatch.setattr(limits, "walk_partitions", refuse, raising=False)
+        limits._tables.cache_clear()
+        means = [limit_trace_moment("elliptic", k, sign_pair_profile) for k in range(1, 11)]
+        kernel = {(k, l): covariance_trace(k, l, "elliptic", sign_pair_profile)
+                  for k in range(1, 7) for l in range(1, 7)}
+        assert means[9] == Fraction(1119, 16)
+        assert kernel[6, 6] == Fraction(4357, 8)
+
+    def test_short_profile_fails_as_the_enumeration(self):
+        # C_(m,m) with 2m <= 4 only
+        profile = profile_of_sparse_law(design_correlated_sign_law(Fraction(1, 2)), kmax=4)
+        for k in range(1, 7):
+            for l in range(1, 7):
+                try:
+                    expected = enumerated_covariance(k, l, profile)
+                except MomentTableError as exc:
+                    assert k % 2 == l % 2 == 0 and k + l >= 6
+                    with pytest.raises(MomentTableError, match=re.escape(str(exc))):
+                        covariance_trace(k, l, "elliptic", profile)
+                else:
+                    assert covariance_trace(k, l, "elliptic", profile) == expected
+                    assert expected == (2 if k == l == 2 else 0)
+                    assert k % 2 or l % 2 or k + l < 6
 
 
 class TestCovariance:

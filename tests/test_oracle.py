@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from explodingmoments import oracle
+from explodingmoments import cli, oracle
+from explodingmoments.cli import main
 from explodingmoments.limits import circulant_limit_moment, covariance_trace, limit_trace_moment
 from explodingmoments.oracle import MAX_N_POLY, ExactMomentTable, Laurent, exact_table
 import reference_sums
@@ -494,3 +495,23 @@ class TestLimitIsLeadingCoefficient:
         # rho = 1/2: E[Tr(A^6)]/N = 33/8 + (7/8)/N - 7/N^2 + 3/N^3
         poly = oracle._laurent_table(ExactMomentTable(sign_pair_law), [(6,)])[(6, None)]
         assert poly == Laurent({0: Fraction(33, 8), -2: Fraction(7, 8), -4: -7, -6: 3})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "elliptic", "--n", "8", "--kmax", "4", "--rho", "1/2"],
+    ["--model", "iid", "--n", "8", "--kmax", "4", "--profile", "light"],
+    ["--model", "circulant", "--n", "7", "--kmax", "4"],
+])
+def test_oracle_command_builds_no_profile(argv, monkeypatch, capsys):
+    # the oracle reads the entry law alone; the same report without any
+    # constants table
+    assert main(["oracle", *argv]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prediction profile built")
+
+    for name in ("profile_of_sparse_law", "profile_of_scalar_law", "light_profile"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["oracle", *argv]) == 0
+    assert capsys.readouterr().out == expected
