@@ -289,8 +289,8 @@ class SparseChunk(NamedTuple):
 
     @classmethod
     def of_csr(cls, mat: sparse.csr_matrix) -> SparseChunk:
-        """The stored entries of a square CSR matrix, duplicates summed first
-        as scipy's products would sum them."""
+        """The stored entries of a square CSR matrix in canonical order:
+        each row's columns ascending, duplicates summed."""
         if not mat.has_canonical_format:
             mat = mat.copy()
             mat.sum_duplicates()

@@ -38,17 +38,14 @@ sum_ij (A^a)_ij (A^b)_ji with a = floor(k/2) and b = ceil(k/2),
 sorting each power's keys once, and sums the core's terms apart from the
 other rows' terms, which moves the sum at rounding level.  The products
 and pairings run on numpy arrays of A_C's entries, with no CSR matrix and
-no sparse-matrix library: Gustavson's row-wise product (ACM TOMS 4, 1978),
-as scipy's CSR kernels implement it, summing each entry's terms in their
-order, dropping exact-zero sums and storing each row in the order scipy
-stores it, so the traces equal those of scipy's products bit for bit.
-The products of A_C sum, row by row, the terms a sample's own core
-would, and a sample's rows are peeled and folded in the same rounds
-whatever chunks share its run, so the traces do not depend on how chunks
-are grouped.  Group
-boundaries depend only on M and the matrix size, and
-``EXPLODINGMOMENTS_THREADS`` threads map over groups, so results do not
-depend on the thread count.
+no sparse-matrix library: Gustavson's row-wise product (ACM TOMS 4, 1978)
+in canonical order, each power's positions ascending and each entry's terms
+summed in ascending inner index.  The products of A_C sum, row by row, the
+terms a sample's own core would, and a sample's rows are peeled and folded
+in the same rounds whatever chunks share its run, so the traces do not
+depend on how chunks are grouped.  Group boundaries depend only on M and
+the matrix size, and ``EXPLODINGMOMENTS_THREADS`` threads map over groups,
+so results do not depend on the thread count.
 Dense (Gaussian) replicas go one per chunk through repeated products.
 
 Circulant replicas never form a matrix.  Their generators are drawn in
@@ -61,9 +58,8 @@ equal to ``default_rng(seed + r)``, and one kernel gives Tr(C^k)/N for a
 sample or a chunk: the real FFT of the generator gives the half-spectrum
 lambda_0..lambda_(N//2), and since lambda_(N-j) = conj(lambda_j) for a real
 generator, the power sum over all N eigenvalues is a weighted real sum over
-that half.  That sum is a BLAS matrix-vector product, whose rounding can
-depend on a row's place in its chunk, so chunk boundaries depend only on M
-and N and the chunk size is a constant, not a setting.
+that half, taken row by row outside BLAS, so a replica's traces do not
+depend on its place in its chunk.
 
 The bootstrap never gathers a resampled copy of the traces.  Each resample
 is one ``rng.integers`` draw of M indices from its own seeded stream, turned
@@ -405,17 +401,10 @@ def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> No
     terms, which moves these traces at rounding level.  Each power's keys
     are sorted once.
 
-    Every sum is the one scipy's CSR kernels form, bit for bit, with A_C
-    as a canonical CSR matrix, A^(p+1) = A^p @ A_C, and each pairing
-    ``A^a.multiply(A^b.T)`` summed by ``bincount`` in stored order:
-    - a product entry is 0 + a_1 b_1 + a_2 b_2 + ..., its terms in the
-      stored order of the left row (:func:`_product`);
-    - a product stores no exact-zero sum, -0.0 included;
-    - a product stores each row in reverse first-touch order, which the
-      next product and the pairings read;
-    - a pairing adds a row's terms in ascending columns when A^a happens to
-      be canonical (scipy's sorted merge), and otherwise in the reverse of
-      A^a's stored order (:func:`_visits`); the transpose is always sorted."""
+    Every power is held in canonical order, its positions ascending; a
+    product entry is 0 + sum_j a_ij b_jk in ascending j, an exact-zero sum
+    is not stored (:func:`_product`), and a pairing adds each block's terms
+    in canonical order."""
     size, rows = peeled.size, peeled.rows
     first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
     blocks = len(out)
@@ -444,7 +433,7 @@ def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> No
         found = np.zeros(len(key))
         if len(right.place):
             at = np.searchsorted(right.place, key)
-            np.copyto(found, right.value.take(at, mode="clip"), where=right.place.take(at, mode="clip") == key)
+            np.copyto(found, right.val.take(at, mode="clip"), where=right.place.take(at, mode="clip") == key)
         paired = np.empty(len(key))
         paired[order] = found
         paired *= val
@@ -473,32 +462,35 @@ def _batch_traces(peeled: _Peeled, norm: int, k_max: int, out: np.ndarray) -> No
 
 
 class _Power(NamedTuple):
-    """A power of A_C as scipy's products store it: entry e at (row[e],
-    col[e]) with value val[e], the rows ascending and row i's entries at
-    ptr[i]..ptr[i + 1] - 1; and its positions row n + col ascending
-    (``place``), with their values (``value``)."""
+    """A power of A_C in canonical order: entry e at (row[e], col[e]) with
+    value val[e], its position place[e] = row[e] n + col[e] ascending, and
+    row i's entries at ptr[i]..ptr[i + 1] - 1."""
 
     ptr: np.ndarray
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
     place: np.ndarray
-    value: np.ndarray
+
+
+def _power(place: np.ndarray, val: np.ndarray, n: int) -> _Power:
+    """The n x n matrix of the ascending positions ``place`` and their
+    values."""
+    row = place // n
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return _Power(ptr, row, place - row * n, val, place)
 
 
 def _csr(core: SparseChunk) -> _Power:
-    """The canonical CSR matrix of ``core``: the entries sorted by row, then
-    column, as ``coo.tocsr`` stores distinct positions, the values as
-    float64."""
+    """The canonical CSR matrix of ``core``, whose positions are distinct,
+    the values as float64."""
     n = core.size
     place = np.concatenate([core.src, core.diag_at]).astype(np.intp)
     place *= n
     place += np.concatenate([core.dst, core.diag_at])
     place, order = _sorted(place, n * n)
-    row = place // n
-    col = place - row * n
-    val = np.concatenate([core.val, core.diag]).take(order).astype(float, copy=False)
-    return _Power(_indptr(row, n), row, col, val, place, val)
+    return _power(place, np.concatenate([core.val, core.diag]).take(order).astype(float, copy=False), n)
 
 
 def _sorted(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -517,33 +509,19 @@ def _sorted(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return packed, order
 
 
-def _indptr(row: np.ndarray, n: int) -> np.ndarray:
-    """CSR row bounds of entries whose rows ``row``, in 0..n - 1, ascend."""
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr
-
-
 def _product(left: _Power, right: _Power, n: int) -> _Power:
-    """left @ right, two n x n matrices, ``right`` canonical, with the
-    values and stored order of scipy's ``csr_matmat`` (Gustavson's row-wise
-    product): entry (i, k) is 0 + sum_j left_ij right_jk, its terms added in
-    the stored order of left's row i, and a sum that is exactly 0 is not
-    stored.  Each row's entries are stored in the reverse of the order in
-    which their first terms come.
+    """left @ right, two canonical n x n matrices, by Gustavson's row-wise
+    product, canonical too: entry (i, k) is 0 + sum_j left_ij right_jk, its
+    terms added in ascending j, and a sum that is exactly 0 is not stored.
 
-    Each left entry is expanded over its right row, so the terms come in
-    that order; one stable sort by position puts each entry's terms
-    together in order, and ``bincount`` adds them from 0 in that order.
-    Reflected within its row's terms, an entry's first term gives a
-    distinct slot among the terms, in the stored order, so that order is
-    one scatter rather than a sort."""
+    Each left entry is expanded over its right row, so each row's terms come
+    in ascending j; one stable sort by position puts each entry's terms
+    together in that order, and ``bincount`` adds them from 0."""
     count = np.diff(right.ptr).take(left.col)
     ends = np.cumsum(count)
     total = int(ends[-1]) if len(ends) else 0
     if not total:
-        empty = np.zeros(0, dtype=np.intp)
-        return _Power(np.zeros(n + 1, dtype=np.intp), empty, empty, np.zeros(0), empty, np.zeros(0))
+        return _power(np.zeros(0, dtype=np.intp), np.zeros(0), n)
     # the right entry of each term: its left entry's right row, in order
     at = np.repeat(right.ptr.take(left.col) - ends + count, count)
     at += np.arange(total)
@@ -556,41 +534,18 @@ def _product(left: _Power, right: _Power, n: int) -> _Power:
     start[0] = True
     np.not_equal(place[1:], place[:-1], out=start[1:])
     sums = np.bincount(np.cumsum(start) - 1, terms.take(order))
-    touch = order.compress(start)
-    place = place.compress(start)
-    row = place // n
-    # the terms of row i are span[i]..span[i + 1] - 1
-    span = np.concatenate([[0], ends]).take(left.ptr)
-    slot = (span[:-1] + span[1:] - 1).take(row)
-    slot -= touch
     stored = sums != 0
-    spot = np.full(total, -1)
-    spot[slot.compress(stored)] = np.flatnonzero(stored)
-    pick = spot.compress(spot >= 0)
-    row = row.take(pick)
-    col = place.take(pick)
-    col -= row * n
-    return _Power(_indptr(row, n), row, col, sums.take(pick), place.compress(stored), sums.compress(stored))
+    return _power(place.compress(start).compress(stored), sums.compress(stored), n)
 
 
 def _visits(power: _Power, n: int, row_block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The entries (i, j) of ``power`` in the order scipy's elementwise
-    product with a canonical matrix adds them up: the stored order when
-    every row's columns ascend, which makes ``power`` canonical too, and
-    otherwise each row's entries in reverse stored order.  In that order
-    their values and the blocks of their rows; then their transposed keys
-    j n + i ascending, and the argsort that sorts them."""
-    row, col, val = power.row, power.col, power.val
-    key = row * n
-    key += col
-    if not np.array_equal(key, power.place):
-        turn = (power.ptr[:-1] + power.ptr[1:] - 1).take(row)
-        turn -= np.arange(len(row))
-        col, val = col.take(turn), val.take(turn)
-    key = col * n
-    key += row
+    """The values of the entries (i, j) of ``power`` in canonical order and
+    the blocks of their rows; then their transposed keys j n + i ascending,
+    and the argsort that sorts them."""
+    key = power.col * n
+    key += power.row
     key, order = _sorted(key, n * n)
-    return val, row_block.take(row), key, order
+    return power.val, row_block.take(power.row), key, order
 
 
 def _core_rows(src: np.ndarray, dst: np.ndarray, n: int, rounds: Optional[int] = None) -> np.ndarray:
@@ -652,7 +607,8 @@ def _circulant_power_sums(x: np.ndarray, k_max: int) -> np.ndarray:
     out = np.empty(x.shape[:-1] + (k_max,))
     acc = lam.copy()
     for k in range(k_max):
-        out[..., k] = acc.real @ w
+        # summed per row outside BLAS, whose gemv rounds a row by its place
+        out[..., k] = np.einsum("...j,j->...", acc.real, w)
         if k + 1 < k_max:
             acc *= lam
     return out

@@ -390,14 +390,15 @@ def reference_circulant_generator(law, n: int, rng, branches: Counter) -> np.nda
 
 
 def reference_trace_powers(matrix, norm: int, k_max: int) -> np.ndarray:
-    """[Tr(A^k) / norm for k = 1..k_max] of one sparse or dense matrix A by
-    sequential products A^k = A^(k-1) A, each trace the sum of a diagonal."""
+    """[Tr(A^k) / norm for k = 1..k_max] of one sparse matrix A by
+    sequential products A^k = A^(k-1) A, each in canonical order, each trace
+    the sum of a diagonal."""
     out = np.empty(k_max)
     power = matrix
     for k in range(k_max):
         out[k] = power.diagonal().sum() / norm
         if k + 1 < k_max:
-            power = power @ matrix
+            power = (power @ matrix).sorted_indices()
     return out
 
 
@@ -406,9 +407,10 @@ def reference_chunk_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: in
     diagonal blocks of one chunk: the rows off the cyclic core add the powers
     of their diagonal entry, the core rows become one CSR matrix A_C,
     relabelled in order, and with h = ceil(k_max/2) the traces for k <= h
-    are per-block sums of the diagonals of A_C, ..., A_C^h, those for k > h
-    per-block sums of (A^a)_ij (A^b)_ji with a = floor(k/2), b = ceil(k/2),
-    each pairing transposing A_C^b afresh."""
+    are per-block sums of the diagonals of A_C, ..., A_C^h, each product in
+    canonical order, those for k > h per-block sums of (A^a)_ij (A^b)_ji
+    with a = floor(k/2), b = ceil(k/2), each pairing transposing A_C^b
+    afresh."""
     size = chunk.size // blocks
     core = _core_rows(chunk.src, chunk.dst, chunk.size)
     rows = np.flatnonzero(core)
@@ -429,7 +431,7 @@ def reference_chunk_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: in
     loop_powers[0][chunk.diag_at] = chunk.diag
     loop_powers[0][rows] = 0.0
     while len(powers) < half:
-        powers.append(powers[-1] @ mat)
+        powers.append((powers[-1] @ mat).sorted_indices())
         loop_powers.append(loop_powers[-1] * loop_powers[0])
     out = np.empty((blocks, k_max))
     for k in range(1, k_max + 1):
@@ -461,9 +463,10 @@ def reference_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarr
 
 
 def reference_batch_traces(peeled, norm: int, k_max: int, out: np.ndarray) -> None:
-    """``estimator._batch_traces`` with the products and pairings of scipy:
-    write Tr(B_r^k) / norm, k = 1..k_max, for the samples B_r of ``peeled``
-    in order, to the rows of ``out``, (blocks, k_max)."""
+    """``estimator._batch_traces`` with the products and pairings of scipy,
+    each product in canonical order: write Tr(B_r^k) / norm, k = 1..k_max,
+    for the samples B_r of ``peeled`` in order, to the rows of ``out``,
+    (blocks, k_max)."""
     size, rows = peeled.size, peeled.rows
     first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
     blocks = len(out)
@@ -471,7 +474,7 @@ def reference_batch_traces(peeled, norm: int, k_max: int, out: np.ndarray) -> No
     half = (k_max + 1) // 2
     powers = [mat]
     while len(powers) < half:
-        powers.append(powers[-1] @ mat)
+        powers.append((powers[-1] @ mat).sorted_indices())
     diagonals = [power.diagonal() for power in powers]
     core_block = rows // size
     for k in range(half + 1, k_max + 1):

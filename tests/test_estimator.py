@@ -283,6 +283,21 @@ class TestReplicaBatches:
             assert np.array_equal(got, default[k_max]), k_max
             self.assert_matches_reference(got, spec, k_max)
 
+    def test_elliptic_runs_of_whole_groups(self, sign_law, sign_pair_law, monkeypatch):
+        # the elliptic samples are the ones the fold acts on: runs of up to
+        # eight chunks, a whole group each, give the traces of the default
+        # runs of two chunks bit for bit
+        spec = sparse_spec("elliptic", 500, 4, sign_law, sign_pair_law)
+        events = self.record_batches(monkeypatch)
+        default = {k_max: _replica_traces(spec, k_max, 200) for k_max in (5, 6, 8)}
+        assert max(size for what, size in events if what == "batch") < 8
+        monkeypatch.setattr(estimator, "BATCH_CORE_ROWS", 10**6)
+        for k_max in (5, 6, 8):
+            events.clear()
+            got = _replica_traces(spec, k_max, 200)
+            assert [size for what, size in events if what == "batch"] == [8, 5]
+            assert np.array_equal(got, default[k_max]), k_max
+
     @pytest.mark.parametrize("kind", ["iid", "block", "centrosymmetric"])
     def test_batch_with_empty_cores(self, kind, sign_law, sign_pair_law):
         # a run of chunks whose cores are empty, or lie in one block
@@ -516,15 +531,13 @@ def whole_core(mat):
 
 
 def stored(power, mat):
-    """Whether the kernel's ``power`` holds the entries of the scipy CSR
-    ``mat`` in its stored order, and by position in ``place``."""
+    """Whether the kernel's ``power`` holds the entries of the canonical
+    scipy CSR ``mat``, by row and column and by position in ``place``."""
     n = mat.shape[0]
-    ordered = mat.copy()
-    ordered.sort_indices()
-    rows = np.repeat(np.arange(n), np.diff(ordered.indptr))
-    return (np.array_equal(power.ptr, mat.indptr) and np.array_equal(power.col, mat.indices)
-            and same_bits(power.val, mat.data) and np.array_equal(power.place, rows * n + ordered.indices)
-            and same_bits(power.value, ordered.data))
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    return (np.array_equal(power.ptr, mat.indptr) and np.array_equal(power.row, rows)
+            and np.array_equal(power.col, mat.indices) and same_bits(power.val, mat.data)
+            and np.array_equal(power.place, rows * n + mat.indices))
 
 
 @st.composite
@@ -541,8 +554,8 @@ def square_pairs(draw):
 class TestScipyKernel:
     """The kernel's numpy products and pairings against scipy's, bit for
     bit: ``reference_sums.reference_batch_traces`` is the kernel with the
-    core as a scipy CSR matrix, its powers by ``@`` and its pairings by
-    ``multiply`` with each transpose."""
+    core as a scipy CSR matrix, its powers by ``@`` with sorted indices and
+    its pairings by ``multiply`` with each transpose."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 500])
     @pytest.mark.parametrize("kind", SPARSE_MODELS)
@@ -575,11 +588,11 @@ class TestScipyKernel:
         n = a.shape[0]
         right = _csr(SparseChunk.of_csr(b))
         assert stored(right, b)
-        # the first product's left operand is canonical, the second's is
-        # stored as a product stores it
+        # scipy's product of canonical operands sums each entry in ascending
+        # inner index and stores no exact zero, as the kernel's does
         power, want = _csr(SparseChunk.of_csr(a)), a
         for _ in range(3):
-            power, want = _product(power, right, n), want @ b
+            power, want = _product(power, right, n), (want @ b).sorted_indices()
             assert stored(power, want)
 
     @settings(max_examples=200, deadline=None)
@@ -593,9 +606,9 @@ class TestScipyKernel:
                 assert same_bits(got, want), k_max
 
     def test_pairings_with_sorted_and_unsorted_left(self):
-        # the powers of a 3-cycle hold one entry a row, so they are
-        # canonical, and each pairing takes scipy's sorted merge; loops on
-        # the cycle leave the rows of its powers in reverse first-touch order
+        # the powers of a 3-cycle hold one entry a row, so scipy stores them
+        # canonical; loops on the cycle make scipy store the rows of its
+        # powers unsorted, and the reference sorts them
         cycle = {(0, 1): 0.1, (1, 2): 0.7, (2, 0): -1.3}
         for entries, canonical in ((cycle, True), ({**cycle, (0, 0): 0.3, (1, 1): -0.6, (2, 2): 0.9}, False)):
             mat = csr_of(3, entries)
@@ -763,11 +776,22 @@ class TestRunExperiment:
         # the batched FFT path must reproduce the one-sample path exactly
         spec = EnsembleSpec(kind="circulant", n=16, law=sign_law, seed=9)
         stats = run_experiment(spec, 4, 12)
-        from dataclasses import replace
-
         for i in range(12):
             one = trace_powers(sample(replace(spec, seed=spec.seed + 1 + i)), 4)
-            assert np.allclose(stats.traces[i], one, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(stats.traces[i], one), i
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_circulant_rows_do_not_depend_on_chunks(self, rows, sign_law, monkeypatch):
+        # chunks of 1, 3 and 7 replicas give each replica the traces of the
+        # default chunk and of the one-sample path, bit for bit
+        specs = [EnsembleSpec(kind="circulant", n=64, law=law, seed=11) for law in (sign_law, GaussianLaw())]
+        default = [_replica_traces(spec, 6, 20) for spec in specs]
+        monkeypatch.setattr(estimator, "CIRCULANT_CHUNK_ENTRIES", 64 * rows)
+        for spec, want in zip(specs, default):
+            got = _replica_traces(spec, 6, 20)
+            assert np.array_equal(got, want)
+            for i, row in enumerate(got):
+                assert np.array_equal(row, trace_powers(sample(replace(spec, seed=spec.seed + 1 + i)), 6)), i
 
     def test_circulant_rows_across_chunks_are_the_seeded_draws(self, sign_law, monkeypatch):
         # at N = 4096 a chunk holds 64 replicas: 1000 replicas take sixteen
