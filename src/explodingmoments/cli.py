@@ -1,7 +1,7 @@
 """Command-line entry point tying profiles, ensembles, predictions, oracle,
 and Monte Carlo into reproducible experiment runs.
 
-Subcommands:
+Commands, all taking one set of options, before or after the command:
 
   limits      print the limiting trace-moment table of a model
   covariance  print the limiting fluctuation covariance kernel
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,9 +149,7 @@ class ExperimentConfig:
             raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")
 
     def as_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["n"] = list(self.n)
-        return doc
+        return {**dataclasses.asdict(self), "n": list(self.n)}
 
     @staticmethod
     def from_dict(doc, **overrides) -> "ExperimentConfig":
@@ -374,7 +373,7 @@ def _cmd_weaver(cfg: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, dict]:
 
 
 class _Command(NamedTuple):
-    """One subcommand.  ``setup(cfg)`` reads the law and does the exact
+    """One command.  ``setup(cfg)`` reads the law and does the exact
     work, and ``dispatch`` maps the library input errors it raises to usage
     errors.  ``draw(cfg, setup's result)`` samples and returns (exit status,
     report fields); a command without one reports what its setup returned."""
@@ -411,31 +410,28 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # every subcommand takes the same options: declared once, since each
-    # add_argument call builds a help formatter that reads the terminal size
-    options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--config", help="JSON config file; flags override its fields")
-    options.add_argument("--model", choices=MODELS)
-    options.add_argument("--n", type=int, action="append",
-                         help="matrix size (repeatable for oracle)")
-    options.add_argument("--kmax", type=int)
-    options.add_argument("--reps", type=int)
-    options.add_argument("--seed", type=int)
-    options.add_argument("--rho", help="pair correlation for the sign law, e.g. 1/2")
-    options.add_argument("--profile", help="sign | light | path to a law/profile JSON")
-    options.add_argument("--z-threshold", type=float, dest="z_threshold")
-    options.add_argument("--paper-formula", action="store_true", default=None,
-                         help="use the uncorrected circulant moment display")
-    options.add_argument("--format", choices=_FORMATS, dest="fmt")
-    options.add_argument("--out", help="write the report document to this path")
+    # one parser with the command as a positional: subparsers would build one
+    # parser per command, each add_argument of each reading the terminal size
     parser = argparse.ArgumentParser(
         prog="explodingmoments",
         description="trace-moment limits and Monte Carlo verification for "
         "exploding-moment random matrices",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[options])
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file; flags override its fields")
+    parser.add_argument("--model", choices=MODELS)
+    parser.add_argument("--n", type=int, action="append",
+                        help="matrix size (repeatable for oracle)")
+    parser.add_argument("--kmax", type=int)
+    parser.add_argument("--reps", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--rho", help="pair correlation for the sign law, e.g. 1/2")
+    parser.add_argument("--profile", help="sign | light | path to a law/profile JSON")
+    parser.add_argument("--z-threshold", type=float, dest="z_threshold")
+    parser.add_argument("--paper-formula", action="store_true", default=None,
+                        help="use the uncorrected circulant moment display")
+    parser.add_argument("--format", choices=_FORMATS, dest="fmt")
+    parser.add_argument("--out", help="write the report document to this path")
     return parser
 
 
@@ -465,10 +461,14 @@ def _json_default(x):
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        # checked, not opened, before the run: no sampling is lost, no empty file left
+        folder = os.path.dirname(cfg.out or "") or "."
+        if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(folder)
+                        or not os.access(folder, os.W_OK)):
+            raise UsageError(f"--out {cfg.out!r} is not a file in a writable directory")
         code, doc = dispatch(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
-import argparse
 import contextlib
 import csv
 import io
 import json
+import shlex
 import tempfile
 import time
 from dataclasses import replace
@@ -37,7 +37,8 @@ from explodingmoments.profiles import (
     sign_scalar_law,
 )
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["limits", "--model", "toeplitz"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--model", "iid"], ["--n", "5", "sample"]])
+    def test_unknown_or_missing_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("explodingmoments: error: ")
+
+    @pytest.mark.parametrize("out", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.setattr(estimator, "run_experiment", lambda *args: pytest.fail("sampled"))
+        path = str(tmp_path / out)
+        code, stdout, err = run_cli(capsys, "verify", "--model", "circulant", "--n", "8",
+                                    "--reps", "20", "--out", path)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {path!r} is not a file in a writable directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -247,15 +267,31 @@ class TestConfigPrecedence:
         assert doc["config"]["seed"] == 9
 
     def test_every_command_takes_the_same_options(self):
-        # the subparsers share one declaration of the config fields' flags
-        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        options = {name: sorted(flag for action in p._actions for flag in action.option_strings)
-                   for name, p in sub.choices.items()}
-        assert set(options) == set(_COMMANDS)
-        flags = sorted(["-h", "--help", "--config", "--model", "--n", "--kmax", "--reps",
-                        "--seed", "--rho", "--profile", "--z-threshold", "--paper-formula",
-                        "--format", "--out"])
-        assert all(found == flags for found in options.values())
+        # one parser: the command is its one positional, and the config
+        # fields' flags are declared once
+        parser = _build_parser()
+        flags = sorted(flag for action in parser._actions for flag in action.option_strings)
+        assert flags == sorted(["-h", "--help", "--config", "--model", "--n", "--kmax", "--reps",
+                                "--seed", "--rho", "--profile", "--z-threshold",
+                                "--paper-formula", "--format", "--out"])
+        (command,) = [action for action in parser._actions if not action.option_strings]
+        assert command.dest == "command"
+        assert list(command.choices) == list(_COMMANDS)
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_options_before_or_after_the_command(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 30}))
+        fmt = "csv" if command == "verify" else "json"
+        flags = ["--config", str(cfg), "--model", "elliptic", "--n", "5", "--n", "7",
+                 "--kmax", "2", "--seed", "3", "--rho", "1/3", "--profile", "sign",
+                 "--z-threshold", "3.5", "--paper-formula", "--format", fmt, "--out", "r.json"]
+        expected = ExperimentConfig(
+            command=command, model="elliptic", n=(5, 7), kmax=2, reps=30, seed=3, rho="1/3",
+            profile="sign", z_threshold=3.5, paper_formula=True, fmt=fmt, out="r.json",
+        )
+        for argv in ([command, *flags], [*flags, command], [*flags[:8], command, *flags[8:]]):
+            assert _config_from_args(_build_parser().parse_args(argv)) == expected
 
     def test_circulant_light_script_config(self):
         path = SCRIPTS / "verify_circulant_light.json"
@@ -264,6 +300,37 @@ class TestConfigPrecedence:
             command="verify", model="circulant", n=(512,), kmax=3, reps=20000,
             seed=20240801, profile="light",
         )
+
+
+def _readme_cli_argvs() -> list[list[str]]:
+    """Every ``explodingmoments`` line of README's CLI section as argv, a
+    bracketed flag taken both without and with it."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("\n## CLI\n"):]
+    section = section[:section.index("\n## ", 1)]
+    argvs = []
+    for line in section.splitlines():
+        if line.startswith("explodingmoments "):
+            words = shlex.split(line, comments=True)[1:]
+            argvs.append([w for w in words if not w.startswith("[")])
+            if any(w.startswith("[") for w in words):
+                argvs.append([w.strip("[]") for w in words])
+    return argvs
+
+
+def test_readme_cli_examples_cover_every_command():
+    argvs = _readme_cli_argvs()
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    assert ["verify", "--config", "scripts/verify_circulant_light.json"] in argvs
+    assert ["limits", "--model", "circulant", "--kmax", "6", "--paper-formula"] in argvs
+
+
+@pytest.mark.parametrize("argv", _readme_cli_argvs(), ids=" ".join)
+def test_readme_cli_example_is_a_valid_config(monkeypatch, argv):
+    # parsed and checked only: nothing is sampled
+    monkeypatch.chdir(ROOT)
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    assert isinstance(cfg, ExperimentConfig) and cfg.command == argv[0]
 
 
 class TestVerifyCommand:
