@@ -20,17 +20,16 @@ success, 1 if any verify row fails, 2 on usage errors (one ``error:`` line).
 
 Only the commands that sample (simulate, verify, weaver) import the
 sampling modules, and with them numpy; limits, covariance and oracle run on
-the exact layers alone.
+the exact layers alone, which import neither numpy, scipy nor
+``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -94,11 +93,7 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run configuration; embedded in every report.  However
-    it is built, it raises UsageError for the first field its command cannot run."""
-
+class _ConfigFields(NamedTuple):
     command: str
     model: str = "elliptic"
     n: tuple[int, ...] = (100,)
@@ -112,12 +107,20 @@ class ExperimentConfig:
     fmt: str = "json"  # "json" | "csv"
     out: Optional[str] = None
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ConfigFields):
+    """Fully resolved run configuration; embedded in every report.  However
+    it is built, it raises UsageError for the first field its command cannot run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **fields):
+        self = super().__new__(cls, *args, **fields)
         for name, (kinds, wanted) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if type(value) not in kinds or (name == "n" and any(type(x) is not int for x in value)):
                 raise UsageError(f"config field {name!r} must be {wanted}, got {value!r}")
-        object.__setattr__(self, "n", tuple(self.n))
+        self = self._replace(n=tuple(self.n))
         if self.fmt not in _FORMATS:
             raise UsageError(f"config field 'fmt' must be one of {_FORMATS}, got {self.fmt!r}")
         if self.command not in _COMMANDS:
@@ -147,9 +150,10 @@ class ExperimentConfig:
         # nan, the infinities and integers past the float range all fail this
         if cmd == "verify" and not abs(self.z_threshold) <= sys.float_info.max:
             raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")
+        return self
 
     def as_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "n": list(self.n)}
+        return {**self._asdict(), "n": list(self.n)}
 
     @staticmethod
     def from_dict(doc, **overrides) -> "ExperimentConfig":
@@ -409,10 +413,16 @@ def dispatch(cfg: ExperimentConfig) -> tuple[int, dict]:
     return code, {**head, **fields}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error in one line, without the usage block."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # one parser with the command as a positional: subparsers would build one
     # parser per command, each add_argument of each reading the terminal size
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="explodingmoments",
         description="trace-moment limits and Monte Carlo verification for "
         "exploding-moment random matrices",

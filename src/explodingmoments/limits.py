@@ -21,11 +21,10 @@ and are substituted at the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, prod
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .graphs import ADMISSIBLE_TREE, classify, moment_product
 from .partitions import TraceCounts, block_classes, enumerate_pair_partitions
@@ -39,8 +38,7 @@ KMAX_COV = 6
 _ZERO_MODELS = ("iid", "block", "centrosymmetric")
 
 
-@dataclass(frozen=True)
-class LimitValue:
+class LimitValue(NamedTuple):
     """Either an exact zero or a symbolic asymptotic order N^exponent (the
     alpha != 1 regimes are classified, never evaluated)."""
 

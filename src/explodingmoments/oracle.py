@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import moment_product
 from .partitions import block_classes, walk_partitions
@@ -101,14 +100,18 @@ def _once(method):
     return memo
 
 
-@dataclass(frozen=True)
-class ExactMomentTable:
+class ExactMomentTable(NamedTuple("ExactMomentTable", [("law", EntryLaw)])):
     """Exact finite-N entry moments of a law, as coefficient * N^(half/2),
     and the cumulants of a circulant generator entry as Laurent polynomials;
-    each is computed once per table."""
+    each is computed once per table.  Tables of equal laws are equal; the
+    memo lives in the instance dict, outside the tuple."""
 
-    law: EntryLaw
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
     @_once
     def entry(self, k: int) -> _Scaled:

@@ -20,11 +20,10 @@ Everything in this module is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
-from typing import ClassVar, Iterable, Iterator, Mapping, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .partitions import double_factorial_odd
 
@@ -63,8 +62,7 @@ def _pair_keys(kmax: int) -> Iterator[tuple[int, int]]:
     return ((k, l) for k in range(kmax + 1) for l in range(kmax + 1 - k) if k + l >= 2)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structured validation failure."""
 
     code: str  # "missing-entry" | "variance-mismatch"
@@ -74,36 +72,40 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class MomentProfile:
+class _ProfileFields(NamedTuple):
+    alpha: Fraction
+    kmax: int
+    pair_table: Mapping[tuple[int, int], Fraction]
+    scalar_table: Mapping[int, Fraction]
+
+
+class MomentProfile(_ProfileFields):
     """Limit constants parameterizing every limit formula.
 
     ``pair_table[(k, l)]`` holds C_{k,l} for k, l >= 0 with 2 <= k+l <= kmax;
     both orientations are stored explicitly and symmetry is never assumed.
-    ``scalar_table[k]`` holds C_k for 2 <= k <= kmax.
+    ``scalar_table[k]`` holds C_k for 2 <= k <= kmax.  ``_replace`` skips
+    the checks; a changed profile is built anew.
     """
 
-    alpha: Fraction
-    kmax: int = DEFAULT_KMAX
-    pair_table: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
-    scalar_table: Mapping[int, Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        if self.kmax < 2:
+    def __new__(cls, alpha, kmax: int = DEFAULT_KMAX, pair_table: Mapping = {},
+                scalar_table: Mapping = {}):  # the defaults are read, never stored
+        alpha = _frac(alpha)
+        if kmax < 2:
             raise ValueError("kmax must be at least 2")
         pair = {}
-        for (k, l), v in dict(self.pair_table).items():
-            if not (k >= 0 and l >= 0 and 2 <= k + l <= self.kmax):
-                raise ValueError(f"pair entry ({k},{l}) outside 2 <= k+l <= kmax={self.kmax}")
+        for (k, l), v in dict(pair_table).items():
+            if not (k >= 0 and l >= 0 and 2 <= k + l <= kmax):
+                raise ValueError(f"pair entry ({k},{l}) outside 2 <= k+l <= kmax={kmax}")
             pair[(k, l)] = _frac(v)
         scal = {}
-        for k, v in dict(self.scalar_table).items():
-            if not 2 <= k <= self.kmax:
-                raise ValueError(f"scalar entry {k} outside 2 <= k <= kmax={self.kmax}")
+        for k, v in dict(scalar_table).items():
+            if not 2 <= k <= kmax:
+                raise ValueError(f"scalar entry {k} outside 2 <= k <= kmax={kmax}")
             scal[k] = _frac(v)
-        object.__setattr__(self, "pair_table", pair)
-        object.__setattr__(self, "scalar_table", scal)
+        return super().__new__(cls, alpha, kmax, pair, scal)
 
     def pair(self, k: int, l: int) -> Fraction:
         """C_{k,l}, with the conventions C_{0,0} = 1 and C_{1,0} = C_{0,1} = 0."""
@@ -146,37 +148,38 @@ def _atom_rows(rows, width: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class _SparseLaw:
+class _SparseFields(NamedTuple):
+    activation: Fraction  # q; an entry is active with probability q/N
+    atoms: tuple[tuple[Fraction, ...], ...]  # (values..., prob)
+    diagonal_atoms: tuple[tuple[Fraction, Fraction], ...]
+
+
+class _SparseLaw(_SparseFields):
     """An alpha = 1 sparse atomic law: with probability ``activation / N``
     an entry (or dependent pair of entries) takes ``sqrt(N)`` times the
     values of an atom row, and is zero otherwise.  Diagonal entries are drawn
     independently from ``diagonal_atoms`` without any sqrt(N) scale, so all
     their moments stay O(1).  Subclasses fix the number of values per atom
-    row and the names their messages use."""
-
-    activation: Fraction  # q; an entry is active with probability q/N
-    atoms: tuple[tuple[Fraction, ...], ...]  # (values..., prob)
-    diagonal_atoms: tuple[tuple[Fraction, Fraction], ...] = (
-        (Fraction(1), Fraction(1, 2)),
-        (Fraction(-1), Fraction(1, 2)),
-    )
+    row and the names their messages use.  No attribute can be set; the
+    instance dict holds only the cached integer atom rows."""
 
     _WIDTH: ClassVar[int]  # values per atom row
     _DOCUMENT: ClassVar[str]  # the law's key in a law document
     # the law, its atoms, and the mean and variance rules, as messages name them
     _NAMES: ClassVar[tuple[str, str, str, str]]
 
-    def __post_init__(self):
-        law, atoms, _mean, _variance = self._NAMES
-        object.__setattr__(self, "activation", _frac(self.activation))
-        object.__setattr__(self, "atoms", _atom_rows(self.atoms, self._WIDTH + 1, atoms))
-        object.__setattr__(
-            self, "diagonal_atoms", _atom_rows(self.diagonal_atoms, 2, "diagonal atoms")
-        )
+    def __new__(cls, activation, atoms,
+                diagonal_atoms=((Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2)))):
+        law, names, _mean, _variance = cls._NAMES
+        self = super().__new__(cls, _frac(activation), _atom_rows(atoms, cls._WIDTH + 1, names),
+                               _atom_rows(diagonal_atoms, 2, "diagonal atoms"))
         problems = self.check()
         if problems:
             raise ValueError(f"invalid {law}: " + "; ".join(problems))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
     def check(self) -> list[str]:
         _law, atoms, mean, variance = self._NAMES
@@ -224,7 +227,6 @@ class _SparseLaw:
         return sum((p * v**k for v, p in self.diagonal_atoms), Fraction(0))
 
 
-@dataclass(frozen=True)
 class SparsePairLaw(_SparseLaw):
     """Joint law of a dependent off-diagonal pair: with probability
     ``activation / N`` the pair ``(x_ij, x_ji)`` is ``(sqrt(N) * xi,
@@ -236,7 +238,6 @@ class SparsePairLaw(_SparseLaw):
               "unit variance requires q*E[xi^2] = q*E[eta^2] = 1")
 
 
-@dataclass(frozen=True)
 class SparseScalarLaw(_SparseLaw):
     """Independent-entry specialization: one sparse atomic variable per
     entry, atom rows ``(xi, prob)``."""
@@ -247,8 +248,7 @@ class SparseScalarLaw(_SparseLaw):
               "unit variance requires q*E[xi^2] = 1")
 
 
-@dataclass(frozen=True)
-class GaussianLaw:
+class GaussianLaw(NamedTuple):
     """Standard normal entries: the bounded-moment (light) reference law.
 
     E[x^k] is (k-1)!! for even k and 0 for odd k, so C_2 = 1 and C_k -> 0

@@ -5,7 +5,6 @@ import json
 import shlex
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from explodingmoments import estimator, oracle
 from explodingmoments.oracle import MAX_N_POLY
 from explodingmoments.profiles import (
     MODELS,
+    MomentProfile,
     SparseScalarLaw,
     design_correlated_sign_law,
     law_to_dict,
@@ -72,10 +72,27 @@ class TestLimitsCommand:
 
 
 class TestUsageErrors:
-    def test_unknown_model_exits_2(self):
+    def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["limits", "--model", "toeplitz"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("explodingmoments: error: argument --model: invalid choice: 'toeplitz'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["limits", "--kmax", "x"], "argument --kmax: invalid int value: 'x'"),
+        (["oracle", "--z-threshold", "1/2"], "argument --z-threshold: invalid float value"),
+        (["limits", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ])
+    def test_malformed_value_or_unknown_option_exits_2(self, capsys, argv, message):
+        # one line, without the usage block
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"explodingmoments: error: {message}")
 
     @pytest.mark.parametrize("argv", [["bogus"], [], ["--model", "iid"], ["--n", "5", "sample"]])
     def test_unknown_or_missing_command_exits_2(self, capsys, argv):
@@ -83,8 +100,17 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1].startswith("explodingmoments: error: ")
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("explodingmoments: error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["limits", "--help"], ["-h", "bogus"]])
+    def test_help_prints_the_usage_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out == _build_parser().format_help()
+        assert out.startswith("usage: explodingmoments [-h]")
 
     @pytest.mark.parametrize("out", ["missing/report.json", "."])
     def test_unwritable_out_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, out):
@@ -543,7 +569,9 @@ class TestProfileFile:
     def test_profile_alpha_other_than_one_exits_2(self, tmp_path, capsys, command, model):
         # the limit formulas hold at alpha = 1 only; none is evaluated elsewhere
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"profile": profile_to_dict(replace(light_profile(), alpha=2))}))
+        # built anew, not _replace'd, so that alpha is read as a Fraction
+        heavy = MomentProfile(**{**light_profile()._asdict(), "alpha": 2})
+        path.write_text(json.dumps({"profile": profile_to_dict(heavy)}))
         code, out, err = run_cli(capsys, command, "--model", model, "--kmax", "4",
                                  "--profile", str(path))
         assert (code, out) == (2, "")
@@ -674,9 +702,10 @@ def _argv(draw, command, sized: bool):
 def _law_documents(draw):
     """A law or profile document: sound, with alpha other than 1, a short
     kmax or one field replaced by any JSON value, or any JSON value at all."""
-    profile = light_profile(kmax=draw(st.integers(2, 8)))
+    profile = light_profile(kmax=draw(st.integers(2, 8)))._asdict()
+    profile["alpha"] = draw(st.sampled_from([1, 2, -1]))
     docs = {
-        "profile": profile_to_dict(replace(profile, alpha=draw(st.sampled_from([1, 2, -1])))),
+        "profile": profile_to_dict(MomentProfile(**profile)),
         "pair_law": law_to_dict(design_correlated_sign_law(Fraction(1, 2))),
         "scalar_law": law_to_dict(sign_scalar_law()),
     }

@@ -1,5 +1,6 @@
-"""The exact layers and commands run without numpy or scipy: importing the
-package loads neither, the sampling names resolve on first access, the
+"""The exact layers and commands run without numpy or scipy, and without
+``dataclasses`` and the ``inspect`` it loads: importing the package loads
+none of them, the sampling names resolve on first access, the
 Monte Carlo commands load numpy alone, and only ``sample`` of a sparse
 model, which returns a CSR matrix, loads ``scipy.sparse``, without its
 graph or linear algebra subpackages.  Each check runs in a fresh
@@ -14,6 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("numpy", "scipy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+# standard modules that cost milliseconds to import; numpy loads both
+SLOW_STDLIB = ("dataclasses", "inspect")
 
 # every name the package exports, the lazy sampling names first
 EXPORTED = [
@@ -37,14 +40,14 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
-def loaded_after(*argvs):
-    """{'import' or command: exit status and the HEAVY modules loaded}, in
-    one fresh interpreter that imports the package and its CLI, then runs
+def loaded_after(*argvs, watch=HEAVY):
+    """{'import' or command: exit status and the ``watch`` modules loaded},
+    in one fresh interpreter that imports the package and its CLI, then runs
     each argv through ``cli.main`` in turn."""
     probe = f"""
 import contextlib, io, json, sys
 import explodingmoments, explodingmoments.cli as cli
-loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
+loaded = lambda: [m for m in {watch!r} if m in sys.modules]
 report = {{"import": [0, loaded()]}}
 for argv in {list(argvs)!r}:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -55,10 +58,12 @@ print(json.dumps(report))
 
 
 def test_import_and_exact_commands_load_no_numpy_or_scipy():
+    # nor dataclasses or inspect
     report = loaded_after(
         ["limits", "--model", "elliptic", "--kmax", "6"],
         ["covariance", "--model", "iid", "--kmax", "3"],
         ["oracle", "--model", "circulant", "--n", "7", "--n", "11", "--kmax", "6"],
+        watch=HEAVY + SLOW_STDLIB,
     )
     assert report == {name: [0, []] for name in ("import", "limits", "covariance", "oracle")}
 

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -353,7 +352,7 @@ class TestCirculant:
             circulant_limit_moment(4, {2: Fraction(1), 3: Fraction(0)})
 
     def test_alpha_other_than_one_raises(self):
-        heavy = replace(profile_of_scalar_law(sign_scalar_law()), alpha=Fraction(2))
+        heavy = MomentProfile(**{**profile_of_scalar_law(sign_scalar_law())._asdict(), "alpha": 2})
         with pytest.raises(ValueError, match="requires alpha = 1"):
             circulant_limit_moment(2, heavy)
         with pytest.raises(ValueError, match="requires alpha = 1"):
