@@ -12,11 +12,12 @@ Commands, all taking one set of options, before or after the command:
 
 Configuration may come from a single JSON document (--config); explicit
 flags override file fields, and every run embeds its fully resolved
-configuration in the output for provenance.  Each input is checked once:
-the config checks its own fields, ``_resolve_law`` reads the law or
-profile file, and ``dispatch`` maps the library's input errors in setup
-and exact work, not in sampling, to usage errors.  Exit status: 0 on
-success, 1 if any verify row fails, 2 on usage errors (one ``error:`` line).
+configuration in the output for provenance.  Each input is checked once: the
+config checks its own fields, ``_resolve_law`` reads the law or profile
+file, and ``dispatch`` maps the library's input errors in setup and exact
+work, not in sampling, to usage errors.  Exit status: 0 on success, 1 if any
+verify row fails, 2 on usage errors (one ``explodingmoments: error:`` line).
+Every ``predicted`` cell comes from ``limits.predicted``.
 
 Only the commands that sample (simulate, verify, weaver) import the
 sampling modules, and with them numpy; limits, covariance and oracle run on
@@ -35,13 +36,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
-from .limits import (
-    KMAX_COV,
-    KMAX_TRACE,
-    circulant_limit_moment,
-    covariance_trace,
-    limit_trace_moment,
-)
+from .limits import KMAX_COV, KMAX_TRACE, at_size, predicted
 from .oracle import EXACT_MODELS, MAX_K_FLUCT, MAX_K_MEAN, MAX_N_POLY, exact_table
 from .profiles import (
     KMAX_TRACE_POWERS,
@@ -226,28 +221,18 @@ def _resolve_setup(cfg: ExperimentConfig):
     return law, constants(kmax=max(8, 2 * min(cfg.kmax, 6)))
 
 
-def _limit_mean(cfg: ExperimentConfig, profile: MomentProfile, k: int) -> Fraction:
-    """Limit of the model's trace mean: of Tr(C^k) for circulant, where
-    --paper-formula picks the uncorrected display, of Tr(A^k)/N otherwise."""
-    if cfg.model == "circulant":
-        return circulant_limit_moment(k, profile, paper_formula=cfg.paper_formula)
-    return limit_trace_moment(cfg.model, k, profile)
-
-
-def _predictions(cfg: ExperimentConfig, profile: MomentProfile, kmean: int, kcov: int) -> list:
-    """(k, None, limit mean) for k <= kmean, then (k, l, limit covariance)
-    for k <= l <= kcov, once the profile passes the model's table checks."""
+def _predictions(cfg: ExperimentConfig, profile: MomentProfile, kmean: int, kcov: int,
+                 n: Optional[int] = None) -> list:
+    """The (k, l, predicted) cells, means (l None) to kmean, then covariances
+    to kcov, at size ``n``, once the profile passes the model's table checks."""
     violations = validate_profile(profile, cfg.model)
     if violations:
         raise UsageError(
             f"profile invalid for model {cfg.model}: " + "; ".join(str(v) for v in violations)
         )
-    means = [(k, None, _limit_mean(cfg, profile, k)) for k in range(1, kmean + 1)]
-    return means + [
-        (k, l, covariance_trace(k, l, cfg.model, profile))
-        for k in range(1, kcov + 1)
-        for l in range(k, kcov + 1)
-    ]
+    cells = [(k, None) for k in range(1, kmean + 1)]
+    cells += [(k, l) for k in range(1, kcov + 1) for l in range(k, kcov + 1)]
+    return [(k, l, predicted(cfg.model, profile, k, l, n, cfg.paper_formula)) for k, l in cells]
 
 
 def _cmd_limits(cfg: ExperimentConfig) -> dict:
@@ -298,16 +283,11 @@ def _cmd_simulate(cfg: ExperimentConfig, setup) -> tuple[int, dict]:
 def _verify_targets(cfg: ExperimentConfig, law, profile: MomentProfile):
     """(mean and covariance predictions, oracle values) for verify."""
     n = cfg.n[0]
-    # the estimator reports Tr(C^k)/N, so circulant means scale down by N
-    scale = n if cfg.model == "circulant" else 1
-    predictions = [
-        (k, l, val / scale if l is None else val)
-        for k, l, val in _predictions(cfg, profile, cfg.kmax, min(cfg.kmax, MAX_K_FLUCT))
-    ]
+    predictions = _predictions(cfg, profile, cfg.kmax, min(cfg.kmax, MAX_K_FLUCT), n)
     if n > MAX_N_POLY or cfg.model not in EXACT_MODELS:
         return predictions, {}  # the oracle column stays empty
     table = exact_table(cfg.model, law, (n,), cfg.kmax)[n]
-    return predictions, {(k, l): v / scale if l is None else v for (k, l), v in table.items()}
+    return predictions, {(k, l): at_size(cfg.model, v, l, n) for (k, l), v in table.items()}
 
 
 def _verify_setup(cfg: ExperimentConfig):
@@ -471,7 +451,7 @@ def _json_default(x):
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = (parser := _build_parser()).parse_args(argv)
     try:
         cfg = _config_from_args(args)
         # checked, not opened, before the run: no sampling is lost, no empty file left
@@ -481,7 +461,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError(f"--out {cfg.out!r} is not a file in a writable directory")
         code, doc = dispatch(cfg)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, cfg)
     return code

@@ -260,6 +260,25 @@ def covariance_trace(k: int, l: int, model: str, profile: MomentProfile) -> Frac
     return Fraction(l * walks.marked(1, h1, h2) - walks.marked(1, h1, 0) * walks.marked(1, h2, 0))
 
 
+def predicted(model: str, profile: MomentProfile, k: int, l: Optional[int] = None,
+              n: Optional[int] = None, paper_formula: bool = False) -> Fraction:
+    """The ``predicted`` cell of every report's (k, l) row, a mean at l = None:
+    :func:`covariance_trace`, or the limit mean as :func:`at_size` reports it
+    at size n, where ``paper_formula`` picks the uncorrected circulant display."""
+    if l is not None:
+        return covariance_trace(k, l, model, profile)
+    if model != "circulant":
+        return limit_trace_moment(model, k, profile)
+    return at_size(model, circulant_limit_moment(k, profile, paper_formula), None, n)
+
+
+def at_size(model: str, value: Fraction, l: Optional[int], n: Optional[int]) -> Fraction:
+    """A mean (l = None) or covariance value, limit or exact, as a row
+    reports it at size n: the circulant means are of Tr(C^k) and the
+    estimator reports Tr(C^k)/N, so they divide by n; the rest are as given."""
+    return value / n if model == "circulant" and l is None and n is not None else value
+
+
 def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fraction:
     """Joint moment of the limiting Gaussian family: sum over pair partitions
     of products of covariances; 0 for an odd number of factors."""

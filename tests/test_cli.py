@@ -119,7 +119,8 @@ class TestUsageErrors:
         code, stdout, err = run_cli(capsys, "verify", "--model", "circulant", "--n", "8",
                                     "--reps", "20", "--out", path)
         assert (code, stdout) == (2, "")
-        assert err == f"error: --out {path!r} is not a file in a writable directory\n"
+        assert err == ("explodingmoments: error: "
+                       f"--out {path!r} is not a file in a writable directory\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_json(self, tmp_path, capsys):
@@ -161,7 +162,7 @@ class TestUsageErrors:
         cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run_cli(capsys, "oracle", "--config", str(cfg))
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"explodingmoments: error: {message}\n"
 
     @pytest.mark.parametrize(
         "command,cap",
@@ -176,7 +177,8 @@ class TestUsageErrors:
         assert max(row["k"] for row in listed) == cap
         code, out, err = run_cli(capsys, *argv, "--kmax", str(cap + 1))
         assert (code, out) == (2, "")
-        assert err == f"error: {command} supports --kmax up to {cap}, got {cap + 1}\n"
+        assert err == ("explodingmoments: error: "
+                       f"{command} supports --kmax up to {cap}, got {cap + 1}\n")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -207,7 +209,7 @@ class TestUsageErrors:
     def test_bad_numeric_input_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--reps", "5")
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"explodingmoments: error: {message}\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -230,14 +232,15 @@ class TestUsageErrors:
         argv = [profile_files.get(arg, arg) for arg in argv]
         code, out, err = run_cli(capsys, *argv, "--reps", "5")
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"explodingmoments: error: {message}\n"
 
     def test_integer_z_threshold_past_float_range_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"z_threshold": 1%s}' % ("0" * 400))
         code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--reps", "5")
         assert (code, out) == (2, "")
-        assert err == f"error: verify needs a finite --z-threshold, got {10**400}\n"
+        assert err == ("explodingmoments: error: "
+                       f"verify needs a finite --z-threshold, got {10**400}\n")
 
     def test_verify_oracle_error_comes_before_sampling(self, tmp_path, capsys, monkeypatch):
         # odd diagonal moments put N^(3/2) into the iid oracle at non-square N
@@ -253,7 +256,8 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "verify", "--model", "iid", "--profile", str(path),
                                  "--n", "5", "--kmax", "3", "--reps", "50")
         assert (code, out, calls) == (2, "", [])
-        assert err.startswith("error: exact value involves N^(") and err.count("\n") == 1
+        assert err.startswith("explodingmoments: error: exact value involves N^(")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", ["abc", "1.5", "0"])
     @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -265,7 +269,8 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, command, "--model", "elliptic", "--n", "50",
                                  "--kmax", "2", "--reps", "10")
         assert (code, out, calls) == (2, "", [])
-        assert err == f"error: EXPLODINGMOMENTS_THREADS must be a positive integer, got {raw!r}\n"
+        assert err == ("explodingmoments: error: "
+                       f"EXPLODINGMOMENTS_THREADS must be a positive integer, got {raw!r}\n")
 
     def test_lowest_seed_still_runs(self, capsys):
         # replica r draws from seed + r, so --seed -1 hands numpy 0, 1, ...
@@ -279,7 +284,8 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, command, "--model", "circulant", "--n", "8",
                                  "--reps", str(reps))
         assert (code, out) == (2, "")
-        assert err == f"error: {command} needs --reps of at least 2, got {reps}\n"
+        assert err == ("explodingmoments: error: "
+                       f"{command} needs --reps of at least 2, got {reps}\n")
 
 
 class TestConfigPrecedence:
@@ -519,7 +525,7 @@ def test_command_model_profile_grid(capsys, profile_files, command, model, profi
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.startswith("explodingmoments: error: ") and err.count("\n") == 1
 
 
 class TestProfileFile:
@@ -561,7 +567,7 @@ class TestProfileFile:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "limits", "--model", "iid", "--profile", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("explodingmoments: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("model", MODELS)
@@ -575,7 +581,8 @@ class TestProfileFile:
         code, out, err = run_cli(capsys, command, "--model", model, "--kmax", "4",
                                  "--profile", str(path))
         assert (code, out) == (2, "")
-        assert err == "error: limit evaluation requires alpha = 1, got alpha = 2\n"
+        assert err == ("explodingmoments: error: "
+                       "limit evaluation requires alpha = 1, got alpha = 2\n")
 
     @pytest.mark.parametrize(
         "model,profile,message",
@@ -593,7 +600,7 @@ class TestProfileFile:
         code, out, err = run_cli(capsys, "limits", "--model", model, "--kmax", "6",
                                  "--profile", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"explodingmoments: error: {message}\n"
 
     def test_profile_of_kmax_4_gives_the_elliptic_limits_up_to_5(self, tmp_path, capsys):
         # the C_(m,m) with 2m <= 4 are all the tree sums up to k = 5 read
@@ -617,7 +624,8 @@ class TestProfileFile:
                                  "--profile", str(path))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024
+        assert err.startswith("explodingmoments: error: ")
+        assert err.count("\n") == 1 and len(err) < 1024
         assert "pair table lacks 500001499998 of 500001499998 entries, first C_(0,2)" in err
 
     def test_law_from_file(self, tmp_path, capsys):
@@ -730,7 +738,7 @@ def _assert_runs_or_usage_error(argv, config=None, law=None):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.startswith("explodingmoments: error: ") and err.count("\n") == 1
 
 
 @given(st.data())

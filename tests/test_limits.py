@@ -7,18 +7,24 @@ from hypothesis import strategies as st
 
 from explodingmoments import limits, partitions
 from explodingmoments.limits import (
+    KMAX_COV,
+    KMAX_TRACE,
     LimitValue,
     asymptotic_order,
+    at_size,
     circulant_covariance,
     circulant_limit_moment,
     covariance_trace,
     limit_trace_moment,
+    predicted,
     tau,
     wick_joint,
 )
 from explodingmoments.oracle import exact_table
 from explodingmoments.partitions import walk_partitions
 from explodingmoments.profiles import (
+    MODELS,
+    PAIR_MODELS,
     MomentProfile,
     MomentTableError,
     degenerate_profile_of,
@@ -363,6 +369,38 @@ class TestCirculant:
         assert circulant_covariance(1, 2) == 0
         assert circulant_covariance(1, 1) == 1
         assert circulant_covariance(3, 3) == 6
+
+
+class TestPredicted:
+    """``predicted`` gives every report's cells: the limit mean, over N for
+    the circulant at a given n, and the covariance kernel."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_cells_of_every_model(self, model, sign_pair_profile, sign_profile):
+        profile = sign_pair_profile if model in PAIR_MODELS else sign_profile
+        for k in range(1, KMAX_TRACE + 1):
+            if model == "circulant":
+                mean = circulant_limit_moment(k, profile)
+                paper = circulant_limit_moment(k, profile, paper_formula=True)
+            else:
+                mean = paper = limit_trace_moment(model, k, profile)
+            assert predicted(model, profile, k) == mean
+            assert predicted(model, profile, k, paper_formula=True) == paper
+            scale = 512 if model == "circulant" else 1
+            assert predicted(model, profile, k, n=512) == mean / scale
+            assert predicted(model, profile, k, n=512, paper_formula=True) == paper / scale
+        for k in range(1, KMAX_COV + 1):
+            for l in range(1, KMAX_COV + 1):
+                kernel = covariance_trace(k, l, model, profile)
+                assert predicted(model, profile, k, l) == kernel
+                assert predicted(model, profile, k, l, n=512, paper_formula=True) == kernel
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_at_size_scales_circulant_means_only(self, model):
+        value = Fraction(25, 7)
+        assert at_size(model, value, None, 7) == (value / 7 if model == "circulant" else value)
+        assert at_size(model, value, None, None) == value
+        assert at_size(model, value, 2, 7) == value
 
 
 class TestAgainstBellEnumeration:
