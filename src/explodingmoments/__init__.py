@@ -1,10 +1,10 @@
 """Combinatorial limit theory and Monte Carlo verification for linear
 eigenvalue statistics of random matrices with exploding entry moments.
 
-The exact layers load eagerly and import neither numpy, scipy nor
-``dataclasses``: their value types are NamedTuples.  The sampling names
-resolve on first access (PEP 562), so importing the package costs only what
-the exact layers need."""
+The exact layers load eagerly and import neither numpy nor ``dataclasses``:
+their value types are NamedTuples.  The sampling names resolve on first
+access (PEP 562), so importing the package costs only what the exact
+layers need."""
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,7 @@ Every ``predicted`` cell comes from ``limits.predicted``.
 
 Only the commands that sample (simulate, verify, weaver) import the
 sampling modules, and with them numpy; limits, covariance and oracle run on
-the exact layers alone, which import neither numpy, scipy nor
-``dataclasses``.
+the exact layers alone, which import neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -133,6 +132,8 @@ class ExperimentConfig(_ConfigFields):
             raise UsageError(f"{cmd} needs --reps of at least 2, got {self.reps}")
         if row.reads_n and min(self.n, default=0) < 1:
             raise UsageError(f"{cmd} needs --n of at least 1, got {min(self.n, default=0)}")
+        if row.draw and len(self.n) > 1:
+            raise UsageError(f"{cmd} takes one --n, got {list(self.n)}")
         if row.first_seed is not None and self.seed + row.first_seed < 0:
             raise UsageError(f"{cmd} needs --seed of at least {-row.first_seed}, got {self.seed}")
         if cmd != "weaver" and self.profile == "sign" and self.model in PAIR_MODELS:
@@ -145,6 +146,8 @@ class ExperimentConfig(_ConfigFields):
         # nan, the infinities and integers past the float range all fail this
         if cmd == "verify" and not abs(self.z_threshold) <= sys.float_info.max:
             raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")
+        if cmd == "verify" and self.z_threshold <= 0:
+            raise UsageError(f"verify needs a positive --z-threshold, got {self.z_threshold}")
         return self
 
     def as_dict(self) -> dict:

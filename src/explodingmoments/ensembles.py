@@ -2,25 +2,23 @@
 orthogonal reduction, and the circulant eigenvalue formula.
 
 Samples are deterministic functions of (spec, seed).  Sparse atomic laws put
-~N active entries in an N x N matrix, so samples are stored in sparse form
-and traces are computed by closed-walk accumulation rather than dense
-products.  Entries are stored already scaled by 1/sqrt(N): an active sparse
-entry x = sqrt(N)*xi becomes the stored value xi.
+~N active entries in an N x N matrix, so a sparse sample is stored as its
+entries' edge lists and diagonal (:class:`SparseChunk`), which the trace
+kernel of ``estimator`` takes as they are.  Entries are stored already
+scaled by 1/sqrt(N): an active sparse entry x = sqrt(N)*xi becomes the
+stored value xi.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .profiles import MODELS, PAIR_MODELS, EntryLaw, GaussianLaw, SparsePairLaw
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DENSE_LIMIT = 4096  # largest size we will materialize densely
 
@@ -57,19 +55,23 @@ class MatrixSample:
     kind: str
     size: int
     trace_norm: int  # divisor of Tr(A^k): the spec's n (the block size for block)
-    matrix: Optional[Union[sparse.csr_matrix, np.ndarray]]
+    matrix: Optional[Union[SparseChunk, np.ndarray]]  # None for a circulant sample
     generator_values: Optional[np.ndarray] = None  # circulant x vector, unscaled
 
     def dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
+        n, m = self.size, self.matrix
+        if n > DENSE_LIMIT:
+            raise ValueError(f"a {n} x {n} sample exceeds the dense limit {DENSE_LIMIT}")
+        if isinstance(m, np.ndarray):
+            return m
+        if isinstance(m, SparseChunk):
+            out = np.zeros((n, n))
+            out[m.src, m.dst] = m.val
+            out[m.diag_at, m.diag_at] = m.diag
+            return out
         if self.kind == "circulant":
-            if self.size > DENSE_LIMIT:
-                raise ValueError("circulant too large to densify")
-            x = self.generator_values
-            n = self.size
             idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-            return x[idx] / np.sqrt(n)
+            return self.generator_values[idx] / np.sqrt(n)
         raise ValueError("sample holds no matrix")
 
 
@@ -287,35 +289,15 @@ class SparseChunk(NamedTuple):
     diag_at: np.ndarray
     diag: np.ndarray
 
-    @classmethod
-    def of_csr(cls, mat: sparse.csr_matrix) -> SparseChunk:
-        """The stored entries of a square CSR matrix in canonical order:
-        each row's columns ascending, duplicates summed."""
-        if not mat.has_canonical_format:
-            mat = mat.copy()
-            mat.sum_duplicates()
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        on = rows == mat.indices
-        off = ~on
-        return cls(mat.shape[0], rows[off], mat.indices[off], mat.data[off], rows[on], mat.data[on])
-
-    def csr(self) -> sparse.csr_matrix:
-        """The canonical CSR matrix of these entries: rows in order, each
-        row's columns sorted."""
-        from scipy import sparse  # loaded only when a CSR matrix is asked for
-
-        rows = np.concatenate([self.src, self.diag_at])
-        cols = np.concatenate([self.dst, self.diag_at])
-        data = np.concatenate([self.val, self.diag])
-        return sparse.coo_matrix((data, (rows, cols)), shape=(self.size, self.size)).tocsr()
-
 
 def sample(spec: EnsembleSpec) -> MatrixSample:
     """Draw one matrix; bit-identical for identical specs.
 
-    A sparse model draws as :func:`sample_sparse_chunk` says and is the one
-    block of :func:`sample_sparse_blocks` at its seed; a Gaussian model draws
-    one standard normal per entry."""
+    A sparse model's ``matrix`` is the :class:`SparseChunk` that
+    :func:`sample_sparse_chunk` draws from ``default_rng(spec.seed)`` alone,
+    the block at that seed of any chunk of replicas; a Gaussian model's is a
+    dense array of one standard normal per entry; a circulant sample holds
+    no matrix, only its generator vector."""
     kind, n, law = spec.kind, spec.n, spec.law
     if kind == "circulant":
         x = sample_circulant_generator(law, n, [np.random.default_rng(spec.seed)])[0]
@@ -326,7 +308,8 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
             t = np.arange(n * n)
             g = g[np.minimum(t, n * n - 1 - t)]
         return MatrixSample(kind, n, n, (g / np.sqrt(n)).reshape(n, n))
-    return MatrixSample(kind, sparse_size(spec), n, sample_sparse_blocks(spec, [spec.seed]))
+    chunk = sample_sparse_chunk(spec, replica_generators([spec.seed]))
+    return MatrixSample(kind, sparse_size(spec), n, chunk)
 
 
 def sparse_size(spec: EnsembleSpec) -> int:
@@ -386,13 +369,6 @@ def _atom_rows(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     for edge in cum[:-1]:
         which += uniforms >= edge
     return which
-
-
-def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:
-    """The CSR matrix of :func:`sample_sparse_chunk`: its block i equals
-    ``sample(replace(spec, seed=seeds[i])).matrix`` entry for entry, in the
-    same stored order."""
-    return sample_sparse_chunk(spec, replica_generators(seeds)).csr()
 
 
 def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

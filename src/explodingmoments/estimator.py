@@ -123,19 +123,20 @@ CIRCULANT_CHUNK_ENTRIES = 2**18
 def trace_powers(m: MatrixSample, k_max: int) -> np.ndarray:
     """[Tr(A^k) / N for k = 1..k_max]; N is the sample's trace normalizer.
 
-    Circulant samples go through half-spectrum eigenvalue powers
-    (:func:`_circulant_power_sums`), sparse samples through the kernel of the
-    sparse replicas (:func:`_peel`, :func:`_fold`, :func:`_batch_traces`)
-    with one sample, its stored entries, dense samples through repeated
-    multiplication; the three paths agree on common inputs.
+    The path follows the type of ``m.matrix``: None (a circulant sample)
+    goes through half-spectrum eigenvalue powers
+    (:func:`_circulant_power_sums`), a :class:`SparseChunk` through the
+    kernel of the sparse replicas (:func:`_peel`, :func:`_fold`,
+    :func:`_batch_traces`) as a run of one sample, a dense array through
+    repeated multiplication; the three paths agree on common inputs.
     """
     if not 1 <= k_max <= KMAX_TRACE_POWERS:
         raise ValueError(f"k_max={k_max} outside 1..{KMAX_TRACE_POWERS}")
-    if m.kind == "circulant" and m.matrix is None:
+    if m.matrix is None:
         return _circulant_power_sums(m.generator_values, k_max)
-    if not isinstance(m.matrix, np.ndarray):
+    if isinstance(m.matrix, SparseChunk):
         out = np.empty((1, k_max))
-        _batch_traces(_fold([_peel(SparseChunk.of_csr(m.matrix), m.size)], k_max), m.trace_norm, k_max, out)
+        _batch_traces(_fold([_peel(m.matrix, m.size)], k_max), m.trace_norm, k_max, out)
         return out[0]
     norm = m.trace_norm
     mat = power = m.matrix

@@ -23,7 +23,10 @@ its cyclic core, with its own core matrix, products and pairings, and
 its own pass.  ``reference_batch_traces`` is the batch kernel as it was
 before its products left scipy: the run's core as one scipy CSR matrix,
 its powers by scipy's ``@``, and its pairings by scipy's elementwise
-``multiply`` with each transpose.
+``multiply`` with each transpose.  ``of_csr``, ``to_csr`` and
+``sample_sparse_blocks`` turn the package's sparse samples, held as a
+``SparseChunk`` of edges and diagonal, to and from scipy CSR matrices, in
+which the references work.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from math import perm
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from explodingmoments.ensembles import (
     EnsembleSpec,
@@ -389,6 +393,34 @@ def reference_circulant_generator(law, n: int, rng, branches: Counter) -> np.nda
     return x
 
 
+def of_csr(mat: sparse.csr_matrix) -> SparseChunk:
+    """The stored entries of a square CSR matrix in canonical order: each
+    row's columns ascending, duplicates summed."""
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    on = rows == mat.indices
+    off = ~on
+    return SparseChunk(mat.shape[0], rows[off], mat.indices[off], mat.data[off], rows[on], mat.data[on])
+
+
+def to_csr(chunk: SparseChunk) -> sparse.csr_matrix:
+    """The canonical CSR matrix of a chunk's entries: rows in order, each
+    row's columns sorted."""
+    rows = np.concatenate([chunk.src, chunk.diag_at])
+    cols = np.concatenate([chunk.dst, chunk.diag_at])
+    data = np.concatenate([chunk.val, chunk.diag])
+    return sparse.coo_matrix((data, (rows, cols)), shape=(chunk.size, chunk.size)).tocsr()
+
+
+def sample_sparse_blocks(spec: EnsembleSpec, seeds: Sequence[int]) -> sparse.csr_matrix:
+    """The CSR matrix of ``sample_sparse_chunk``: its block i holds
+    ``to_csr(sample(replace(spec, seed=seeds[i])).matrix)`` entry for entry,
+    in the same stored order."""
+    return to_csr(sample_sparse_chunk(spec, replica_generators(seeds)))
+
+
 def reference_trace_powers(matrix, norm: int, k_max: int) -> np.ndarray:
     """[Tr(A^k) / norm for k = 1..k_max] of one sparse matrix A by
     sequential products A^k = A^(k-1) A, each in canonical order, each trace
@@ -417,14 +449,14 @@ def reference_chunk_traces(chunk: SparseChunk, blocks: int, norm: int, k_max: in
     rank = np.cumsum(core) - 1
     edges = core[chunk.src] & core[chunk.dst]
     loops = core[chunk.diag_at]
-    mat = SparseChunk(
+    mat = to_csr(SparseChunk(
         len(rows),
         rank[chunk.src[edges]],
         rank[chunk.dst[edges]],
         chunk.val[edges],
         rank[chunk.diag_at[loops]],
         chunk.diag[loops],
-    ).csr()
+    ))
     half = (k_max + 1) // 2
     powers = [mat]
     loop_powers = [np.zeros(chunk.size)]
@@ -470,7 +502,7 @@ def reference_batch_traces(peeled, norm: int, k_max: int, out: np.ndarray) -> No
     size, rows = peeled.size, peeled.rows
     first = np.cumsum([0] + [len(loop) for loop in peeled.loops]).tolist()
     blocks = len(out)
-    mat = peeled.core.csr()
+    mat = to_csr(peeled.core)
     half = (k_max + 1) // 2
     powers = [mat]
     while len(powers) < half:

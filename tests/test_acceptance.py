@@ -41,7 +41,7 @@ from explodingmoments.profiles import (
     tilde_transform,
     wigner_profile,
 )
-from reference_sums import set_partitions
+from reference_sums import set_partitions, to_csr
 
 SEED = 20240801
 
@@ -260,23 +260,19 @@ def reduction_block_moments(
     spec: EnsembleSpec, k_values: Sequence[int], replicates: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical moments of the entries of the first orthogonal-reduction
-    block A + JC of centrosymmetric samples.
+    block A + JC of sparse centrosymmetric samples.
 
     Returns (per-replica matrix, means, standard errors) of
     E[(entry * sqrt(N))^k] / N^(k/2-1), averaged over all block entries.
     """
     if spec.kind != "centrosymmetric":
         raise ValueError("reduction moments are defined for centrosymmetric samples")
-    from scipy import sparse
-
     n = spec.n
     s = n // 2
     mirror_rows = np.arange(n - 1, n - 1 - s, -1)
     per_rep = np.empty((replicates, len(k_values)))
     for r in range(replicates):
-        m = sample(replace(spec, seed=spec.seed + 1 + r)).matrix
-        if not sparse.issparse(m):
-            m = sparse.csr_matrix(m)
+        m = to_csr(sample(replace(spec, seed=spec.seed + 1 + r)).matrix)
         block = (m[:s, :s] + m[mirror_rows][:, :s]).tocoo()
         vals = block.data
         for col, k in enumerate(k_values):

@@ -194,6 +194,11 @@ class TestUsageErrors:
             (["weaver", "--seed", "-1"], "weaver needs --seed of at least 0, got -1"),
             (["verify", "--z-threshold", "nan"], "verify needs a finite --z-threshold, got nan"),
             (["verify", "--z-threshold", "inf"], "verify needs a finite --z-threshold, got inf"),
+            (["verify", "--z-threshold", "-3"], "verify needs a positive --z-threshold, got -3.0"),
+            (["verify", "--z-threshold", "0"], "verify needs a positive --z-threshold, got 0.0"),
+            (["simulate", "--n", "10", "--n", "20"], "simulate takes one --n, got [10, 20]"),
+            (["verify", "--n", "10", "--n", "20"], "verify takes one --n, got [10, 20]"),
+            (["weaver", "--n", "5", "--n", "7", "--n", "9"], "weaver takes one --n, got [5, 7, 9]"),
             (["limits", "--kmax", "0"], "limits needs --kmax of at least 1, got 0"),
             (["covariance", "--kmax", "0"], "covariance needs --kmax of at least 1, got 0"),
             (["oracle", "--kmax", "0"], "oracle needs --kmax of at least 1, got 0"),
@@ -315,14 +320,18 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"reps": 30}))
         fmt = "csv" if command == "verify" else "json"
-        flags = ["--config", str(cfg), "--model", "elliptic", "--n", "5", "--n", "7",
-                 "--kmax", "2", "--seed", "3", "--rho", "1/3", "--profile", "sign",
-                 "--z-threshold", "3.5", "--paper-formula", "--format", fmt, "--out", "r.json"]
+        # a command that samples takes one size
+        sizes = (5,) if _COMMANDS[command].draw else (5, 7)
+        head = ["--config", str(cfg), "--model", "elliptic"]
+        head += [arg for n in sizes for arg in ("--n", str(n))]
+        tail = ["--kmax", "2", "--seed", "3", "--rho", "1/3", "--profile", "sign",
+                "--z-threshold", "3.5", "--paper-formula", "--format", fmt, "--out", "r.json"]
+        flags = head + tail
         expected = ExperimentConfig(
-            command=command, model="elliptic", n=(5, 7), kmax=2, reps=30, seed=3, rho="1/3",
+            command=command, model="elliptic", n=sizes, kmax=2, reps=30, seed=3, rho="1/3",
             profile="sign", z_threshold=3.5, paper_formula=True, fmt=fmt, out="r.json",
         )
-        for argv in ([command, *flags], [*flags, command], [*flags[:8], command, *flags[8:]]):
+        for argv in ([command, *flags], [*flags, command], [*head, command, *tail]):
             assert _config_from_args(_build_parser().parse_args(argv)) == expected
 
     def test_circulant_light_script_config(self):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from explodingmoments.ensembles import (
+    DENSE_LIMIT,
     EnsembleSpec,
     GaussianLaw,
     MatrixSample,
+    SparseChunk,
     _decode_upper_pairs,
     _distinct_uniform,
     _draw_table,
@@ -19,7 +20,7 @@ from explodingmoments.ensembles import (
     replica_generators,
     sample,
     sample_circulant_generator,
-    sample_sparse_blocks,
+    sample_sparse_chunk,
     sparse_size,
     weaver_reduce,
 )
@@ -29,7 +30,7 @@ from explodingmoments.profiles import (
     design_correlated_sign_law,
     sign_scalar_law,
 )
-from reference_sums import reference_circulant_generator
+from reference_sums import reference_circulant_generator, sample_sparse_blocks, to_csr
 
 
 def dense_of(spec):
@@ -61,8 +62,8 @@ class TestReproducibility:
         a, b = sample(spec), sample(spec)
         if a.matrix is None:
             assert np.array_equal(a.generator_values, b.generator_values)
-        elif sparse.issparse(a.matrix):
-            assert (a.matrix != b.matrix).nnz == 0
+        elif isinstance(a.matrix, SparseChunk):
+            assert all(np.array_equal(x, y) for x, y in zip(a.matrix, b.matrix))
         else:
             assert np.array_equal(a.matrix, b.matrix)
 
@@ -70,6 +71,29 @@ class TestReproducibility:
         a = sample(EnsembleSpec(kind="circulant", n=64, law=sign_law, seed=1))
         b = sample(EnsembleSpec(kind="circulant", n=64, law=sign_law, seed=2))
         assert not np.array_equal(a.generator_values, b.generator_values)
+
+
+class TestSparseSample:
+    """A sparse sample holds the sampler's edges and diagonal at its seed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("kind", ["elliptic", "iid", "block", "centrosymmetric"])
+    def test_matrix_is_the_seeded_chunk(self, kind, n, sign_pair_law, sign_law):
+        law = sign_pair_law if kind in ("elliptic", "block") else sign_law
+        spec = EnsembleSpec(kind=kind, n=n, law=law, seed=5)
+        m = sample(spec)
+        want = sample_sparse_chunk(spec, replica_generators([spec.seed]))
+        assert type(m.matrix) is SparseChunk and m.size == want.size == sparse_size(spec)
+        assert all(np.array_equal(x, y) for x, y in zip(m.matrix, want))
+        # dense() scatters the entries where their CSR matrix holds them
+        assert np.array_equal(m.dense(), to_csr(m.matrix).toarray())
+
+    @pytest.mark.parametrize("kind", ["elliptic", "iid", "block", "centrosymmetric", "circulant"])
+    def test_dense_stops_past_the_dense_limit(self, kind, sign_pair_law, sign_law):
+        law = sign_pair_law if kind in ("elliptic", "block") else sign_law
+        s = sample(EnsembleSpec(kind=kind, n=DENSE_LIMIT + 1, law=law, seed=1))
+        with pytest.raises(ValueError, match=f"exceeds the dense limit {DENSE_LIMIT}"):
+            s.dense()
 
 
 class TestStructuralInvariants:
@@ -369,7 +393,7 @@ class TestPinnedDraws:
     )
     def test_sign_law_draw(self, kind, n, seed, cells, sign_pair_law, sign_law):
         law = sign_pair_law if kind in ("elliptic", "block") else sign_law
-        m = sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix
+        m = to_csr(sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix)
         size = 2 * n if kind == "block" else n
         assert m.format == "csr" and m.shape == (size, size)
         coo = m.tocoo()
@@ -386,7 +410,7 @@ class TestPinnedDraws:
         size = sparse_size(spec)
         assert batch.format == "csr" and batch.shape == (4 * size, 4 * size)
         for i, seed in enumerate(seeds):
-            m = sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix
+            m = to_csr(sample(EnsembleSpec(kind=kind, n=n, law=law, seed=seed)).matrix)
             lo, hi = batch.indptr[i * size], batch.indptr[(i + 1) * size]
             assert np.array_equal(batch.indptr[i * size : (i + 1) * size + 1] - lo, m.indptr)
             assert np.array_equal(batch.indices[lo:hi] - i * size, m.indices)

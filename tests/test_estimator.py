@@ -20,7 +20,6 @@ from explodingmoments.ensembles import (
     replica_generators,
     sample,
     sample_circulant_generator,
-    sample_sparse_blocks,
     sample_sparse_chunk,
 )
 from explodingmoments import estimator
@@ -45,11 +44,13 @@ from explodingmoments.estimator import (
 from explodingmoments.oracle import exact_table
 from explodingmoments.profiles import PAIR_MODELS
 from reference_sums import (
+    of_csr,
     reference_aggregate_stats,
     reference_batch_traces,
     reference_chunk_traces,
     reference_replica_traces,
     reference_trace_powers,
+    to_csr,
 )
 
 SPARSE_MODELS = ("elliptic", "iid", "block", "centrosymmetric")
@@ -124,16 +125,16 @@ class TestTracePowers:
     def test_non_canonical_csr_sums_its_duplicates(self):
         # rows hold unsorted columns, and (0, 0), (1, 2), (2, 1) and (3, 3)
         # are each stored twice, row 3 on no cycle; the products sum
-        # duplicates, so the traces must too
+        # duplicates, so the entries that of_csr hands the kernel must too
         indptr = np.array([0, 4, 7, 10, 12])
         indices = np.array([2, 0, 1, 0, 2, 0, 2, 1, 0, 1, 3, 3])
         data = np.array([1.5, 0.5, -2.0, 0.25, 1.0, 3.0, -0.5, 2.0, -1.0, 0.75, 0.5, 0.25])
         mat = sparse.csr_matrix((data, indices, indptr), shape=(4, 4))
         assert not mat.has_canonical_format
-        got = trace_powers(MatrixSample(kind="iid", size=4, trace_norm=4, matrix=mat), 8)
+        got = trace_powers(MatrixSample(kind="iid", size=4, trace_norm=4, matrix=of_csr(mat)), 8)
         dense = MatrixSample(kind="iid", size=4, trace_norm=4, matrix=mat.toarray())
         assert np.allclose(got, trace_powers(dense, 8), rtol=1e-12, atol=1e-12)
-        # the sample's own matrix is left as it was
+        # the CSR matrix is left as it was
         assert np.array_equal(mat.indices, indices) and np.array_equal(mat.data, data)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -152,8 +153,8 @@ class TestSparseBlockTraces:
     def reference(samples, k_max):
         """(traces, scale) per sample; the scale of Tr(A^k) is Tr(|A|^k), the
         sum of the absolute values of its closed-walk summands."""
-        want = [reference_trace_powers(m.matrix, m.trace_norm, k_max) for m in samples]
-        scale = [reference_trace_powers(abs(m.matrix), m.trace_norm, k_max) for m in samples]
+        want = [reference_trace_powers(to_csr(m.matrix), m.trace_norm, k_max) for m in samples]
+        scale = [reference_trace_powers(abs(to_csr(m.matrix)), m.trace_norm, k_max) for m in samples]
         return np.array(want), np.array(scale)
 
     @staticmethod
@@ -249,7 +250,7 @@ class TestReplicaBatches:
         m = len(got)
         want = reference_replica_traces(spec, k_max, m)
         scale = np.array([
-            reference_trace_powers(abs(sample(replace(spec, seed=spec.seed + r)).matrix), spec.n, k_max)
+            reference_trace_powers(abs(to_csr(sample(replace(spec, seed=spec.seed + r)).matrix)), spec.n, k_max)
             for r in range(1, m + 1)
         ])
         TestSparseBlockTraces.assert_matches(got, want, scale, replicas_unfolded(spec, m))
@@ -364,7 +365,7 @@ def csr_of(size, entries):
 
 def core_of(mat):
     """The rows of mat in the cyclic core of its off-diagonal stored entries."""
-    chunk = SparseChunk.of_csr(mat)
+    chunk = of_csr(mat)
     return np.flatnonzero(_core_rows(chunk.src, chunk.dst, chunk.size)).tolist()
 
 
@@ -527,7 +528,7 @@ def whole_core(mat):
     """A run of one sample whose core is every row of ``mat``, nothing
     peeled or folded, so that the kernel multiplies ``mat`` itself."""
     n = mat.shape[0]
-    return _Peeled(n, np.arange(n), SparseChunk.of_csr(mat), [np.zeros(n)])
+    return _Peeled(n, np.arange(n), of_csr(mat), [np.zeros(n)])
 
 
 def stored(power, mat):
@@ -586,11 +587,11 @@ class TestScipyKernel:
     def test_products_store_as_scipy(self, pair):
         a, b = pair
         n = a.shape[0]
-        right = _csr(SparseChunk.of_csr(b))
+        right = _csr(of_csr(b))
         assert stored(right, b)
         # scipy's product of canonical operands sums each entry in ascending
         # inner index and stores no exact zero, as the kernel's does
-        power, want = _csr(SparseChunk.of_csr(a)), a
+        power, want = _csr(of_csr(a)), a
         for _ in range(3):
             power, want = _product(power, right, n), (want @ b).sorted_indices()
             assert stored(power, want)
@@ -621,7 +622,7 @@ class TestScipyKernel:
         # a 3-cycle of stored zeros: every product sums to 0 and stores
         # nothing, and a trace of stored -0.0 entries is 0.0
         mat = csr_of(3, {(0, 1): 0.0, (1, 2): -0.0, (2, 0): 0.0, (1, 1): -0.0})
-        assert _product(_csr(SparseChunk.of_csr(mat)), _csr(SparseChunk.of_csr(mat)), 3).ptr.tolist() == [0, 0, 0, 0]
+        assert _product(_csr(of_csr(mat)), _csr(of_csr(mat)), 3).ptr.tolist() == [0, 0, 0, 0]
         for mat in (mat, csr_of(1, {(0, 0): -0.0})):
             for k_max in range(1, 9):
                 got, want = both_kernels(whole_core(mat), 3, k_max)
@@ -633,7 +634,7 @@ class TestScipyKernel:
         mat = sparse.csr_matrix(np.array([[1, 2, 0, 0, 0], [-3, 0, 1, 0, 0], [0, 0, 2, 4, 0],
                                           [0, 0, 0, -1, 5], [0, 0, 1, 0, 3]]))
         assert mat.dtype.kind == "i"
-        m = MatrixSample("iid", 5, 5, mat)
+        m = MatrixSample("iid", 5, 5, of_csr(mat))
         for k_max in range(1, 9):
             assert np.array_equal(trace_powers(m, k_max), reference_trace_powers(mat, 5, k_max)), k_max
 
@@ -665,7 +666,7 @@ class TestCyclicCore:
             block = mat[b * size : (b + 1) * size, b * size : (b + 1) * size]
             want.append(reference_trace_powers(block, 1, k_max))
             scale.append(reference_trace_powers(abs(block), 1, k_max))
-        chunk = SparseChunk.of_csr(mat)
+        chunk = of_csr(mat)
         for k in range(1, k_max + 1):
             TestSparseBlockTraces.assert_matches(
                 chunk_traces(chunk, blocks, 1, k), np.array(want)[:, :k], np.array(scale)[:, :k],
@@ -699,7 +700,7 @@ class TestCyclicCore:
                          **{(i, i): v for i, v in enumerate(d)}})
         assert self.check(mat) == []
         for k in range(1, 9):
-            assert chunk_traces(SparseChunk.of_csr(mat), 1, 1, k)[0, -1] == np.sum(d**k)
+            assert chunk_traces(of_csr(mat), 1, 1, k)[0, -1] == np.sum(d**k)
 
     def test_cycle_with_tails_keeps_the_cycle(self):
         # 0 -> 1 -> 2 -> 0 is the cycle; 3 -> 0 an in-tail, 2 -> 4 -> 5 an out-tail

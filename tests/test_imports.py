@@ -1,9 +1,8 @@
 """The exact layers and commands run without numpy or scipy, and without
 ``dataclasses`` and the ``inspect`` it loads: importing the package loads
-none of them, the sampling names resolve on first access, the
-Monte Carlo commands load numpy alone, and only ``sample`` of a sparse
-model, which returns a CSR matrix, loads ``scipy.sparse``, without its
-graph or linear algebra subpackages.  Each check runs in a fresh
+none of them, and the sampling names resolve on first access.  The
+sampling commands and the library's sparse samples load numpy alone, and
+they run where scipy cannot be imported at all.  Each check runs in a fresh
 interpreter, since this process has loaded both long before."""
 
 import json
@@ -15,6 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("numpy", "scipy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+SPARSE_MODELS = ("elliptic", "iid", "block", "centrosymmetric")
 # standard modules that cost milliseconds to import; numpy loads both
 SLOW_STDLIB = ("dataclasses", "inspect")
 
@@ -81,15 +81,46 @@ def test_sparse_simulate_and_verify_load_numpy_alone():
     assert report["simulate"] == [0, ["numpy"]] and report["verify"] == [0, ["numpy"]]
 
 
-def test_sparse_sample_loads_scipy_sparse_alone():
+def test_sparse_sample_traces_and_dense_load_numpy_alone():
     code = f"""
 import json, sys
 from fractions import Fraction
-from explodingmoments import EnsembleSpec, design_correlated_sign_law, sample
-m = sample(EnsembleSpec("elliptic", 20, design_correlated_sign_law(Fraction(1, 2)), 3))
-print(json.dumps([type(m.matrix).__name__, [name for name in {HEAVY!r} if name in sys.modules]]))
+from explodingmoments import (EnsembleSpec, design_correlated_sign_law, sample,
+                              sign_scalar_law, trace_powers)
+laws = {{"elliptic": design_correlated_sign_law(Fraction(1, 2)), "iid": sign_scalar_law(),
+        "block": design_correlated_sign_law(Fraction(1, 3)), "centrosymmetric": sign_scalar_law()}}
+report = {{}}
+for kind, law in laws.items():
+    m = sample(EnsembleSpec(kind, 20, law, 3))
+    trace_powers(m, 6), m.dense()
+    report[kind] = [type(m.matrix).__name__, [name for name in {HEAVY!r} if name in sys.modules]]
+print(json.dumps(report))
 """
-    assert json.loads(run_fresh(code)) == ["csr_matrix", ["numpy", "scipy", "scipy.sparse"]]
+    want = ["SparseChunk", ["numpy"]]
+    assert json.loads(run_fresh(code)) == {kind: want for kind in SPARSE_MODELS}
+
+
+def test_sampling_commands_run_where_scipy_cannot_be_imported():
+    # a None entry in sys.modules makes every import of scipy fail
+    argvs = [[command, "--model", kind, "--n", "30", "--kmax", "4", "--reps", "5"]
+             for kind in SPARSE_MODELS for command in ("simulate", "verify")]
+    argvs.append(["weaver", "--n", "9"])
+    probe = f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import explodingmoments.cli as cli
+reports = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    reports.append([argv[0], code, json.loads(out.getvalue())["command"]])
+print(json.dumps(reports))
+"""
+    reports = json.loads(run_fresh(probe))
+    assert [command for command, _code, _reported in reports] == [argv[0] for argv in argvs]
+    for command, code, reported in reports:
+        # verify may fail a row at so few replicas, and exits 1 then
+        assert reported == command and code in ((0, 1) if command == "verify" else (0,))
 
 
 def test_every_exported_name_resolves():
