@@ -134,15 +134,17 @@ class ExperimentConfig(_ConfigFields):
             raise UsageError(f"{cmd} needs --n of at least 1, got {min(self.n, default=0)}")
         if row.draw and len(self.n) > 1:
             raise UsageError(f"{cmd} takes one --n, got {list(self.n)}")
+        if row.reads_n and len(set(self.n)) < len(self.n):
+            raise UsageError(f"{cmd} takes each --n once, got {list(self.n)}")
         if row.first_seed is not None and self.seed + row.first_seed < 0:
             raise UsageError(f"{cmd} needs --seed of at least {-row.first_seed}, got {self.seed}")
-        if cmd != "weaver" and self.profile == "sign" and self.model in PAIR_MODELS:
-            try:
-                rho = Fraction(self.rho)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                rho = None  # OverflowError: an infinite float
-            if rho is None or not -1 <= rho <= 1:
-                raise UsageError(f"--rho must be a rational in [-1, 1], got {self.rho!r}")
+        # checked even where the model or profile ignores it: reports record it
+        try:
+            rho = Fraction(self.rho)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            rho = None  # OverflowError: an infinite float
+        if rho is None or not -1 <= rho <= 1:
+            raise UsageError(f"--rho must be a rational in [-1, 1], got {self.rho!r}")
         # nan, the infinities and integers past the float range all fail this
         if cmd == "verify" and not abs(self.z_threshold) <= sys.float_info.max:
             raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")

@@ -149,6 +149,8 @@ class _SeedState(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == _POOL and dtype is np.uint64:  # PCG64's call, once per generator
+            return self.words
         if (n_words, np.dtype(dtype)) != (_POOL, np.dtype(np.uint64)):
             raise ValueError("a precomputed seed state holds four uint64 words")
         return self.words
@@ -402,7 +404,7 @@ def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator])
             rows += [i] * count
             positions += _distinct_uniform(rng, n, count).tolist()
             uniforms += rng.random(count).tolist()
-    out[rows, positions] = vals[np.searchsorted(cum, uniforms, side="right")]
+    out[rows, positions] = vals[_atom_rows(cum, np.array(uniforms))]
     return out
 
 

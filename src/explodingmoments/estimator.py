@@ -171,22 +171,27 @@ def _peel(chunk: SparseChunk, size: int) -> _Peeled:
     can be dropped.  The later rounds run in :func:`_fold`, over the rows
     left in many chunks at once, where they take fewer calls."""
     core = _core_rows(chunk.src, chunk.dst, chunk.size, PEEL_ROUNDS)
-    rank = np.cumsum(core, dtype=np.int32) - 1
-    edges = core.take(chunk.src)
-    edges &= core.take(chunk.dst)
-    on = core.take(chunk.diag_at)
     loops = np.zeros(chunk.size)
     loops[chunk.diag_at] = chunk.diag
     loops[core] = 0.0
-    entries = SparseChunk(
-        np.count_nonzero(core),
+    return _Peeled(size, np.flatnonzero(core), _restrict(chunk, core, np.int32), [loops])
+
+
+def _restrict(chunk: SparseChunk, keep: np.ndarray, dtype=np.intp) -> SparseChunk:
+    """The rows of ``chunk`` in the mask ``keep``, relabelled 0..count-1 in
+    ``dtype`` in their order: the edges among them and their diagonal."""
+    rank = np.cumsum(keep, dtype=dtype) - 1
+    edges = keep.take(chunk.src)
+    edges &= keep.take(chunk.dst)
+    on = keep.take(chunk.diag_at)
+    return SparseChunk(
+        np.count_nonzero(keep),
         rank.take(chunk.src.compress(edges)),
         rank.take(chunk.dst.compress(edges)),
         chunk.val.compress(edges),
         rank.take(chunk.diag_at.compress(on)),
         chunk.diag.compress(on),
     )
-    return _Peeled(size, np.flatnonzero(core), entries, [loops])
 
 
 def _fold(parts: list[_Peeled], k_max: int) -> _Peeled:
@@ -244,14 +249,9 @@ def _fold(parts: list[_Peeled], k_max: int) -> _Peeled:
     # indexed until half are gone, then the rest are relabelled, unless fewer
     # than FOLD_FLOOR would be left, so that small masks are seldom made
     alive = _core_rows(core.src, core.dst, n)
-    label, src, dst, val = np.flatnonzero(alive), core.src, core.dst, core.val
-    if len(label) < n:
-        keep = alive.take(src)
-        keep &= alive.take(dst)
-        rank = np.cumsum(alive) - 1
-        src, dst, val = rank.take(src.compress(keep)), rank.take(dst.compress(keep)), val.compress(keep)
-        rank = keep = None
+    label = np.flatnonzero(alive)
     live = len(label)
+    src, dst, val = (_restrict(core, alive) if live < n else core)[1:4]
     alive = np.ones(live, dtype=bool)
     checked = np.zeros(live, dtype=bool)  # rows found not pendant
     # by label: the row each row folded into (-1 for none), and from the
@@ -354,19 +354,7 @@ def _fold(parts: list[_Peeled], k_max: int) -> _Peeled:
     cuts = np.searchsorted(gone, first).tolist()
     for loop, start, lo, hi in zip(loops, first, cuts, cuts[1:]):
         loop[gone[lo:hi] - start] = left[lo:hi]
-    rank = np.cumsum(kept) - 1
-    edges = kept.take(core.src)
-    edges &= kept.take(core.dst)
-    on = kept.take(core.diag_at)
-    entries = SparseChunk(
-        int(rank[-1]) + 1,
-        rank.take(core.src.compress(edges)),
-        rank.take(core.dst.compress(edges)),
-        core.val.compress(edges),
-        rank.take(core.diag_at.compress(on)),
-        core.diag.compress(on),
-    )
-    return _Peeled(size, rows.compress(kept), entries, loops, terms)
+    return _Peeled(size, rows.compress(kept), _restrict(core, kept), loops, terms)
 
 
 def _newton_sums(coef: np.ndarray) -> np.ndarray:

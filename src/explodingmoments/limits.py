@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, prod
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import ADMISSIBLE_TREE, classify, moment_product
 from .partitions import TraceCounts, block_classes, enumerate_pair_partitions
@@ -294,27 +294,17 @@ def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fractio
     return total
 
 
-def _profile_of(table) -> MomentProfile:
-    """The profile itself, or the alpha = 1 profile of a table {m: C_m}."""
-    if isinstance(table, MomentProfile):
-        return table
-    return MomentProfile(alpha=Fraction(1), kmax=max(table, default=2), scalar_table=table)
-
-
-def circulant_limit_moment(
-    k: int, profile: Union[MomentProfile, Mapping[int, Fraction]], paper_formula: bool = False
-) -> Fraction:
-    """Limit of E[Tr(C^k)] for the circulant model.
+def circulant_limit_moment(k: int, profile: MomentProfile, paper_formula: bool = False) -> Fraction:
+    """Limit of E[Tr(C^k)] for the circulant model from the C_m of a profile.
 
     Sums prod_b C_(m_b) over the set partitions of {1..k} into blocks of
     sizes m_b >= 2, class by class (:func:`partitions.block_classes`): the
     count k! / (prod_b m_b! prod mu!) divides by the multiplicities mu of
     equal sizes.  The uncorrected variant (paper_formula=True) omits that
     symmetry factor and is kept for comparison reports only.  A C_m the
-    table lacks raises :class:`MomentTableError`, as in
+    profile lacks raises :class:`MomentTableError`, as in
     :meth:`MomentProfile.scalar`.
     """
-    profile = _profile_of(profile)
     _require_alpha_one(profile)
     total = Fraction(0)
     for blocks, count in block_classes((k,)).items():

@@ -307,8 +307,7 @@ def profile_of_scalar_law(law: SparseScalarLaw, kmax: int = DEFAULT_KMAX) -> Mom
     return MomentProfile(alpha=Fraction(1), kmax=kmax, scalar_table=scalar)
 
 
-def degenerate_profile_of(scalar_table: Mapping[int, Fraction], kmax: int = DEFAULT_KMAX,
-                          alpha=Fraction(1)) -> MomentProfile:
+def degenerate_profile_of(scalar_table: Mapping[int, Fraction], kmax: int = DEFAULT_KMAX) -> MomentProfile:
     """Pair table an independent-entry model induces: C_{k,0} = C_{0,k} = C_k,
     and C_{k,l} = 0 whenever k >= 1 and l >= 1."""
     scalar = {k: _frac(v) for k, v in scalar_table.items()}
@@ -317,7 +316,7 @@ def degenerate_profile_of(scalar_table: Mapping[int, Fraction], kmax: int = DEFA
         for k, l in _pair_keys(kmax)
     }
     full_scalar = {k: scalar.get(k, Fraction(0)) for k in range(2, kmax + 1)}
-    return MomentProfile(alpha=alpha, kmax=kmax, pair_table=pair, scalar_table=full_scalar)
+    return MomentProfile(alpha=Fraction(1), kmax=kmax, pair_table=pair, scalar_table=full_scalar)
 
 
 def wigner_profile(kmax: int = 10) -> MomentProfile:
@@ -333,8 +332,7 @@ def wigner_profile(kmax: int = 10) -> MomentProfile:
 
 def light_profile(kmax: int = DEFAULT_KMAX) -> MomentProfile:
     """Bounded-moment limit profile: C_2 = 1 and C_k = 0 for k >= 3."""
-    scalar = {k: Fraction(1) if k == 2 else Fraction(0) for k in range(2, kmax + 1)}
-    return degenerate_profile_of(scalar, kmax=kmax)
+    return degenerate_profile_of({2: Fraction(1)}, kmax=kmax)
 
 
 def _missing_entries(name: str, table: Mapping, keys: Iterable, expected: int) -> list[Violation]:

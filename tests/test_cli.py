@@ -189,6 +189,14 @@ class TestUsageErrors:
             (["verify", "--rho", "3/2"], "--rho must be a rational in [-1, 1], got '3/2'"),
             (["oracle", "--model", "block", "--rho", "1/0"],
              "--rho must be a rational in [-1, 1], got '1/0'"),
+            # checked for models, profiles and commands that do not read it
+            (["limits", "--model", "iid", "--kmax", "4", "--rho", "banana"],
+             "--rho must be a rational in [-1, 1], got 'banana'"),
+            (["verify", "--model", "centrosymmetric", "--n", "3", "--kmax", "2", "--rho", "5"],
+             "--rho must be a rational in [-1, 1], got '5'"),
+            (["covariance", "--model", "circulant", "--profile", "light", "--rho", "-2"],
+             "--rho must be a rational in [-1, 1], got '-2'"),
+            (["weaver", "--n", "4", "--rho", "x"], "--rho must be a rational in [-1, 1], got 'x'"),
             (["simulate", "--model", "circulant", "--seed", "-3"],
              "simulate needs --seed of at least -1, got -3"),
             (["weaver", "--seed", "-1"], "weaver needs --seed of at least 0, got -1"),
@@ -199,6 +207,10 @@ class TestUsageErrors:
             (["simulate", "--n", "10", "--n", "20"], "simulate takes one --n, got [10, 20]"),
             (["verify", "--n", "10", "--n", "20"], "verify takes one --n, got [10, 20]"),
             (["weaver", "--n", "5", "--n", "7", "--n", "9"], "weaver takes one --n, got [5, 7, 9]"),
+            (["oracle", "--model", "elliptic", "--n", "7", "--n", "7", "--kmax", "1"],
+             "oracle takes each --n once, got [7, 7]"),
+            (["oracle", "--model", "circulant", "--n", "7", "--n", "11", "--n", "7", "--kmax", "2"],
+             "oracle takes each --n once, got [7, 11, 7]"),
             (["limits", "--kmax", "0"], "limits needs --kmax of at least 1, got 0"),
             (["covariance", "--kmax", "0"], "covariance needs --kmax of at least 1, got 0"),
             (["oracle", "--kmax", "0"], "oracle needs --kmax of at least 1, got 0"),

@@ -326,7 +326,8 @@ class TestCirculant:
 
     def test_k3_is_c3(self):
         table = {2: Fraction(1), 3: Fraction(5, 7), 4: Fraction(0)}
-        assert circulant_limit_moment(3, table) == Fraction(5, 7)
+        profile = MomentProfile(alpha=1, kmax=4, scalar_table=table)
+        assert circulant_limit_moment(3, profile) == Fraction(5, 7)
 
     def test_k4_sign(self, sign_profile):
         assert circulant_limit_moment(4, sign_profile) == 4
@@ -354,8 +355,9 @@ class TestCirculant:
         short = profile_of_scalar_law(sign_scalar_law(), kmax=2)
         with pytest.raises(MomentTableError, match="no entry C_3"):
             circulant_limit_moment(3, short)
+        table = {2: Fraction(1), 3: Fraction(0)}
         with pytest.raises(MomentTableError, match="no entry C_4"):
-            circulant_limit_moment(4, {2: Fraction(1), 3: Fraction(0)})
+            circulant_limit_moment(4, MomentProfile(alpha=1, kmax=3, scalar_table=table))
 
     def test_alpha_other_than_one_raises(self):
         heavy = MomentProfile(**{**profile_of_scalar_law(sign_scalar_law())._asdict(), "alpha": 2})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explodingmoments.graphs import ADMISSIBLE_TREE, classify
 from explodingmoments.partitions import (
     MAX_GROUND,
     block_classes,
@@ -182,6 +183,9 @@ class TestCrossPartitions:
 # every one- and two-walk tuple of total <= 8
 NONZERO_LENGTHS = [(k,) for k in range(1, 9)]
 NONZERO_LENGTHS += [(k, l) for k in range(1, 8) for l in range(1, 9 - k)]
+# every one- and two-walk tuple of total <= 9
+PRUNE_LENGTHS = [(k,) for k in range(1, 10)]
+PRUNE_LENGTHS += [(k, l) for k in range(1, 9) for l in range(1, 10 - k)]
 
 
 class TestWalkPartitions:
@@ -227,6 +231,13 @@ class TestWalkPartitions:
                 assert not leaf.loop_counts
                 assert all(a + b >= 2 for (a, b), _count in leaf.ordered_pair_counts)
                 assert sum(c for _key, c in leaf.ordered_pair_counts) == leaf.vertex_count - 1
+
+    @pytest.mark.parametrize("lengths", PRUNE_LENGTHS, ids=str)
+    def test_pruned_leaves_are_the_leaves_classify_admits(self, lengths):
+        # the thick-tree rule is written twice, in the prune and in classify
+        admitted = [leaf for leaf in walk_partitions(lengths)
+                    if classify(leaf, "elliptic") == ADMISSIBLE_TREE]
+        assert list(walk_partitions(lengths, prune=True)) == admitted
 
     def test_guard(self):
         for bad in [(), (0,), (7, 6), (2, 2, 2)]:
