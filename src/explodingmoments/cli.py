@@ -138,7 +138,8 @@ class ExperimentConfig(_ConfigFields):
             raise UsageError(f"{cmd} takes each --n once, got {list(self.n)}")
         if row.first_seed is not None and self.seed + row.first_seed < 0:
             raise UsageError(f"{cmd} needs --seed of at least {-row.first_seed}, got {self.seed}")
-        # checked even where the model or profile ignores it: reports record it
+        # --rho and --z-threshold are checked even where the command, model or
+        # profile ignores them: reports record them
         try:
             rho = Fraction(self.rho)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -146,10 +147,10 @@ class ExperimentConfig(_ConfigFields):
         if rho is None or not -1 <= rho <= 1:
             raise UsageError(f"--rho must be a rational in [-1, 1], got {self.rho!r}")
         # nan, the infinities and integers past the float range all fail this
-        if cmd == "verify" and not abs(self.z_threshold) <= sys.float_info.max:
-            raise UsageError(f"verify needs a finite --z-threshold, got {self.z_threshold}")
-        if cmd == "verify" and self.z_threshold <= 0:
-            raise UsageError(f"verify needs a positive --z-threshold, got {self.z_threshold}")
+        if not abs(self.z_threshold) <= sys.float_info.max:
+            raise UsageError(f"{cmd} needs a finite --z-threshold, got {self.z_threshold}")
+        if self.z_threshold <= 0:
+            raise UsageError(f"{cmd} needs a positive --z-threshold, got {self.z_threshold}")
         return self
 
     def as_dict(self) -> dict:

@@ -455,25 +455,18 @@ def weaver_reduce(m: Union[MatrixSample, np.ndarray]) -> WeaverReduction:
     if not is_centrosymmetric(M):
         raise ValueError("matrix is not centrosymmetric")
     n = M.shape[0]
-    s = n // 2
+    s, odd = n // 2, n % 2
     J = np.fliplr(np.eye(s))
     h = np.sqrt(0.5)
-    if n % 2 == 0:
-        A = M[:s, :s]
-        C = M[s:, :s]
-        Q = np.block([[np.eye(s), -np.eye(s)], [J, J]]) * h
-        return WeaverReduction(A + J @ C, A - J @ C, None, Q)
     A = M[:s, :s]
-    C = M[s + 1 :, :s]
-    x = M[:s, s]
-    y = M[s, :s]
-    q = M[s, s]
+    C = M[s + odd :, :s]
     Q = np.zeros((n, n))
     Q[:s, :s] = np.eye(s) * h
-    Q[s + 1 :, :s] = J * h
-    Q[s, s] = 1.0
-    Q[:s, s + 1 :] = -np.eye(s) * h
-    Q[s + 1 :, s + 1 :] = J * h
-    return WeaverReduction(
-        A + J @ C, A - J @ C, (np.sqrt(2) * x, np.sqrt(2) * y, q), Q
-    )
+    Q[s + odd :, :s] = J * h
+    Q[:s, s + odd :] = -np.eye(s) * h
+    Q[s + odd :, s + odd :] = J * h
+    center = None
+    if odd:
+        Q[s, s] = 1.0
+        center = (np.sqrt(2) * M[:s, s], np.sqrt(2) * M[s, :s], M[s, s])
+    return WeaverReduction(A + J @ C, A - J @ C, center, Q)

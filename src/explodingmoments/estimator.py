@@ -7,6 +7,13 @@ deterministic end to end and replicas can be generated in any order or in
 parallel.  Z_N(k) is centered at the empirical replica mean; the O(1/M)
 centering bias is covered by the bootstrap standard errors.
 
+One loop draws the replicas of every sample kind, in groups of consecutive
+seeds: a chunk of circulant generators, one dense (Gaussian) replica, taken
+through repeated products, or up to 8 chunks of sparse replicas.  Group
+boundaries depend only on M and the matrix size, and
+``EXPLODINGMOMENTS_THREADS`` threads map over groups, so results do not
+depend on the thread count.
+
 Sparse replicas are drawn in chunks of consecutive seeds.  A chunk is one
 block-diagonal matrix whose block i is the sample at its seed, sized to
 about 8000 rows and at most 256 samples.  Chunks come in groups of up to 8,
@@ -43,23 +50,20 @@ in canonical order, each power's positions ascending and each entry's terms
 summed in ascending inner index.  The products of A_C sum, row by row, the
 terms a sample's own core would, and a sample's rows are peeled and folded
 in the same rounds whatever chunks share its run, so the traces do not
-depend on how chunks are grouped.  Group boundaries depend only on M and
-the matrix size, and ``EXPLODINGMOMENTS_THREADS`` threads map over groups,
-so results do not depend on the thread count.
-Dense (Gaussian) replicas go one per chunk through repeated products.
+depend on how chunks are grouped.
 
-Circulant replicas never form a matrix.  Their generators are drawn in
-chunks, one row per replica seed, sized to a fixed working set of 2^18
+Circulant replicas never form a matrix.  A group is one chunk of their
+generators, one row per replica seed, sized to a fixed working set of 2^18
 generator entries (2 MB of rows) whatever M: the kernel's spectrum and power
 temporaries are each about that size, so a chunk stays in cache and maps no
-fresh memory, and peak memory does not grow with M.  A chunk's random
-generators come from one vectorised SeedSequence pass over its seeds, each
-equal to ``default_rng(seed + r)``, and one kernel gives Tr(C^k)/N for a
-sample or a chunk: the real FFT of the generator gives the half-spectrum
-lambda_0..lambda_(N//2), and since lambda_(N-j) = conj(lambda_j) for a real
-generator, the power sum over all N eigenvalues is a weighted real sum over
-that half, taken row by row outside BLAS, so a replica's traces do not
-depend on its place in its chunk.
+fresh memory, and peak memory, a few chunks a thread, does not grow with M.
+A chunk's random generators come from one vectorised SeedSequence pass over
+its seeds, each equal to ``default_rng(seed + r)``, and one kernel gives
+Tr(C^k)/N for a sample or a chunk: the real FFT of the generator gives the
+half-spectrum lambda_0..lambda_(N//2), and since lambda_(N-j) =
+conj(lambda_j) for a real generator, the power sum over all N eigenvalues
+is a weighted real sum over that half, taken row by row outside BLAS, so a
+replica's traces do not depend on its place in its chunk.
 
 The bootstrap never gathers a resampled copy of the traces.  Each resample
 is one ``rng.integers`` draw of M indices from its own seeded stream, turned
@@ -618,15 +622,25 @@ def thread_count() -> int:
 def _replica_traces(spec: EnsembleSpec, k_max: int, m: int, threads: int = 1) -> np.ndarray:
     """(m, k_max) traces of replicas r = 1..m, drawn from seeds spec.seed + r.
 
-    Sparse replicas are drawn in groups of up to ``GROUP_CHUNKS`` chunks of
-    consecutive seeds (:func:`_group_traces`); dense replicas one at a time.
-    Group boundaries depend only on m and the matrix size, and threads map
-    over groups, so the result does not depend on the thread count."""
-    if spec.kind == "circulant":
-        return _circulant_replica_traces(spec, k_max, m)
+    One loop over groups of consecutive seeds, a ``fill`` per sample kind:
+    a circulant group is one chunk of ``CIRCULANT_CHUNK_ENTRIES // N``
+    replicas, seeded by one vectorised pass (:func:`replica_generators`),
+    drawn by one ``sample_circulant_generator`` call and summed by one batched
+    real FFT (:func:`_circulant_power_sums`); a dense replica is a group of
+    its own; sparse replicas go in groups of up to ``GROUP_CHUNKS`` chunks
+    (:func:`_group_traces`).  Group boundaries depend only on m and the
+    matrix size, and threads map over groups, so the result does not depend
+    on the thread count."""
     out = np.empty((m, k_max))
     first = spec.seed + 1
-    if isinstance(spec.law, GaussianLaw):
+    if spec.kind == "circulant":
+        group = max(1, min(m, CIRCULANT_CHUNK_ENTRIES // spec.n))
+
+        def fill(lo: int) -> None:
+            rngs = replica_generators(range(first + lo, first + min(lo + group, m)))
+            x = sample_circulant_generator(spec.law, spec.n, rngs)
+            out[lo : lo + group] = _circulant_power_sums(x, k_max)
+    elif isinstance(spec.law, GaussianLaw):
         group = 1
 
         def fill(lo: int) -> None:
@@ -684,29 +698,6 @@ def _runs(parts: Iterable[_Peeled], rows: int) -> Iterator[list[_Peeled]]:
         run.append(part)
     if run:
         yield run
-
-
-def _circulant_replica_traces(spec: EnsembleSpec, k_max: int, m: int) -> np.ndarray:
-    """Replica i draws its generator from the generator of seed
-    ``spec.seed + 1 + i``, equal to ``default_rng`` at that seed, as
-    ``sample`` does.  Each chunk of replicas is one vectorised seeding pass
-    (:func:`replica_generators`), one ``sample_circulant_generator`` call and
-    one batched real FFT through the half-spectrum kernel
-    :func:`_circulant_power_sums`, the kernel of ``trace_powers`` for a single
-    circulant sample.
-
-    A chunk holds ``CIRCULANT_CHUNK_ENTRIES // N`` replicas (at least one), a
-    fixed working set, so peak memory is a few chunk sizes plus the
-    (m, k_max) output however large m is.  Chunk boundaries depend only on m
-    and N."""
-    n = spec.n
-    out = np.empty((m, k_max))
-    chunk = max(1, min(m, CIRCULANT_CHUNK_ENTRIES // n))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        rngs = replica_generators(range(spec.seed + 1 + lo, spec.seed + 1 + hi))
-        out[lo:hi] = _circulant_power_sums(sample_circulant_generator(spec.law, n, rngs), k_max)
-    return out
 
 
 def run_experiment(

@@ -355,31 +355,21 @@ def validate_profile(profile: MomentProfile, model: str) -> list[Violation]:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     out: list[Violation] = []
     kmax = profile.kmax
-    if model in PAIR_MODELS:
-        # the (kmax+1)(kmax+2)/2 keys with k + l <= kmax, less (0,0), (0,1), (1,0)
-        out += _missing_entries("pair", profile.pair_table, _pair_keys(kmax),
-                                (kmax + 1) * (kmax + 2) // 2 - 3)
+    # each table the model reads: its keys in order and their count (pair keys
+    # k + l <= kmax, less (0,0), (0,1), (1,0)), then the keys unit variance fixes
+    tables = (
+        (PAIR_MODELS, "pair", profile.pair_table, _pair_keys(kmax), (kmax + 1) * (kmax + 2) // 2 - 3,
+         ((2, 0), (0, 2))),
+        (_SCALAR_MODELS, "scalar", profile.scalar_table, range(2, kmax + 1), kmax - 1, (2,)),
+    )
+    for models, name, table, keys, expected, unit in tables:
+        if model not in models:
+            continue
+        out += _missing_entries(name, table, keys, expected)
         if profile.alpha == 1:
-            for key in ((2, 0), (0, 2)):
-                have = profile.pair_table.get(key)
-                if have is not None and have != 1:
-                    out.append(
-                        Violation(
-                            "variance-mismatch",
-                            f"alpha = 1 forces C_{key} = 1 (unit entry variance), got {have}",
-                        )
-                    )
-    if model in _SCALAR_MODELS:
-        out += _missing_entries("scalar", profile.scalar_table, range(2, kmax + 1), kmax - 1)
-        if profile.alpha == 1:
-            have = profile.scalar_table.get(2)
-            if have is not None and have != 1:
-                out.append(
-                    Violation(
-                        "variance-mismatch",
-                        f"alpha = 1 forces C_2 = 1 (unit entry variance), got {have}",
-                    )
-                )
+            out += [Violation("variance-mismatch",
+                              f"alpha = 1 forces C_{key} = 1 (unit entry variance), got {table[key]}")
+                    for key in unit if table.get(key, 1) != 1]
     return out
 
 
@@ -439,18 +429,6 @@ def tilde_transform(
                 )
         tilde_pair[(k, l)] = acc
     return tilde1, tilde2, tilde_pair
-
-
-def pair_table_from_scalar(
-    scalar_table: Mapping[int, Fraction], kmax: int = DEFAULT_KMAX
-) -> dict[tuple[int, int], Fraction]:
-    """Identify C_{k,l} := C_{k+l} (joint powers of one underlying entry).
-
-    This is the pair-table input to :func:`tilde_transform` when both
-    reduction blocks are built from the same scalar base entries.
-    """
-    scalar = {k: _frac(v) for k, v in scalar_table.items()}
-    return {(k, l): scalar.get(k + l, Fraction(0)) for k, l in _pair_keys(kmax)}
 
 
 # --- serialization ---------------------------------------------------------

@@ -34,7 +34,6 @@ from explodingmoments.profiles import (
     MomentProfile,
     degenerate_profile_of,
     design_correlated_sign_law,
-    pair_table_from_scalar,
     profile_of_scalar_law,
     profile_of_sparse_law,
     sign_scalar_law,
@@ -297,7 +296,9 @@ def test_criterion_11_tilde_transforms():
         # an odd r carries sqrt(N), but the odd moments of the sign law vanish
         assert half % 2 == 0 or coeff == 0
         raw[r] = coeff * Fraction(n) ** (half // 2)
-    tilde1, _tilde2, tilde_pair = tilde_transform(raw, pair_table_from_scalar(raw, 8), 8)
+    # C_(k,l) = C_(k+l): both blocks built from the same base entries
+    pair = {(k, l): raw[k + l] for k in range(9) for l in range(9 - k) if k + l >= 2}
+    tilde1, _tilde2, tilde_pair = tilde_transform(raw, pair, 8)
     exact_ok = tilde_pair[(1, 1)] == 0
     details = [f"tilde_(1,1)={tilde_pair[(1, 1)]}"]
 

@@ -204,6 +204,12 @@ class TestUsageErrors:
             (["verify", "--z-threshold", "inf"], "verify needs a finite --z-threshold, got inf"),
             (["verify", "--z-threshold", "-3"], "verify needs a positive --z-threshold, got -3.0"),
             (["verify", "--z-threshold", "0"], "verify needs a positive --z-threshold, got 0.0"),
+            # checked for commands that do not read it: reports record it
+            (["limits", "--model", "iid", "--kmax", "2", "--z-threshold", "nan"],
+             "limits needs a finite --z-threshold, got nan"),
+            (["oracle", "--model", "iid", "--n", "5", "--kmax", "2", "--z-threshold", "inf"],
+             "oracle needs a finite --z-threshold, got inf"),
+            (["simulate", "--z-threshold", "-3"], "simulate needs a positive --z-threshold, got -3.0"),
             (["simulate", "--n", "10", "--n", "20"], "simulate takes one --n, got [10, 20]"),
             (["verify", "--n", "10", "--n", "20"], "verify takes one --n, got [10, 20]"),
             (["weaver", "--n", "5", "--n", "7", "--n", "9"], "weaver takes one --n, got [5, 7, 9]"),
@@ -747,7 +753,8 @@ def _law_documents(draw):
 
 def _assert_runs_or_usage_error(argv, config=None, law=None):
     """Run the CLI on argv, its @CONFIG and @PROFILE standing for files that
-    hold these documents: it runs, or is a usage error of one line."""
+    hold these documents: it runs, or is a usage error of one line.  A JSON
+    report is valid JSON: it holds no NaN or Infinity constant."""
     with tempfile.TemporaryDirectory() as root:
         files = {"@CONFIG": Path(root) / "config.json", "@PROFILE": Path(root) / "law.json"}
         files["@CONFIG"].write_text(json.dumps(config))
@@ -760,6 +767,12 @@ def _assert_runs_or_usage_error(argv, config=None, law=None):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("explodingmoments: error: ") and err.count("\n") == 1
+    elif out.startswith("{"):
+        json.loads(out, parse_constant=_no_constant)
+
+
+def _no_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
 
 
 @given(st.data())

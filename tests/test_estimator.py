@@ -866,16 +866,19 @@ class TestRunExperiment:
     def test_thread_count_does_not_change_results(self, sign_law, sign_pair_law, monkeypatch):
         # 300 replicas at n = 500 span three groups of 16-replica chunks
         # (five of 8-replica chunks for block); 100 elliptic replicas at
-        # N = 2000 are four groups, whose chunks are folded two at a time
-        cases = [(kind, 500, 300) for kind in SPARSE_MODELS] + [("elliptic", 2000, 100)]
-        for kind, n, m in cases:
-            spec = sparse_spec(kind, n, 6, sign_law, sign_pair_law)
+        # N = 2000 are four groups, whose chunks are folded two at a time;
+        # 200 circulant replicas at N = 4096 are three chunks of 64 and one of 8
+        cases = [(sparse_spec(kind, 500, 6, sign_law, sign_pair_law), 300) for kind in SPARSE_MODELS]
+        cases.append((sparse_spec("elliptic", 2000, 6, sign_law, sign_pair_law), 100))
+        cases += [(EnsembleSpec(kind="circulant", n=4096, law=law, seed=6), 200)
+                  for law in (sign_law, GaussianLaw())]
+        for spec, m in cases:
             monkeypatch.delenv(THREADS_ENV, raising=False)
             base = run_experiment(spec, 6, m)
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv(THREADS_ENV, threads)
                 threaded = run_experiment(spec, 6, m)
-                assert np.array_equal(base.traces, threaded.traces), (kind, n, threads)
+                assert np.array_equal(base.traces, threaded.traces), (spec, threads)
 
     def test_one_row_replicas_grow_memory_little(self):
         # 70,000 one-row replicas: chunks of at most CHUNK_SAMPLES replicas

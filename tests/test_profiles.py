@@ -17,7 +17,6 @@ from explodingmoments.profiles import (
     law_from_dict,
     law_to_dict,
     light_profile,
-    pair_table_from_scalar,
     profile_from_dict,
     profile_of_scalar_law,
     profile_of_sparse_law,
@@ -192,7 +191,9 @@ class TestDegenerateProfile:
 class TestTildeTransform:
     def test_light_table_examples(self):
         scalar = {k: Fraction(1) if k == 2 else Fraction(0) for k in range(2, 9)}
-        t1, t2, _tp = tilde_transform(scalar, pair_table_from_scalar(scalar, 8), 8)
+        # C_(k,l) = C_(k+l): both blocks built from the same scalar entries
+        pair = {(k, l): scalar[k + l] for k in range(9) for l in range(9 - k) if k + l >= 2}
+        t1, t2, _tp = tilde_transform(scalar, pair, 8)
         assert t1[2] == 2
         assert t2[2] == 2
         assert all(t1[k] == 0 for k in (3, 5, 7))
@@ -209,9 +210,9 @@ class TestTildeTransform:
             tilde_transform({2: Fraction(1)}, {}, kmax=4)
 
     def test_sign_law_tables(self, sign_profile):
-        t1, t2, tp = tilde_transform(
-            sign_profile.scalar_table, pair_table_from_scalar(sign_profile.scalar_table, 8), 8
-        )
+        scalar = sign_profile.scalar_table
+        pair = {(k, l): scalar[k + l] for k in range(9) for l in range(9 - k) if k + l >= 2}
+        t1, t2, tp = tilde_transform(scalar, pair, 8)
         assert t1[2] == 2 and t2[2] == 2
         assert t1[3] == 0 and t2[3] == 0
         assert t1[4] == 2 * 1 + 6 * 1  # 2 C_4 + binom(4,2) C_2^2
