@@ -21,7 +21,7 @@ from .limits import (
     wick_joint,
 )
 from .oracle import ExactMomentTable, exact_table
-from .partitions import enumerate_pair_partitions, walk_partitions
+from .partitions import walk_partitions
 from .profiles import (
     GaussianLaw,
     MomentProfile,

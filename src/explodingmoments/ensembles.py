@@ -301,16 +301,17 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
     dense array of one standard normal per entry; a circulant sample holds
     no matrix, only its generator vector."""
     kind, n, law = spec.kind, spec.n, spec.law
+    rng = np.random.default_rng(spec.seed)
     if kind == "circulant":
-        x = sample_circulant_generator(law, n, [np.random.default_rng(spec.seed)])[0]
+        x = sample_circulant_generator(law, n, [rng])[0]
         return MatrixSample(kind, n, n, None, generator_values=x)
     if isinstance(law, GaussianLaw):
-        g = np.random.default_rng(spec.seed).standard_normal(n * n)
+        g = rng.standard_normal(n * n)
         if kind == "centrosymmetric":
             t = np.arange(n * n)
             g = g[np.minimum(t, n * n - 1 - t)]
         return MatrixSample(kind, n, n, (g / np.sqrt(n)).reshape(n, n))
-    chunk = sample_sparse_chunk(spec, replica_generators([spec.seed]))
+    chunk = sample_sparse_chunk(spec, [rng])
     return MatrixSample(kind, sparse_size(spec), n, chunk)
 
 

@@ -27,7 +27,7 @@ from math import comb, factorial, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import ADMISSIBLE_TREE, classify, moment_product
-from .partitions import TraceCounts, block_classes, enumerate_pair_partitions
+from .partitions import TraceCounts, block_classes
 from .profiles import MODELS, MomentProfile
 
 # 10 covers the tenth Wigner moment in the acceptance suite
@@ -188,16 +188,16 @@ def _tables(consts: tuple) -> _TreeWalks:
 def _tree_walks(profile: MomentProfile, half: int) -> _TreeWalks:
     """The tables of C_(1,1), ..., C_(half,half), read from the top down: a
     profile that lacks some raises :class:`MomentTableError` for the largest,
-    as the enumeration of the thick trees does."""
+    as the tests' enumeration of the thick trees does."""
     return _tables(tuple(profile.pair(r, r) for r in range(half, 0, -1))[::-1])
 
 
 def limit_trace_moment(model: str, k: int, profile: MomentProfile) -> Fraction:
     """Limit of the normalized trace E[Tr(A^k)] / N: the sum of
     :func:`tau` over the partitions of {1..k} whose graph is a thick tree,
-    taken by the tree-walk recursion of :class:`_TreeWalks` and 0 at odd k;
-    the pruned :func:`partitions.walk_partitions` visits the same trees and
-    is the tests' reference (for the circulant model: limit of E[Tr(C^k)]).
+    taken by the tree-walk recursion of :class:`_TreeWalks` and 0 at odd k,
+    with no enumeration of partitions (for the circulant model: limit of
+    E[Tr(C^k)]).
 
     The iid, two-block and centrosymmetric limits are exactly 0, for the mean
     here and for the covariance in :func:`covariance_trace`.  Each of these
@@ -280,18 +280,22 @@ def at_size(model: str, value: Fraction, l: Optional[int], n: Optional[int]) -> 
 
 
 def wick_joint(ks: Sequence[int], model: str, profile: MomentProfile) -> Fraction:
-    """Joint moment of the limiting Gaussian family: sum over pair partitions
-    of products of covariances; 0 for an odd number of factors."""
-    ks = list(ks)
+    """Joint moment of the limiting Gaussian family by Wick's recursion,
+    E[Z_1 ... Z_r] = sum_j Cov(Z_1, Z_j) E[the others]: 1 for no factors,
+    0 for an odd count.  The covariances of every two factors are taken
+    first, so each k is checked whatever the count."""
+    ks = tuple(ks)
     if len(ks) > KMAX_COV:
         raise ValueError(f"at most {KMAX_COV} factors")
-    total = Fraction(0)
-    for matching in enumerate_pair_partitions(len(ks)):
-        term = Fraction(1)
-        for i, j in matching:
-            term *= covariance_trace(ks[i - 1], ks[j - 1], model, profile)
-        total += term
-    return total
+    cov = {(a, b): covariance_trace(a, b, model, profile) for a in ks for b in ks}
+
+    def joint(rest: tuple) -> Fraction:
+        if not rest:
+            return Fraction(1)
+        return sum((cov[rest[0], b] * joint(rest[1:j] + rest[j + 1 :])
+                    for j, b in enumerate(rest[1:], 1)), Fraction(0))
+
+    return joint(ks)
 
 
 def circulant_limit_moment(k: int, profile: MomentProfile, paper_formula: bool = False) -> Fraction:
@@ -322,7 +326,7 @@ def circulant_covariance(k: int, l: int) -> Fraction:
     a heavy profile the gap is O(1), not O(1/N): at prime N = 999983 the
     sign law's exact (1,3), (2,2) and (3,3) entries are 1, about 3 and
     about 16, against 0, 2 and 6.  The N^0 terms depend on the profile and
-    on gcd(N, d) for small d; see ROADMAP.md, "Circulant limits depend on
-    how N factors".
+    on gcd(N, d) for small d; see ROADMAP.md, item 4, "Circulant limits at
+    the simulated N".
     """
     return Fraction(factorial(k)) if k == l else Fraction(0)

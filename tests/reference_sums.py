@@ -7,8 +7,10 @@ of two trace graphs over cross partitions of their vertex sets, and the
 circulant mean and joint moment by tuple enumeration.  They are slow and
 independent of the walk enumerator, which the tests require to give the same
 ``Fraction`` values.  A graph here is a pair (vertex count, directed edges);
-only :func:`trace_counts` shares code with the package, the edge tally
-``partitions.tally_step``.
+only :func:`trace_counts` and :func:`thick_trees` share code with the
+package, the edge tally ``partitions.tally_step``.  :func:`thick_trees` is
+the walk enumerator pruned to thick trees, fast enough to check the
+tree-walk recursion of the limits layer up to k = 10.
 
 ``reference_aggregate_stats`` is the bootstrap as it was before the weighted
 pass: each resample gathers its copy of the traces and recomputes the
@@ -98,6 +100,56 @@ def trace_counts(vertex_count: int, edges) -> TraceCounts:
         root[find(u)] = find(v)
     components = sum(find(a) == a for a in range(vertex_count))
     return TraceCounts.of(vertex_count, loops, pairs, component_count=components)
+
+
+def thick_trees(lengths: Sequence[int]) -> Iterator[tuple[TraceCounts, bool]]:
+    """The set partitions of the positions of one or two closed walks whose
+    trace graph is a thick tree, in the order of ``walk_partitions``, each as
+    its counters and whether some directed edge is a step of both walks.
+
+    The fast reference of the tree-walk recursion: a branch is dropped on its
+    first loop, on a step that closes a cycle in the reduced graph, or when
+    the vertex count passes (total length)/2 + 1 (each of a tree's |V| - 1
+    adjacent pairs takes two steps); a leaf is kept if it is connected and
+    no adjacent pair carries a single edge."""
+    lengths = tuple(lengths)
+    total = sum(lengths)
+    max_vertices = total // 2 + 1
+    label = [0] * total
+    loops: dict[int, int] = {}
+    pairs: dict[tuple[int, int], list[int]] = {}
+
+    def components(p: int) -> int:
+        """Components of the graph of positions 0..p: the second walk is a
+        component of its own until one of its positions lands on a block of
+        the first."""
+        second = label[lengths[0] : p + 1]
+        return 1 + (bool(second) and min(second) > max(label[: lengths[0]]))
+
+    def place(p: int, blocks: int) -> Iterator[tuple[TraceCounts, bool]]:
+        if p == total:
+            if len(pairs) == blocks - 1 and all(a + b >= 2 for a, b in pairs.values()):
+                steps = [{(label[s + i], label[s + (i + 1) % size]) for i in range(size)}
+                         for s, size in zip((0, lengths[0]), lengths)]
+                shared = len(steps) == 2 and not steps[0].isdisjoint(steps[1])
+                yield TraceCounts.of(blocks, loops, pairs, component_count=1), shared
+            return
+        first, last = (lengths[0], total - 1) if p >= lengths[0] else (0, lengths[0] - 1)
+        for b in range(min(blocks + 1, max_vertices)):
+            label[p] = b
+            steps = [(label[p - 1], b)] if p != first else []
+            if p == last:
+                steps.append((b, label[first]))
+            for u, v in steps:
+                tally_step(loops, pairs, u, v)
+            grown = max(blocks, b + 1)
+            # a loop-free graph is a forest iff it has |V| - components pairs
+            if not loops and len(pairs) == grown - components(p):
+                yield from place(p + 1, grown)
+            for u, v in steps:
+                tally_step(loops, pairs, u, v, -1)
+
+    yield from place(0, 0)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from explodingmoments.profiles import (
     wigner_profile,
 )
 import reference_sums
-from reference_sums import covariance_graphs, trace_counts
+from reference_sums import covariance_graphs, thick_trees, trace_counts
 
 TWO_CYCLE = (2, ((0, 1), (1, 0)))
 LOOP = (1, ((0, 0),))
@@ -151,16 +151,15 @@ class TestLimitTraceMoment:
 
 
 def enumerated_limit(k, profile):
-    """The elliptic M_k as the sum of tau over the pruned enumeration."""
-    return sum((tau(leaf, "elliptic", profile) for leaf in walk_partitions((k,), prune=True)),
-               Fraction(0))
+    """The elliptic M_k as the sum of tau over the thick trees of one walk."""
+    return sum((tau(leaf, "elliptic", profile) for leaf, _ in thick_trees((k,))), Fraction(0))
 
 
 def enumerated_covariance(k, l, profile):
-    """The elliptic kernel as the sum of tau over the pruned (k, l) gluings
-    that share a directed edge."""
-    leaves = walk_partitions((k, l), prune=True)
-    return sum((tau(leaf, "elliptic", profile) for leaf in leaves if leaf.shared), Fraction(0))
+    """The elliptic kernel as the sum of tau over the thick-tree (k, l)
+    gluings that share a directed edge."""
+    leaves = thick_trees((k, l))
+    return sum((tau(leaf, "elliptic", profile) for leaf, shared in leaves if shared), Fraction(0))
 
 
 def diagonal_profile(diagonal):
@@ -175,7 +174,8 @@ CONSTANT = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=6
 
 
 class TestTreeWalkRecursion:
-    """The tree-walk recursion equals the sum over the pruned enumerator."""
+    """The tree-walk recursion equals the sum over the thick trees of the
+    tests' pruned enumeration."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(CONSTANT, min_size=5, max_size=5))
@@ -199,7 +199,7 @@ class TestTreeWalkRecursion:
 
 
 class TestCovarianceRecursion:
-    """The two-colour tree-walk recursion equals the sum over the pruned
+    """The two-colour tree-walk recursion equals the sum over the thick-tree
     gluings that share an edge."""
 
     @settings(max_examples=25, deadline=None)
@@ -318,6 +318,24 @@ class TestWick:
         c = covariance_trace(2, 2, "elliptic", sign_pair_profile)
         assert wick_joint((2, 2, 2, 2), "elliptic", sign_pair_profile) == 3 * c**2
 
+    def test_mixed_fourth_moment_closed_form(self, sign_pair_profile):
+        # the three matchings of (2, 2, 4, 4): {22, 44} once, {24, 24} twice
+        def c(k, l):
+            return covariance_trace(k, l, "elliptic", sign_pair_profile)
+
+        expected = c(2, 2) * c(4, 4) + 2 * c(2, 4) ** 2
+        assert expected != 0
+        assert wick_joint((2, 2, 4, 4), "elliptic", sign_pair_profile) == expected
+
+    @pytest.mark.parametrize("ks", [(7, 2), (7, 2, 2), (2, 2, 7), (7,), (0, 2, 2)], ids=str)
+    def test_factor_outside_the_cap_raises_at_any_count(self, ks, sign_pair_profile):
+        with pytest.raises(ValueError, match="outside"):
+            wick_joint(ks, "elliptic", sign_pair_profile)
+
+    def test_too_many_factors(self, sign_pair_profile):
+        with pytest.raises(ValueError, match="factors"):
+            wick_joint((2,) * (KMAX_COV + 1), "elliptic", sign_pair_profile)
+
 
 class TestCirculant:
     def test_k2_light(self):
@@ -406,7 +424,7 @@ class TestPredicted:
 
 
 class TestAgainstBellEnumeration:
-    """The pruned walk-partition sums equal the Bell-number enumeration."""
+    """The tree-walk recursion equals the Bell-number enumeration."""
 
     @pytest.fixture(scope="class", params=["1/2", "1"])
     def prof(self, request):

@@ -11,13 +11,13 @@ from explodingmoments.partitions import (
     MAX_GROUND,
     block_classes,
     double_factorial_odd,
-    enumerate_pair_partitions,
     walk_partitions,
 )
 from reference_sums import (
     CrossPartition,
     enumerate_cross_partitions,
     set_partitions,
+    thick_trees,
     trace_counts,
     walk_graph,
 )
@@ -122,27 +122,12 @@ class TestIndexSets:
             assert members == perm(n, max(p) + 1)
 
 
-class TestPairPartitions:
-    def test_counts(self):
-        assert len(enumerate_pair_partitions(2)) == 1
-        assert len(enumerate_pair_partitions(4)) == 3
-        assert len(enumerate_pair_partitions(6)) == 15
-        assert enumerate_pair_partitions(3) == []
-
-    def test_counts_match_double_factorial(self):
+class TestDoubleFactorial:
+    def test_counts_perfect_matchings(self):
+        # the set partitions of r positions into blocks of two
         for r in range(0, 9):
-            assert len(enumerate_pair_partitions(r)) == double_factorial_odd(r)
-
-    def test_r2(self):
-        assert enumerate_pair_partitions(2) == [((1, 2),)]
-        assert enumerate_pair_partitions(0) == [()]
-
-    @pytest.mark.parametrize("r", [2, 4, 6])
-    def test_subset_of_set_partitions_with_size2_blocks(self, r):
-        all_parts = {blocks_of(p) for p in set_partitions(r)}
-        for m in enumerate_pair_partitions(r):
-            assert m in all_parts
-            assert all(len(b) == 2 for b in m)
+            matchings = sum(all(n == 2 for n in Counter(p).values()) for p in set_partitions(r))
+            assert matchings == double_factorial_odd(r)
 
 
 class TestCrossPartitions:
@@ -204,7 +189,6 @@ class TestWalkPartitions:
                 assert leaf.vertex_count == max(p) + 1
                 assert leaf.loop_counts == s.loop_counts
                 assert leaf.ordered_pair_counts == s.ordered_pair_counts
-                assert not leaf.shared
 
     @pytest.mark.parametrize("lengths", [(5,), (1, 1), (2, 3), (3, 3)])
     def test_leaf_counters_equal_graph_stats(self, lengths):
@@ -212,32 +196,8 @@ class TestWalkPartitions:
         leaves = list(walk_partitions(lengths))
         for leaf, p in zip(leaves, set_partitions(sum(lengths))):
             s = trace_counts(*walk_graph(p, lengths))
-            assert leaf._replace(shared=False) == s
+            assert leaf == s
         assert {leaf.component_count for leaf in leaves} == set(range(1, len(lengths) + 1))
-
-    @pytest.mark.parametrize("k,leaves", [(2, 1), (4, 3), (6, 12), (8, 57), (10, 303)])
-    def test_pruned_leaves(self, k, leaves):
-        # only thick trees survive: 303 of Bell(10) = 115,975 at k = 10
-        assert sum(1 for _ in walk_partitions((k,), prune=True)) == leaves
-
-    @pytest.mark.parametrize("k,shared", [(2, 2), (4, 58), (6, 2258)])
-    def test_pruned_shared_gluings(self, k, shared):
-        leaves = list(walk_partitions((k, k), prune=True))
-        assert sum(leaf.shared for leaf in leaves) == shared
-
-    def test_pruned_leaves_are_thick_trees(self):
-        for lengths in [(8,), (3, 5), (4, 4)]:
-            for leaf in walk_partitions(lengths, prune=True):
-                assert not leaf.loop_counts
-                assert all(a + b >= 2 for (a, b), _count in leaf.ordered_pair_counts)
-                assert sum(c for _key, c in leaf.ordered_pair_counts) == leaf.vertex_count - 1
-
-    @pytest.mark.parametrize("lengths", PRUNE_LENGTHS, ids=str)
-    def test_pruned_leaves_are_the_leaves_classify_admits(self, lengths):
-        # the thick-tree rule is written twice, in the prune and in classify
-        admitted = [leaf for leaf in walk_partitions(lengths)
-                    if classify(leaf, "elliptic") == ADMISSIBLE_TREE]
-        assert list(walk_partitions(lengths, prune=True)) == admitted
 
     def test_guard(self):
         for bad in [(), (0,), (7, 6), (2, 2, 2)]:
@@ -257,6 +217,45 @@ class TestWalkPartitions:
     def test_nonzero_leaf_counts(self, lengths, leaves):
         # of Bell(6) = 203 set partitions each
         assert sum(1 for _ in walk_partitions(lengths, nonzero=True)) == leaves
+
+
+class TestThickTrees:
+    """The tests' pruned enumeration of thick trees, the reference of the
+    tree-walk recursion."""
+
+    @pytest.mark.parametrize("k,leaves", [(2, 1), (4, 3), (6, 12), (8, 57), (10, 303)])
+    def test_leaves(self, k, leaves):
+        # only thick trees survive: 303 of Bell(10) = 115,975 at k = 10
+        assert sum(1 for _ in thick_trees((k,))) == leaves
+
+    @pytest.mark.parametrize("k,shared", [(2, 2), (4, 58), (6, 2258)])
+    def test_shared_gluings(self, k, shared):
+        assert sum(shared for _, shared in thick_trees((k, k))) == shared
+
+    def test_leaves_are_thick_trees(self):
+        for lengths in [(8,), (3, 5), (4, 4)]:
+            for leaf, _ in thick_trees(lengths):
+                assert not leaf.loop_counts
+                assert all(a + b >= 2 for (a, b), _count in leaf.ordered_pair_counts)
+                assert sum(c for _key, c in leaf.ordered_pair_counts) == leaf.vertex_count - 1
+
+    @pytest.mark.parametrize("lengths", PRUNE_LENGTHS, ids=str)
+    def test_leaves_are_the_leaves_classify_admits(self, lengths):
+        # the thick-tree rule is written in classify and, as a prune, here
+        admitted = [leaf for leaf in walk_partitions(lengths)
+                    if classify(leaf, "elliptic") == ADMISSIBLE_TREE]
+        assert [leaf for leaf, _ in thick_trees(lengths)] == admitted
+
+    @pytest.mark.parametrize("lengths", [(k, l) for k in range(1, 6) for l in range(1, 8 - k)],
+                             ids=str)
+    def test_shared_is_a_step_of_both_walks(self, lengths):
+        # from each admitted partition's edges, walk by walk
+        expected = []
+        for p in set_partitions(sum(lengths)):
+            size, edges = walk_graph(p, lengths)
+            if classify(trace_counts(size, edges), "elliptic") == ADMISSIBLE_TREE:
+                expected.append(not set(edges[: lengths[0]]).isdisjoint(edges[lengths[0] :]))
+        assert [shared for _, shared in thick_trees(lengths)] == expected
 
 
 def one_walk_parts(k):
