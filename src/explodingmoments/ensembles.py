@@ -107,38 +107,46 @@ def seed_states(seeds: Iterable[int]) -> np.ndarray:
     """(len(seeds), 4) uint64 array whose row i is
     ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
 
-    Seeds are grouped by their count of little-endian 32-bit entropy words
-    (one for 0), and each group goes through SeedSequence's steps as uint32
-    column operations, one column holding one word of every seed: the
-    entropy hash into a pool of four words (zeros past a short entropy), the
-    pool's cross mix, the mix of each entropy word past the fourth, and the
-    output hash of eight words, joined in pairs, low word first."""
-    seeds = [operator.index(seed) for seed in seeds]
+    SeedSequence hashes a pool word past a short entropy as a zero word, so
+    every seed below 2^128 is its four little-endian 32-bit words padded with
+    zeros, and all of them go through one pass (:func:`_pool_states`); only
+    wider seeds are grouped by their count of words, one pass a group."""
+    seeds = list(map(operator.index, seeds))
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"expected a non-negative seed, got {min(seeds)}")
+    if not seeds or not max(seeds) >> 32 * _POOL:
+        return _pool_states(seeds, _POOL)
     groups: dict[int, list[int]] = {}
     for i, seed in enumerate(seeds):
-        if seed < 0:
-            raise ValueError(f"expected a non-negative seed, got {seed}")
-        groups.setdefault(max(1, -(-seed.bit_length() // 32)), []).append(i)
-    out = np.empty((2 * _POOL, len(seeds)), dtype=np.uint32)
+        groups.setdefault(max(_POOL, -(-seed.bit_length() // 32)), []).append(i)
+    out = np.empty((len(seeds), _POOL), dtype=np.uint64)
     for width, members in groups.items():
-        raw = b"".join(seeds[i].to_bytes(4 * width, "little") for i in members)
-        words = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, width).T
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        zero = np.zeros(len(members), dtype=np.uint32)
-        pool = [hashmix(words[i] if i < width else zero) for i in range(_POOL)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for src in range(_POOL, width):
-            for dst in range(_POOL):
-                pool[dst] = _mix(pool[dst], hashmix(words[src]))
-        hashmix = _hasher(_INIT_B, _MULT_B)
-        for j in range(2 * _POOL):
-            out[j, members] = hashmix(pool[j % _POOL])
-    states = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+        out[members] = _pool_states([seeds[i] for i in members], width)
+    return out
+
+
+def _pool_states(seeds: list[int], width: int) -> np.ndarray:
+    """The :func:`seed_states` rows of non-negative seeds of at most
+    ``width`` >= 4 words each, through SeedSequence's steps as uint32 column
+    operations, one column holding one word of every seed: the entropy hash
+    of the first four words into the pool, the pool's cross mix, the mix of
+    each word past the fourth, and the output hash of eight words, joined in
+    pairs, low word first."""
+    raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
+    words = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, width).T
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(words[src]))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = np.array([hashmix(pool[j % _POOL]) for j in range(2 * _POOL)], dtype=np.uint64)
     # PCG64 reads each row's memory directly, so rows must be contiguous
-    return np.ascontiguousarray(states.T)
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
 class _SeedState(ISeedSequence):
@@ -303,8 +311,9 @@ def sample(spec: EnsembleSpec) -> MatrixSample:
     kind, n, law = spec.kind, spec.n, spec.law
     rng = np.random.default_rng(spec.seed)
     if kind == "circulant":
-        x = sample_circulant_generator(law, n, [rng])[0]
-        return MatrixSample(kind, n, n, None, generator_values=x)
+        x = np.zeros((1, n))  # a draw with no active position leaves it zero
+        sample_circulant_generator(law, n, [rng], x)
+        return MatrixSample(kind, n, n, None, generator_values=x[0])
     if isinstance(law, GaussianLaw):
         g = rng.standard_normal(n * n)
         if kind == "centrosymmetric":
@@ -374,39 +383,56 @@ def _atom_rows(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return which
 
 
-def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Unscaled generator vectors (x_0..x_{N-1}) of circulant draws, one row
-    per generator in ``rngs``; row i is the draw of ``rngs[i]`` alone.  A
-    chunk of replicas passes the generators of :func:`replica_generators`,
+class CirculantRows(NamedTuple):
+    """The generator rows of a chunk of circulant draws: row j of
+    ``generator_values`` is the unscaled generator of draw ``drawn[j]``, in
+    draw order, for each draw with an active position.  The generator of
+    every other draw is all zero."""
+
+    generator_values: np.ndarray
+    drawn: np.ndarray  # indices into the chunk's generators
+
+
+def sample_circulant_generator(law, n: int, rngs: Sequence[np.random.Generator], out: np.ndarray) -> CirculantRows:
+    """Unscaled generator vectors (x_0..x_{N-1}) of circulant draws, one per
+    generator in ``rngs``; the draw of ``rngs[i]`` is that generator's alone.
+    A chunk of replicas passes the generators of :func:`replica_generators`,
     each equal to ``default_rng`` at its seed.
 
-    The law's shared draw table is scaled by sqrt(N) into a new array, and
-    its activation probability q/N taken, once per call.  Each row takes, in
-    order: a binomial count of active positions, that many distinct
-    positions, and one uniform per active position for its atom (a Gaussian
-    row is one standard normal vector).  A row with no active position
-    draws nothing more: a draw of size 0 leaves the generator's state alone.
-    The rows' positions and uniforms are collected as Python lists and
-    placed by one atom lookup and one scatter per call."""
-    out = np.zeros((len(rngs), n))
+    The rows of the draws with an active position are written first, in
+    order, to ``out``, an array of at least len(rngs) rows of N floats that
+    a caller can pass chunk after chunk; the rows past them are left as
+    they were.  A Gaussian row is one standard
+    normal vector and always active.  A sparse law's draw table is scaled by
+    sqrt(N) into a new array, and its activation probability q/N taken, once
+    per call.  Each row takes, in order: a binomial count of active
+    positions, that many distinct positions, and one uniform per active
+    position for its atom.  A row with no active position draws nothing
+    more: a draw of size 0 leaves the generator's state alone.  The rows'
+    positions and uniforms are collected as Python lists, and the active
+    rows zeroed and filled by one atom lookup and one scatter per call."""
     if isinstance(law, GaussianLaw):
         for row, rng in zip(out, rngs):
             rng.standard_normal(out=row)
-        return out
+        return CirculantRows(out[: len(rngs)], np.arange(len(rngs)))
     (vals,), cum = _draw_table(law.atoms)
     vals = vals * np.sqrt(n)
     p = float(law.activation) / n
+    drawn: list[int] = []
     rows: list[int] = []
     positions: list[int] = []
     uniforms: list[float] = []
     for i, rng in enumerate(rngs):
         count = rng.binomial(n, p)
         if count:
-            rows += [i] * count
+            rows += [len(drawn)] * count
+            drawn.append(i)
             positions += _distinct_uniform(rng, n, count).tolist()
             uniforms += rng.random(count).tolist()
-    out[rows, positions] = vals[_atom_rows(cum, np.array(uniforms))]
-    return out
+    active = out[: len(drawn)]
+    active.fill(0.0)
+    active[rows, positions] = vals[_atom_rows(cum, np.array(uniforms))]
+    return CirculantRows(active, np.array(drawn, dtype=np.intp))
 
 
 def circulant_eigenvalues(x: np.ndarray) -> np.ndarray:

@@ -445,6 +445,15 @@ def reference_circulant_generator(law, n: int, rng, branches: Counter) -> np.nda
     return x
 
 
+def in_draw_order(rows, count: int) -> np.ndarray:
+    """The (count, N) generators of a chunk of circulant draws from the
+    ``CirculantRows`` of ``sample_circulant_generator``: the rows it wrote at
+    their draws, zeros at the draws with no active position."""
+    out = np.zeros((count, rows.generator_values.shape[-1]))
+    out[rows.drawn] = rows.generator_values
+    return out
+
+
 def of_csr(mat: sparse.csr_matrix) -> SparseChunk:
     """The stored entries of a square CSR matrix in canonical order: each
     row's columns ascending, duplicates summed."""

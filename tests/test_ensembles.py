@@ -21,6 +21,7 @@ from explodingmoments.ensembles import (
     sample,
     sample_circulant_generator,
     sample_sparse_chunk,
+    seed_states,
     sparse_size,
     weaver_reduce,
 )
@@ -30,7 +31,7 @@ from explodingmoments.profiles import (
     design_correlated_sign_law,
     sign_scalar_law,
 )
-from reference_sums import reference_circulant_generator, sample_sparse_blocks, to_csr
+from reference_sums import in_draw_order, reference_circulant_generator, sample_sparse_blocks, to_csr
 
 
 def dense_of(spec):
@@ -212,6 +213,28 @@ class TestReplicaGenerators:
             replica_generators([3, -1])
 
 
+class TestSeedStates:
+    # seeds below 2^128 take one pass, as four words padded with zeros; the
+    # words past the fourth of a wider seed are mixed in one by one
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(2**64 - 300, 2**64 + 300), range(2**128 - 300, 2**128 + 300),
+         range(20240801, 20240801 + 20000), [2**200 + 1, 0, 2**128, 2**64 + 5, 2**160 + 7, 3]],
+        ids=["straddling 2^64", "straddling 2^128", "20,000 seeds", "mixed widths"],
+    )
+    def test_rows_are_seed_sequence_states(self, seeds):
+        states = seed_states(seeds)
+        assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+        assert states.flags.c_contiguous
+        for seed, row in zip(seeds, states):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist(), seed
+
+    def test_no_seeds_and_negative_seeds(self):
+        assert seed_states([]).shape == (0, 4)
+        with pytest.raises(ValueError):
+            seed_states(range(-3, 3))
+
+
 class TestCirculantGenerator:
     SKEWED = SparseScalarLaw(
         activation=Fraction(1, 2), atoms=((-1, Fraction(2, 3)), (2, Fraction(1, 3)))
@@ -223,8 +246,12 @@ class TestCirculantGenerator:
 
     @staticmethod
     def assert_per_sample_draws(law, n, seeds, branch=None):
-        rows = sample_circulant_generator(law, n, replica_generators(seeds))
-        assert rows.shape == (len(seeds), n)
+        drawn = sample_circulant_generator(law, n, replica_generators(seeds), np.empty((len(seeds), n)))
+        rows = in_draw_order(drawn, len(seeds))
+        # the rows written are those of the draws with an active position,
+        # in draw order; no atom of these laws is 0
+        assert drawn.generator_values.any(axis=1).all()
+        assert drawn.drawn.tolist() == np.flatnonzero(rows.any(axis=1)).tolist()
         branches = Counter()
         for seed, row in zip(seeds, rows):
             one = sample(EnsembleSpec("circulant", n, law, seed))
@@ -256,10 +283,40 @@ class TestCirculantGenerator:
 
     def test_draws_leave_the_shared_table_unscaled(self):
         (vals,), cum = _draw_table(self.SKEWED.atoms)
-        first = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)))
-        again = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)))
-        assert np.array_equal(first, again)
+        first = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)), np.empty((50, 16)))
+        again = sample_circulant_generator(self.SKEWED, 16, replica_generators(range(50)), np.empty((50, 16)))
+        assert np.array_equal(first.generator_values, again.generator_values)
+        assert np.array_equal(first.drawn, again.drawn)
         assert vals.tolist() == [-1.0, 2.0] and cum.tolist() == [2 / 3, 1.0]
+
+    @pytest.mark.parametrize("law", [GaussianLaw(), sign_scalar_law(), SMALL_ACTIVATION])
+    def test_draws_into_a_used_buffer(self, law):
+        # chunks of 40, 40 and a short 15 drawn into one buffer of 40 rows,
+        # first filled with NaN: each chunk's rows are its own draws, written
+        # from the buffer's first row, and the rows past them stay as they were
+        buffer = np.full((40, 64), np.nan)
+        for seeds in (range(0, 40), range(40, 80), range(80, 95)):
+            before = buffer.copy()
+            drawn = sample_circulant_generator(law, 64, replica_generators(seeds), buffer)
+            count = len(drawn.drawn)
+            assert np.shares_memory(drawn.generator_values, buffer)
+            assert drawn.generator_values.shape == (count, 64)
+            assert np.array_equal(buffer[count:], before[count:], equal_nan=True)
+            want = [reference_circulant_generator(law, 64, np.random.default_rng(seed), Counter())
+                    for seed in seeds]
+            assert np.array_equal(in_draw_order(drawn, len(seeds)), np.array(want))
+            if law is self.SMALL_ACTIVATION:
+                assert count < len(seeds) / 2
+            else:
+                assert count > 0
+
+    def test_one_draw_with_no_active_position_samples_a_zero_row(self):
+        p = float(self.SMALL_ACTIVATION.activation) / 64
+        seed = next(s for s in range(100) if not np.random.default_rng(s).binomial(64, p))
+        drawn = sample_circulant_generator(self.SMALL_ACTIVATION, 64, replica_generators([seed]), np.empty((1, 64)))
+        assert drawn.generator_values.shape == (0, 64) and drawn.drawn.tolist() == []
+        x = sample(EnsembleSpec("circulant", 64, self.SMALL_ACTIVATION, seed)).generator_values
+        assert x.shape == (64,) and not x.any()
 
 
 class TestDrawTable:

@@ -42,8 +42,9 @@ from explodingmoments.estimator import (
     trace_powers,
 )
 from explodingmoments.oracle import exact_table
-from explodingmoments.profiles import PAIR_MODELS
+from explodingmoments.profiles import PAIR_MODELS, SparseScalarLaw
 from reference_sums import (
+    in_draw_order,
     of_csr,
     reference_aggregate_stats,
     reference_batch_traces,
@@ -801,9 +802,11 @@ class TestRunExperiment:
 
         drawn = []
 
-        def spy(law, n, rngs):
-            drawn.append(sample_circulant_generator(law, n, rngs))
-            return drawn[-1]
+        def spy(law, n, rngs, out):
+            rows = sample_circulant_generator(law, n, rngs, out)
+            # a copy in draw order: the next chunk is drawn into the same buffer
+            drawn.append(in_draw_order(rows, len(rngs)))
+            return rows
 
         monkeypatch.setattr(estimator, "sample_circulant_generator", spy)
         spec = EnsembleSpec(kind="circulant", n=4096, law=sign_law, seed=2**32 - 600)
@@ -814,6 +817,48 @@ class TestRunExperiment:
         for i, row in enumerate(np.vstack(drawn)):
             one = sample(replace(spec, seed=spec.seed + 1 + i))
             assert np.array_equal(row, one.generator_values), i
+
+    # q = 1/8 at N = 64: a replica is active with probability 1 - (1 - 1/512)^64,
+    # about 12%, and a chunk of 8 has no active replica with probability 0.36
+    RARE = SparseScalarLaw(activation=Fraction(1, 8), atoms=((-2, Fraction(2, 3)), (4, Fraction(1, 3))))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_circulant_chunks_reuse_buffers(self, threads, sign_law, monkeypatch):
+        # chunks of 8 replicas at N = 64, the last of 5: each chunk is drawn
+        # into its thread's buffer, whose rows the previous chunk left, and
+        # sums only its active rows.  Every replica still has the traces of
+        # the one-sample path, bit for bit, and an all-zero one reads +0.0
+        calls = []
+
+        def spy(law, n, rngs, out):
+            rows = sample_circulant_generator(law, n, rngs, out)
+            calls.append((out, len(rngs), rows.drawn.tolist()))
+            return rows
+
+        monkeypatch.setattr(estimator, "sample_circulant_generator", spy)
+        monkeypatch.setattr(estimator, "CIRCULANT_CHUNK_ENTRIES", 64 * 8)
+        for law in (sign_law, self.RARE, GaussianLaw()):
+            calls.clear()
+            spec = EnsembleSpec(kind="circulant", n=64, law=law, seed=17)
+            got = _replica_traces(spec, 6, 45, threads)
+            assert sorted(count for _out, count, _drawn in calls) == [5] + [8] * 5
+            for i, row in enumerate(got):
+                want = trace_powers(sample(replace(spec, seed=spec.seed + 1 + i)), 6)
+                assert row.tobytes() == want.tobytes(), (law, i)
+            active = [drawn for _out, _count, drawn in calls]
+            if law is self.RARE:
+                # a chunk with no active replica, and chunks with some
+                assert [] in active and any(active)
+            elif law is sign_law:
+                # consecutive chunks with different active rows
+                assert len({tuple(drawn) for drawn in active}) > 1
+                assert all(0 < len(drawn) < 8 for drawn in active[:5])
+            zero = [i for i, row in enumerate(got) if not row.any()]
+            assert bool(zero) == (not isinstance(law, GaussianLaw))
+            for i in zero:
+                assert got[i].tolist() == [0.0] * 6 and not np.signbit(got[i]).any()
+            buffers = {id(out) for out, _count, _drawn in calls}
+            assert len(buffers) == 1 if threads == 1 else len(buffers) <= threads
 
     def test_circulant_replica_memory_is_a_few_chunks(self, sign_law):
         # 8000 replicas at N = 512 hold 4 * 10^6 generator entries; one chunk

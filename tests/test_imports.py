@@ -2,8 +2,9 @@
 ``dataclasses`` and the ``inspect`` it loads: importing the package loads
 none of them, and the sampling names resolve on first access.  The
 sampling commands and the library's sparse samples load numpy alone, and
-they run where scipy cannot be imported at all.  Each check runs in a fresh
-interpreter, since this process has loaded both long before."""
+they run where scipy cannot be imported at all; a single-threaded run loads
+no thread pool.  Each check runs in a fresh interpreter, since this process
+has loaded all of them long before."""
 
 import json
 import os
@@ -78,6 +79,23 @@ def test_sparse_simulate_and_verify_load_numpy_alone():
         ["verify", "--model", "iid", "--n", "40", "--reps", "5", "--kmax", "4"],
     )
     assert report["simulate"] == [0, ["numpy"]] and report["verify"] == [0, ["numpy"]]
+
+
+def test_single_threaded_verify_loads_no_thread_pool():
+    # concurrent.futures loads logging and queue; only a run of two or more
+    # threads needs it
+    code = """
+import contextlib, io, json, os, sys
+import explodingmoments.cli as cli
+report = []
+for threads in ("1", "2"):
+    os.environ["EXPLODINGMOMENTS_THREADS"] = threads
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--model", "circulant", "--n", "64", "--kmax", "3", "--reps", "50"])
+    report.append([threads, code in (0, 1), "concurrent.futures" in sys.modules])
+print(json.dumps(report))
+"""
+    assert json.loads(run_fresh(code)) == [["1", True, False], ["2", True, True]]
 
 
 def test_sparse_sample_traces_and_dense_load_numpy_alone():
